@@ -49,7 +49,7 @@ class CanonicalSpace:
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(self.atom_label(i) for i in range(len(self.atoms)))
+        return tuple([self.atom_label(i) for i in range(len(self.atoms))])
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class CanonicalReport:
 
     @property
     def failed_ids(self) -> tuple[str, ...]:
-        return tuple(v.condition for v in self.verdicts if not v.passed)
+        return tuple([v.condition for v in self.verdicts if not v.passed])
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class EmbeddingReport:
 
     @property
     def failed_ids(self) -> tuple[str, ...]:
-        return tuple(v.condition for v in self.verdicts if not v.passed)
+        return tuple([v.condition for v in self.verdicts if not v.passed])
 
     def __getitem__(self, condition: str) -> ConditionVerdict:
         for v in self.verdicts:
@@ -125,7 +125,7 @@ def _event_space(s: EStructure) -> CanonicalSpace:
     for m in maximal:
         if m in assigned:
             continue
-        cls = tuple(x for x in maximal if (x, m) in d.eqs)
+        cls = tuple([x for x in maximal if (x, m) in d.eqs])
         assigned.update(cls)
         classes.append(cls)
     events = {

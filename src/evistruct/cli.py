@@ -158,7 +158,10 @@ def _cmd_canonical(args) -> int:
 def _cmd_trees_find(args) -> int:
     w = _load(args.file)
     s = w.structure
-    trees = find_trees(s, max_count=args.max)
+    try:
+        trees = find_trees(s, max_count=args.max)
+    except ValueError as exc:
+        raise _UsageError(f"--max: {exc}") from exc
     payload = {
         "count": len(trees),
         "trees": [{"nodes": list(t.nodes),
@@ -248,6 +251,9 @@ def _cmd_trees_check(args) -> int:
 def _cmd_plan_isd(args) -> int:
     w = _load(args.file)
     plan = _require_plan(w)
+    guard = _guard_axioms(args, w.structure)
+    if guard is not None:
+        return guard
     try:
         report = check_isd_plan(w.structure, plan)
     except PlanError as exc:
@@ -273,7 +279,7 @@ def _cmd_plan_decide(args) -> int:
     if guard is not None:
         return guard
     try:
-        result = decide_rationalizable(s, plan, method=args.method)
+        result = decide_rationalizable(s, plan)
     except PlanError as exc:
         raise _UsageError(str(exc)) from exc
     verified = verify_certificate(result.system, result).valid
@@ -368,7 +374,8 @@ def _verify_product(tree: ExperimentationTree, plan, data):
         raise _UsageError("witness 'points' must be a nonempty list")
     points: list[tuple[int, str]] = []
     for entry in raw_points:
-        if not isinstance(entry, list) or len(entry) < 2:
+        if (not isinstance(entry, list) or len(entry) < 2
+                or not all(isinstance(part, str) for part in entry)):
             raise _UsageError(f"bad point {entry!r}")
         members, state = tuple(entry[:-1]), entry[-1]
         if members not in atom_index:
@@ -376,10 +383,18 @@ def _verify_product(tree: ExperimentationTree, plan, data):
         if state not in node_set:
             raise _UsageError(f"point state {state!r} is not a tree node")
         points.append((atom_index[members], state))
+    weights = data.get("weights", [])
+    utilities = data.get("utilities", {})
+    if not isinstance(weights, list):
+        raise _UsageError("witness 'weights' must be a list")
+    if not (isinstance(utilities, dict)
+            and all(isinstance(vals, list) for vals in utilities.values())):
+        raise _UsageError("witness 'utilities' must map each alternative "
+                          "to a list")
     try:
-        weights = [parse_rational(v) for v in data.get("weights", [])]
+        weights = [parse_rational(v) for v in weights]
         utilities = {alt: [parse_rational(v) for v in vals]
-                     for alt, vals in data.get("utilities", {}).items()}
+                     for alt, vals in utilities.items()}
     except ParseError as exc:
         raise _UsageError(str(exc)) from exc
     if len(weights) != len(points):
@@ -531,10 +546,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = psub.add_parser("decide", parents=[fmt],
                         help="decide rationalizability exactly")
     p.add_argument("file")
-    p.add_argument("--method", choices=("exact", "auto"), default="exact",
-                   help="exact: pure rational simplex (default); auto: "
-                        "float-guided search whose result is still "
-                        "certified exactly")
     p.set_defaults(handler=_cmd_plan_decide)
     p = psub.add_parser("rationalize", parents=[fmt],
                         help="construct an explicit representation")

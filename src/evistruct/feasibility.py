@@ -14,15 +14,12 @@ nonnegative without loss. Feasibility of
 is therefore equivalent to rationalizability, and a uniform weighting
 recovers utilities from any feasible g.
 
-The decision runs a phase-1 simplex. By default a floating-point pass
-locates the answer and the answer alone is certified in exact rational
-arithmetic: a claimed-feasible point is rounded to rationals and rescaled
-(soundly, by homogeneity) until every row clears 1 exactly, while a
-claimed-infeasible dual is reduced to its support rows and re-derived by
-an exact simplex there. If anything fails to certify, a full exact
-Fraction simplex with Bland's rule settles the instance. Every returned
-verdict, either way, carries an exactly verified witness: a weighting
-with utilities, or a nonnegative row combination proving emptiness.
+The decision runs one phase-1 simplex with Bland's rule on an
+integer-preserving (fraction-free) tableau: rows are kept as integer
+multiples of the rational tableau by the basis determinant, so every
+step is exact integer arithmetic and nothing is rounded. Every returned
+verdict carries an exactly verified witness: a weighting with utilities,
+or a nonnegative row combination proving emptiness.
 """
 from __future__ import annotations
 
@@ -33,8 +30,6 @@ from typing import Mapping, Sequence
 from .canonical import build_canonical
 from .plans import Plan, PlanError
 from .structure import EStructure
-
-_FLOAT_EPS = 1e-7
 
 
 @dataclass(frozen=True)
@@ -126,188 +121,90 @@ def build_system(s: EStructure, plan: Plan) -> FeasibilitySystem:
 
 # ---------------------------------------------------------------- simplex
 
-def _phase1_exact(rows: Sequence[Sequence[int]], ncols: int):
-    """Phase-1 simplex in Fractions with Bland's rule.
+def _phase1(rows: Sequence[Sequence[int]], ncols: int):
+    """Phase-1 simplex with Bland's rule on an integer-preserving tableau.
 
-    Decides {x >= 0 : Ax >= 1}. Returns ("feasible", x) with x exact, or
-    ("infeasible", y) with y the exact Farkas duals per row.
+    Decides {x >= 0 : Ax >= 1} over [A | -I | I | 1], starting from the
+    artificial basis. Every stored row, the reduced-cost row included, is
+    D times the rational tableau B^-1 [A | -I | I | 1], where D > 0 is the
+    determinant of the basis B, so all entries are integers (Edmonds 1967,
+    Bareiss 1968). Ratios are compared by cross-multiplication, so the
+    pivots are those of the rational tableau. Returns ("feasible", x) with
+    x exact, or ("infeasible", y) with y the exact Farkas duals per row.
     """
     m = len(rows)
     n = ncols
     width = n + 2 * m
-    tableau: list[list[Fraction]] = []
+    tableau: list[list[int]] = []
     for i, coeffs in enumerate(rows):
-        row = [Fraction(c) for c in coeffs]
-        row += [Fraction(0)] * (2 * m) + [Fraction(1)]
-        row[n + i] = Fraction(-1)
-        row[n + m + i] = Fraction(1)
+        row = [*coeffs, *[0] * (2 * m), 1]
+        row[n + i] = -1
+        row[n + m + i] = 1
         tableau.append(row)
     basis = list(range(n + m, n + 2 * m))
-    red = [Fraction(0)] * (width + 1)
-    for j in range(width + 1):
-        cj = Fraction(1) if n + m <= j < n + 2 * m else Fraction(0)
-        red[j] = cj - sum(tableau[i][j] for i in range(m))
+    red = [-sum(column) for column in zip(*tableau)]
+    for j in range(n + m, n + 2 * m):
+        red[j] += 1
+    det = 1
 
     while True:
         enter = next((j for j in range(width) if red[j] < 0), None)
         if enter is None:
             break
         pivot_row = None
-        best = None
-        for i in range(m):
-            t = tableau[i][enter]
-            if t > 0:
-                ratio = tableau[i][width] / t
-                if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[pivot_row]):
-                    best = ratio
-                    pivot_row = i
+        for i, row in enumerate(tableau):
+            t = row[enter]
+            if t <= 0:
+                continue
+            if pivot_row is None:
+                pivot_row = i
+                continue
+            best = tableau[pivot_row]
+            lhs = row[width] * best[enter]
+            rhs = best[width] * t
+            if lhs < rhs or (lhs == rhs and basis[i] < basis[pivot_row]):
+                pivot_row = i
         if pivot_row is None:
             raise RuntimeError("phase-1 objective unbounded")
-        _pivot(tableau, red, basis, pivot_row, enter, width)
+        prow = tableau[pivot_row]
+        p = prow[enter]
+        for i, row in enumerate(tableau):
+            if i != pivot_row:
+                tableau[i] = _eliminate(row, prow, enter, p, det)
+        red = _eliminate(red, prow, enter, p, det)
+        basis[pivot_row] = enter
+        det = p
 
-    objective = -red[width]
-    if objective == 0:
+    if red[width] == 0:
         x = [Fraction(0)] * n
         for i, b in enumerate(basis):
             if b < n:
-                x[b] = tableau[i][width]
+                x[b] = Fraction(tableau[i][width], det)
         return "feasible", x
-    y = [Fraction(1) - red[n + m + i] for i in range(m)]
-    return "infeasible", y
+    return "infeasible", [1 - Fraction(red[n + m + i], det)
+                          for i in range(m)]
 
 
-def _pivot(tableau, red, basis, pivot_row, enter, width) -> None:
-    prow = tableau[pivot_row]
-    pv = prow[enter]
-    if pv != 1:
-        inv = 1 / pv if isinstance(pv, Fraction) else 1.0 / pv
-        tableau[pivot_row] = prow = [v * inv for v in prow]
-    for i in range(len(tableau)):
-        if i == pivot_row:
-            continue
-        f = tableau[i][enter]
-        if f:
-            row = tableau[i]
-            tableau[i] = [v - f * p for v, p in zip(row, prow)]
-    f = red[enter]
-    if f:
-        red[:] = [v - f * p for v, p in zip(red, prow)]
-    basis[pivot_row] = enter
+def _eliminate(row: list[int], prow: list[int], enter: int, p: int,
+               det: int) -> list[int]:
+    """One row of a fraction-free pivot: (p*row - row[enter]*prow) / det.
 
-
-def _phase1_float(rows: Sequence[Sequence[int]], ncols: int):
-    """Floating phase-1, Dantzig entering with a Bland tail.
-
-    Returns (objective, x, y) or None when it stalls; callers treat the
-    output as a hint to be certified exactly, never as an answer.
+    The division is exact because the result is the new determinant times
+    an entry of the new rational tableau.
     """
-    m = len(rows)
-    n = ncols
-    width = n + 2 * m
-    tableau: list[list[float]] = []
-    for i, coeffs in enumerate(rows):
-        row = [float(c) for c in coeffs]
-        row += [0.0] * (2 * m) + [1.0]
-        row[n + i] = -1.0
-        row[n + m + i] = 1.0
-        tableau.append(row)
-    basis = list(range(n + m, n + 2 * m))
-    red = [0.0] * (width + 1)
-    for j in range(width + 1):
-        cj = 1.0 if n + m <= j < n + 2 * m else 0.0
-        red[j] = cj - sum(tableau[i][j] for i in range(m))
+    f = row[enter]
+    if f:
+        return [(p * v - f * w) // det for v, w in zip(row, prow)]
+    if p == det:
+        return row
+    return [p * v // det for v in row]
 
-    cap = 60 + 25 * (m + n)
-    stall = 0
-    last_obj = float("inf")
-    for _ in range(cap):
-        if stall < 40:
-            enter = min(range(width), key=lambda j: red[j])
-            if red[enter] > -_FLOAT_EPS:
-                enter = None
-        else:
-            enter = next((j for j in range(width) if red[j] < -_FLOAT_EPS),
-                         None)
-        if enter is None:
-            break
-        pivot_row = None
-        best = None
-        for i in range(m):
-            t = tableau[i][enter]
-            if t > 1e-10:
-                ratio = tableau[i][width] / t
-                if best is None or ratio < best - 1e-12 or (
-                        abs(ratio - best) <= 1e-12
-                        and basis[i] < basis[pivot_row]):
-                    best = ratio
-                    pivot_row = i
-        if pivot_row is None:
-            return None
-        _pivot(tableau, red, basis, pivot_row, enter, width)
-        obj = -red[width]
-        if obj < last_obj - 1e-12:
-            last_obj = obj
-            stall = 0
-        else:
-            stall += 1
-    else:
-        return None
-
-    objective = -red[width]
-    x = [0.0] * n
-    for i, b in enumerate(basis):
-        if b < n:
-            x[b] = tableau[i][width]
-    y = [1.0 - red[n + m + i] for i in range(m)]
-    return objective, x, y
-
-
-# ------------------------------------------------------- certification
 
 def _row_values(system: FeasibilitySystem,
                 x: Sequence[Fraction]) -> list[Fraction]:
     return [sum((Fraction(c) * v for c, v in zip(r.coeffs, x) if c),
                 start=Fraction(0))
             for r in system.rows]
-
-
-def _exactify_feasible(system: FeasibilitySystem, xf) -> list[Fraction] | None:
-    """Round a float point to rationals and rescale into the system.
-
-    The system is homogeneous apart from the right-hand side, so any
-    rational point with strictly positive row values scales onto one with
-    all values at least 1.
-    """
-    x = [Fraction(0) if v < 1e-9 else Fraction(v).limit_denominator(10 ** 6)
-         for v in xf]
-    values = _row_values(system, x)
-    worst = min(values, default=Fraction(1))
-    if worst <= 0:
-        return None
-    if worst < 1:
-        x = [v / worst for v in x]
-    return x
-
-
-def _support_certificate(system: FeasibilitySystem,
-                         yf) -> list[Fraction] | None:
-    """Re-derive an exact Farkas combination on the float dual's support."""
-    support = [i for i, v in enumerate(yf) if v > _FLOAT_EPS]
-    if not support:
-        return None
-    cols = sorted({j for i in support
-                   for j, c in enumerate(system.rows[i].coeffs) if c})
-    if not cols:
-        return None
-    sub = [[system.rows[i].coeffs[j] for j in cols] for i in support]
-    verdict, payload = _phase1_exact(sub, len(cols))
-    if verdict != "infeasible":
-        return None
-    y = [Fraction(0)] * len(system.rows)
-    for i, v in zip(support, payload):
-        y[i] = v
-    return y
 
 
 def verify_certificate(system: FeasibilitySystem,
@@ -320,21 +217,32 @@ def verify_certificate(system: FeasibilitySystem,
     total multiplier.
     """
     if result.feasible:
-        if result.weights is None or result.utilities is None:
+        weights, utilities = result.weights, result.utilities
+        if weights is None or utilities is None:
             return CertificateReport(False, "missing witness")
-        total = sum(result.weights.values())
+        for atom in system.atoms:
+            if atom not in weights:
+                return CertificateReport(False, f"no weight for {atom!r}")
+            for alt in system.alternatives:
+                if atom not in utilities.get(alt, ()):
+                    return CertificateReport(
+                        False, f"no utility for {alt!r} at {atom!r}")
+        values = [*weights.values(), *(utilities[alt][atom]
+                                       for alt in system.alternatives
+                                       for atom in system.atoms)]
+        if not all(isinstance(v, (int, Fraction)) for v in values):
+            return CertificateReport(False, "witness value is not rational")
+        total = sum(weights.values())
         if total != 1:
             return CertificateReport(False, f"weights sum to {total}")
-        if any(w <= 0 for w in result.weights.values()):
+        if any(w <= 0 for w in weights.values()):
             return CertificateReport(False, "nonpositive weight")
         for row in system.rows:
             margin = Fraction(0)
-            n = len(system.atoms)
             for j, c in enumerate(row.coeffs):
                 if c:
                     alt, atom = system.column_label(j)
-                    margin += c * result.weights[atom] \
-                        * result.utilities[alt][atom]
+                    margin += c * weights[atom] * utilities[alt][atom]
             if margin <= 0:
                 return CertificateReport(
                     False, f"no strict preference at {row.state!r} "
@@ -345,11 +253,16 @@ def verify_certificate(system: FeasibilitySystem,
         return CertificateReport(False, "missing certificate")
     key = {(r.state, r.alternative): i for i, r in enumerate(system.rows)}
     y = [Fraction(0)] * len(system.rows)
-    for state, alt, mult in result.certificate:
+    for entry in result.certificate:
+        if not (isinstance(entry, (tuple, list)) and len(entry) == 3
+                and all(isinstance(label, str) for label in entry[:2])):
+            return CertificateReport(False, f"malformed entry {entry!r}")
+        state, alt, mult = entry
         if (state, alt) not in key:
             return CertificateReport(False, f"unknown row ({state}, {alt})")
-        if mult < 0:
-            return CertificateReport(False, "negative multiplier")
+        if not isinstance(mult, (int, Fraction)) or mult < 0:
+            return CertificateReport(
+                False, f"multiplier {mult!r} is not a nonnegative rational")
         y[key[state, alt]] += mult
     if sum(y) <= 0:
         return CertificateReport(False, "zero combination")
@@ -377,54 +290,25 @@ def _result_from_point(system: FeasibilitySystem,
 
 def _result_from_duals(system: FeasibilitySystem,
                        y: Sequence[Fraction]) -> FeasibilityResult:
-    cert = tuple((r.state, r.alternative, v)
-                 for r, v in zip(system.rows, y) if v)
+    cert = tuple([(r.state, r.alternative, v)
+                  for r, v in zip(system.rows, y) if v])
     return FeasibilityResult(False, system, certificate=cert)
 
 
-def decide_system(system: FeasibilitySystem,
-                  method: str = "exact") -> FeasibilityResult:
+def decide_system(system: FeasibilitySystem) -> FeasibilityResult:
     """Decide a linearized system and return a verified result.
 
-    The default runs the pure rational simplex: no floating point
-    anywhere in the decision path. method="auto" first tries a float
-    phase-1 as a search hint, then certifies the suggested witness in
-    exact arithmetic (falling back to the pure path when certification
-    fails), so its answers carry the same guarantee but arrive faster
-    on large systems.
+    Runs the integer-preserving Bland simplex, whose only arithmetic is
+    on Python integers and Fractions, so nothing is rounded. The witness
+    it yields is checked again by verify_certificate before it is
+    returned.
     """
-    if method not in ("auto", "exact"):
-        raise ValueError(f"unknown method {method!r}")
     coeff_rows = [r.coeffs for r in system.rows]
     if not coeff_rows:
         raise PlanError("system has no constraints; nothing to decide")
-
-    if method == "auto":
-        hint = _phase1_float(coeff_rows, system.ncols)
-        if hint is not None:
-            objective, xf, yf = hint
-            if objective < _FLOAT_EPS:
-                attempts = ("feasible", "infeasible")
-            else:
-                attempts = ("infeasible", "feasible")
-            for attempt in attempts:
-                if attempt == "feasible":
-                    x = _exactify_feasible(system, xf)
-                    if x is not None:
-                        result = _result_from_point(system, x)
-                        if verify_certificate(system, result).valid:
-                            return result
-                else:
-                    y = _support_certificate(system, yf)
-                    if y is not None:
-                        result = _result_from_duals(system, y)
-                        if verify_certificate(system, result).valid:
-                            return result
-
-    verdict, payload = _phase1_exact(coeff_rows, system.ncols)
+    verdict, payload = _phase1(coeff_rows, system.ncols)
     if verdict == "feasible":
-        values = _row_values(system, payload)
-        if min(values) < 1:
+        if min(_row_values(system, payload)) < 1:
             raise RuntimeError("exact simplex returned an invalid point")
         result = _result_from_point(system, payload)
     else:
@@ -436,7 +320,6 @@ def decide_system(system: FeasibilitySystem,
     return result
 
 
-def decide_rationalizable(s: EStructure, plan: Plan,
-                          method: str = "exact") -> FeasibilityResult:
+def decide_rationalizable(s: EStructure, plan: Plan) -> FeasibilityResult:
     """Decide whether any weighting and utilities rationalize the plan."""
-    return decide_system(build_system(s, plan), method)
+    return decide_system(build_system(s, plan))

@@ -87,7 +87,7 @@ class Rationalization:
     @property
     def point_labels(self) -> tuple[tuple[str, str], ...]:
         atoms = self.tree.canonical.atoms
-        return tuple((atoms[p.atom][0], p.state) for p in self.points)
+        return tuple([(atoms[p.atom][0], p.state) for p in self.points])
 
 
 @dataclass(frozen=True)
@@ -166,17 +166,17 @@ def construct_sceu(tree: ExperimentationTree, plan: Plan) -> Rationalization:
     index = {p: i for i, p in enumerate(points)}
 
     n = len(points)
-    raw = tuple(Fraction(2, 3 ** (i + 1)) for i in range(n))
+    raw = tuple([Fraction(2, 3 ** (i + 1)) for i in range(n)])
     total = 1 - Fraction(1, 3 ** n)
-    weights = tuple(w / total for w in raw)
+    weights = tuple([w / total for w in raw])
 
     order = tree.order
     events = tree.canonical.events
     utilities = {
-        b: tuple(
+        b: tuple([
             1 if any(p.atom in events[x] and (x, p.state) in order
                      and plan.choice[x] == b for x in tree.nodes) else 0
-            for p in points)
+            for p in points])
         for b in plan.alternatives
     }
     avoid = {key: index[pt] for key, pt in avoid_points.items()}

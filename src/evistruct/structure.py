@@ -76,7 +76,7 @@ class AxiomReport:
 
     @property
     def failed_ids(self) -> tuple[str, ...]:
-        return tuple(v.axiom for v in self.verdicts if not v.passed)
+        return tuple([v.axiom for v in self.verdicts if not v.passed])
 
 
 @dataclass(frozen=True)

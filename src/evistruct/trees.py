@@ -53,7 +53,7 @@ class TreeCheckReport:
 
     @property
     def failed_ids(self) -> tuple[str, ...]:
-        return tuple(v.condition for v in self.verdicts if not v.passed)
+        return tuple([v.condition for v in self.verdicts if not v.passed])
 
     @property
     def failures(self) -> dict[str, tuple | None]:
@@ -127,15 +127,13 @@ class ExperimentationTree:
 
     @cached_property
     def rank_in_tree(self) -> dict[str, int]:
+        # a loop, not a self-calling closure, which would be a reference
+        # cycle keeping the tree alive until a full garbage collection
         rho: dict[str, int] = {}
-
-        def depth(x: str) -> int:
-            if x not in rho:
-                rho[x] = 0 if x == self.root else depth(self.parent[x]) + 1
-            return rho[x]
-
         for x in self.nodes:
-            depth(x)
+            for y in self.path_to_root(x):
+                if y not in rho:
+                    rho[y] = 0 if y == self.root else rho[self.parent[y]] + 1
         return rho
 
     @property
@@ -144,7 +142,7 @@ class ExperimentationTree:
 
     @cached_property
     def leaves(self) -> tuple[str, ...]:
-        return tuple(x for x in self.nodes if not self.children[x])
+        return tuple([x for x in self.nodes if not self.children[x]])
 
     @cached_property
     def order(self) -> frozenset[tuple[str, str]]:
@@ -160,8 +158,8 @@ class ExperimentationTree:
 
     @cached_property
     def as_estructure(self) -> EStructure:
-        edges = tuple((x, self.parent[x]) for x in self.nodes
-                      if x != self.root)
+        edges = tuple([(x, self.parent[x]) for x in self.nodes
+                       if x != self.root])
         return EStructure.from_generators(self.nodes, self.root, edges)
 
     @cached_property
@@ -172,16 +170,14 @@ class ExperimentationTree:
     def branches(self) -> tuple[Branch, ...]:
         atom_of = {cls[0]: i for i, cls in enumerate(self.canonical.atoms)}
         out: list[Branch] = []
-
-        def walk(path: list[str]) -> None:
+        stack = [(self.root,)]
+        while stack:  # depth first, children in order
+            path = stack.pop()
             kids = self.children[path[-1]]
-            if not kids:
-                out.append(Branch(tuple(path), atom_of[path[-1]]))
-                return
-            for k in kids:
-                walk(path + [k])
-
-        walk([self.root])
+            if kids:
+                stack.extend(path + (k,) for k in reversed(kids))
+            else:
+                out.append(Branch(path, atom_of[path[-1]]))
         return tuple(out)
 
     def path_to_root(self, x: str) -> tuple[str, ...]:
@@ -270,10 +266,10 @@ def check_tree(s: EStructure, nodes: Sequence[str],
     immmt = frozenset(
         (x, z) for x, z in strict
         if not any((x, y) in strict and (y, z) in strict for y in nodes))
-    parents = {x: tuple(p for p in nodes if (x, p) in immmt) for x in nodes}
-    kids = {z: tuple(x for x in nodes if (x, z) in immmt) for z in nodes}
-    maximal = tuple(x for x in nodes
-                    if not any((y, x) in strict for y in nodes))
+    parents = {x: tuple([p for p in nodes if (x, p) in immmt]) for x in nodes}
+    kids = {z: tuple([x for x in nodes if (x, z) in immmt]) for z in nodes}
+    maximal = tuple([x for x in nodes
+                     if not any((y, x) in strict for y in nodes)])
     verdicts: list[ConditionVerdict] = []
 
     witness: tuple | None = None
@@ -372,19 +368,22 @@ def find_trees(s: EStructure,
     choices in declaration order. Parents are drawn from the ambient
     immediate-refinement pairs, which every valid tree's edges must follow;
     each candidate then runs the full seven-condition check. With
-    max_count set, enumeration stops early after that many trees.
+    max_count set, enumeration stops early after that many trees; it must
+    then be at least 1.
     """
+    if max_count is not None and max_count < 1:
+        raise ValueError(f"max_count must be at least 1, not {max_count}")
     d = s.derived
-    others = tuple(x for x in s.states if x != s.root)
+    others = tuple([x for x in s.states if x != s.root])
     found: list[ExperimentationTree] = []
     for size in range(1, len(others) + 1):
         for subset in combinations(others, size):
             members = set(subset)
             members.add(s.root)
-            nodes = tuple(x for x in s.states if x in members)
+            nodes = tuple([x for x in s.states if x in members])
             candidates = []
             for x in subset:
-                ps = tuple(p for p in nodes if (x, p) in d.immms)
+                ps = tuple([p for p in nodes if (x, p) in d.immms])
                 if not ps:
                     candidates = None
                     break
@@ -438,10 +437,10 @@ def partitions(t: ExperimentationTree,
     stages_members: list[tuple[str, ...]] = []
     stages_blocks: list[tuple[frozenset[int], ...]] = []
     for n in range(t.depth + 1):
-        members = tuple(x for x in t.nodes
-                        if rho[x] == n or (rho[x] < n and x in leaves))
+        members = tuple([x for x in t.nodes
+                         if rho[x] == n or (rho[x] < n and x in leaves)])
         stages_members.append(members)
-        stages_blocks.append(tuple(space.events[x] for x in members))
+        stages_blocks.append(tuple([space.events[x] for x in members]))
     return PartitionSequence(space, tuple(stages_members),
                              tuple(stages_blocks))
 

@@ -60,21 +60,18 @@ class TestSystemShape:
 class TestCorpusDecisions:
     def test_example_r_is_feasible(self, corpus):
         ws = corpus["example_r"]
-        for method in ("exact", "auto"):
-            result = decide_rationalizable(ws.structure, ws.plan, method)
-            assert result.feasible
-            assert verify_certificate(result.system, result).valid
-            assert result.weights == {z: Fraction(1, 5)
-                                      for z in ("z1", "z2", "z3", "z4",
-                                                "z5")}
+        result = decide_rationalizable(ws.structure, ws.plan)
+        assert result.feasible
+        assert verify_certificate(result.system, result).valid
+        assert result.weights == {z: Fraction(1, 5)
+                                  for z in ("z1", "z2", "z3", "z4", "z5")}
 
     def test_example_t_is_infeasible(self, corpus):
         ws = corpus["example_t"]
-        for method in ("exact", "auto"):
-            result = decide_rationalizable(ws.structure, ws.plan, method)
-            assert not result.feasible
-            assert result.certificate
-            assert verify_certificate(result.system, result).valid
+        result = decide_rationalizable(ws.structure, ws.plan)
+        assert not result.feasible
+        assert result.certificate
+        assert verify_certificate(result.system, result).valid
 
     def test_example_t_matches_fourier_motzkin(self, corpus):
         ws = corpus["example_t"]
@@ -134,18 +131,55 @@ class TestCorpusDecisions:
             assert verify_certificate(result.system, scaled).valid
 
 
+class TestMalformedFeasibleWitness:
+    """A malformed feasible witness fails verification instead of
+    raising."""
+
+    def check_rejected(self, corpus, edit):
+        result = decide_rationalizable(corpus["example_r"].structure,
+                                       corpus["example_r"].plan)
+        weights = dict(result.weights)
+        utilities = {a: dict(t) for a, t in result.utilities.items()}
+        edit(weights, utilities)
+        broken = FeasibilityResult(True, result.system, weights=weights,
+                                   utilities=utilities)
+        report = verify_certificate(result.system, broken)
+        assert not report.valid
+        assert report.reason
+
+    def test_utilities_missing_an_alternative(self, corpus):
+        self.check_rejected(corpus, lambda w, u: u.pop("b"))
+
+    def test_weights_missing_an_atom(self, corpus):
+        # the dropped weight moves to z1, so the weights still sum to 1
+        self.check_rejected(
+            corpus, lambda w, u: w.update(z1=w["z1"] + w.pop("z3")))
+
+    def test_utilities_missing_an_atom(self, corpus):
+        self.check_rejected(corpus, lambda w, u: u["a"].pop("z2"))
+
+    def test_weight_that_is_not_rational(self, corpus):
+        self.check_rejected(corpus, lambda w, u: w.update(z1=None))
+
+
+@pytest.mark.parametrize("entry", [
+    ("x1", "c", "1"),
+    ("x1", "c"),
+    (["x1"], "c", Fraction(1)),
+])
+def test_malformed_certificate_entry_rejected(corpus, entry):
+    ws = corpus["example_t"]
+    system = build_system(ws.structure, ws.plan)
+    result = FeasibilityResult(False, system, certificate=(entry,))
+    assert not verify_certificate(system, result).valid
+
+
 def test_root_only_domain_is_feasible(corpus):
     s = corpus["example_r"].structure
     plan = Plan(("a", "b"), {"nothing": "a"})
     result = decide_rationalizable(s, plan)
     assert result.feasible
     assert verify_certificate(result.system, result).valid
-
-
-def test_unknown_method_rejected(corpus):
-    ws = corpus["example_r"]
-    with pytest.raises(ValueError, match="method"):
-        decide_rationalizable(ws.structure, ws.plan, method="fast")
 
 
 def test_empty_system_rejected():
@@ -177,19 +211,6 @@ class TestFourierMotzkinAgreement:
                 referee = FeasibilityResult(False, system, certificate=cert)
                 assert verify_certificate(system, referee).valid
         assert outcomes[True] > 10 and outcomes[False] > 10
-
-    def test_methods_agree_with_each_other(self):
-        rng = random.Random(89)
-        for _ in range(40):
-            t = splitting_tree(rng, max_nodes=14)
-            plan = (consistent_plan if rng.random() < 0.5
-                    else inconsistent_plan)(rng, t)
-            s = t.as_estructure
-            exact = decide_rationalizable(s, plan, method="exact")
-            auto = decide_rationalizable(s, plan, method="auto")
-            assert exact.feasible == auto.feasible
-            for result in (exact, auto):
-                assert verify_certificate(result.system, result).valid
 
 
 class TestTreePlans:

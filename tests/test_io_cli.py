@@ -211,6 +211,15 @@ class TestTreeCommands:
         assert code == 0
         assert data["count"] == 3
 
+    @pytest.mark.parametrize("bound", ["0", "-1"])
+    def test_find_rejects_max_below_one(self, capsys, est, bound):
+        assert cli.run(["trees", "find", est("example_d"),
+                        "--max", bound]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+
     def test_find_reports_treeless_structure(self, capsys, est):
         code, data = run_json(capsys, ["trees", "find", est("example_j")])
         assert code == 1
@@ -318,16 +327,20 @@ class TestPlanCommands:
             assert parse_rational(mult) > 0
             assert alt in ("a", "b", "c")
 
-    def test_decide_methods_agree(self, capsys, est):
-        verdicts = {}
-        for method in ("exact", "auto"):
-            for stem in ("example_r", "example_t"):
-                code, data = run_json(capsys, ["plan", "decide", est(stem),
-                                               "--method", method])
-                verdicts.setdefault(stem, set()).add(
-                    (code, data["feasible"], data["verified"]))
-        assert verdicts["example_r"] == {(0, True, True)}
-        assert verdicts["example_t"] == {(1, False, True)}
+    def test_decide_has_no_method_option(self, capsys, est):
+        assert cli.run(["plan", "decide", est("example_r"),
+                        "--method", "exact"]) == 2
+        assert "--method" in capsys.readouterr().err
+
+    def test_isd_guards_axioms(self, capsys, tmp_path):
+        path = tmp_path / "unseparated.est"
+        path.write_text("root nothing\nstate x\nstate y\n"
+                        "pair x nothing\npair y x\n"
+                        "alts a b\nchoose nothing a\nchoose x a\n"
+                        "choose y a\n", encoding="utf-8")
+        assert cli.run(["plan", "isd", str(path)]) == 1
+        assert capsys.readouterr().out == ("not an e-structure; failing "
+                                           "axioms: separation\n")
 
     def test_rationalize_frozen_representation(self, capsys, est):
         code, data = run_json(capsys, ["plan", "rationalize",
@@ -422,6 +435,24 @@ class TestVerifyCommand:
         })
         assert cli.run(["verify", est("example_d"), witness]) == 2
         assert "unknown sample point" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("utilities", [["1", "1", "0", "0", "1"]], "'utilities'"),
+        ("weights", {"As": "1/2"}, "'weights'"),
+        ("points", [[["As"], "nothing"]], "bad point"),
+    ])
+    def test_product_witness_malformed_field(self, capsys, est, tmp_path,
+                                             field, value, message):
+        code, built = run_json(capsys, ["plan", "rationalize",
+                                        est("example_d")])
+        payload = {"points": built["points"], "weights": built["weights"],
+                   "utilities": built["utilities"], field: value}
+        witness = self.witness_path(tmp_path, payload)
+        assert cli.run(["verify", est("example_d"), witness]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert len(captured.err.splitlines()) == 1
 
     def test_witness_must_be_json_object(self, capsys, est, tmp_path):
         witness = self.witness_path(tmp_path, [1, 2])

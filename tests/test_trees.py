@@ -88,6 +88,11 @@ class TestExampleD:
         s = corpus["example_d"].structure
         assert len(find_trees(s, max_count=3)) == 3
 
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_max_count_below_one_rejected(self, corpus, bound):
+        with pytest.raises(ValueError, match="max_count"):
+            find_trees(corpus["example_d"].structure, max_count=bound)
+
 
 def test_example_j_has_no_tree(corpus):
     s = corpus["example_j"].structure
