@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
-from .structure import EStructure, StructureError
+from .structure import (ConditionReport, ConditionVerdict, EStructure,
+                        StructureError)
 
 # field enumeration is exponential in the atom count; anything needing more
 # than this many atoms has no business calling the exhaustive verifier
@@ -52,57 +53,8 @@ class CanonicalSpace:
         return tuple([self.atom_label(i) for i in range(len(self.atoms))])
 
 
-@dataclass(frozen=True)
-class ConditionVerdict:
-    condition: str
-    passed: bool
-    witness: tuple | None = None
-
-
-@dataclass(frozen=True)
-class CanonicalReport:
-    verdicts: tuple[ConditionVerdict, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(v.passed for v in self.verdicts)
-
-    def __getitem__(self, condition: str) -> ConditionVerdict:
-        for v in self.verdicts:
-            if v.condition == condition:
-                return v
-        raise KeyError(condition)
-
-    @property
-    def failed_ids(self) -> tuple[str, ...]:
-        return tuple([v.condition for v in self.verdicts if not v.passed])
-
-
-@dataclass(frozen=True)
-class EmbeddingReport:
-    """Verdicts for the three embedding conditions.
-
-    ``order`` covers root-fullness plus the two-way correspondence of the
-    specificity order with inclusion; ``disjoint`` covers incompatibility
-    implying empty intersection; ``saturation`` covers each state's event
-    being exactly the union of its immediate refinements' events.
-    """
-
-    verdicts: tuple[ConditionVerdict, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(v.passed for v in self.verdicts)
-
-    @property
-    def failed_ids(self) -> tuple[str, ...]:
-        return tuple([v.condition for v in self.verdicts if not v.passed])
-
-    def __getitem__(self, condition: str) -> ConditionVerdict:
-        for v in self.verdicts:
-            if v.condition == condition:
-                return v
-        raise KeyError(condition)
+CanonicalReport = ConditionReport
+EmbeddingReport = ConditionReport
 
 
 def build_canonical(s: EStructure) -> CanonicalSpace:
@@ -136,7 +88,8 @@ def _event_space(s: EStructure) -> CanonicalSpace:
     return CanonicalSpace(tuple(classes), events)
 
 
-def verify_canonical(space: CanonicalSpace, s: EStructure) -> CanonicalReport:
+def verify_canonical(space: CanonicalSpace,
+                     s: EStructure) -> ConditionReport:
     """Exhaustively confirm the finite canonical-space conditions."""
     d = s.derived
     ev = space.events
@@ -208,7 +161,7 @@ def verify_canonical(space: CanonicalSpace, s: EStructure) -> CanonicalReport:
             break
     verdicts.append(ConditionVerdict("nonempty", witness is None, witness))
 
-    return CanonicalReport(tuple(verdicts))
+    return ConditionReport(tuple(verdicts))
 
 
 def generated_field(events, atom_count: int) -> set[frozenset[int]]:
@@ -244,11 +197,15 @@ def generated_field(events, atom_count: int) -> set[frozenset[int]]:
 def verify_embedding(
     s: EStructure,
     mapping: Mapping[str, frozenset[Hashable]],
-) -> EmbeddingReport:
+) -> ConditionReport:
     """Check an arbitrary event assignment against the embedding conditions.
 
     mapping may send states to sets over any finite point universe; the
-    universe is taken to be the union of all assigned sets.
+    universe is taken to be the union of all assigned sets. ``order``
+    covers root-fullness plus the two-way correspondence of the
+    specificity order with inclusion; ``disjoint`` covers incompatibility
+    implying empty intersection; ``saturation`` covers each state's event
+    being exactly the union of its immediate refinements' events.
     """
     for x in s.states:
         if x not in mapping:
@@ -290,7 +247,7 @@ def verify_embedding(
             break
     verdicts.append(ConditionVerdict("saturation", witness is None, witness))
 
-    return EmbeddingReport(tuple(verdicts))
+    return ConditionReport(tuple(verdicts))
 
 
 def product_embedding(

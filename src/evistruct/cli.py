@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .canonical import CanonicalError, build_canonical
@@ -20,7 +19,8 @@ from .io import (ParseError, Workspace, emit_fixtures, format_rational,
                  parse_rational, parse_workspace)
 from .plans import PlanError, check_isd_plan
 from .rationalize import (ExplicitRepresentation, RationalizationError,
-                          construct_sceu, verify_rationalization)
+                          RationalizationReport, _margins, construct_sceu,
+                          verify_rationalization)
 from .structure import StructureError, check_axioms, rank
 from .trees import (ExperimentationTree, TreeError, build_tree, check_tree,
                     find_trees)
@@ -84,7 +84,7 @@ def _guard_axioms(args, s) -> int | None:
     if report.passed:
         return None
     failed = ", ".join(report.failed_ids)
-    _emit(args, {"passed": False, "axioms": {v.axiom: v.passed
+    _emit(args, {"passed": False, "axioms": {v.condition: v.passed
                                              for v in report.verdicts}},
           [f"not an e-structure; failing axioms: {failed}"])
     return 1
@@ -99,15 +99,15 @@ def _cmd_check(args) -> int:
         "states": list(s.states),
         "root": s.root,
         "wms": s.matrix(),
-        "axioms": {v.axiom: v.passed for v in report.verdicts},
+        "axioms": {v.condition: v.passed for v in report.verdicts},
         "passed": report.passed,
-        "witnesses": {v.axiom: [str(part) for part in v.witness]
+        "witnesses": {v.condition: [str(part) for part in v.witness]
                       for v in report.verdicts
                       if not v.passed and v.witness},
     }
     lines = []
     for v in report.verdicts:
-        line = f"{v.axiom}: {'pass' if v.passed else 'fail'}"
+        line = f"{v.condition}: {'pass' if v.passed else 'fail'}"
         if not v.passed and v.witness:
             line += "  (" + ", ".join(str(p) for p in v.witness) + ")"
         lines.append(line)
@@ -362,7 +362,8 @@ def _cmd_plan_rationalize(args) -> int:
     return 0 if report.verified else 1
 
 
-def _verify_product(tree: ExperimentationTree, plan, data):
+def _verify_product(tree: ExperimentationTree, plan,
+                    data) -> RationalizationReport:
     atoms = tree.canonical.atoms
     atom_index = {cls: i for i, cls in enumerate(atoms)}
     node_set = set(tree.nodes)
@@ -372,7 +373,7 @@ def _verify_product(tree: ExperimentationTree, plan, data):
     raw_points = data.get("points")
     if not isinstance(raw_points, list) or not raw_points:
         raise _UsageError("witness 'points' must be a nonempty list")
-    points: list[tuple[int, str]] = []
+    points: list[int] = []  # the atom of each point
     for entry in raw_points:
         if (not isinstance(entry, list) or len(entry) < 2
                 or not all(isinstance(part, str) for part in entry)):
@@ -382,7 +383,7 @@ def _verify_product(tree: ExperimentationTree, plan, data):
             raise _UsageError(f"unknown sample point {entry[:-1]!r}")
         if state not in node_set:
             raise _UsageError(f"point state {state!r} is not a tree node")
-        points.append((atom_index[members], state))
+        points.append(atom_index[members])
     weights = data.get("weights", [])
     utilities = data.get("utilities", {})
     if not isinstance(weights, list):
@@ -405,37 +406,10 @@ def _verify_product(tree: ExperimentationTree, plan, data):
         if len(utilities[alt]) != len(points):
             raise _UsageError(f"utility table for {alt!r} has wrong length")
 
-    failures = []
-    total = sum(weights, start=Fraction(0))
-    if total != 1:
-        failures.append(f"weights sum to {total}, not 1")
-    if any(v < 0 for v in weights):
-        failures.append("negative weight")
-    events = tree.canonical.events
-    margins: dict[str, Fraction] = {}
-    for x in tree.nodes:
-        chosen = plan.choice[x]
-        ev = events[x]
-        for a in plan.alternatives:
-            if a == chosen:
-                continue
-            margin = sum((w * (utilities[chosen][i] - utilities[a][i])
-                          for i, ((atom, _state), w)
-                          in enumerate(zip(points, weights))
-                          if atom in ev), start=Fraction(0))
-            margins[f"{x}|{a}"] = margin
-            if margin <= 0:
-                failures.append(f"no strict preference at {x!r} over {a!r}")
-    verified = not failures
-    payload = {
-        "verified": verified,
-        "margins": {k: format_rational(v) for k, v in margins.items()},
-        "failures": failures,
-    }
-    lines = [f"margin {k} = {format_rational(v)}" for k, v in margins.items()]
-    lines += failures
-    lines.append("verified" if verified else "not verified")
-    return verified, payload, lines
+    margins, total, failures = _margins(
+        points, weights, utilities, tree.canonical.events, plan, tree.nodes)
+    return RationalizationReport(not failures, margins, tuple(failures),
+                                 total)
 
 
 def _cmd_verify(args) -> int:
@@ -456,22 +430,20 @@ def _cmd_verify(args) -> int:
         except TreeError as exc:
             _emit(args, {"error": str(exc)}, [str(exc)])
             return 1
-        verified, payload, lines = _verify_product(tree, plan, data)
-        _emit(args, payload, lines)
-        return 0 if verified else 1
-
-    try:
-        weights = {atom: parse_rational(v)
-                   for atom, v in data.get("weights", {}).items()}
-        utilities = {alt: {atom: parse_rational(v)
-                           for atom, v in table.items()}
-                     for alt, table in data.get("utilities", {}).items()}
-    except (ParseError, AttributeError) as exc:
-        raise _UsageError(f"malformed witness: {exc}") from exc
-    if not weights:
-        raise _UsageError("witness has neither 'points' nor 'weights'")
-    witness = ExplicitRepresentation(weights, utilities)
-    report = verify_rationalization(w.structure, plan, witness)
+        report = _verify_product(tree, plan, data)
+    else:
+        try:
+            weights = {atom: parse_rational(v)
+                       for atom, v in data.get("weights", {}).items()}
+            utilities = {alt: {atom: parse_rational(v)
+                               for atom, v in table.items()}
+                         for alt, table in data.get("utilities", {}).items()}
+        except (ParseError, AttributeError) as exc:
+            raise _UsageError(f"malformed witness: {exc}") from exc
+        if not weights:
+            raise _UsageError("witness has neither 'points' nor 'weights'")
+        witness = ExplicitRepresentation(weights, utilities)
+        report = verify_rationalization(w.structure, plan, witness)
     payload = {
         "verified": report.verified,
         "margins": {f"{x}|{a}": format_rational(m)

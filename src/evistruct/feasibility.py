@@ -202,7 +202,7 @@ def _eliminate(row: list[int], prow: list[int], enter: int, p: int,
 
 def _row_values(system: FeasibilitySystem,
                 x: Sequence[Fraction]) -> list[Fraction]:
-    return [sum((Fraction(c) * v for c, v in zip(r.coeffs, x) if c),
+    return [sum((c * v for c, v in zip(r.coeffs, x) if c),
                 start=Fraction(0))
             for r in system.rows]
 
@@ -237,12 +237,9 @@ def verify_certificate(system: FeasibilitySystem,
             return CertificateReport(False, f"weights sum to {total}")
         if any(w <= 0 for w in weights.values()):
             return CertificateReport(False, "nonpositive weight")
-        for row in system.rows:
-            margin = Fraction(0)
-            for j, c in enumerate(row.coeffs):
-                if c:
-                    alt, atom = system.column_label(j)
-                    margin += c * weights[atom] * utilities[alt][atom]
+        g = [weights[atom] * utilities[alt][atom]
+             for alt in system.alternatives for atom in system.atoms]
+        for row, margin in zip(system.rows, _row_values(system, g)):
             if margin <= 0:
                 return CertificateReport(
                     False, f"no strict preference at {row.state!r} "

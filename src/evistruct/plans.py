@@ -56,7 +56,8 @@ class Plan:
         return tuple(self.choice)
 
     def restricted_to(self, states) -> "Plan":
-        kept = {x: a for x, a in self.choice.items() if x in set(states)}
+        keep = set(states)
+        kept = {x: a for x, a in self.choice.items() if x in keep}
         return Plan(self.alternatives, kept)
 
 

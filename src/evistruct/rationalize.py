@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .plans import Plan, PlanError
 from .structure import EStructure
@@ -183,13 +183,49 @@ def construct_sceu(tree: ExperimentationTree, plan: Plan) -> Rationalization:
     return Rationalization(tree, plan, points, raw, weights, utilities, avoid)
 
 
+def _margins(atoms: Sequence[int], weights: Sequence[Fraction],
+             utilities: Mapping[str, Sequence[Fraction]],
+             events: Mapping[str, frozenset[int]], plan: Plan,
+             states: Iterable[str],
+             ) -> tuple[dict[tuple[str, str], Fraction], Fraction, list[str]]:
+    """Weighted-utility margins of each chosen alternative over its rivals.
+
+    Point i lies in atom atoms[i], with weight weights[i] and payoff
+    utilities[b][i] under alternative b. For each state x of states and
+    each rival a of the choice at x, the margin is the sum, over points
+    whose atom lies in events[x], of weight times (chosen payoff minus a's
+    payoff). Returns the margins, the total weight, and the failures:
+    weights not summing to 1, a negative weight, and each margin that is
+    not strictly positive.
+    """
+    total = sum(weights, start=Fraction(0))
+    failures: list[str] = []
+    if total != 1:
+        failures.append(f"weights sum to {total}, not 1")
+    if any(w < 0 for w in weights):
+        failures.append("negative weight")
+    margins: dict[tuple[str, str], Fraction] = {}
+    for x in states:
+        chosen = plan.choice[x]
+        inside = [i for i, atom in enumerate(atoms) if atom in events[x]]
+        for a in plan.alternatives:
+            if a == chosen:
+                continue
+            margin = sum((weights[i] * (utilities[chosen][i]
+                                        - utilities[a][i]) for i in inside),
+                         start=Fraction(0))
+            margins[x, a] = margin
+            if margin <= 0:
+                failures.append(f"no strict preference at {x!r} over {a!r}")
+    return margins, total, failures
+
+
 def _verify_constructed(r: Rationalization) -> RationalizationReport:
     tree = r.tree
     plan = r.plan
-    failures: list[str] = []
-    total = sum(r.weights, start=Fraction(0))
-    if total != 1:
-        failures.append(f"weights sum to {total}, not 1")
+    margins, total, failures = _margins(
+        [p.atom for p in r.points], r.weights, r.utilities,
+        tree.canonical.events, plan, tree.nodes)
     for i in range(len(r.weights)):
         if r.weights[i] <= sum(r.weights[i + 1:], start=Fraction(0)):
             failures.append(
@@ -200,34 +236,19 @@ def _verify_constructed(r: Rationalization) -> RationalizationReport:
     if any(a > b for a, b in zip(ranks, ranks[1:])):
         failures.append("points are not ordered by state depth")
 
-    events = tree.canonical.events
     strict = {(x, y) for x, y in tree.order if x != y}
-    margins: dict[tuple[str, str], Fraction] = {}
-    for x in tree.nodes:
-        chosen = plan.choice[x]
-        ev = events[x]
-        for a in plan.alternatives:
-            if a == chosen:
-                continue
-            margin = Fraction(0)
-            for i, p in enumerate(r.points):
-                if p.atom in ev:
-                    margin += r.weights[i] * (
-                        r.utilities[chosen][i] - r.utilities[a][i])
-            margins[x, a] = margin
-            if margin <= 0:
-                failures.append(f"no strict preference at {x!r} over {a!r}")
-            deeper = sum((r.weights[i]
-                          for i, p in enumerate(r.points)
-                          if (p.state, x) in strict), start=Fraction(0))
-            bound = r.weights[r.avoid[x, a]] - deeper
-            if bound <= 0:
-                failures.append(
-                    f"avoidance point of ({x!r}, {a!r}) does not outweigh "
-                    f"deeper points")
-            elif margin < bound:
-                failures.append(
-                    f"margin at ({x!r}, {a!r}) falls below its bound")
+    for x, a in margins:
+        deeper = sum((r.weights[i]
+                      for i, p in enumerate(r.points)
+                      if (p.state, x) in strict), start=Fraction(0))
+        bound = r.weights[r.avoid[x, a]] - deeper
+        if bound <= 0:
+            failures.append(
+                f"avoidance point of ({x!r}, {a!r}) does not outweigh "
+                f"deeper points")
+        elif margins[x, a] < bound:
+            failures.append(
+                f"margin at ({x!r}, {a!r}) falls below its bound")
     return RationalizationReport(not failures, margins, tuple(failures), total)
 
 
@@ -241,32 +262,18 @@ def _verify_explicit(s: EStructure, plan: Plan,
     unknown = set(witness.weights) - set(labels)
     if unknown:
         failures.append(f"unknown sample points {sorted(unknown)}")
-    weight = {lab: Fraction(witness.weights.get(lab, 0)) for lab in labels}
-    total = sum(weight.values(), start=Fraction(0))
-    if total != 1:
-        failures.append(f"weights sum to {total}, not 1")
-    if any(w < 0 for w in weight.values()):
-        failures.append("negative weight")
-
-    def payoff(a: str, lab: str) -> Fraction:
-        return Fraction(witness.utilities.get(a, {}).get(lab, 0))
-
-    margins: dict[tuple[str, str], Fraction] = {}
-    for x in s.states:
-        if x not in plan.choice:
-            continue
-        chosen = plan.choice[x]
-        ev = space.events[x]
-        for a in plan.alternatives:
-            if a == chosen:
-                continue
-            margin = sum(
-                (weight[labels[w]] * (payoff(chosen, labels[w])
-                                      - payoff(a, labels[w]))
-                 for w in ev), start=Fraction(0))
-            margins[x, a] = margin
-            if margin <= 0:
-                failures.append(f"no strict preference at {x!r} over {a!r}")
+    weights = [witness.weights.get(lab, 0) for lab in labels]
+    tables = {a: witness.utilities.get(a, {}) for a in plan.alternatives}
+    utilities = {a: [table.get(lab, 0) for lab in labels]
+                 for a, table in tables.items()}
+    values = [*weights, *[v for vals in utilities.values() for v in vals]]
+    if not all(isinstance(v, (int, Fraction)) for v in values):
+        failures.append("witness value is not rational")
+        return RationalizationReport(False, {}, tuple(failures), Fraction(0))
+    margins, total, more = _margins(
+        range(len(labels)), weights, utilities, space.events, plan,
+        [x for x in s.states if x in plan.choice])
+    failures += more
     return RationalizationReport(not failures, margins, tuple(failures), total)
 
 
@@ -289,7 +296,7 @@ def verify_rationalization(
                 and (target.nodes != tree.nodes
                      or target.parent != tree.parent):
             raise PlanError("witness was built for a different tree")
-        if witness.plan.choice != {x: plan.choice[x] for x in tree.nodes}:
+        if witness.plan.choice != {x: plan.choice.get(x) for x in tree.nodes}:
             raise PlanError("witness was built for a different plan")
         return _verify_constructed(witness)
     if isinstance(target, ExperimentationTree):

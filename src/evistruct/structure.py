@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 
 class StructureError(ValueError):
@@ -52,31 +52,46 @@ class DerivedRelations:
 
 
 @dataclass(frozen=True)
-class AxiomVerdict:
-    axiom: str
+class ConditionVerdict:
+    """One named condition: whether it holds, and a finite witness if not."""
+
+    condition: str
     passed: bool
     witness: tuple | None = None
 
 
 @dataclass(frozen=True)
-class AxiomReport:
-    """Verdicts for the five structure axioms, with finite failure witnesses."""
+class ConditionReport:
+    """Verdicts for a fixed list of named conditions, in check order.
 
-    verdicts: tuple[AxiomVerdict, ...]
+    Every check that reports on named conditions returns one: the five
+    structure axioms, the canonical-space and embedding conditions, and
+    the seven tree conditions.
+    """
+
+    verdicts: tuple[ConditionVerdict, ...]
 
     @property
     def passed(self) -> bool:
         return all(v.passed for v in self.verdicts)
 
-    def __getitem__(self, axiom: str) -> AxiomVerdict:
-        for v in self.verdicts:
-            if v.axiom == axiom:
-                return v
-        raise KeyError(axiom)
-
     @property
     def failed_ids(self) -> tuple[str, ...]:
-        return tuple([v.axiom for v in self.verdicts if not v.passed])
+        return tuple([v.condition for v in self.verdicts if not v.passed])
+
+    @property
+    def failures(self) -> dict[str, tuple | None]:
+        return {v.condition: v.witness for v in self.verdicts if not v.passed}
+
+    def __getitem__(self, condition: str) -> ConditionVerdict:
+        for v in self.verdicts:
+            if v.condition == condition:
+                return v
+        raise KeyError(condition)
+
+
+AxiomVerdict = ConditionVerdict
+AxiomReport = ConditionReport
 
 
 @dataclass(frozen=True)
@@ -128,25 +143,12 @@ class EStructure:
         if len(state_list) < 2:
             raise StructureError("at least two states required")
         index = set(state_list)
-        succ: dict[str, set[str]] = {s: set() for s in state_list}
-        for x, y in pairs:
+        pair_list = list(pairs)
+        for x, y in pair_list:
             if x not in index or y not in index:
                 bad = x if x not in index else y
                 raise StructureError(f"unknown state id in pair: {bad!r}")
-            succ[x].add(y)
-        closed: set[tuple[str, str]] = set()
-        for start in state_list:
-            # depth-first reachability gives the transitive closure rooted here
-            seen = {start}
-            stack = [start]
-            while stack:
-                cur = stack.pop()
-                for nxt in succ[cur]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            closed.update((start, y) for y in seen)
-        return cls(tuple(state_list), root, frozenset(closed))
+        return cls(tuple(state_list), root, _closure(state_list, pair_list))
 
     def wms(self, x: str, y: str) -> bool:
         """True when x is weakly more specific than y."""
@@ -163,10 +165,35 @@ class EStructure:
 
     def restrict(self, states: Iterable[str]) -> "EStructure":
         """Sub-structure induced on a subset of states (relation restricted)."""
-        keep = [s for s in self.states if s in set(states)]
+        kept = set(states)
+        keep = [s for s in self.states if s in kept]
         rel = frozenset((x, y) for (x, y) in self.relation
-                        if x in set(keep) and y in set(keep))
+                        if x in kept and y in kept)
         return EStructure(tuple(keep), self.root, rel)
+
+
+def _closure(nodes: Sequence[str],
+             edges: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
+    """Reflexive-transitive closure of the edges over the nodes.
+
+    Every edge must join two of the nodes; (x, y) is in the result when y
+    is reachable from x along zero or more edges.
+    """
+    succ: dict[str, set[str]] = {x: set() for x in nodes}
+    for x, y in edges:
+        succ[x].add(y)
+    closed: set[tuple[str, str]] = set()
+    for start in nodes:
+        # depth-first reachability gives the closure rooted here
+        seen = {start}
+        stack = [start]
+        while stack:
+            for nxt in succ[stack.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        closed.update((start, y) for y in seen)
+    return frozenset(closed)
 
 
 def derive_relations(s: EStructure) -> DerivedRelations:
@@ -197,11 +224,11 @@ def derive_relations(s: EStructure) -> DerivedRelations:
     return DerivedRelations(sms, eqs, frozenset(immms), incompat, immed)
 
 
-def check_axioms(s: EStructure) -> AxiomReport:
+def check_axioms(s: EStructure) -> ConditionReport:
     """Evaluate the five axioms; failures carry a finite witness each."""
     rel = s.relation
     d = s.derived
-    verdicts: list[AxiomVerdict] = []
+    verdicts: list[ConditionVerdict] = []
 
     witness: tuple | None = None
     for x in s.states:
@@ -216,14 +243,8 @@ def check_axioms(s: EStructure) -> AxiomReport:
                     break
             if witness:
                 break
-    # strict specificity can never cycle once the relation is a preorder:
-    # a two-way strict pair would have landed in eqs, not sms
-    if witness is None:
-        for x, y in d.sms:
-            if (y, x) in d.sms:
-                witness = ("strict cycle", x, y)
-                break
-    verdicts.append(AxiomVerdict("preorder", witness is None, witness))
+    # no strict-cycle check: sms excludes every pair whose reverse is in rel
+    verdicts.append(ConditionVerdict("preorder", witness is None, witness))
 
     witness = None
     if len(s.states) < 2:
@@ -233,21 +254,17 @@ def check_axioms(s: EStructure) -> AxiomReport:
             if x != s.root and (x, s.root) not in d.sms:
                 witness = (x,)
                 break
-    verdicts.append(AxiomVerdict("root", witness is None, witness))
+    verdicts.append(ConditionVerdict("root", witness is None, witness))
 
     witness = None
     for x, z in d.sms:
         if not any((x, y) in d.immms and (y, z) in rel for y in s.states):
             witness = (x, z)
             break
-    verdicts.append(AxiomVerdict("intermediacy", witness is None, witness))
+    verdicts.append(ConditionVerdict("intermediacy", witness is None, witness))
 
-    witness = None
-    for z in s.states:
-        if len(d.immed_sets[z]) > len(s.states):
-            witness = (z,)
-            break
-    verdicts.append(AxiomVerdict("finite_branching", witness is None, witness))
+    # always holds: each Y(z) is a subset of the finite state set
+    verdicts.append(ConditionVerdict("finite_branching", True))
 
     witness = None
     incompat = d.incompat
@@ -260,9 +277,9 @@ def check_axioms(s: EStructure) -> AxiomReport:
                 break
         if witness:
             break
-    verdicts.append(AxiomVerdict("separation", witness is None, witness))
+    verdicts.append(ConditionVerdict("separation", witness is None, witness))
 
-    return AxiomReport(tuple(verdicts))
+    return ConditionReport(tuple(verdicts))
 
 
 def rank(s: EStructure) -> RankTable:

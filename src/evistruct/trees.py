@@ -30,8 +30,9 @@ from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence
 
-from .canonical import CanonicalSpace, ConditionVerdict, build_canonical
-from .structure import EStructure, StructureError
+from .canonical import CanonicalSpace, build_canonical
+from .structure import (ConditionReport, ConditionVerdict, EStructure,
+                        StructureError, _closure)
 
 TREE_CONDITION_IDS: tuple[str, ...] = (
     "t-root", "t-order", "t-parent", "t-immediate",
@@ -43,27 +44,7 @@ class TreeError(StructureError):
     """Raised for malformed tree input or failed tree conditions."""
 
 
-@dataclass(frozen=True)
-class TreeCheckReport:
-    verdicts: tuple[ConditionVerdict, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(v.passed for v in self.verdicts)
-
-    @property
-    def failed_ids(self) -> tuple[str, ...]:
-        return tuple([v.condition for v in self.verdicts if not v.passed])
-
-    @property
-    def failures(self) -> dict[str, tuple | None]:
-        return {v.condition: v.witness for v in self.verdicts if not v.passed}
-
-    def __getitem__(self, condition: str) -> ConditionVerdict:
-        for v in self.verdicts:
-            if v.condition == condition:
-                return v
-        raise KeyError(condition)
+TreeCheckReport = ConditionReport
 
 
 @dataclass(frozen=True)
@@ -144,17 +125,10 @@ class ExperimentationTree:
     def leaves(self) -> tuple[str, ...]:
         return tuple([x for x in self.nodes if not self.children[x]])
 
-    @cached_property
+    @property
     def order(self) -> frozenset[tuple[str, str]]:
-        pairs = set()
-        for x in self.nodes:
-            cur = x
-            while True:
-                pairs.add((x, cur))
-                if cur == self.root:
-                    break
-                cur = self.parent[cur]
-        return frozenset(pairs)
+        """The tree order: (x, y) when y is on the path from x to the root."""
+        return self.as_estructure.relation
 
     @cached_property
     def as_estructure(self) -> EStructure:
@@ -186,25 +160,6 @@ class ExperimentationTree:
         while path[-1] != self.root:
             path.append(self.parent[path[-1]])
         return tuple(reversed(path))
-
-
-def _tree_order(nodes: Sequence[str],
-                edges: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
-    """Reflexive-transitive closure of child -> parent edges."""
-    up: dict[str, set[str]] = {x: set() for x in nodes}
-    for c, p in edges:
-        up[c].add(p)
-    pairs = set()
-    for x in nodes:
-        seen = {x}
-        stack = [x]
-        while stack:
-            for nxt in up[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        pairs.update((x, y) for y in seen)
-    return frozenset(pairs)
 
 
 def _validate_members(s: EStructure, nodes: Sequence[str],
@@ -250,18 +205,23 @@ def check_graph_tree(nodes: Sequence[str], edges: Iterable[tuple[str, str]],
 
 
 def check_tree(s: EStructure, nodes: Sequence[str],
-               edges: Iterable[tuple[str, str]]) -> TreeCheckReport:
+               edges: Iterable[tuple[str, str]]) -> ConditionReport:
     """Evaluate the seven tree conditions, with a witness per failure.
 
     The tree order is the reachability closure of the given edges; nothing
     about the edge list itself is assumed beyond membership in the node
     set. Condition failures land in the report, never in an exception.
     """
-    nodes = tuple(nodes)
-    edges = tuple(edges)
+    return _check_tree(s, tuple(nodes), tuple(edges))[0]
+
+
+def _check_tree(s: EStructure, nodes: tuple[str, ...],
+                edges: tuple[tuple[str, str], ...]
+                ) -> tuple[ConditionReport, dict[str, tuple[str, ...]]]:
+    """check_tree's report, with each node's immediate tree predecessors."""
     _validate_members(s, nodes, edges)
     d = s.derived
-    order = _tree_order(nodes, edges)
+    order = _closure(nodes, edges)
     strict = frozenset((x, y) for x, y in order if (y, x) not in order)
     immmt = frozenset(
         (x, z) for x, z in strict
@@ -335,28 +295,19 @@ def check_tree(s: EStructure, nodes: Sequence[str],
             break
     verdicts.append(ConditionVerdict("t-unbiased", witness is None, witness))
 
-    return TreeCheckReport(tuple(verdicts))
+    return ConditionReport(tuple(verdicts)), parents
 
 
 def build_tree(s: EStructure, nodes: Sequence[str],
                edges: Iterable[tuple[str, str]]) -> ExperimentationTree:
     """Check the seven conditions and assemble the verified tree."""
     nodes = tuple(nodes)
-    edges = tuple(edges)
-    report = check_tree(s, nodes, edges)
+    report, parents = _check_tree(s, nodes, tuple(edges))
     if not report.passed:
         raise TreeError("tree conditions failed: "
                         + ", ".join(report.failed_ids))
-    order = _tree_order(nodes, edges)
-    strict = {(x, y) for x, y in order if (y, x) not in order}
-    parent: dict[str, str] = {}
-    for x in nodes:
-        if x == s.root:
-            continue
-        parent[x] = next(
-            p for p in nodes
-            if (x, p) in strict and not any(
-                (x, y) in strict and (y, p) in strict for y in nodes))
+    # t-parent passed, so every non-root node has exactly one parent
+    parent = {x: parents[x][0] for x in nodes if x != s.root}
     return ExperimentationTree(s, nodes, parent)
 
 

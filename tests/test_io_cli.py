@@ -1,21 +1,27 @@
 """Workspace file parsing, serialization, and the command-line front end."""
 from __future__ import annotations
 
+import hashlib
 import json
 import random
+import shutil
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import oracles
 from conftest import (arbitrary_plan, consistent_plan,
                       subset_family_structure, splitting_tree)
 from evistruct import (FIXTURES, ParseError, TreeBlock, Workspace,
-                       emit_fixtures, format_rational, format_workspace,
-                       load_structure, parse_rational, parse_workspace)
+                       construct_sceu, emit_fixtures, format_rational,
+                       format_workspace, load_structure, parse_rational,
+                       parse_workspace, verify_rationalization)
 from evistruct import cli
 
 TWO_CHAIN = "root r\nstate a\npair a r\n"
 FORK = "root r\nstate L\nstate R\npair L r\npair R r\n"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.fixture(scope="module")
@@ -414,6 +420,40 @@ class TestVerifyCommand:
         assert data["verified"] is True
         assert data["margins"] == built["verification"]["margins"]
 
+    def test_three_verifiers_agree_on_random_tree_plans(self, capsys,
+                                                        tmp_path):
+        """The constructed witness's own margins, the margins `verify`
+        computes for the product-form JSON that `plan rationalize` emits,
+        and the oracle's margins over events read off the tree order are
+        the same table."""
+        rng = random.Random(4242)
+        for k in range(12):
+            tree = splitting_tree(rng, max_nodes=16)
+            plan = consistent_plan(rng, tree)
+            path = tmp_path / f"tree{k}.est"
+            text = format_workspace(Workspace(tree.ambient, (), plan))
+            path.write_text(text, encoding="utf-8")
+            code, built = run_json(capsys, ["plan", "rationalize", str(path)])
+            assert code == 0
+            witness = self.witness_path(tmp_path, built)
+            code, checked = run_json(capsys, ["verify", str(path), witness])
+            assert code == 0
+
+            r = construct_sceu(tree, plan)
+            report = verify_rationalization(tree, plan, r)
+            leaf = [cls[0] for cls in tree.canonical.atoms]
+            oracle = oracles.margins_oracle(
+                lambda x: [i for i, p in enumerate(r.points)
+                           if (leaf[p.atom], x) in tree.ambient.relation],
+                dict(enumerate(r.weights)),
+                {b: (lambda vals: (lambda i: vals[i]))(r.utilities[b])
+                 for b in plan.alternatives},
+                list(tree.nodes), dict(plan.choice), plan.alternatives)
+            via_cli = {tuple(key.split("|")): parse_rational(value)
+                       for key, value in checked["margins"].items()}
+            assert dict(report.margins) == via_cli == oracle
+            assert min(oracle.values()) > 0
+
     def test_product_witness_bad_total_weight(self, capsys, est, tmp_path):
         code, built = run_json(capsys, ["plan", "rationalize",
                                         est("example_d")])
@@ -514,3 +554,23 @@ class TestInvocation:
                             "--format", "json"]) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
+
+
+def test_cli_output_matches_the_golden_table(capsys, tmp_path, monkeypatch):
+    """Every command of the benchmark's golden table, run in-process from a
+    directory holding the bundled fixtures and the benchmark's witness
+    files, gives the recorded exit code and the same stdout bytes."""
+    golden = json.loads(
+        (PERFBENCH / "golden.json").read_text(encoding="utf-8"))
+    emit_fixtures(tmp_path)
+    for witness in (PERFBENCH / "witnesses").glob("*.json"):
+        shutil.copyfile(witness, tmp_path / witness.name)
+    monkeypatch.chdir(tmp_path)
+    assert len(golden) == 84
+    mismatches = []
+    for command, want in sorted(golden.items()):
+        code = cli.run(command.split(" "))
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        if (code, digest) != (want["exit"], want["stdout_sha256"]):
+            mismatches.append(command)
+    assert mismatches == []

@@ -36,6 +36,11 @@ class TestPlanValidation:
         assert sub.domain == ("r", "y")
         assert sub.alternatives == ("a", "b")
 
+    def test_restricted_to_accepts_a_generator(self):
+        plan = Plan(("a", "b"), {"r": "a", "x": "b", "y": "a"})
+        sub = plan.restricted_to(x for x in ["r", "x", "y"])
+        assert sub.choice == plan.choice
+
     def test_domain_preserves_insertion_order(self):
         plan = Plan(("a", "b"), {"y": "a", "x": "b"})
         assert plan.domain == ("y", "x")

@@ -246,6 +246,35 @@ class TestVerification:
         with pytest.raises(PlanError, match="plan"):
             verify_rationalization(tree, flipped, r)
 
+    def test_plan_missing_a_tree_node_rejected(self, t1):
+        tree, plan = t1
+        r = construct_sceu(tree, plan)
+        partial = plan.restricted_to([x for x in tree.nodes if x != "As"])
+        with pytest.raises(PlanError, match="different plan"):
+            verify_rationalization(tree, partial, r)
+
+    @pytest.mark.parametrize("bad", [None, "x", 0.5])
+    def test_explicit_witness_with_non_rational_utility(self, corpus, bad):
+        ws = corpus["example_r"]
+        witness = ExplicitRepresentation(
+            weights={z: Fraction(1, 5)
+                     for z in ("z1", "z2", "z3", "z4", "z5")},
+            utilities={"a": {"z1": bad}, "b": {"z4": Fraction(1)}})
+        report = verify_rationalization(ws.structure, ws.plan, witness)
+        assert not report.verified
+        assert report.failures == ("witness value is not rational",)
+
+    @pytest.mark.parametrize("bad", [None, "1/5"])
+    def test_explicit_witness_with_non_rational_weight(self, corpus, bad):
+        ws = corpus["example_r"]
+        weights = {z: Fraction(1, 5) for z in ("z1", "z2", "z3", "z4", "z5")}
+        weights["z2"] = bad
+        witness = ExplicitRepresentation(
+            weights=weights, utilities={"a": {"z1": 1}, "b": {"z4": 1}})
+        report = verify_rationalization(ws.structure, ws.plan, witness)
+        assert not report.verified
+        assert report.failures == ("witness value is not rational",)
+
     def test_explicit_witness_for_example_r(self, corpus):
         ws = corpus["example_r"]
         witness = ExplicitRepresentation(

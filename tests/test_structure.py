@@ -7,8 +7,12 @@ import pytest
 
 import oracles
 from conftest import subset_family_structure
-from evistruct import (AXIOM_IDS, EStructure, StructureError, check_axioms,
-                       derive_relations, rank, rank_level_sets)
+from evistruct import (AXIOM_IDS, AxiomReport, AxiomVerdict, CanonicalReport,
+                       ConditionReport, ConditionVerdict, EmbeddingReport,
+                       EStructure, StructureError, TreeCheckReport,
+                       build_canonical, check_axioms, check_tree,
+                       derive_relations, rank, rank_level_sets,
+                       verify_canonical, verify_embedding)
 
 
 def test_axiom_ids_are_stable():
@@ -45,6 +49,13 @@ class TestConstruction:
     def test_matrix_follows_declaration_order(self):
         s = EStructure.from_generators(["r", "a"], "r", [("a", "r")])
         assert s.matrix() == [[True, False], [True, True]]
+
+    def test_restrict_accepts_a_generator(self):
+        s = EStructure.from_generators(
+            ["r", "a", "b", "c"], "r", [("a", "r"), ("b", "r"), ("c", "a")])
+        sub = s.restrict(x for x in ["r", "a", "b"])
+        assert sub.states == ("r", "a", "b")
+        assert sub == s.restrict(["r", "a", "b"])
 
 
 class TestExampleC:
@@ -134,6 +145,24 @@ def test_two_chain_fails_separation():
     assert "separation" in report.failed_ids
     with pytest.raises(StructureError):
         rank(s)
+
+
+def test_every_check_returns_the_one_report_type(corpus):
+    ws = corpus["example_d"]
+    s = ws.structure
+    space = build_canonical(s)
+    block = ws.trees[1]
+    reports = [check_axioms(s), verify_canonical(space, s),
+               verify_embedding(s, space.events),
+               check_tree(s, block.nodes, block.edges)]
+    assert {type(r) for r in reports} == {ConditionReport}
+    assert {type(v) for r in reports for v in r.verdicts} == {ConditionVerdict}
+    assert [v.condition for v in reports[0].verdicts] == list(AXIOM_IDS)
+    assert reports[3].failures == {c: reports[3][c].witness
+                                   for c in reports[3].failed_ids}
+    assert {AxiomReport, CanonicalReport, EmbeddingReport,
+            TreeCheckReport} == {ConditionReport}
+    assert AxiomVerdict is ConditionVerdict
 
 
 def test_failing_axiom_reports_carry_witnesses():
