@@ -70,8 +70,7 @@ def build_canonical(s: EStructure) -> CanonicalSpace:
 def _event_space(s: EStructure) -> CanonicalSpace:
     """Atoms and event map, with no verification."""
     d = s.derived
-    maximal = [x for x in s.states
-               if not any((w, x) in d.sms for w in s.states)]
+    maximal = [x for x in s.states if not d.immed_sets[x]]
     classes: list[tuple[str, ...]] = []
     assigned: set[str] = set()
     for m in maximal:

@@ -65,12 +65,11 @@ def _target_tree(w: Workspace) -> ExperimentationTree:
     if w.trees:
         block = w.trees[0]
         return build_tree(s, block.nodes, block.edges)
-    d = s.derived
     edges = []
     for x in s.states:
         if x == s.root:
             continue
-        parents = [p for p in s.states if (x, p) in d.immms]
+        parents = s.derived.parents[x]
         if len(parents) != 1:
             raise TreeError(
                 f"state {x!r} has {len(parents)} immediate predecessors, "

@@ -220,11 +220,17 @@ def verify_certificate(system: FeasibilitySystem,
         weights, utilities = result.weights, result.utilities
         if weights is None or utilities is None:
             return CertificateReport(False, "missing witness")
+        if not all(isinstance(t, Mapping) for t in (weights, utilities)):
+            return CertificateReport(False, "witness is not a table")
         for atom in system.atoms:
             if atom not in weights:
                 return CertificateReport(False, f"no weight for {atom!r}")
             for alt in system.alternatives:
-                if atom not in utilities.get(alt, ()):
+                table = utilities.get(alt, {})
+                if not isinstance(table, Mapping):
+                    return CertificateReport(
+                        False, f"utilities of {alt!r} are not a table")
+                if atom not in table:
                     return CertificateReport(
                         False, f"no utility for {alt!r} at {atom!r}")
         values = [*weights.values(), *(utilities[alt][atom]
@@ -248,8 +254,11 @@ def verify_certificate(system: FeasibilitySystem,
 
     if not result.certificate:
         return CertificateReport(False, "missing certificate")
-    key = {(r.state, r.alternative): i for i, r in enumerate(system.rows)}
-    y = [Fraction(0)] * len(system.rows)
+    if not isinstance(result.certificate, (tuple, list)):
+        return CertificateReport(False, "certificate is not a list")
+    key = {(r.state, r.alternative): r for r in system.rows}
+    total = 0
+    combined = [0] * system.ncols
     for entry in result.certificate:
         if not (isinstance(entry, (tuple, list)) and len(entry) == 3
                 and all(isinstance(label, str) for label in entry[:2])):
@@ -260,12 +269,14 @@ def verify_certificate(system: FeasibilitySystem,
         if not isinstance(mult, (int, Fraction)) or mult < 0:
             return CertificateReport(
                 False, f"multiplier {mult!r} is not a nonnegative rational")
-        y[key[state, alt]] += mult
-    if sum(y) <= 0:
+        total += mult
+        for j, c in enumerate(key[state, alt].coeffs):
+            if c:
+                combined[j] += mult * c
+    if total <= 0:
         return CertificateReport(False, "zero combination")
-    for j in range(system.ncols):
-        combined = sum(y[i] * r.coeffs[j] for i, r in enumerate(system.rows))
-        if combined > 0:
+    for j, value in enumerate(combined):
+        if value > 0:
             alt, atom = system.column_label(j)
             return CertificateReport(
                 False, f"combination positive on g[{alt}][{atom}]")

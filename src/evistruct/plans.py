@@ -100,7 +100,6 @@ def check_isd_plan(s: EStructure, plan: Plan) -> IsdReport:
             a = picks.pop()
             if plan.choice[z] != a:
                 violations.append((z, a))
-    violations.sort(key=lambda v: (s.states.index(v[0]), v[1]))
     return IsdReport(tuple(violations))
 
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .canonical import build_canonical
 from .plans import Plan, PlanError
 from .structure import EStructure
 from .trees import ExperimentationTree
@@ -236,7 +237,7 @@ def _verify_constructed(r: Rationalization) -> RationalizationReport:
     if any(a > b for a, b in zip(ranks, ranks[1:])):
         failures.append("points are not ordered by state depth")
 
-    strict = {(x, y) for x, y in tree.order if x != y}
+    strict = tree.as_estructure.derived.sms
     for x, a in margins:
         deeper = sum((r.weights[i]
                       for i, p in enumerate(r.points)
@@ -254,8 +255,12 @@ def _verify_constructed(r: Rationalization) -> RationalizationReport:
 
 def _verify_explicit(s: EStructure, plan: Plan,
                      witness: ExplicitRepresentation) -> RationalizationReport:
-    from .canonical import build_canonical
-
+    if not (isinstance(witness.weights, Mapping)
+            and isinstance(witness.utilities, Mapping)
+            and all(isinstance(witness.utilities.get(a, {}), Mapping)
+                    for a in plan.alternatives)):
+        return RationalizationReport(
+            False, {}, ("weights or utilities are not a table",), Fraction(0))
     space = build_canonical(s)
     labels = space.labels
     failures: list[str] = []

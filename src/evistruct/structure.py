@@ -34,21 +34,30 @@ AXIOM_IDS: tuple[str, ...] = (
 class DerivedRelations:
     """Relations derived from the specificity preorder.
 
+    The one computation of the covering relation: every parent, child
+    and maximal-state lookup reads it here.
+
     Attributes:
         sms: strict specificity; (x, y) present when x wms y but not y wms x.
         eqs: equivalence; (x, y) present when x wms y and y wms x.
         immms: immediate specificity; (x, z) present when x sms z and no
             state sits strictly between them.
         incompat: symmetric irreflexive pairs with no common refinement.
-        immed_sets: for each state z, the set Y(z) of states immediately
-            more specific than z.
+        immed_sets: for each state z, Y(z): the states immediately more
+            specific than z, in declaration order.
+        parents: for each state x, the states x is immediately more
+            specific than, in declaration order.
+
+    The relation is a finite preorder, so the maximal states are exactly
+    those with an empty ``immed_sets`` entry.
     """
 
     sms: frozenset[tuple[str, str]]
     eqs: frozenset[tuple[str, str]]
     immms: frozenset[tuple[str, str]]
     incompat: frozenset[tuple[str, str]]
-    immed_sets: Mapping[str, frozenset[str]]
+    immed_sets: Mapping[str, tuple[str, ...]]
+    parents: Mapping[str, tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -199,29 +208,28 @@ def _closure(nodes: Sequence[str],
 def derive_relations(s: EStructure) -> DerivedRelations:
     """Compute strict/equivalence/immediate/incompatibility relations."""
     rel = s.relation
-    sms = frozenset((x, y) for (x, y) in rel if (y, x) not in rel)
-    eqs = frozenset((x, y) for (x, y) in rel if (y, x) in rel)
-    # immediate: strict with no state strictly between
-    strict_down: dict[str, set[str]] = {x: set() for x in s.states}
-    for x, y in sms:
-        strict_down[x].add(y)  # everything x is strictly more specific than
-    immms = set()
-    for x, z in sms:
-        if not any(z in strict_down[y] for y in strict_down[x]):
-            immms.add((x, z))
+    sms = frozenset([(x, y) for (x, y) in rel if (y, x) not in rel])
+    below: dict[str, set[str]] = {x: set() for x in s.states}
     refiners: dict[str, set[str]] = {x: set() for x in s.states}
+    for x, y in sms:
+        below[x].add(y)
     for w, y in rel:
         refiners[y].add(w)
-    incompat = frozenset(
-        (x, y)
-        for x in s.states
-        for y in s.states
-        if not (refiners[x] & refiners[y])
-    )
-    immed: dict[str, frozenset[str]] = {
-        z: frozenset(x for (x, zz) in immms if zz == z) for z in s.states
-    }
-    return DerivedRelations(sms, eqs, frozenset(immms), incompat, immed)
+    parents: dict[str, tuple[str, ...]] = {}
+    immed: dict[str, list[str]] = {z: [] for z in s.states}
+    for x in s.states:
+        # immediate: strictly below x with no state strictly between
+        between = set().union(*[below[y] for y in below[x]])
+        parents[x] = tuple([z for z in s.states
+                            if z in below[x] and z not in between])
+        for z in parents[x]:
+            immed[z].append(x)
+    incompat = frozenset([(x, y) for x in s.states for y in s.states
+                          if refiners[x].isdisjoint(refiners[y])])
+    return DerivedRelations(
+        sms, rel - sms,
+        frozenset([(x, z) for x in s.states for z in parents[x]]),
+        incompat, {z: tuple(kids) for z, kids in immed.items()}, parents)
 
 
 def check_axioms(s: EStructure) -> ConditionReport:
@@ -258,7 +266,7 @@ def check_axioms(s: EStructure) -> ConditionReport:
 
     witness = None
     for x, z in d.sms:
-        if not any((x, y) in d.immms and (y, z) in rel for y in s.states):
+        if not any((y, z) in rel for y in d.parents[x]):
             witness = (x, z)
             break
     verdicts.append(ConditionVerdict("intermediacy", witness is None, witness))
@@ -293,34 +301,21 @@ def rank(s: EStructure) -> RankTable:
         raise StructureError(
             "structure fails axioms: " + ", ".join(report.failed_ids))
     d = s.derived
-    parents: dict[str, list[str]] = {x: [] for x in s.states}
-    for x, y in d.immms:
-        parents[x].append(y)
-    for x in parents:
-        parents[x].sort(key=s.states.index)
     rho: dict[str, int] = {s.root: 0}
-    level = 0
-    while True:
-        grew = False
-        for x in s.states:
-            if x in rho:
-                continue
-            if any(p in rho and rho[p] == level for p in parents[x]):
-                rho[x] = level + 1
-                grew = True
-        if not grew:
-            break
-        level += 1
+    queue = [s.root]
+    for z in queue:  # breadth first from the root; the queue grows as read
+        for x in d.immed_sets[z]:
+            if x not in rho:
+                rho[x] = rho[z] + 1
+                queue.append(x)
     missing = [x for x in s.states if x not in rho]
     if missing:
         # unreachable under the axioms; kept as a hard error for safety
         raise StructureError(f"states without a chain to root: {missing}")
     chains: dict[str, tuple[str, ...]] = {s.root: (s.root,)}
-    for x in sorted(s.states, key=lambda t: (rho[t], s.states.index(t))):
-        if x == s.root:
-            continue
+    for x in queue[1:]:  # by rank, so each parent's chain comes first
         # witness chain through the earliest-declared minimal-rank parent
-        step = next(p for p in parents[x] if rho[p] == rho[x] - 1)
+        step = next(p for p in d.parents[x] if rho[p] == rho[x] - 1)
         chains[x] = (x,) + chains[step]
     return RankTable(rho, chains)
 

@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .canonical import CanonicalSpace, build_canonical
 from .structure import (ConditionReport, ConditionVerdict, EStructure,
-                        StructureError, _closure)
+                        StructureError, _closure, derive_relations)
 
 TREE_CONDITION_IDS: tuple[str, ...] = (
     "t-root", "t-order", "t-parent", "t-immediate",
@@ -98,13 +98,10 @@ class ExperimentationTree:
     def root(self) -> str:
         return self.ambient.root
 
-    @cached_property
-    def children(self) -> dict[str, tuple[str, ...]]:
-        kids: dict[str, list[str]] = {x: [] for x in self.nodes}
-        for x in self.nodes:
-            if x != self.root:
-                kids[self.parent[x]].append(x)
-        return {x: tuple(v) for x, v in kids.items()}
+    @property
+    def children(self) -> Mapping[str, tuple[str, ...]]:
+        """Each node's children, in node order."""
+        return self.as_estructure.derived.immed_sets
 
     @cached_property
     def rank_in_tree(self) -> dict[str, int]:
@@ -222,14 +219,8 @@ def _check_tree(s: EStructure, nodes: tuple[str, ...],
     _validate_members(s, nodes, edges)
     d = s.derived
     order = _closure(nodes, edges)
-    strict = frozenset((x, y) for x, y in order if (y, x) not in order)
-    immmt = frozenset(
-        (x, z) for x, z in strict
-        if not any((x, y) in strict and (y, z) in strict for y in nodes))
-    parents = {x: tuple([p for p in nodes if (x, p) in immmt]) for x in nodes}
-    kids = {z: tuple([x for x in nodes if (x, z) in immmt]) for z in nodes}
-    maximal = tuple([x for x in nodes
-                     if not any((y, x) in strict for y in nodes)])
+    t = derive_relations(EStructure(nodes, s.root, order))
+    kids = t.immed_sets
     verdicts: list[ConditionVerdict] = []
 
     witness: tuple | None = None
@@ -248,13 +239,13 @@ def _check_tree(s: EStructure, nodes: tuple[str, ...],
 
     witness = None
     for x in nodes:
-        if x != s.root and len(parents[x]) != 1:
-            witness = (x, len(parents[x]))
+        if x != s.root and len(t.parents[x]) != 1:
+            witness = (x, len(t.parents[x]))
             break
     verdicts.append(ConditionVerdict("t-parent", witness is None, witness))
 
     witness = None
-    for x, z in sorted(immmt):
+    for x, z in sorted(t.immms):
         if (x, z) not in d.immms:
             witness = (x, z)
             break
@@ -262,8 +253,9 @@ def _check_tree(s: EStructure, nodes: tuple[str, ...],
 
     witness = None
     for x in nodes:
-        if x not in maximal and len(kids[x]) < 2:
-            witness = (x, len(kids[x]))
+        # a maximal node has no kids; any other needs at least two
+        if len(kids[x]) == 1:
+            witness = (x, 1)
             break
     verdicts.append(ConditionVerdict("t-branching", witness is None, witness))
 
@@ -282,20 +274,19 @@ def _check_tree(s: EStructure, nodes: tuple[str, ...],
 
     witness = None
     for x in nodes:
-        if x in maximal:
+        if not kids[x]:
             continue
         for z in s.states:
             if (z, x) not in d.sms:
                 continue
-            if not any((v, z) in s.relation and (v, w) in s.relation
-                       for w in kids[x] for v in s.states):
+            if all((z, w) in d.incompat for w in kids[x]):
                 witness = (z, x)
                 break
         if witness:
             break
     verdicts.append(ConditionVerdict("t-unbiased", witness is None, witness))
 
-    return ConditionReport(tuple(verdicts)), parents
+    return ConditionReport(tuple(verdicts)), t.parents
 
 
 def build_tree(s: EStructure, nodes: Sequence[str],
@@ -332,15 +323,9 @@ def find_trees(s: EStructure,
             members = set(subset)
             members.add(s.root)
             nodes = tuple([x for x in s.states if x in members])
-            candidates = []
-            for x in subset:
-                ps = tuple([p for p in nodes if (x, p) in d.immms])
-                if not ps:
-                    candidates = None
-                    break
-                candidates.append(ps)
-            if candidates is None:
-                continue
+            candidates = [[p for p in d.parents[x] if p in members]
+                          for x in subset]
+            # a node with no candidate parent leaves the product empty
             for assign in product(*candidates):
                 edges = tuple(zip(subset, assign))
                 if check_tree(s, nodes, edges).passed:

@@ -1,6 +1,7 @@
 """Exact feasibility of the linearized representation system."""
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -93,6 +94,33 @@ class TestCorpusDecisions:
         result = FeasibilityResult(False, system, certificate=cert)
         assert verify_certificate(system, result).valid
 
+    def test_combination_positive_on_a_column_names_it(self, corpus):
+        ws = corpus["example_t"]
+        system = build_system(ws.structure, ws.plan)
+        cert = (("x1", "c", Fraction(1)),)
+        result = FeasibilityResult(False, system, certificate=cert)
+        report = verify_certificate(system, result)
+        assert not report.valid
+        assert report.reason == "combination positive on g[b][z1]"
+
+    def test_all_zero_multipliers_rejected(self, corpus):
+        ws = corpus["example_t"]
+        system = build_system(ws.structure, ws.plan)
+        cert = (("x1", "c", Fraction(0)), ("x2", "b", 0))
+        result = FeasibilityResult(False, system, certificate=cert)
+        report = verify_certificate(system, result)
+        assert not report.valid
+        assert report.reason == "zero combination"
+
+    def test_row_listed_twice_sums_its_multipliers(self, corpus):
+        ws = corpus["example_t"]
+        system = build_system(ws.structure, ws.plan)
+        cert = (("x1", "c", Fraction(1, 2)), ("x2", "b", Fraction(1)),
+                ("z1", "b", Fraction(1)), ("x1", "c", Fraction(1, 2)),
+                ("z2", "c", Fraction(1)))
+        result = FeasibilityResult(False, system, certificate=cert)
+        assert verify_certificate(system, result).valid
+
     def test_negative_multiplier_rejected(self, corpus):
         ws = corpus["example_t"]
         system = build_system(ws.structure, ws.plan)
@@ -172,6 +200,21 @@ def test_malformed_certificate_entry_rejected(corpus, entry):
     system = build_system(ws.structure, ws.plan)
     result = FeasibilityResult(False, system, certificate=(entry,))
     assert not verify_certificate(system, result).valid
+
+
+@pytest.mark.parametrize("fields", [
+    {"certificate": 5},
+    {"weights": 5},
+    {"utilities": 5},
+    {"utilities": {"a": 5}},
+], ids=["certificate", "weights", "utilities", "utility-table"])
+def test_malformed_witness_container_rejected(corpus, fields):
+    ws = corpus["example_t" if "certificate" in fields else "example_r"]
+    result = decide_rationalizable(ws.structure, ws.plan)
+    broken = dataclasses.replace(result, **fields)
+    report = verify_certificate(result.system, broken)
+    assert not report.valid
+    assert report.reason
 
 
 def test_root_only_domain_is_feasible(corpus):

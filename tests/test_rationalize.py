@@ -275,6 +275,28 @@ class TestVerification:
         assert not report.verified
         assert report.failures == ("witness value is not rational",)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("weights", None), ("weights", [1]),
+        ("utilities", None), ("utilities", [1]),
+        ("table", None), ("table", [1]),
+    ], ids=["weights-None", "weights-list", "utilities-None",
+            "utilities-list", "table-None", "table-list"])
+    def test_explicit_witness_with_malformed_container(self, corpus, field,
+                                                       bad):
+        ws = corpus["example_r"]
+        weights = {z: Fraction(1, 5) for z in ("z1", "z2", "z3", "z4", "z5")}
+        utilities = {"a": {"z1": 1}, "b": {"z4": 1}}
+        if field == "weights":
+            weights = bad
+        elif field == "utilities":
+            utilities = bad
+        else:
+            utilities["a"] = bad
+        witness = ExplicitRepresentation(weights, utilities)
+        report = verify_rationalization(ws.structure, ws.plan, witness)
+        assert not report.verified
+        assert report.failures
+
     def test_explicit_witness_for_example_r(self, corpus):
         ws = corpus["example_r"]
         witness = ExplicitRepresentation(

@@ -210,10 +210,18 @@ class TestRandomized:
             d = derive_relations(s)
             assert d.sms == oracles.sms_pairs(s.relation)
             assert d.eqs == oracles.eqs_pairs(s.relation)
-            assert d.immms == oracles.immms_pairs(s.states, s.relation)
+            immms = oracles.immms_pairs(s.states, s.relation)
+            assert d.immms == immms
             for z in s.states:
                 assert set(d.immed_sets[z]) == oracles.children_of(
                     s.states, s.relation, z)
+                assert set(d.parents[z]) == {y for x, y in immms if x == z}
+                # both lookups list states in declaration order
+                for ordered in (d.immed_sets[z], d.parents[z]):
+                    assert list(ordered) == [x for x in s.states
+                                             if x in ordered]
+            assert [x for x in s.states if not d.immed_sets[x]] == \
+                oracles.maximal_states(s.states, s.relation)
             assert d.incompat == frozenset(
                 (x, y) for x in s.states for y in s.states
                 if oracles.incompatible(s.states, s.relation, x, y))

@@ -266,6 +266,34 @@ class TestRandomizedTrees:
                 s.states, s.root, s.relation, t.nodes,
                 set(t.parent.items()))
 
+    def test_random_candidates_match_oracle(self):
+        """Arbitrary candidates over random subset families: node sets
+        that may miss the root, edges that form cycles, give a node two
+        parents or skip a level. Every verdict matches the oracle."""
+        rng = random.Random(2468)
+        failed: set[str] = set()
+        passed = 0
+        for _ in range(200):
+            s = subset_family_structure(rng, max_universe=4)
+            immms = oracles.immms_pairs(s.states, s.relation)
+            nodes = [x for x in s.states
+                     if rng.random() < (0.9 if x == s.root else 0.6)]
+            edges = set()
+            for x in nodes:
+                ups = [p for p in nodes if (x, p) in immms]
+                if ups and rng.random() < 0.8:
+                    edges.add((x, rng.choice(ups)))
+                if rng.random() < 0.2:
+                    edges.add((x, rng.choice(nodes)))
+            report = check_tree(s, nodes, edges)
+            assert set(report.failed_ids) == oracles.check_tree_oracle(
+                s.states, s.root, s.relation, nodes, edges)
+            failed.update(report.failed_ids)
+            passed += report.passed
+        # the loop reached every condition and some passing candidates
+        assert failed == set(TREE_CONDITION_IDS)
+        assert passed > 0
+
     def test_trees_are_estructures(self):
         rng = random.Random(888)
         for _ in range(40):
