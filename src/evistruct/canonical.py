@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping
 
 from .structure import (ConditionReport, ConditionVerdict, EStructure,
-                        StructureError)
+                        StructureError, _first)
 
 # field enumeration is exponential in the atom count; anything needing more
 # than this many atoms has no business calling the exhaustive verifier
@@ -226,11 +226,8 @@ def verify_embedding(
                 break
     verdicts.append(ConditionVerdict("order", witness is None, witness))
 
-    witness = None
-    for x, y in d.incompat:
-        if mapping[x] & mapping[y]:
-            witness = (x, y)
-            break
+    witness = _first(s.states, ((x, y) for x, y in d.incompat
+                                if mapping[x] & mapping[y]))
     verdicts.append(ConditionVerdict("disjoint", witness is None, witness))
 
     witness = None

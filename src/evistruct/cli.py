@@ -19,9 +19,8 @@ from .io import (ParseError, Workspace, emit_fixtures, format_rational,
                  parse_rational, parse_workspace)
 from .plans import PlanError, check_isd_plan
 from .rationalize import (ExplicitRepresentation, RationalizationError,
-                          RationalizationReport, _margins, construct_sceu,
-                          verify_rationalization)
-from .structure import StructureError, check_axioms, rank
+                          _margins, construct_sceu, verify_rationalization)
+from .structure import StructureError, WitnessReport, check_axioms, rank
 from .trees import (ExperimentationTree, TreeError, build_tree, check_tree,
                     find_trees)
 
@@ -362,7 +361,7 @@ def _cmd_plan_rationalize(args) -> int:
 
 
 def _verify_product(tree: ExperimentationTree, plan,
-                    data) -> RationalizationReport:
+                    data) -> WitnessReport:
     atoms = tree.canonical.atoms
     atom_index = {cls: i for i, cls in enumerate(atoms)}
     node_set = set(tree.nodes)
@@ -405,10 +404,7 @@ def _verify_product(tree: ExperimentationTree, plan,
         if len(utilities[alt]) != len(points):
             raise _UsageError(f"utility table for {alt!r} has wrong length")
 
-    margins, total, failures = _margins(
-        points, weights, utilities, tree.canonical.events, plan, tree.nodes)
-    return RationalizationReport(not failures, margins, tuple(failures),
-                                 total)
+    return _margins(tree, plan, points, weights, utilities)
 
 
 def _cmd_verify(args) -> int:

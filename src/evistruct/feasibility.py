@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 from .canonical import build_canonical
 from .plans import Plan, PlanError
-from .structure import EStructure
+from .structure import EStructure, WitnessReport
 
 
 @dataclass(frozen=True)
@@ -84,12 +84,6 @@ class FeasibilityResult:
     weights: Mapping[str, Fraction] | None = None
     utilities: Mapping[str, Mapping[str, Fraction]] | None = None
     certificate: tuple[tuple[str, str, Fraction], ...] | None = None
-
-
-@dataclass(frozen=True)
-class CertificateReport:
-    valid: bool
-    reason: str | None = None
 
 
 def build_system(s: EStructure, plan: Plan) -> FeasibilitySystem:
@@ -207,80 +201,93 @@ def _row_values(system: FeasibilitySystem,
             for r in system.rows]
 
 
+def _normalization(weights: Sequence[Fraction]) -> tuple[Fraction, list[str]]:
+    """The weights' total, and failures for a total not 1 or a negative."""
+    total = sum(weights, start=Fraction(0))
+    failures = [] if total == 1 else [f"weights sum to {total}, not 1"]
+    if any(w < 0 for w in weights):
+        failures.append("negative weight")
+    return total, failures
+
+
+def verify_weighting(system: FeasibilitySystem,
+                     weights: Mapping[str, Fraction],
+                     utilities: Mapping[str, Mapping[str, Fraction]],
+                     ) -> WitnessReport:
+    """Exactly check an atom-level weighting and utilities against a system.
+
+    A label missing from a table reads as zero. Every value must be an int
+    or a Fraction, every weight label an atom, the weights nonnegative with
+    sum 1, and every row's margin, keyed (state, rival), strictly positive.
+    """
+    if not (isinstance(weights, Mapping) and isinstance(utilities, Mapping)
+            and all(isinstance(utilities.get(a, {}), Mapping)
+                    for a in system.alternatives)):
+        return WitnessReport(
+            False, failures=("weights or utilities are not a table",))
+    unknown = sorted(set(weights) - set(system.atoms), key=str)
+    failures = [f"unknown sample points {unknown}"] if unknown else []
+    w = [weights.get(atom, 0) for atom in system.atoms]
+    u = [utilities.get(alt, {}).get(atom, 0)
+         for alt in system.alternatives for atom in system.atoms]
+    if not all(isinstance(v, (int, Fraction)) for v in (*w, *u)):
+        failures.append("witness value is not rational")
+        return WitnessReport(False, failures=tuple(failures))
+    total, more = _normalization(w)
+    failures += more
+    g = [x * v for x, v in zip(w * len(system.alternatives), u)]
+    rows = list(zip(system.rows, _row_values(system, g)))
+    margins = {(r.state, r.alternative): m for r, m in rows}
+    failures += [f"no strict preference at {r.state!r} over "
+                 f"{r.alternative!r}" for r, m in rows if m <= 0]
+    return WitnessReport(not failures, margins, tuple(failures), total)
+
+
 def verify_certificate(system: FeasibilitySystem,
-                       result: FeasibilityResult) -> CertificateReport:
+                       result: FeasibilityResult) -> WitnessReport:
     """Exactly re-check the witness carried by a result.
 
-    A feasible result must make every chosen alternative strictly beat
-    every rival in weighted utility; an infeasible one must combine rows
-    nonnegatively into a vector with no positive column and positive
-    total multiplier.
+    A feasible result's weights and utilities must pass verify_weighting;
+    an infeasible one must combine rows nonnegatively into a vector with
+    no positive column and positive total multiplier.
     """
-    if result.feasible:
-        weights, utilities = result.weights, result.utilities
-        if weights is None or utilities is None:
-            return CertificateReport(False, "missing witness")
-        if not all(isinstance(t, Mapping) for t in (weights, utilities)):
-            return CertificateReport(False, "witness is not a table")
-        for atom in system.atoms:
-            if atom not in weights:
-                return CertificateReport(False, f"no weight for {atom!r}")
-            for alt in system.alternatives:
-                table = utilities.get(alt, {})
-                if not isinstance(table, Mapping):
-                    return CertificateReport(
-                        False, f"utilities of {alt!r} are not a table")
-                if atom not in table:
-                    return CertificateReport(
-                        False, f"no utility for {alt!r} at {atom!r}")
-        values = [*weights.values(), *(utilities[alt][atom]
-                                       for alt in system.alternatives
-                                       for atom in system.atoms)]
-        if not all(isinstance(v, (int, Fraction)) for v in values):
-            return CertificateReport(False, "witness value is not rational")
-        total = sum(weights.values())
-        if total != 1:
-            return CertificateReport(False, f"weights sum to {total}")
-        if any(w <= 0 for w in weights.values()):
-            return CertificateReport(False, "nonpositive weight")
-        g = [weights[atom] * utilities[alt][atom]
-             for alt in system.alternatives for atom in system.atoms]
-        for row, margin in zip(system.rows, _row_values(system, g)):
-            if margin <= 0:
-                return CertificateReport(
-                    False, f"no strict preference at {row.state!r} "
-                           f"against {row.alternative!r}")
-        return CertificateReport(True)
+    if result.feasible is True:
+        return verify_weighting(system, result.weights, result.utilities)
+    reason = ("feasible is not a bool" if result.feasible is not False
+              else _certificate_failure(system, result.certificate))
+    return WitnessReport(reason is None, failures=(reason,) if reason else ())
 
-    if not result.certificate:
-        return CertificateReport(False, "missing certificate")
-    if not isinstance(result.certificate, (tuple, list)):
-        return CertificateReport(False, "certificate is not a list")
+
+def _certificate_failure(system: FeasibilitySystem,
+                         certificate) -> str | None:
+    """Why a Farkas certificate fails to prove the system empty, if it does."""
+    if not certificate:
+        return "missing certificate"
+    if not isinstance(certificate, (tuple, list)):
+        return "certificate is not a list"
     key = {(r.state, r.alternative): r for r in system.rows}
     total = 0
     combined = [0] * system.ncols
-    for entry in result.certificate:
+    for entry in certificate:
         if not (isinstance(entry, (tuple, list)) and len(entry) == 3
                 and all(isinstance(label, str) for label in entry[:2])):
-            return CertificateReport(False, f"malformed entry {entry!r}")
+            return f"malformed entry {entry!r}"
         state, alt, mult = entry
         if (state, alt) not in key:
-            return CertificateReport(False, f"unknown row ({state}, {alt})")
+            return f"unknown row ({state}, {alt})"
         if not isinstance(mult, (int, Fraction)) or mult < 0:
-            return CertificateReport(
-                False, f"multiplier {mult!r} is not a nonnegative rational")
+            return f"multiplier {mult!r} is not a nonnegative rational"
         total += mult
         for j, c in enumerate(key[state, alt].coeffs):
             if c:
                 combined[j] += mult * c
     if total <= 0:
-        return CertificateReport(False, "zero combination")
+        return "zero combination"
     for j, value in enumerate(combined):
         if value > 0:
             alt, atom = system.column_label(j)
-            return CertificateReport(
-                False, f"combination positive on g[{alt}][{atom}]")
-    return CertificateReport(True)
+            return f"combination positive on g[{alt}][{atom}]"
+    return None
 
 
 def _result_from_point(system: FeasibilitySystem,

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .canonical import build_canonical
+from .feasibility import _normalization, build_system, verify_weighting
 from .plans import Plan, PlanError
-from .structure import EStructure
+from .structure import EStructure, WitnessReport
 from .trees import ExperimentationTree
 
 
@@ -89,25 +89,6 @@ class Rationalization:
     def point_labels(self) -> tuple[tuple[str, str], ...]:
         atoms = self.tree.canonical.atoms
         return tuple([(atoms[p.atom][0], p.state) for p in self.points])
-
-
-@dataclass(frozen=True)
-class RationalizationReport:
-    """Margin table and structural checks for a witness.
-
-    margins holds the exact conditional weighted-utility advantage of the
-    chosen alternative over each rival at each covered state; all must be
-    strictly positive for the witness to verify.
-    """
-
-    verified: bool
-    margins: Mapping[tuple[str, str], Fraction]
-    failures: tuple[str, ...]
-    total_weight: Fraction
-
-    @property
-    def min_margin(self) -> Fraction | None:
-        return min(self.margins.values(), default=None)
 
 
 def avoiding_branch(tree: ExperimentationTree, plan: Plan,
@@ -184,29 +165,22 @@ def construct_sceu(tree: ExperimentationTree, plan: Plan) -> Rationalization:
     return Rationalization(tree, plan, points, raw, weights, utilities, avoid)
 
 
-def _margins(atoms: Sequence[int], weights: Sequence[Fraction],
-             utilities: Mapping[str, Sequence[Fraction]],
-             events: Mapping[str, frozenset[int]], plan: Plan,
-             states: Iterable[str],
-             ) -> tuple[dict[tuple[str, str], Fraction], Fraction, list[str]]:
+def _margins(tree: ExperimentationTree, plan: Plan, atoms: Sequence[int],
+             weights: Sequence[Fraction],
+             utilities: Mapping[str, Sequence[Fraction]]) -> WitnessReport:
     """Weighted-utility margins of each chosen alternative over its rivals.
 
-    Point i lies in atom atoms[i], with weight weights[i] and payoff
-    utilities[b][i] under alternative b. For each state x of states and
+    Point i lies in the tree's atom atoms[i], with weight weights[i] and
+    payoff utilities[b][i] under alternative b. For each tree node x and
     each rival a of the choice at x, the margin is the sum, over points
-    whose atom lies in events[x], of weight times (chosen payoff minus a's
-    payoff). Returns the margins, the total weight, and the failures:
-    weights not summing to 1, a negative weight, and each margin that is
-    not strictly positive.
+    whose atom lies in the event of x, of weight times (chosen payoff minus
+    a's payoff). The report fails on weights not summing to 1, a negative
+    weight, and each margin that is not strictly positive.
     """
-    total = sum(weights, start=Fraction(0))
-    failures: list[str] = []
-    if total != 1:
-        failures.append(f"weights sum to {total}, not 1")
-    if any(w < 0 for w in weights):
-        failures.append("negative weight")
+    total, failures = _normalization(weights)
+    events = tree.canonical.events
     margins: dict[tuple[str, str], Fraction] = {}
-    for x in states:
+    for x in tree.nodes:
         chosen = plan.choice[x]
         inside = [i for i, atom in enumerate(atoms) if atom in events[x]]
         for a in plan.alternatives:
@@ -218,17 +192,39 @@ def _margins(atoms: Sequence[int], weights: Sequence[Fraction],
             margins[x, a] = margin
             if margin <= 0:
                 failures.append(f"no strict preference at {x!r} over {a!r}")
-    return margins, total, failures
+    return WitnessReport(not failures, margins, tuple(failures), total)
 
 
-def _verify_constructed(r: Rationalization) -> RationalizationReport:
+def _fits(r: object) -> bool:
+    """Whether a constructed witness has the shape its verifier reads."""
+    if not (isinstance(r, Rationalization)
+            and isinstance(r.tree, ExperimentationTree)
+            and isinstance(r.plan, Plan) and isinstance(r.points, Sequence)
+            and isinstance(r.utilities, Mapping)
+            and isinstance(r.avoid, Mapping)):
+        return False
+    n, nodes = len(r.points), set(r.tree.nodes)
+    tables = [r.weights, *[r.utilities.get(b) for b in r.plan.alternatives]]
+    return (all(isinstance(p, SamplePoint) and isinstance(p.atom, int)
+                and isinstance(p.state, str) and p.state in nodes
+                for p in r.points)
+            and all(isinstance(t, Sequence) and len(t) == n
+                    and all(isinstance(v, (int, Fraction)) for v in t)
+                    for t in tables)
+            and all(isinstance(r.avoid.get((x, a)), int)
+                    and r.avoid[x, a] in range(n) for x in r.tree.nodes
+                    for a in r.plan.alternatives if a != r.plan.choice.get(x)))
+
+
+def _verify_constructed(r: Rationalization) -> WitnessReport:
     tree = r.tree
-    plan = r.plan
-    margins, total, failures = _margins(
-        [p.atom for p in r.points], r.weights, r.utilities,
-        tree.canonical.events, plan, tree.nodes)
-    for i in range(len(r.weights)):
-        if r.weights[i] <= sum(r.weights[i + 1:], start=Fraction(0)):
+    report = _margins(tree, r.plan, [p.atom for p in r.points], r.weights,
+                      r.utilities)
+    margins, failures = report.margins, list(report.failures)
+    later = report.total_weight  # the weight of the points after point i
+    for i, w in enumerate(r.weights):
+        later -= w
+        if w <= later:
             failures.append(
                 f"weight {i} does not outweigh all later points")
             break
@@ -250,60 +246,33 @@ def _verify_constructed(r: Rationalization) -> RationalizationReport:
         elif margins[x, a] < bound:
             failures.append(
                 f"margin at ({x!r}, {a!r}) falls below its bound")
-    return RationalizationReport(not failures, margins, tuple(failures), total)
-
-
-def _verify_explicit(s: EStructure, plan: Plan,
-                     witness: ExplicitRepresentation) -> RationalizationReport:
-    if not (isinstance(witness.weights, Mapping)
-            and isinstance(witness.utilities, Mapping)
-            and all(isinstance(witness.utilities.get(a, {}), Mapping)
-                    for a in plan.alternatives)):
-        return RationalizationReport(
-            False, {}, ("weights or utilities are not a table",), Fraction(0))
-    space = build_canonical(s)
-    labels = space.labels
-    failures: list[str] = []
-    unknown = set(witness.weights) - set(labels)
-    if unknown:
-        failures.append(f"unknown sample points {sorted(unknown)}")
-    weights = [witness.weights.get(lab, 0) for lab in labels]
-    tables = {a: witness.utilities.get(a, {}) for a in plan.alternatives}
-    utilities = {a: [table.get(lab, 0) for lab in labels]
-                 for a, table in tables.items()}
-    values = [*weights, *[v for vals in utilities.values() for v in vals]]
-    if not all(isinstance(v, (int, Fraction)) for v in values):
-        failures.append("witness value is not rational")
-        return RationalizationReport(False, {}, tuple(failures), Fraction(0))
-    margins, total, more = _margins(
-        range(len(labels)), weights, utilities, space.events, plan,
-        [x for x in s.states if x in plan.choice])
-    failures += more
-    return RationalizationReport(not failures, margins, tuple(failures), total)
+    return WitnessReport(not failures, margins, tuple(failures),
+                         report.total_weight)
 
 
 def verify_rationalization(
     target: EStructure | ExperimentationTree,
     plan: Plan,
     witness: Rationalization | ExplicitRepresentation,
-) -> RationalizationReport:
+) -> WitnessReport:
     """Exactly re-check a representation against a structure and plan.
 
     A constructed Rationalization is checked for its strict margins and
     its structural guarantees (normalization, every point outweighing all
-    later ones, depth-ordered points, avoidance bounds). An explicit
-    atom-level witness is checked for normalization and strict margins on
-    the structure's canonical events.
+    later ones, depth-ordered points, avoidance bounds); a malformed one
+    fails. An explicit atom-level witness is checked by verify_weighting.
     """
-    if isinstance(witness, Rationalization):
-        tree = witness.tree
-        if isinstance(target, ExperimentationTree) and target is not tree \
-                and (target.nodes != tree.nodes
-                     or target.parent != tree.parent):
-            raise PlanError("witness was built for a different tree")
-        if witness.plan.choice != {x: plan.choice.get(x) for x in tree.nodes}:
-            raise PlanError("witness was built for a different plan")
-        return _verify_constructed(witness)
-    if isinstance(target, ExperimentationTree):
-        target = target.as_estructure
-    return _verify_explicit(target, plan, witness)
+    if isinstance(witness, ExplicitRepresentation):
+        if isinstance(target, ExperimentationTree):
+            target = target.as_estructure
+        return verify_weighting(build_system(target, plan), witness.weights,
+                                witness.utilities)
+    if not _fits(witness):
+        return WitnessReport(False, failures=("not a well-formed witness",))
+    tree = witness.tree
+    if isinstance(target, ExperimentationTree) and (
+            (target.nodes, target.parent) != (tree.nodes, tree.parent)):
+        raise PlanError("witness was built for a different tree")
+    if witness.plan.choice != {x: plan.choice.get(x) for x in tree.nodes}:
+        raise PlanError("witness was built for a different plan")
+    return _verify_constructed(witness)

@@ -12,7 +12,8 @@ deterministic: states iterate in declaration order everywhere.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -101,6 +102,32 @@ class ConditionReport:
 
 AxiomVerdict = ConditionVerdict
 AxiomReport = ConditionReport
+
+
+@dataclass(frozen=True)
+class WitnessReport:
+    """What every witness and certificate check returns; margins maps
+    (state, rival) to the chosen alternative's advantage over the rival."""
+
+    verified: bool
+    margins: Mapping[tuple[str, str], Fraction] = field(default_factory=dict)
+    failures: tuple[str, ...] = ()
+    total_weight: Fraction = Fraction(0)
+
+    @property
+    def valid(self) -> bool:
+        return self.verified
+
+    @property
+    def reason(self) -> str | None:
+        return self.failures[0] if self.failures else None
+
+    @property
+    def min_margin(self) -> Fraction | None:
+        return min(self.margins.values(), default=None)
+
+
+CertificateReport = RationalizationReport = WitnessReport
 
 
 @dataclass(frozen=True)
@@ -205,6 +232,13 @@ def _closure(nodes: Sequence[str],
     return frozenset(closed)
 
 
+def _first(states: Sequence[str],
+           found: Iterable[tuple[str, ...]]) -> tuple[str, ...] | None:
+    """The found witness earliest in declaration order (not hash order)."""
+    position = {x: i for i, x in enumerate(states)}
+    return min(found, key=lambda w: [position[x] for x in w], default=None)
+
+
 def derive_relations(s: EStructure) -> DerivedRelations:
     """Compute strict/equivalence/immediate/incompatibility relations."""
     rel = s.relation
@@ -244,13 +278,9 @@ def check_axioms(s: EStructure) -> ConditionReport:
             witness = ("not reflexive", x)
             break
     if witness is None:
-        for a, b in rel:
-            for c in s.states:
-                if (b, c) in rel and (a, c) not in rel:
-                    witness = ("not transitive", a, b, c)
-                    break
-            if witness:
-                break
+        found = _first(s.states, ((a, b, c) for a, b in rel for c in s.states
+                                  if (b, c) in rel and (a, c) not in rel))
+        witness = ("not transitive", *found) if found else None
     # no strict-cycle check: sms excludes every pair whose reverse is in rel
     verdicts.append(ConditionVerdict("preorder", witness is None, witness))
 
@@ -264,11 +294,8 @@ def check_axioms(s: EStructure) -> ConditionReport:
                 break
     verdicts.append(ConditionVerdict("root", witness is None, witness))
 
-    witness = None
-    for x, z in d.sms:
-        if not any((y, z) in rel for y in d.parents[x]):
-            witness = (x, z)
-            break
+    witness = _first(s.states, ((x, z) for x, z in d.sms if not any(
+        (y, z) in rel for y in d.parents[x])))
     verdicts.append(ConditionVerdict("intermediacy", witness is None, witness))
 
     # always holds: each Y(z) is a subset of the finite state set

@@ -10,9 +10,11 @@ import pytest
 import oracles
 from conftest import (arbitrary_plan, consistent_plan, inconsistent_plan,
                       splitting_tree, subset_family_structure)
-from evistruct import (FeasibilityResult, FeasibilitySystem, Plan, PlanError,
-                       build_system, decide_rationalizable, decide_system,
-                       verify_certificate)
+from evistruct import (CertificateReport, ExplicitRepresentation,
+                       FeasibilityResult, FeasibilitySystem, Plan, PlanError,
+                       RationalizationReport, WitnessReport, build_system,
+                       decide_rationalizable, decide_system,
+                       verify_certificate, verify_rationalization)
 
 
 def fm_decide(system):
@@ -215,6 +217,84 @@ def test_malformed_witness_container_rejected(corpus, fields):
     report = verify_certificate(result.system, broken)
     assert not report.valid
     assert report.reason
+
+
+@pytest.mark.parametrize("feasible", ["yes", 1, 1.0])
+def test_feasible_flag_that_is_not_a_bool_rejected(corpus, feasible):
+    result = decide_rationalizable(corpus["example_r"].structure,
+                                   corpus["example_r"].plan)
+    broken = dataclasses.replace(result, feasible=feasible)
+    report = verify_certificate(result.system, broken)
+    assert not report.valid
+    assert report.reason == "feasible is not a bool"
+
+
+def both_verdicts(s, plan, result, weights, utilities):
+    """(verified, margins, failures) from each entry point that checks an
+    atom-level witness."""
+    witness = dataclasses.replace(result, weights=weights,
+                                  utilities=utilities)
+    reports = [verify_certificate(result.system, witness),
+               verify_rationalization(
+                   s, plan, ExplicitRepresentation(weights, utilities))]
+    assert {type(r) for r in reports} == {WitnessReport}
+    return [(r.verified, dict(r.margins), r.failures) for r in reports]
+
+
+class TestOneAtomLevelRule:
+    """verify_certificate and verify_rationalization apply the same rule to
+    the same atom-level witness."""
+
+    def test_entry_points_agree_on_seeded_witnesses(self):
+        rng = random.Random(606)
+        feasible = mutated_pass = mutated_fail = 0
+        for _ in range(60):
+            s = subset_family_structure(rng, max_universe=4)
+            plan = arbitrary_plan(rng, s, max_alts=3)
+            result = decide_rationalizable(s, plan)
+            if not result.feasible:
+                continue
+            feasible += 1
+            weights = dict(result.weights)
+            utilities = {a: dict(t) for a, t in result.utilities.items()}
+            first, second = both_verdicts(s, plan, result, weights, utilities)
+            assert first == second and first[0]
+            atom = rng.choice(result.system.atoms)
+            alt = rng.choice(result.system.alternatives)
+            zeroed = {**weights, atom: Fraction(0)}
+            dropped = {z: w for z, w in weights.items() if z != atom}
+            negated = {**utilities,
+                       alt: {**utilities[alt], atom: -utilities[alt][atom]}}
+            for w, u in ((zeroed, utilities), (dropped, utilities),
+                         (weights, negated)):
+                first, second = both_verdicts(s, plan, result, w, u)
+                assert first == second
+                if first[0]:
+                    mutated_pass += 1
+                else:
+                    mutated_fail += 1
+        assert feasible > 20 and mutated_pass and mutated_fail
+
+    def test_zero_weights_and_omitted_atoms_are_accepted(self, corpus):
+        """A probability may put no mass on an atom: strict margins already
+        force positive weight wherever a choice is made."""
+        s = corpus["example_r"].structure
+        plan = Plan(("a", "b"), {"x1": "b"})
+        result = decide_rationalizable(s, plan)
+        weights = {"z1": Fraction(0), "z2": Fraction(1, 2), "z3": Fraction(0),
+                   "z4": Fraction(1, 2), "z5": Fraction(0)}
+        utilities = {"b": {"z4": Fraction(1)}}
+        for w in (weights, {"z2": Fraction(1, 2), "z4": Fraction(1, 2)}):
+            first, second = both_verdicts(s, plan, result, w, utilities)
+            assert first == second == (True, {("x1", "a"): Fraction(1, 2)},
+                                       ())
+
+    def test_old_report_names_are_aliases(self):
+        assert CertificateReport is WitnessReport
+        assert RationalizationReport is WitnessReport
+        report = WitnessReport(False, failures=("first", "second"))
+        assert (report.valid, report.reason) == (False, "first")
+        assert WitnessReport(True).reason is None
 
 
 def test_root_only_domain_is_feasible(corpus):

@@ -1,6 +1,7 @@
 """The explicit geometric-weight construction and its verification."""
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -252,6 +253,35 @@ class TestVerification:
         partial = plan.restricted_to([x for x in tree.nodes if x != "As"])
         with pytest.raises(PlanError, match="different plan"):
             verify_rationalization(tree, partial, r)
+
+    @pytest.mark.parametrize("edit", [
+        lambda r: None,
+        lambda r: {},
+        lambda r: dataclasses.replace(r, weights=r.weights[:-1]),
+        lambda r: dataclasses.replace(
+            r, utilities={**r.utilities, "a": r.utilities["a"][:-1]}),
+        lambda r: dataclasses.replace(
+            r, utilities={b: u for b, u in r.utilities.items() if b != "a"}),
+        lambda r: dataclasses.replace(
+            r, avoid=dict(list(r.avoid.items())[1:])),
+        lambda r: dataclasses.replace(r, weights=(None, *r.weights[1:])),
+    ], ids=["None", "dict", "short-weights", "short-utilities",
+            "missing-alternative", "missing-avoid-key", "None-weight"])
+    def test_malformed_constructed_witness_fails(self, t1, edit):
+        tree, plan = t1
+        report = verify_rationalization(tree, plan,
+                                        edit(construct_sceu(tree, plan)))
+        assert not report.verified
+        assert report.failures == ("not a well-formed witness",)
+
+    def test_uniform_weights_fail_the_outweighing_check_once(self, t1):
+        tree, plan = t1
+        r = construct_sceu(tree, plan)
+        n = len(r.points)
+        uniform = dataclasses.replace(r, weights=(Fraction(1, n),) * n)
+        report = verify_rationalization(tree, plan, uniform)
+        assert [f for f in report.failures if "all later" in f] == [
+            "weight 0 does not outweigh all later points"]
 
     @pytest.mark.parametrize("bad", [None, "x", 0.5])
     def test_explicit_witness_with_non_rational_utility(self, corpus, bad):

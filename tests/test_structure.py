@@ -1,10 +1,15 @@
 """Axioms, derived relations, and the shortest-chain rank."""
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import evistruct
 import oracles
 from conftest import subset_family_structure
 from evistruct import (AXIOM_IDS, AxiomReport, AxiomVerdict, CanonicalReport,
@@ -171,6 +176,38 @@ def test_failing_axiom_reports_carry_witnesses():
     verdict = report["separation"]
     assert not verdict.passed
     assert verdict.witness
+
+
+HASH_SEED_PROBE = """
+from evistruct import EStructure, check_axioms, verify_embedding
+s = EStructure.from_generators("rabcd", "r", [(x, "r") for x in "abcd"])
+print(verify_embedding(s, {x: frozenset({1}) for x in s.states}).failures)
+# not closed: a < b < r and c < d < r, and x refines a strict cycle p, q, t
+# whose members all sit between x and each other, so x has no parent
+pairs = [("a", "b"), ("b", "r"), ("c", "d"), ("d", "r"), ("x", "p"),
+         ("x", "q"), ("x", "t"), ("p", "q"), ("q", "t"), ("t", "p")]
+states = tuple("rabcdxpqt")
+bad = EStructure(states, "r", frozenset([(y, y) for y in states] + pairs))
+print(check_axioms(bad).failures)
+"""
+
+
+def test_witnesses_do_not_depend_on_the_hash_seed():
+    """Each check reports its earliest witness in declaration order, not
+    the first one a set yields, so witnesses are the same under every
+    PYTHONHASHSEED."""
+    src = str(Path(evistruct.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", HASH_SEED_PROBE],
+                             env=env, capture_output=True, text=True,
+                             timeout=60, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    assert "'disjoint': ('a', 'b')" in outputs[0]
+    assert "('not transitive', 'a', 'b', 'r')" in outputs[0]
+    assert "'intermediacy': ('x', 'p')" in outputs[0]
 
 
 class TestRandomized:
