@@ -25,6 +25,7 @@ MAX_FIELD_ATOMS = 16
 CANONICAL_CONDITION_IDS: tuple[str, ...] = (
     "top", "monotone", "disjoint", "base", "principal", "nonempty",
 )
+EMBEDDING_CONDITION_IDS: tuple[str, ...] = ("order", "disjoint", "saturation")
 
 
 class CanonicalError(StructureError):
@@ -89,9 +90,19 @@ def _event_space(s: EStructure) -> CanonicalSpace:
 
 def verify_canonical(space: CanonicalSpace,
                      s: EStructure) -> ConditionReport:
-    """Exhaustively confirm the finite canonical-space conditions."""
-    d = s.derived
+    """Exhaustively confirm the finite canonical-space conditions.
+
+    A space that gives some state of s no event (built for another
+    structure, say) fails every condition.
+    """
+    if not (isinstance(space, CanonicalSpace)
+            and isinstance(space.events, Mapping)):
+        return _unfit(CANONICAL_CONDITION_IDS, ("not a canonical space",))
     ev = space.events
+    for x in s.states:
+        if not isinstance(ev.get(x), (set, frozenset)):
+            return _unfit(CANONICAL_CONDITION_IDS, (x, "no event"))
+    incompat = s.derived.incompat  # a cached property: slow in a loop
     full = frozenset(range(len(space.atoms)))
     verdicts: list[ConditionVerdict] = []
 
@@ -113,7 +124,7 @@ def verify_canonical(space: CanonicalSpace,
     witness = None
     for x in s.states:
         for y in s.states:
-            if ((x, y) in d.incompat) != (not (ev[x] & ev[y])):
+            if ((x, y) in incompat) != (not (ev[x] & ev[y])):
                 witness = (x, y)
                 break
         if witness:
@@ -204,11 +215,19 @@ def verify_embedding(
     covers root-fullness plus the two-way correspondence of the
     specificity order with inclusion; ``disjoint`` covers incompatibility
     implying empty intersection; ``saturation`` covers each state's event
-    being exactly the union of its immediate refinements' events.
+    being exactly the union of its immediate refinements' events. A
+    mapping that is not a mapping, or sends something to a value that is
+    not a set, fails every condition; one that misses a state raises
+    StructureError.
     """
+    if not isinstance(mapping, Mapping):
+        return _unfit(EMBEDDING_CONDITION_IDS, ("not a mapping",))
     for x in s.states:
         if x not in mapping:
             raise StructureError(f"mapping is not total: missing {x!r}")
+    for x, event in mapping.items():
+        if not isinstance(event, (set, frozenset)):
+            return _unfit(EMBEDDING_CONDITION_IDS, (x, "not a set"))
     d = s.derived
     universe: frozenset[Hashable] = frozenset().union(*mapping.values())
     verdicts: list[ConditionVerdict] = []
@@ -244,6 +263,12 @@ def verify_embedding(
     verdicts.append(ConditionVerdict("saturation", witness is None, witness))
 
     return ConditionReport(tuple(verdicts))
+
+
+def _unfit(ids: tuple[str, ...], witness: tuple) -> ConditionReport:
+    """Every condition failed with one witness: input of the wrong shape."""
+    return ConditionReport(tuple([ConditionVerdict(c, False, witness)
+                                  for c in ids]))
 
 
 def product_embedding(

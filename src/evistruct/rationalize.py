@@ -233,12 +233,12 @@ def _verify_constructed(r: Rationalization) -> WitnessReport:
     if any(a > b for a, b in zip(ranks, ranks[1:])):
         failures.append("points are not ordered by state depth")
 
-    strict = tree.as_estructure.derived.sms
+    deeper = dict.fromkeys(tree.nodes, Fraction(0))  # weight strictly below
+    for p, w in zip(r.points, r.weights):
+        for x in tree.path_to_root(p.state)[:-1]:
+            deeper[x] += w
     for x, a in margins:
-        deeper = sum((r.weights[i]
-                      for i, p in enumerate(r.points)
-                      if (p.state, x) in strict), start=Fraction(0))
-        bound = r.weights[r.avoid[x, a]] - deeper
+        bound = r.weights[r.avoid[x, a]] - deeper[x]
         if bound <= 0:
             failures.append(
                 f"avoidance point of ({x!r}, {a!r}) does not outweigh "

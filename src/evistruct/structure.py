@@ -43,11 +43,13 @@ class DerivedRelations:
         eqs: equivalence; (x, y) present when x wms y and y wms x.
         immms: immediate specificity; (x, z) present when x sms z and no
             state sits strictly between them.
-        incompat: symmetric irreflexive pairs with no common refinement.
         immed_sets: for each state z, Y(z): the states immediately more
             specific than z, in declaration order.
         parents: for each state x, the states x is immediately more
             specific than, in declaration order.
+        incompat: symmetric irreflexive pairs with no common refinement;
+            computed on first access, since most derived structures (tree
+            candidates, a tree's own structure) never read it.
 
     The relation is a finite preorder, so the maximal states are exactly
     those with an empty ``immed_sets`` entry.
@@ -56,9 +58,18 @@ class DerivedRelations:
     sms: frozenset[tuple[str, str]]
     eqs: frozenset[tuple[str, str]]
     immms: frozenset[tuple[str, str]]
-    incompat: frozenset[tuple[str, str]]
     immed_sets: Mapping[str, tuple[str, ...]]
     parents: Mapping[str, tuple[str, ...]]
+
+    @cached_property
+    def incompat(self) -> frozenset[tuple[str, str]]:
+        # parents holds every state; sms and eqs make up the relation
+        refiners: dict[str, set[str]] = {y: set() for y in self.parents}
+        for pairs in (self.sms, self.eqs):
+            for w, y in pairs:
+                refiners[y].add(w)
+        return frozenset([(x, y) for x in refiners for y in refiners
+                          if refiners[x].isdisjoint(refiners[y])])
 
 
 @dataclass(frozen=True)
@@ -244,11 +255,8 @@ def derive_relations(s: EStructure) -> DerivedRelations:
     rel = s.relation
     sms = frozenset([(x, y) for (x, y) in rel if (y, x) not in rel])
     below: dict[str, set[str]] = {x: set() for x in s.states}
-    refiners: dict[str, set[str]] = {x: set() for x in s.states}
     for x, y in sms:
         below[x].add(y)
-    for w, y in rel:
-        refiners[y].add(w)
     parents: dict[str, tuple[str, ...]] = {}
     immed: dict[str, list[str]] = {z: [] for z in s.states}
     for x in s.states:
@@ -258,12 +266,10 @@ def derive_relations(s: EStructure) -> DerivedRelations:
                             if z in below[x] and z not in between])
         for z in parents[x]:
             immed[z].append(x)
-    incompat = frozenset([(x, y) for x in s.states for y in s.states
-                          if refiners[x].isdisjoint(refiners[y])])
     return DerivedRelations(
         sms, rel - sms,
         frozenset([(x, z) for x in s.states for z in parents[x]]),
-        incompat, {z: tuple(kids) for z, kids in immed.items()}, parents)
+        {z: tuple(kids) for z, kids in immed.items()}, parents)
 
 
 def check_axioms(s: EStructure) -> ConditionReport:

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence
 
 from .canonical import CanonicalSpace, build_canonical
-from .structure import (ConditionReport, ConditionVerdict, EStructure,
-                        StructureError, _closure, derive_relations)
+from .structure import (ConditionReport, ConditionVerdict, DerivedRelations,
+                        EStructure, StructureError, _closure,
+                        derive_relations)
 
 TREE_CONDITION_IDS: tuple[str, ...] = (
     "t-root", "t-order", "t-parent", "t-immediate",
@@ -218,6 +218,7 @@ def _check_tree(s: EStructure, nodes: tuple[str, ...],
     """check_tree's report, with each node's immediate tree predecessors."""
     _validate_members(s, nodes, edges)
     d = s.derived
+    incompat = d.incompat  # a cached property: slow in a loop
     order = _closure(nodes, edges)
     t = derive_relations(EStructure(nodes, s.root, order))
     kids = t.immed_sets
@@ -263,7 +264,7 @@ def _check_tree(s: EStructure, nodes: tuple[str, ...],
     for z in nodes:
         for i, x in enumerate(kids[z]):
             for y in kids[z][i + 1:]:
-                if (x, y) not in d.incompat:
+                if (x, y) not in incompat:
                     witness = (x, y, z)
                     break
             if witness:
@@ -279,7 +280,7 @@ def _check_tree(s: EStructure, nodes: tuple[str, ...],
         for z in s.states:
             if (z, x) not in d.sms:
                 continue
-            if all((z, w) in d.incompat for w in kids[x]):
+            if all((z, w) in incompat for w in kids[x]):
                 witness = (z, x)
                 break
         if witness:
@@ -306,33 +307,89 @@ def find_trees(s: EStructure,
                max_count: int | None = None) -> tuple[ExperimentationTree, ...]:
     """Enumerate every experimentation tree of the structure.
 
-    Deterministic: node subsets by size then declaration order, parent
-    choices in declaration order. Parents are drawn from the ambient
-    immediate-refinement pairs, which every valid tree's edges must follow;
-    each candidate then runs the full seven-condition check. With
-    max_count set, enumeration stops early after that many trees; it must
-    then be at least 1.
+    Trees are grown top-down from the root. Every condition but t-root
+    concerns one node and its set of tree children, so each state's
+    admissible child sets are computed once: two or more of its immediate
+    refinements, pairwise incompatible, such that every ambient state
+    strictly refining it is compatible with one of them (t-unbiased).
+    Growth is depth first: each open node either stays a leaf or takes one
+    admissible child set with no member already in the tree. Every grown
+    tree then passes check_tree before it is returned; the structure's
+    relation must be a closed preorder, as every constructor makes it.
+
+    Deterministic order, by node count, then the declaration indices of
+    the non-root nodes. A node set carries at most one tree: two
+    candidate parents of one node are both refined by it, so they are
+    compatible and must be nested in the tree, which puts one strictly
+    between the node and the other, against immediacy. With max_count
+    set (at least 1), trees are grown size by size under a node budget,
+    and growth stops at the first budget that yields max_count trees.
     """
     if max_count is not None and max_count < 1:
         raise ValueError(f"max_count must be at least 1, not {max_count}")
     d = s.derived
-    others = tuple([x for x in s.states if x != s.root])
+    child_sets = {z: _child_sets(d, s.states, z) for z in s.states}
+    most = len(s.states) - 1
+    grown: list[dict[str, str]] = []
+    for budget in range(1, most + 1) if max_count else (most,):
+        grown = _grow(s.root, child_sets, budget)
+        if max_count and len(grown) >= max_count:
+            break
+    index = {x: i for i, x in enumerate(s.states)}
+    grown.sort(key=lambda parent: (len(parent),
+                                   sorted([index[x] for x in parent])))
     found: list[ExperimentationTree] = []
-    for size in range(1, len(others) + 1):
-        for subset in combinations(others, size):
-            members = set(subset)
-            members.add(s.root)
-            nodes = tuple([x for x in s.states if x in members])
-            candidates = [[p for p in d.parents[x] if p in members]
-                          for x in subset]
-            # a node with no candidate parent leaves the product empty
-            for assign in product(*candidates):
-                edges = tuple(zip(subset, assign))
-                if check_tree(s, nodes, edges).passed:
-                    found.append(ExperimentationTree(s, nodes, dict(edges)))
-                    if max_count is not None and len(found) >= max_count:
-                        return tuple(found)
+    for parent in grown[:max_count]:
+        nodes = tuple([x for x in s.states if x == s.root or x in parent])
+        edges = tuple([(x, parent[x]) for x in nodes if x != s.root])
+        report = check_tree(s, nodes, edges)
+        if not report.passed:
+            raise TreeError("a grown tree fails "
+                            + ", ".join(report.failed_ids)
+                            + "; is the relation a closed preorder?")
+        found.append(ExperimentationTree(s, nodes, dict(edges)))
     return tuple(found)
+
+
+def _child_sets(d: DerivedRelations, states: Sequence[str],
+                z: str) -> list[tuple[str, ...]]:
+    """The sets of tree children z may take, each in declaration order."""
+    kids, incompat = d.immed_sets[z], d.incompat
+    # every strict refiner of z must be compatible with a chosen child
+    needs = [frozenset([k for k in kids if (y, k) not in incompat])
+             for y in states if (y, z) in d.sms]
+    out: list[tuple[str, ...]] = []
+    stack: list[tuple[tuple[str, ...], int]] = [((), 0)]
+    while stack:  # pairwise incompatible subsets, extended in kid order
+        chosen, start = stack.pop()
+        if len(chosen) >= 2 and all(not n.isdisjoint(chosen) for n in needs):
+            out.append(chosen)
+        for i in range(start, len(kids)):
+            if all((kids[i], c) in incompat for c in chosen):
+                stack.append((chosen + (kids[i],), i + 1))
+    return out
+
+
+def _grow(root: str, child_sets: Mapping[str, list[tuple[str, ...]]],
+          budget: int) -> list[dict[str, str]]:
+    """Every tree of 1 to budget non-root nodes, as child -> parent maps."""
+    out: list[dict[str, str]] = []
+    stack: list[tuple[dict[str, str], tuple[str, ...]]] = [({}, (root,))]
+    while stack:
+        parent, open_nodes = stack.pop()
+        if not open_nodes:
+            if parent:  # the root alone is not a tree
+                out.append(parent)
+            continue
+        z, rest = open_nodes[0], open_nodes[1:]
+        stack.append((parent, rest))  # z stays a leaf
+        for kids in child_sets[z]:
+            if (len(parent) + len(kids) <= budget
+                    and all(k not in parent for k in kids)):
+                grown = dict(parent)
+                grown.update((k, z) for k in kids)
+                stack.append((grown, rest + kids))
+    return out
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ test; the test modules cross-check package output against these.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +260,51 @@ def enumerate_trees_oracle(states, root, rel, limit=None):
                     if limit is not None and len(found) >= limit:
                         return found
     return found
+
+
+def find_trees_by_subsets(states, root, rel, passes):
+    """Every (nodes, edges) candidate that `passes`, in the order the
+    package documents for find_trees: node subsets by size then
+    declaration order, then parent choices in declaration order.
+
+    The brute-force search find_trees once ran: every subset of non-root
+    states crossed with every choice of ambient immediate parent inside
+    it. `passes(nodes, edges)` decides a candidate; edges run child ->
+    parent in node order.
+    """
+    states = list(states)
+    immms = immms_pairs(states, rel)
+    others = [x for x in states if x != root]
+    found = []
+    for size in range(1, len(others) + 1):
+        for subset in combinations(others, size):
+            members = set(subset) | {root}
+            nodes = tuple(x for x in states if x in members)
+            candidates = [[p for p in states if p in members
+                           and (x, p) in immms] for x in subset]
+            for assign in product(*candidates):
+                edges = tuple(zip(subset, assign))
+                if passes(nodes, edges):
+                    found.append((nodes, edges))
+    return found
+
+
+def pruning_count(states, root, rel):
+    """Subtrees that keep the root and, at every kept node, either none
+    or all of its immediate refinements: P(x) = 1 at a maximal state,
+    else 1 + the product of P over them. On a structure that is itself a
+    tree of splits, these are its experimentation trees plus the root
+    alone."""
+    immms = immms_pairs(states, rel)
+
+    def count(x):
+        ways = 1
+        kids = [y for y, z in immms if z == x]
+        for k in kids:
+            ways *= count(k)
+        return 1 + ways if kids else 1
+
+    return count(root)
 
 
 def graph_tree_oracle(nodes, edges, root):

@@ -7,10 +7,10 @@ import pytest
 
 import oracles
 from conftest import subset_family_structure
-from evistruct import (CANONICAL_CONDITION_IDS, CanonicalError,
-                       CanonicalSpace, EStructure, StructureError,
-                       build_canonical, generated_field, product_embedding,
-                       verify_canonical, verify_embedding)
+from evistruct import (CANONICAL_CONDITION_IDS, EMBEDDING_CONDITION_IDS,
+                       CanonicalError, CanonicalSpace, EStructure,
+                       StructureError, build_canonical, generated_field,
+                       product_embedding, verify_canonical, verify_embedding)
 
 
 def test_condition_ids_are_stable():
@@ -144,6 +144,19 @@ class TestVerifyConditions:
         assert report["monotone"].witness == ("r", "a")
 
 
+@pytest.mark.parametrize("space", [
+    pytest.param(lambda corpus: build_canonical(
+        corpus["example_j"].structure), id="space-of-another-structure"),
+    pytest.param(lambda corpus: CanonicalSpace((), dict.fromkeys(
+        corpus["example_d"].structure.states, 0)), id="event-not-a-set"),
+    pytest.param(lambda corpus: CanonicalSpace((), None), id="events-None"),
+    pytest.param(lambda corpus: None, id="None"),
+])
+def test_malformed_space_fails_every_condition(corpus, space):
+    report = verify_canonical(space(corpus), corpus["example_d"].structure)
+    assert report.failed_ids == CANONICAL_CONDITION_IDS
+
+
 def test_build_canonical_raises_on_violation():
     s = EStructure.from_generators(["r", "a"], "r", [("a", "r")])
     with pytest.raises(CanonicalError, match="monotone"):
@@ -176,6 +189,24 @@ class TestEmbedding:
         del mapping["h1t1"]
         with pytest.raises(StructureError, match="total"):
             verify_embedding(s, mapping)
+
+    @pytest.mark.parametrize("malform", [
+        pytest.param(lambda events: None, id="None"),
+        pytest.param(lambda events: 5, id="int"),
+        pytest.param(lambda events: list(events.items()), id="pair-list"),
+        pytest.param(lambda events: {x: sorted(e)
+                                     for x, e in events.items()},
+                     id="list-values"),
+        pytest.param(lambda events: {x: len(e) for x, e in events.items()},
+                     id="int-values"),
+        pytest.param(lambda events: {**events, "extra": None},
+                     id="extra-key-to-None"),
+    ])
+    def test_malformed_mapping_fails_every_condition(self, corpus, malform):
+        s = corpus["example_d"].structure
+        mapping = malform(dict(build_canonical(s).events))
+        report = verify_embedding(s, mapping)
+        assert report.failed_ids == EMBEDDING_CONDITION_IDS
 
     def test_swapped_events_fail_order(self, corpus):
         s = corpus["example_j"].structure

@@ -94,6 +94,43 @@ class TestExampleD:
             find_trees(corpus["example_d"].structure, max_count=bound)
 
 
+def _node_edge_lists(s, trees):
+    return [(t.nodes, tuple([(x, t.parent[x]) for x in t.nodes
+                             if x != s.root])) for t in trees]
+
+
+def test_find_trees_matches_the_subset_search():
+    """Growth from the root finds what the brute-force subset search
+    finds, in its order, and a max_count bound takes a prefix. Structures
+    stay at 10 states or fewer, where the search takes well under a
+    second each."""
+    rng = random.Random(2024)
+    families = [subset_family_structure(rng, max_universe=4)
+                for _ in range(150)]
+    structures = [s for s in families if len(s.states) <= 10]
+    structures += [splitting_tree(rng, max_nodes=10).ambient
+                   for _ in range(30)]
+    twins_with_trees = several = 0
+    for s in structures:
+        found = find_trees(s)
+        listed = _node_edge_lists(s, found)
+        assert listed == oracles.find_trees_by_subsets(
+            s.states, s.root, s.relation,
+            lambda nodes, edges: check_tree(s, nodes, edges).passed)
+        oracle = oracles.enumerate_trees_oracle(s.states, s.root, s.relation)
+        assert ({(frozenset(n), frozenset(e)) for n, e in listed}
+                == {(frozenset(n), e) for n, e in oracle})
+        for m in range(1, len(found) + 2):
+            assert find_trees(s, max_count=m) == found[:m]
+        # one tree per node set, so parent choices never decide the order
+        assert len({t.nodes for t in found}) == len(found)
+        twins_with_trees += bool(found) and bool(s.derived.eqs
+                                                 - {(x, x) for x in s.states})
+        several += len(found) > 2
+    # the draws reach trees among equivalence twins and several trees
+    assert twins_with_trees > 0 and several > 5
+
+
 def test_example_j_has_no_tree(corpus):
     s = corpus["example_j"].structure
     assert find_trees(s) == ()
@@ -363,6 +400,16 @@ class TestRandomizedTrees:
                 # the greedy answer uses the fewest blocks of any
                 # decomposition, the laminar-family maximal choice
                 assert len(blocks) == min(len(o) for o in oracle)
+
+    def test_forty_node_splitting_tree_has_every_pruning(self):
+        """Out of reach of the subset search (2^39 node subsets)."""
+        rng = random.Random(4040)
+        t = splitting_tree(rng, min_nodes=40)
+        while len(t.nodes) != 40:
+            t = splitting_tree(rng, min_nodes=40)
+        s = t.ambient
+        assert len(find_trees(s)) == oracles.pruning_count(
+            s.states, s.root, s.relation) - 1
 
     def test_find_trees_rediscovers_the_tree_in_itself(self):
         rng = random.Random(1515)
