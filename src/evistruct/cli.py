@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -21,8 +22,8 @@ from .plans import PlanError, check_isd_plan
 from .rationalize import (ExplicitRepresentation, RationalizationError,
                           _margins, construct_sceu, verify_rationalization)
 from .structure import StructureError, WitnessReport, check_axioms, rank
-from .trees import (ExperimentationTree, TreeError, build_tree, check_tree,
-                    find_trees)
+from .trees import (ExperimentationTree, TreeError, as_tree, build_tree,
+                    check_tree, find_trees)
 
 
 class _UsageError(Exception):
@@ -47,11 +48,19 @@ def _require_plan(w: Workspace):
 
 
 def _emit(args, payload: dict, lines: list[str]) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if args.format == "json":
+            print(json.dumps(payload, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send the rest, and the flush at exit, to the
+        # null device, so the exit code still carries the verdict
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _target_tree(w: Workspace) -> ExperimentationTree:
@@ -64,17 +73,7 @@ def _target_tree(w: Workspace) -> ExperimentationTree:
     if w.trees:
         block = w.trees[0]
         return build_tree(s, block.nodes, block.edges)
-    edges = []
-    for x in s.states:
-        if x == s.root:
-            continue
-        parents = s.derived.parents[x]
-        if len(parents) != 1:
-            raise TreeError(
-                f"state {x!r} has {len(parents)} immediate predecessors, "
-                f"so the structure is not itself a tree")
-        edges.append((x, parents[0]))
-    return build_tree(s, s.states, edges)
+    return as_tree(s)
 
 
 def _guard_axioms(args, s) -> int | None:

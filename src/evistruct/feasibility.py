@@ -17,19 +17,24 @@ recovers utilities from any feasible g.
 The decision runs one phase-1 simplex with Bland's rule on an
 integer-preserving (fraction-free) tableau: rows are kept as integer
 multiples of the rational tableau by the basis determinant, so every
-step is exact integer arithmetic and nothing is rounded. Every returned
-verdict carries an exactly verified witness: a weighting with utilities,
-or a nonnegative row combination proving emptiness.
+step is exact integer arithmetic and nothing is rounded. A total plan on
+a structure that is itself an experimentation tree needs no simplex: the
+paper's theorem settles it by dominance consistency, and the witness is
+built directly. Every returned verdict carries an exactly verified
+witness: a weighting with utilities, or a nonnegative row combination
+proving emptiness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .canonical import build_canonical
-from .plans import Plan, PlanError
+from .plans import Plan, PlanError, check_isd_plan
 from .structure import EStructure, WitnessReport
+from .trees import ExperimentationTree, TreeError, as_tree
 
 
 @dataclass(frozen=True)
@@ -76,7 +81,8 @@ class FeasibilityResult:
     preference. Infeasible: certificate lists (state, alternative,
     multiplier) rows whose nonnegative combination has no positive entry
     in any column yet positive total, so no nonnegative g can satisfy all
-    rows.
+    rows. path names what settled the verdict: "simplex" (decide_system)
+    or "tree" (the dominance theorem on an experimentation tree).
     """
 
     feasible: bool
@@ -84,6 +90,7 @@ class FeasibilityResult:
     weights: Mapping[str, Fraction] | None = None
     utilities: Mapping[str, Mapping[str, Fraction]] | None = None
     certificate: tuple[tuple[str, str, Fraction], ...] | None = None
+    path: str = "simplex"
 
 
 def build_system(s: EStructure, plan: Plan) -> FeasibilitySystem:
@@ -196,8 +203,11 @@ def _eliminate(row: list[int], prow: list[int], enter: int, p: int,
 
 def _row_values(system: FeasibilitySystem,
                 x: Sequence[Fraction]) -> list[Fraction]:
-    return [sum((c * v for c, v in zip(r.coeffs, x) if c),
-                start=Fraction(0))
+    """Each row's exact value at x, summed in integers over x's least
+    common denominator."""
+    den = lcm(*[v.denominator for v in x])
+    scaled = [v.numerator * (den // v.denominator) for v in x]
+    return [Fraction(sum([c * v for c, v in zip(r.coeffs, scaled) if c]), den)
             for r in system.rows]
 
 
@@ -328,13 +338,73 @@ def decide_system(system: FeasibilitySystem) -> FeasibilityResult:
         result = _result_from_point(system, payload)
     else:
         result = _result_from_duals(system, payload)
-    report = verify_certificate(system, result)
+    return _verified(result)
+
+
+def _verified(result: FeasibilityResult) -> FeasibilityResult:
+    report = verify_certificate(result.system, result)
     if not report.valid:
-        raise RuntimeError(f"exact simplex witness failed its own "
+        raise RuntimeError(f"{result.path} witness failed its own "
                            f"verification: {report.reason}")
     return result
 
 
 def decide_rationalizable(s: EStructure, plan: Plan) -> FeasibilityResult:
-    """Decide whether any weighting and utilities rationalize the plan."""
-    return decide_system(build_system(s, plan))
+    """Decide whether any weighting and utilities rationalize the plan.
+
+    On an experimentation tree, a plan defined at every node is
+    rationalizable (its choice the strict conditional-expected-utility
+    maximizer at every node) if and only if it is dominance-consistent.
+    So when the plan covers every state and the structure is itself a
+    tree (as_tree), the verdict is check_isd_plan's and the witness is
+    built directly; the result's path is "tree". Every other input, a
+    partial plan or a structure that is not a tree, goes to the simplex
+    of decide_system. Either witness passes verify_certificate, in exact
+    arithmetic, before it is returned.
+    """
+    system = build_system(s, plan)
+    if len(plan.choice) == len(s.states):  # build_system checked the keys
+        try:
+            tree = as_tree(s)
+        except TreeError:
+            pass
+        else:
+            return _verified(_decide_on_tree(system, tree, plan))
+    return decide_system(system)
+
+
+def _decide_on_tree(system: FeasibilitySystem, tree: ExperimentationTree,
+                    plan: Plan) -> FeasibilityResult:
+    """The theorem's verdict for a total plan on a spanning tree.
+
+    At the first dominance violation (z, c), where the children of z all
+    choose c and z chooses b, row (z, c) plus row (k, b) for each child k
+    sums to zero in every column, because the children's events partition
+    the event of z, while the multipliers sum to 1 + |children|. A
+    consistent plan gets construct_sceu's representation, summed per atom
+    into g = weight x utility: margins are linear in g, so they keep
+    their signs. The system is homogeneous, so g may be scaled to
+    integers.
+    """
+    s = tree.ambient
+    violations = check_isd_plan(s, plan).violations
+    if violations:
+        z, c = violations[0]
+        b = plan.choice[z]
+        certificate = ((z, c, Fraction(1)),) + tuple([
+            (k, b, Fraction(1)) for k in s.derived.immed_sets[z]])
+        return FeasibilityResult(False, system, certificate=certificate,
+                                 path="tree")
+    from .rationalize import construct_sceu  # rationalize imports this module
+    r = construct_sceu(tree, plan)
+    column = {label: k for k, label in enumerate(system.atoms)}
+    atom_column = [column[label] for label in tree.canonical.labels]
+    n = len(r.points)
+    # the raw weights 2/3^(i+1), times 3^n/2
+    weights = [3 ** (n - 1 - i) for i in range(n)]
+    natoms = len(system.atoms)
+    g = [0] * system.ncols
+    for j, alt in enumerate(system.alternatives):
+        for p, w, pays in zip(r.points, weights, r.utilities[alt]):
+            g[j * natoms + atom_column[p.atom]] += w * pays
+    return replace(_result_from_point(system, g), path="tree")

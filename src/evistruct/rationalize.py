@@ -174,21 +174,27 @@ def _margins(tree: ExperimentationTree, plan: Plan, atoms: Sequence[int],
     payoff utilities[b][i] under alternative b. For each tree node x and
     each rival a of the choice at x, the margin is the sum, over points
     whose atom lies in the event of x, of weight times (chosen payoff minus
-    a's payoff). The report fails on weights not summing to 1, a negative
-    weight, and each margin that is not strictly positive.
+    a's payoff). Weight times payoff is summed once per atom and
+    alternative, then over each event. The report fails on weights not
+    summing to 1, a negative weight, and each margin that is not strictly
+    positive.
     """
     total, failures = _normalization(weights)
     events = tree.canonical.events
+    mass: dict[str, dict[int, Fraction]] = {}  # alternative -> atom -> sum
+    for b in plan.alternatives:
+        table = mass[b] = {}
+        for atom, w, u in zip(atoms, weights, utilities[b]):
+            table[atom] = table.get(atom, 0) + w * u
     margins: dict[tuple[str, str], Fraction] = {}
     for x in tree.nodes:
         chosen = plan.choice[x]
-        inside = [i for i, atom in enumerate(atoms) if atom in events[x]]
+        inside = [atom for atom in events[x] if atom in mass[chosen]]
         for a in plan.alternatives:
             if a == chosen:
                 continue
-            margin = sum((weights[i] * (utilities[chosen][i]
-                                        - utilities[a][i]) for i in inside),
-                         start=Fraction(0))
+            margin = sum([mass[chosen][atom] - mass[a][atom]
+                          for atom in inside], start=Fraction(0))
             margins[x, a] = margin
             if margin <= 0:
                 failures.append(f"no strict preference at {x!r} over {a!r}")

@@ -131,6 +131,10 @@ class ExperimentationTree:
     def as_estructure(self) -> EStructure:
         edges = tuple([(x, self.parent[x]) for x in self.nodes
                        if x != self.root])
+        s = self.ambient
+        if (self.nodes == s.states
+                and _closure(self.nodes, edges) == s.relation):
+            return s  # the tree is all of s: keep s and its derived relations
         return EStructure.from_generators(self.nodes, self.root, edges)
 
     @cached_property
@@ -301,6 +305,26 @@ def build_tree(s: EStructure, nodes: Sequence[str],
     # t-parent passed, so every non-root node has exactly one parent
     parent = {x: parents[x][0] for x in nodes if x != s.root}
     return ExperimentationTree(s, nodes, parent)
+
+
+def as_tree(s: EStructure) -> ExperimentationTree:
+    """The whole structure read as a tree through its immediate-refinement
+    pairs: each non-root state hangs from its one immediate predecessor.
+
+    Raises TreeError when a state has no or several immediate
+    predecessors, or when the seven conditions fail on the result.
+    """
+    edges = []
+    for x in s.states:
+        if x == s.root:
+            continue
+        parents = s.derived.parents[x]
+        if len(parents) != 1:
+            raise TreeError(
+                f"state {x!r} has {len(parents)} immediate predecessors, "
+                f"so the structure is not itself a tree")
+        edges.append((x, parents[0]))
+    return build_tree(s, s.states, edges)
 
 
 def find_trees(s: EStructure,

@@ -10,9 +10,10 @@ import pytest
 import oracles
 from conftest import (arbitrary_plan, consistent_plan, inconsistent_plan,
                       splitting_tree, subset_family_structure)
-from evistruct import (CertificateReport, ExplicitRepresentation,
+from evistruct import (CertificateReport, EStructure, ExplicitRepresentation,
                        FeasibilityResult, FeasibilitySystem, Plan, PlanError,
-                       RationalizationReport, WitnessReport, build_system,
+                       RationalizationReport, TreeError, WitnessReport,
+                       as_tree, build_system, check_isd_plan,
                        decide_rationalizable, decide_system,
                        verify_certificate, verify_rationalization)
 
@@ -343,7 +344,7 @@ class TestTreePlans:
             t = splitting_tree(rng, max_nodes=16)
             plan = consistent_plan(rng, t)
             result = decide_rationalizable(t.as_estructure, plan)
-            assert result.feasible
+            assert result.feasible and result.path == "tree"
             assert sum(result.weights.values()) == 1
             assert all(w > 0 for w in result.weights.values())
 
@@ -353,5 +354,90 @@ class TestTreePlans:
             t = splitting_tree(rng, max_nodes=16)
             plan = inconsistent_plan(rng, t)
             result = decide_rationalizable(t.as_estructure, plan)
-            assert not result.feasible
+            assert not result.feasible and result.path == "tree"
             assert verify_certificate(result.system, result).valid
+
+
+class TestTreeTheorem:
+    """A total plan on a structure that is itself an experimentation tree
+    is decided by dominance consistency, not by the simplex; the simplex,
+    run on the same system, must reach the same verdict."""
+
+    @staticmethod
+    def agree(s, plan):
+        fast = decide_rationalizable(s, plan)
+        simplex = decide_system(build_system(s, plan))
+        assert (fast.path, simplex.path) == ("tree", "simplex")
+        assert fast.feasible == simplex.feasible
+        assert fast.feasible == check_isd_plan(s, plan).consistent
+        assert verify_certificate(fast.system, fast).valid
+        assert verify_certificate(simplex.system, simplex).valid
+        return fast
+
+    def test_agreement_on_splitting_trees(self):
+        rng = random.Random(2027)
+        verdicts = {True: 0, False: 0}
+        for i in range(36):
+            tree = splitting_tree(rng, max_nodes=40)
+            n_alts = 2 + i % 3
+            if i % 3 == 2:
+                plan = arbitrary_plan(rng, tree.ambient, max_alts=n_alts,
+                                      full_prob=1.0)
+            else:
+                make = consistent_plan if i % 3 == 0 else inconsistent_plan
+                plan = make(rng, tree, n_alts=n_alts)
+            verdicts[self.agree(tree.ambient, plan).feasible] += 1
+        assert verdicts[True] > 5 and verdicts[False] > 5
+
+    def test_agreement_on_subset_families_that_are_trees(self):
+        rng = random.Random(7)
+        trees = 0
+        for _ in range(150):
+            s = subset_family_structure(rng, max_universe=3)
+            plan = arbitrary_plan(rng, s, full_prob=1.0)
+            try:
+                as_tree(s)
+            except TreeError:
+                assert decide_rationalizable(s, plan).path == "simplex"
+                continue
+            self.agree(s, plan)
+            trees += 1
+        assert 10 < trees < 140
+
+    def test_partial_plans_on_trees_take_the_simplex(self):
+        rng = random.Random(12)
+        for _ in range(20):
+            tree = splitting_tree(rng, max_nodes=14)
+            full = consistent_plan(rng, tree)
+            dropped = rng.choice(tree.nodes)
+            plan = full.restricted_to(
+                [x for x in tree.nodes if x != dropped])
+            result = decide_rationalizable(tree.ambient, plan)
+            assert result.path == "simplex"
+            assert verify_certificate(result.system, result).valid
+
+    @pytest.mark.parametrize("stem", ["example_d", "example_r", "example_t"])
+    def test_corpus_plans_take_the_simplex(self, corpus, stem):
+        ws = corpus[stem]
+        assert decide_rationalizable(ws.structure, ws.plan).path == "simplex"
+
+    def test_certificate_is_the_first_violation_and_its_children(self):
+        s = EStructure.from_generators(
+            ["r", "u", "v", "u1", "u2"], "r",
+            [("u", "r"), ("v", "r"), ("u1", "u"), ("u2", "u")])
+        plan = Plan(("a", "b"),
+                    {"r": "a", "u": "b", "v": "a", "u1": "a", "u2": "a"})
+        result = decide_rationalizable(s, plan)
+        assert result.certificate == (("u", "a", 1), ("u1", "b", 1),
+                                      ("u2", "b", 1))
+        assert result.path == "tree"
+
+    def test_consistent_witness_has_uniform_positive_weights(self):
+        rng = random.Random(5)
+        tree = splitting_tree(rng, max_nodes=20)
+        result = decide_rationalizable(tree.ambient,
+                                       consistent_plan(rng, tree))
+        assert result.feasible and result.path == "tree"
+        n = len(result.system.atoms)
+        assert result.weights == dict.fromkeys(result.system.atoms,
+                                               Fraction(1, n))

@@ -3,8 +3,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import shutil
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -374,6 +377,27 @@ class TestPlanCommands:
                                        est("example_t")])
         assert code == 1
         assert "not itself a tree" in data["error"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_stdout_keeps_the_exit_code(est, fmt):
+    """A reader that has gone away costs the output, not the verdict."""
+    argv = [sys.executable, "-m", "evistruct.cli", "trees", "check",
+            est("example_d"), "--format", fmt]
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    expected = subprocess.run(argv, env=env, capture_output=True,
+                              timeout=60).returncode
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(argv, env=env, stdout=write_end,
+                             stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert expected == 1  # block 1 of example_d fails its conditions
+    assert run.returncode == expected
+    assert run.stderr == b""
 
 
 class TestVerifyCommand:

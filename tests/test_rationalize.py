@@ -12,6 +12,7 @@ from conftest import consistent_plan, inconsistent_plan, splitting_tree
 from evistruct import (EStructure, ExplicitRepresentation, Plan, PlanError,
                        RationalizationError, avoiding_branch, build_tree,
                        construct_sceu, verify_rationalization)
+from evistruct.rationalize import _margins
 
 
 def make_tree(nodes, edges, root):
@@ -229,6 +230,41 @@ class TestConstructionInvariants:
             for key, value in base.items():
                 assert scaled[key] == value * scale
                 assert (scaled[key] > 0) == (value > 0)
+
+    def test_margin_kernel_matches_oracle_on_random_tables(self):
+        """Margins, failure texts and their order, with several points per
+        atom, negative and unnormalized weights and failing margins."""
+        rng = random.Random(4242)
+        failing = 0
+        for _ in range(40):
+            tree = splitting_tree(rng, max_nodes=16)
+            plan = consistent_plan(rng, tree)
+            natoms = len(tree.canonical.atoms)
+            atoms = [rng.randrange(natoms)
+                     for _ in range(rng.randint(1, 2 * natoms))]
+            weights = [Fraction(rng.randint(-1, 6), rng.randint(1, 5))
+                       for _ in atoms]
+            utilities = {b: [Fraction(rng.randint(-2, 3)) for _ in atoms]
+                         for b in plan.alternatives}
+            report = _margins(tree, plan, atoms, weights, utilities)
+            expected = oracles.margins_oracle(
+                lambda x: [i for i, atom in enumerate(atoms)
+                           if atom in tree.canonical.events[x]],
+                dict(enumerate(weights)),
+                {b: (lambda t: (lambda i: t[i]))(utilities[b])
+                 for b in plan.alternatives},
+                list(tree.nodes), dict(plan.choice), plan.alternatives)
+            failures = []
+            if sum(weights) != 1:
+                failures.append(f"weights sum to {sum(weights)}, not 1")
+            if any(w < 0 for w in weights):
+                failures.append("negative weight")
+            failures += [f"no strict preference at {x!r} over {a!r}"
+                         for (x, a), m in expected.items() if m <= 0]
+            assert list(report.margins.items()) == list(expected.items())
+            assert report.failures == tuple(failures)
+            failing += any(m <= 0 for m in expected.values())
+        assert failing > 10
 
 
 class TestVerification:

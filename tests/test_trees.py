@@ -7,10 +7,10 @@ import pytest
 
 import oracles
 from conftest import splitting_tree, subset_family_structure
-from evistruct import (TREE_CONDITION_IDS, EStructure, TreeError, build_tree,
-                       build_canonical, check_axioms, check_graph_tree,
-                       check_tree, decompose_field_element, find_trees,
-                       parse_workspace, partitions)
+from evistruct import (TREE_CONDITION_IDS, EStructure, TreeError, as_tree,
+                       build_tree, build_canonical, check_axioms,
+                       check_graph_tree, check_tree, decompose_field_element,
+                       find_trees, parse_workspace, partitions)
 
 
 def test_condition_ids_are_stable():
@@ -289,6 +289,44 @@ def test_tree_helpers(corpus):
     assert t.children["nothing"] == ("As", "Sb", "Ge")
     assert set(t.leaves) == {"As", "Sb", "Ge"}
     assert ("Ge", "nothing") in t.order
+
+
+class TestAsTree:
+    """A whole structure read as a tree through its immediate-refinement
+    pairs."""
+
+    def test_splitting_trees_read_back(self):
+        rng = random.Random(31)
+        for _ in range(10):
+            t = splitting_tree(rng, max_nodes=20)
+            read = as_tree(t.ambient)
+            assert (read.nodes, read.parent) == (t.nodes, t.parent)
+            # a tree spanning its structure is that structure
+            assert read.as_estructure is t.ambient
+
+    @pytest.mark.parametrize("stem,message", [
+        ("example_r", "state 'z4' has 3 immediate predecessors, so the "
+                      "structure is not itself a tree"),
+        ("example_t", "state 'z3' has 2 immediate predecessors, so the "
+                      "structure is not itself a tree"),
+    ])
+    def test_structures_with_shared_refinements_rejected(self, corpus, stem,
+                                                         message):
+        with pytest.raises(TreeError) as info:
+            as_tree(corpus[stem].structure)
+        assert str(info.value) == message
+
+    def test_chain_fails_branching(self):
+        s = EStructure.from_generators(["r", "a", "b"], "r",
+                                       [("a", "r"), ("b", "a")])
+        with pytest.raises(TreeError, match="t-branching"):
+            as_tree(s)
+
+    def test_contained_tree_keeps_its_own_structure(self, corpus):
+        ws = corpus["example_d"]
+        t = build_tree(ws.structure, *_block(ws, 0))
+        assert t.as_estructure is not ws.structure
+        assert t.as_estructure.states == t.nodes
 
 
 class TestRandomizedTrees:
