@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping
 
 from .structure import (ConditionReport, ConditionVerdict, EStructure,
-                        StructureError, _first)
+                        StructureError, _bits, _first_pair,
+                        _lowest, _union)
 
 # field enumeration is exponential in the atom count; anything needing more
 # than this many atoms has no business calling the exhaustive verifier
@@ -59,7 +60,17 @@ EmbeddingReport = ConditionReport
 
 
 def build_canonical(s: EStructure) -> CanonicalSpace:
-    """Construct the canonical space and verify it, raising on violation."""
+    """Construct the canonical space and verify it, raising on violation.
+
+    The space is built and verified once per structure and cached on it
+    (``EStructure.canonical``), so build_system, a tree's ``canonical``
+    and construct_sceu share that one computation. verify_canonical
+    itself re-checks whatever space it is given.
+    """
+    return s.canonical
+
+
+def _verified_space(s: EStructure) -> CanonicalSpace:
     space = _event_space(s)
     report = verify_canonical(space, s)
     if not report.passed:
@@ -71,64 +82,70 @@ def build_canonical(s: EStructure) -> CanonicalSpace:
 def _event_space(s: EStructure) -> CanonicalSpace:
     """Atoms and event map, with no verification."""
     d = s.derived
-    maximal = [x for x in s.states if not d.immed_sets[x]]
-    classes: list[tuple[str, ...]] = []
-    assigned: set[str] = set()
-    for m in maximal:
-        if m in assigned:
-            continue
-        cls = tuple([x for x in maximal if (x, m) in d.eqs])
-        assigned.update(cls)
-        classes.append(cls)
-    events = {
-        x: frozenset(i for i, cls in enumerate(classes)
-                     if (cls[0], x) in s.relation)
-        for x in s.states
-    }
-    return CanonicalSpace(tuple(classes), events)
+    maximal = sum([1 << i for i, x in enumerate(s.states)
+                   if not d.immed_sets[x]])
+    classes: list[int] = []
+    assigned = 0
+    for m in _bits(maximal):
+        if not assigned >> m & 1:
+            classes.append(maximal & d.up[m] & d.refiners[m] | 1 << m)
+            assigned |= classes[-1]
+    members: list[list[int]] = [[] for _ in s.states]
+    for i, cls in enumerate(classes):
+        for x in _bits(d.up[_lowest(cls)]):
+            members[x].append(i)
+    return CanonicalSpace(
+        tuple([tuple([s.states[x] for x in _bits(cls)]) for cls in classes]),
+        {x: frozenset(members[k]) for k, x in enumerate(s.states)})
 
 
 def verify_canonical(space: CanonicalSpace,
                      s: EStructure) -> ConditionReport:
     """Exhaustively confirm the finite canonical-space conditions.
 
-    A space that gives some state of s no event (built for another
-    structure, say) fails every condition.
+    Re-checks the space on every call, comparing events as bitmasks over
+    atom indices with the relation's bit rows. A space of the wrong
+    shape, or one that gives some state of s no event (built for another
+    structure, say) or an event holding anything but atom indices, fails
+    every condition.
     """
     if not (isinstance(space, CanonicalSpace)
-            and isinstance(space.events, Mapping)):
+            and isinstance(space.events, Mapping)
+            and isinstance(space.atoms, (tuple, list))
+            and all(isinstance(cls, (tuple, list))
+                    and all(isinstance(x, str) for x in cls)
+                    for cls in space.atoms)):
         return _unfit(CANONICAL_CONDITION_IDS, ("not a canonical space",))
-    ev = space.events
+    ev, natoms = space.events, len(space.atoms)
     for x in s.states:
         if not isinstance(ev.get(x), (set, frozenset)):
             return _unfit(CANONICAL_CONDITION_IDS, (x, "no event"))
-    incompat = s.derived.incompat  # a cached property: slow in a loop
-    full = frozenset(range(len(space.atoms)))
+        if not all(isinstance(i, int) and 0 <= i < natoms for i in ev[x]):
+            return _unfit(CANONICAL_CONDITION_IDS, (x, "not atom indices"))
+    d, states = s.derived, s.states
+    everything = (1 << len(states)) - 1
+    events = [sum([1 << i for i in ev[x]]) for x in states]
+    signature = [0] * natoms  # per atom, the states whose event holds it
+    for k, x in enumerate(states):
+        for i in ev[x]:
+            signature[i] |= 1 << k
+    missing = [everything & ~sig for sig in signature]
     verdicts: list[ConditionVerdict] = []
 
     witness: tuple | None = None
-    if ev[s.root] != full:
+    if len(ev[s.root]) != natoms:
         witness = (s.root, tuple(sorted(ev[s.root])))
     verdicts.append(ConditionVerdict("top", witness is None, witness))
 
-    witness = None
-    for x in s.states:
-        for y in s.states:
-            if ((x, y) in s.relation) != (ev[x] <= ev[y]):
-                witness = (x, y)
-                break
-        if witness:
-            break
+    # x wms y iff no atom of e(x) is missing from e(y)
+    witness = _first_pair(states, [u ^ (everything & ~_union(missing, e))
+                                   for u, e in zip(d.up, events)])
     verdicts.append(ConditionVerdict("monotone", witness is None, witness))
 
-    witness = None
-    for x in s.states:
-        for y in s.states:
-            if ((x, y) in incompat) != (not (ev[x] & ev[y])):
-                witness = (x, y)
-                break
-        if witness:
-            break
+    # x incompatible with y iff no atom of e(x) is in e(y)
+    witness = _first_pair(states, [
+        row ^ (everything & ~_union(signature, e))
+        for row, e in zip(d.incompat_rows, events)])
     verdicts.append(ConditionVerdict("disjoint", witness is None, witness))
 
     # The minimal nonempty elements of the generated field are the classes
@@ -136,39 +153,24 @@ def verify_canonical(space: CanonicalSpace,
     # events; every field element is a disjoint union of them. That makes
     # the two field conditions checkable without enumerating the field,
     # which has 2^atoms elements in the passing case.
-    signature: dict[int, frozenset[str]] = {
-        i: frozenset(x for x in s.states if i in ev[x])
-        for i in range(len(space.atoms))
-    }
-    cells: dict[frozenset[str], set[int]] = {}
-    for i, sig in signature.items():
-        cells.setdefault(sig, set()).add(i)
+    cells: dict[int, int] = {}  # signature -> its atoms, by first atom
+    for i, sig in enumerate(signature):
+        cells[sig] = cells.get(sig, 0) | 1 << i
 
     # base: a nonempty field element includes some state's event iff every
     # minimal one does
-    witness = None
-    for cell in sorted(cells.values(), key=sorted):
-        member = frozenset(cell)
-        if not any(ev[x] <= member for x in s.states):
-            witness = (tuple(sorted(member)),)
-            break
+    witness = next(((tuple([*_bits(cell)]),) for cell in cells.values()
+                    if all(e & ~cell for e in events)), None)
     verdicts.append(ConditionVerdict("base", witness is None, witness))
 
     # each ultrafilter of a finite field is the up-set of one of its minimal
     # nonempty elements; they are principal at singletons exactly when every
     # singleton is in the field, i.e. when no two points share a signature
-    witness = None
-    for i in range(len(space.atoms)):
-        if len(cells[signature[i]]) != 1:
-            witness = (space.atom_label(i),)
-            break
+    witness = next(((space.atom_label(i),) for i, sig in enumerate(signature)
+                    if cells[sig] != 1 << i), None)
     verdicts.append(ConditionVerdict("principal", witness is None, witness))
 
-    witness = None
-    for x in s.states:
-        if not ev[x]:
-            witness = (x,)
-            break
+    witness = next(((x,) for x in states if not ev[x]), None)
     verdicts.append(ConditionVerdict("nonempty", witness is None, witness))
 
     return ConditionReport(tuple(verdicts))
@@ -232,34 +234,20 @@ def verify_embedding(
     universe: frozenset[Hashable] = frozenset().union(*mapping.values())
     verdicts: list[ConditionVerdict] = []
 
-    witness: tuple | None = None
-    if mapping[s.root] != universe:
-        witness = (s.root,)
-    if witness is None:
-        for x in s.states:
-            for y in s.states:
-                if ((x, y) in s.relation) != (mapping[x] <= mapping[y]):
-                    witness = (x, y)
-                    break
-            if witness:
-                break
+    witness: tuple | None = (s.root,) if mapping[s.root] != universe else next(
+        ((x, y) for x in s.states for y in s.states
+         if ((x, y) in s.relation) != (mapping[x] <= mapping[y])), None)
     verdicts.append(ConditionVerdict("order", witness is None, witness))
 
-    witness = _first(s.states, ((x, y) for x, y in d.incompat
-                                if mapping[x] & mapping[y]))
+    witness = next(((x, s.states[y]) for k, x in enumerate(s.states)
+                    for y in _bits(d.incompat_rows[k])
+                    if mapping[x] & mapping[s.states[y]]), None)
     verdicts.append(ConditionVerdict("disjoint", witness is None, witness))
 
-    witness = None
-    for z in s.states:
-        kids = d.immed_sets[z]
-        if not kids:
-            continue
-        union: frozenset[Hashable] = frozenset()
-        for x in kids:
-            union |= mapping[x]
-        if union != mapping[z]:
-            witness = (z,)
-            break
+    kids = d.immed_sets
+    witness = next(((z,) for z in s.states if kids[z] and mapping[z]
+                    != frozenset().union(*[mapping[x] for x in kids[z]])),
+                   None)
     verdicts.append(ConditionVerdict("saturation", witness is None, witness))
 
     return ConditionReport(tuple(verdicts))

@@ -259,8 +259,12 @@ def verify_certificate(system: FeasibilitySystem,
 
     A feasible result's weights and utilities must pass verify_weighting;
     an infeasible one must combine rows nonnegatively into a vector with
-    no positive column and positive total multiplier.
+    no positive column and positive total multiplier. Anything but a
+    system and a result fails.
     """
+    if not (isinstance(system, FeasibilitySystem)
+            and isinstance(result, FeasibilityResult)):
+        return WitnessReport(False, failures=("not a system and a result",))
     if result.feasible is True:
         return verify_weighting(system, result.weights, result.utilities)
     reason = ("feasible is not a bool" if result.feasible is not False

@@ -8,14 +8,18 @@ in y. The least specific state (the empty body of evidence) is the root.
 Input gives strict generator pairs; the reflexive-transitive closure is
 computed at construction. All derived relations (strict part, equivalence,
 immediate specificity, incompatibility) and the rank function are exact and
-deterministic: states iterate in declaration order everywhere.
+deterministic: states iterate in declaration order everywhere. Derived
+relations are held as one bitmask per state over declaration indices.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+
+if TYPE_CHECKING:
+    from .canonical import CanonicalSpace
 
 
 class StructureError(ValueError):
@@ -36,40 +40,58 @@ class DerivedRelations:
     """Relations derived from the specificity preorder.
 
     The one computation of the covering relation: every parent, child
-    and maximal-state lookup reads it here.
+    and maximal-state lookup reads it here. Rows are int bitmasks over
+    declaration indices, bit j standing for ``states[j]``.
 
     Attributes:
-        sms: strict specificity; (x, y) present when x wms y but not y wms x.
-        eqs: equivalence; (x, y) present when x wms y and y wms x.
-        immms: immediate specificity; (x, z) present when x sms z and no
-            state sits strictly between them.
-        immed_sets: for each state z, Y(z): the states immediately more
-            specific than z, in declaration order.
+        states: the structure's states; index: each one's position.
+        up: per state x, its up-set row: the states y with x wms y.
+        refiners: per state y, the states x with x wms y.
         parents: for each state x, the states x is immediately more
             specific than, in declaration order.
-        incompat: symmetric irreflexive pairs with no common refinement;
-            computed on first access, since most derived structures (tree
-            candidates, a tree's own structure) never read it.
+        immed_sets: for each state z, Y(z): the states immediately more
+            specific than z, in declaration order.
 
-    The relation is a finite preorder, so the maximal states are exactly
-    those with an empty ``immed_sets`` entry.
+    Built on first access: ``incompat_rows``, per state the states it
+    has no common refinement with, and the pair-set views ``sms`` (x wms
+    y but not y wms x), ``eqs`` (both), ``immms`` (x sms z, nothing
+    strictly between) and ``incompat``. The relation is a finite
+    preorder, so the maximal states are those with no ``immed_sets``.
     """
 
-    sms: frozenset[tuple[str, str]]
-    eqs: frozenset[tuple[str, str]]
-    immms: frozenset[tuple[str, str]]
-    immed_sets: Mapping[str, tuple[str, ...]]
+    states: tuple[str, ...]
+    index: Mapping[str, int]
+    up: tuple[int, ...]
+    refiners: tuple[int, ...]
     parents: Mapping[str, tuple[str, ...]]
+    immed_sets: Mapping[str, tuple[str, ...]]
+
+    @cached_property
+    def incompat_rows(self) -> tuple[int, ...]:
+        # y meets x when y lies above some refiner of x
+        full = (1 << len(self.states)) - 1
+        return tuple([full & ~_union(self.up, r) for r in self.refiners])
+
+    def _pairs(self, rows: Iterable[int]) -> frozenset[tuple[str, str]]:
+        return frozenset([(self.states[i], self.states[j])
+                          for i, row in enumerate(rows) for j in _bits(row)])
+
+    @cached_property
+    def sms(self) -> frozenset[tuple[str, str]]:
+        return self._pairs([u & ~r for u, r in zip(self.up, self.refiners)])
+
+    @cached_property
+    def eqs(self) -> frozenset[tuple[str, str]]:
+        return self._pairs([u & r for u, r in zip(self.up, self.refiners)])
+
+    @cached_property
+    def immms(self) -> frozenset[tuple[str, str]]:
+        return frozenset([(x, z) for x in self.states
+                          for z in self.parents[x]])
 
     @cached_property
     def incompat(self) -> frozenset[tuple[str, str]]:
-        # parents holds every state; sms and eqs make up the relation
-        refiners: dict[str, set[str]] = {y: set() for y in self.parents}
-        for pairs in (self.sms, self.eqs):
-            for w, y in pairs:
-                refiners[y].add(w)
-        return frozenset([(x, y) for x in refiners for y in refiners
-                          if refiners[x].isdisjoint(refiners[y])])
+        return self._pairs(self.incompat_rows)
 
 
 @dataclass(frozen=True)
@@ -210,6 +232,18 @@ class EStructure:
     def derived(self) -> DerivedRelations:
         return derive_relations(self)
 
+    @cached_property
+    def axioms(self) -> ConditionReport:
+        """The five axioms' report, evaluated once (see check_axioms)."""
+        return _evaluate_axioms(self)
+
+    @cached_property
+    def canonical(self) -> "CanonicalSpace":
+        """The verified canonical space, built once (see build_canonical);
+        raises CanonicalError when it fails its conditions."""
+        from .canonical import _verified_space  # canonical imports this
+        return _verified_space(self)
+
     def restrict(self, states: Iterable[str]) -> "EStructure":
         """Sub-structure induced on a subset of states (relation restricted)."""
         kept = set(states)
@@ -243,81 +277,109 @@ def _closure(nodes: Sequence[str],
     return frozenset(closed)
 
 
-def _first(states: Sequence[str],
-           found: Iterable[tuple[str, ...]]) -> tuple[str, ...] | None:
-    """The found witness earliest in declaration order (not hash order)."""
-    position = {x: i for i, x in enumerate(states)}
-    return min(found, key=lambda w: [position[x] for x in w], default=None)
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of a mask's set bits, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _union(rows: Sequence[int], mask: int) -> int:
+    """The union of the rows a mask selects."""
+    out = 0
+    while mask:  # _bits, inlined: this is the innermost loop
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _first_pair(states: Sequence[str],
+                rows: Iterable[int]) -> tuple[str, str] | None:
+    """(x, y) for the first nonzero row x and its lowest bit y: the pair
+    earliest in declaration order (not hash order)."""
+    return next(((states[i], states[_lowest(row)])
+                 for i, row in enumerate(rows) if row), None)
 
 
 def derive_relations(s: EStructure) -> DerivedRelations:
-    """Compute strict/equivalence/immediate/incompatibility relations."""
-    rel = s.relation
-    sms = frozenset([(x, y) for (x, y) in rel if (y, x) not in rel])
-    below: dict[str, set[str]] = {x: set() for x in s.states}
-    for x, y in sms:
-        below[x].add(y)
+    """The relation's bit rows and the covering relation read off them."""
+    states = s.states
+    index = {x: i for i, x in enumerate(states)}
+    up = [0] * len(states)
+    refiners = [0] * len(states)
+    for x, y in s.relation:
+        i, j = index[x], index[y]
+        up[i] |= 1 << j
+        refiners[j] |= 1 << i
+    below = [u & ~r for u, r in zip(up, refiners)]  # strictly less specific
     parents: dict[str, tuple[str, ...]] = {}
-    immed: dict[str, list[str]] = {z: [] for z in s.states}
-    for x in s.states:
+    immed: dict[str, list[str]] = {z: [] for z in states}
+    for i, x in enumerate(states):
         # immediate: strictly below x with no state strictly between
-        between = set().union(*[below[y] for y in below[x]])
-        parents[x] = tuple([z for z in s.states
-                            if z in below[x] and z not in between])
+        near = below[i] & ~_union(below, below[i])
+        parents[x] = tuple([states[j] for j in _bits(near)])
         for z in parents[x]:
             immed[z].append(x)
     return DerivedRelations(
-        sms, rel - sms,
-        frozenset([(x, z) for x in s.states for z in parents[x]]),
-        {z: tuple(kids) for z, kids in immed.items()}, parents)
+        states, index, tuple(up), tuple(refiners), parents,
+        {z: tuple(kids) for z, kids in immed.items()})
 
 
 def check_axioms(s: EStructure) -> ConditionReport:
-    """Evaluate the five axioms; failures carry a finite witness each."""
-    rel = s.relation
+    """Evaluate the five axioms; failures carry a finite witness each,
+    the earliest in declaration order.
+
+    Evaluated once per structure on its bit rows and cached on it
+    (``EStructure.axioms``), so rank, rank_level_sets and the CLI's
+    guards share the one evaluation.
+    """
+    return s.axioms
+
+
+def _evaluate_axioms(s: EStructure) -> ConditionReport:
     d = s.derived
+    states, up = s.states, d.up
     verdicts: list[ConditionVerdict] = []
 
-    witness: tuple | None = None
-    for x in s.states:
-        if (x, x) not in rel:
-            witness = ("not reflexive", x)
-            break
-    if witness is None:
-        found = _first(s.states, ((a, b, c) for a, b in rel for c in s.states
-                                  if (b, c) in rel and (a, c) not in rel))
-        witness = ("not transitive", *found) if found else None
+    witness: tuple | None = next((("not reflexive", x) for i, x in
+                                  enumerate(states) if not up[i] >> i & 1),
+                                 None)
+    # a wms b wms c without a wms c: c is in up[b] but not in up[a]
+    witness = witness or next((
+        ("not transitive", states[a], states[b],
+         states[_lowest(up[b] & ~up[a])])
+        for a in range(len(states)) for b in _bits(up[a])
+        if up[b] & ~up[a]), None)
     # no strict-cycle check: sms excludes every pair whose reverse is in rel
     verdicts.append(ConditionVerdict("preorder", witness is None, witness))
 
-    witness = None
-    if len(s.states) < 2:
-        witness = ("fewer than two states",)
-    else:
-        for x in s.states:
-            if x != s.root and (x, s.root) not in d.sms:
-                witness = (x,)
-                break
+    below = [u & ~r for u, r in zip(up, d.refiners)]
+    root = 1 << d.index[s.root] if s.root in d.index else 0
+    witness = ("fewer than two states",) if len(states) < 2 else next(
+        ((x,) for i, x in enumerate(states)
+         if x != s.root and not below[i] & root), None)
     verdicts.append(ConditionVerdict("root", witness is None, witness))
 
-    witness = _first(s.states, ((x, z) for x, z in d.sms if not any(
-        (y, z) in rel for y in d.parents[x])))
+    # each z strictly below x lies above one of x's parents
+    witness = _first_pair(states, [
+        below[i] & ~_union(up, sum([1 << d.index[y] for y in d.parents[x]]))
+        for i, x in enumerate(states)])
     verdicts.append(ConditionVerdict("intermediacy", witness is None, witness))
 
     # always holds: each Y(z) is a subset of the finite state set
     verdicts.append(ConditionVerdict("finite_branching", True))
 
-    witness = None
-    incompat = d.incompat
-    for x in s.states:
-        for z in s.states:
-            if (x, z) in rel:
-                continue
-            if not any((y, x) in rel and (y, z) in incompat for y in s.states):
-                witness = (x, z)
-                break
-        if witness:
-            break
+    # each z not above x is incompatible with some refiner of x
+    full = (1 << len(states)) - 1
+    witness = _first_pair(states, [
+        full & ~(u | _union(d.incompat_rows, r))
+        for u, r in zip(up, d.refiners)])
     verdicts.append(ConditionVerdict("separation", witness is None, witness))
 
     return ConditionReport(tuple(verdicts))
@@ -327,9 +389,10 @@ def rank(s: EStructure) -> RankTable:
     """Shortest immediate-specificity chain lengths, with witness chains.
 
     Raises StructureError when the structure fails the axioms (rank is then
-    not defined on every state).
+    not defined on every state). It reads the axiom report cached on
+    the structure, so check_axioms and rank evaluate the axioms once.
     """
-    report = check_axioms(s)
+    report = s.axioms
     if not report.passed:
         raise StructureError(
             "structure fails axioms: " + ", ".join(report.failed_ids))

@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .canonical import CanonicalSpace, build_canonical
 from .structure import (ConditionReport, ConditionVerdict, DerivedRelations,
-                        EStructure, StructureError, _closure,
+                        EStructure, StructureError, _bits, _closure,
                         derive_relations)
 
 TREE_CONDITION_IDS: tuple[str, ...] = (
@@ -222,7 +222,7 @@ def _check_tree(s: EStructure, nodes: tuple[str, ...],
     """check_tree's report, with each node's immediate tree predecessors."""
     _validate_members(s, nodes, edges)
     d = s.derived
-    incompat = d.incompat  # a cached property: slow in a loop
+    index, incompat = d.index, d.incompat_rows
     order = _closure(nodes, edges)
     t = derive_relations(EStructure(nodes, s.root, order))
     kids = t.immed_sets
@@ -235,60 +235,33 @@ def _check_tree(s: EStructure, nodes: tuple[str, ...],
         witness = ("fewer than two nodes",)
     verdicts.append(ConditionVerdict("t-root", witness is None, witness))
 
-    witness = None
-    for x, y in sorted(order):
-        if (x, y) not in s.relation:
-            witness = (x, y)
-            break
+    witness = next(((x, y) for x, y in sorted(order)
+                    if (x, y) not in s.relation), None)
     verdicts.append(ConditionVerdict("t-order", witness is None, witness))
 
-    witness = None
-    for x in nodes:
-        if x != s.root and len(t.parents[x]) != 1:
-            witness = (x, len(t.parents[x]))
-            break
+    witness = next(((x, len(t.parents[x])) for x in nodes
+                    if x != s.root and len(t.parents[x]) != 1), None)
     verdicts.append(ConditionVerdict("t-parent", witness is None, witness))
 
-    witness = None
-    for x, z in sorted(t.immms):
-        if (x, z) not in d.immms:
-            witness = (x, z)
-            break
+    witness = next(((x, z) for x, z in sorted(
+        [(x, z) for x in nodes for z in t.parents[x]])
+        if z not in d.parents[x]), None)
     verdicts.append(ConditionVerdict("t-immediate", witness is None, witness))
 
-    witness = None
-    for x in nodes:
-        # a maximal node has no kids; any other needs at least two
-        if len(kids[x]) == 1:
-            witness = (x, 1)
-            break
+    # a maximal node has no kids; any other needs at least two
+    witness = next(((x, 1) for x in nodes if len(kids[x]) == 1), None)
     verdicts.append(ConditionVerdict("t-branching", witness is None, witness))
 
-    witness = None
-    for z in nodes:
-        for i, x in enumerate(kids[z]):
-            for y in kids[z][i + 1:]:
-                if (x, y) not in incompat:
-                    witness = (x, y, z)
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    witness = next(((x, y, z) for z in nodes for i, x in enumerate(kids[z])
+                    for y in kids[z][i + 1:]
+                    if not incompat[index[x]] >> index[y] & 1), None)
     verdicts.append(ConditionVerdict("t-incompat", witness is None, witness))
 
-    witness = None
-    for x in nodes:
-        if not kids[x]:
-            continue
-        for z in s.states:
-            if (z, x) not in d.sms:
-                continue
-            if all((z, w) in incompat for w in kids[x]):
-                witness = (z, x)
-                break
-        if witness:
-            break
+    # a strict refiner z of a node x incompatible with all of x's children
+    chosen = {x: sum([1 << index[w] for w in kids[x]]) for x in nodes}
+    witness = next(((s.states[z], x) for x in nodes if kids[x]
+                    for z in _bits(d.refiners[index[x]] & ~d.up[index[x]])
+                    if not chosen[x] & ~incompat[z]), None)
     verdicts.append(ConditionVerdict("t-unbiased", witness is None, witness))
 
     return ConditionReport(tuple(verdicts)), t.parents
@@ -352,7 +325,7 @@ def find_trees(s: EStructure,
     if max_count is not None and max_count < 1:
         raise ValueError(f"max_count must be at least 1, not {max_count}")
     d = s.derived
-    child_sets = {z: _child_sets(d, s.states, z) for z in s.states}
+    child_sets = {z: _child_sets(d, z) for z in s.states}
     most = len(s.states) - 1
     grown: list[dict[str, str]] = []
     for budget in range(1, most + 1) if max_count else (most,):
@@ -375,22 +348,24 @@ def find_trees(s: EStructure,
     return tuple(found)
 
 
-def _child_sets(d: DerivedRelations, states: Sequence[str],
-                z: str) -> list[tuple[str, ...]]:
+def _child_sets(d: DerivedRelations, z: str) -> list[tuple[str, ...]]:
     """The sets of tree children z may take, each in declaration order."""
-    kids, incompat = d.immed_sets[z], d.incompat
+    kids, incompat = d.immed_sets[z], d.incompat_rows
+    rows = [incompat[d.index[k]] for k in kids]
+    bits = [1 << d.index[k] for k in kids]
+    i = d.index[z]
     # every strict refiner of z must be compatible with a chosen child
-    needs = [frozenset([k for k in kids if (y, k) not in incompat])
-             for y in states if (y, z) in d.sms]
+    needs = [sum(bits) & ~incompat[y]
+             for y in _bits(d.refiners[i] & ~d.up[i])]
     out: list[tuple[str, ...]] = []
-    stack: list[tuple[tuple[str, ...], int]] = [((), 0)]
+    stack: list[tuple[tuple[str, ...], int, int]] = [((), 0, 0)]
     while stack:  # pairwise incompatible subsets, extended in kid order
-        chosen, start = stack.pop()
-        if len(chosen) >= 2 and all(not n.isdisjoint(chosen) for n in needs):
+        chosen, mask, start = stack.pop()
+        if len(chosen) >= 2 and all(n & mask for n in needs):
             out.append(chosen)
-        for i in range(start, len(kids)):
-            if all((kids[i], c) in incompat for c in chosen):
-                stack.append((chosen + (kids[i],), i + 1))
+        for k in range(start, len(kids)):
+            if not mask & ~rows[k]:
+                stack.append((chosen + (kids[k],), mask | bits[k], k + 1))
     return out
 
 

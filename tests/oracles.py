@@ -125,6 +125,96 @@ def level_set_oracle(states, root, rel, n):
     return {x for x, d in dist.items() if d <= n}
 
 
+
+# ---------------------------------------------------------------------------
+# set-based reference copies of the package's relation core
+#
+# derive_relations_by_sets, check_axioms_by_sets and verify_canonical_by_sets
+# are the tuple-lookup loops the package ran before it stored the relation
+# as one bitmask per state. They return plain data: verdicts as
+# (condition, passed, witness) triples in check order, so a test can
+# compare whole reports, witnesses included.
+# ---------------------------------------------------------------------------
+
+def _first_in_order(states, found):
+    """The found witness earliest in declaration order (not hash order)."""
+    position = {x: i for i, x in enumerate(states)}
+    return min(found, key=lambda w: [position[x] for x in w], default=None)
+
+
+def derive_relations_by_sets(states, rel):
+    """sms, eqs, immms, immed_sets, parents and incompat, from pair sets."""
+    sms = frozenset([(x, y) for (x, y) in rel if (y, x) not in rel])
+    below = {x: set() for x in states}
+    for x, y in sms:
+        below[x].add(y)
+    parents = {}
+    immed = {z: [] for z in states}
+    for x in states:
+        between = set().union(*[below[y] for y in below[x]])
+        parents[x] = tuple([z for z in states
+                            if z in below[x] and z not in between])
+        for z in parents[x]:
+            immed[z].append(x)
+    refiners = {y: set() for y in states}
+    for w, y in rel:
+        refiners[y].add(w)
+    incompat = frozenset([(x, y) for x in refiners for y in refiners
+                          if refiners[x].isdisjoint(refiners[y])])
+    return {"sms": sms, "eqs": frozenset(rel) - sms,
+            "immms": frozenset([(x, z) for x in states for z in parents[x]]),
+            "immed_sets": {z: tuple(kids) for z, kids in immed.items()},
+            "parents": parents, "incompat": incompat}
+
+
+def check_axioms_by_sets(states, root, rel):
+    """The five axiom verdicts with witnesses, as (id, passed, witness)."""
+    d = derive_relations_by_sets(states, rel)
+    verdicts = []
+
+    witness = None
+    for x in states:
+        if (x, x) not in rel:
+            witness = ("not reflexive", x)
+            break
+    if witness is None:
+        found = _first_in_order(states, (
+            (a, b, c) for a, b in rel for c in states
+            if (b, c) in rel and (a, c) not in rel))
+        witness = ("not transitive", *found) if found else None
+    verdicts.append(("preorder", witness is None, witness))
+
+    witness = None
+    if len(states) < 2:
+        witness = ("fewer than two states",)
+    else:
+        for x in states:
+            if x != root and (x, root) not in d["sms"]:
+                witness = (x,)
+                break
+    verdicts.append(("root", witness is None, witness))
+
+    witness = _first_in_order(states, ((x, z) for x, z in d["sms"] if not any(
+        (y, z) in rel for y in d["parents"][x])))
+    verdicts.append(("intermediacy", witness is None, witness))
+
+    verdicts.append(("finite_branching", True, None))
+
+    witness = None
+    for x in states:
+        for z in states:
+            if (x, z) in rel:
+                continue
+            if not any((y, x) in rel and (y, z) in d["incompat"]
+                       for y in states):
+                witness = (x, z)
+                break
+        if witness:
+            break
+    verdicts.append(("separation", witness is None, witness))
+    return verdicts
+
+
 # ---------------------------------------------------------------------------
 # canonical space
 # ---------------------------------------------------------------------------
@@ -169,6 +259,75 @@ def field_oracle(event_sets, universe):
                         field.add(c)
                         changed = True
     return field
+
+
+
+CANONICAL_CONDITIONS = ("top", "monotone", "disjoint", "base", "principal",
+                        "nonempty")
+
+
+def verify_canonical_by_sets(states, root, rel, atoms, events):
+    """The six canonical-space verdicts with witnesses, as
+    (id, passed, witness), for atoms (tuples of state ids) and events
+    (state -> set of atom indices) that give every state a set."""
+    ev = events
+    incompat = derive_relations_by_sets(states, rel)["incompat"]
+    full = frozenset(range(len(atoms)))
+    verdicts = []
+
+    witness = None
+    if ev[root] != full:
+        witness = (root, tuple(sorted(ev[root])))
+    verdicts.append(("top", witness is None, witness))
+
+    witness = None
+    for x in states:
+        for y in states:
+            if ((x, y) in rel) != (ev[x] <= ev[y]):
+                witness = (x, y)
+                break
+        if witness:
+            break
+    verdicts.append(("monotone", witness is None, witness))
+
+    witness = None
+    for x in states:
+        for y in states:
+            if ((x, y) in incompat) != (not (ev[x] & ev[y])):
+                witness = (x, y)
+                break
+        if witness:
+            break
+    verdicts.append(("disjoint", witness is None, witness))
+
+    signature = {i: frozenset(x for x in states if i in ev[x])
+                 for i in range(len(atoms))}
+    cells = {}
+    for i, sig in signature.items():
+        cells.setdefault(sig, set()).add(i)
+
+    witness = None
+    for cell in sorted(cells.values(), key=sorted):
+        member = frozenset(cell)
+        if not any(ev[x] <= member for x in states):
+            witness = (tuple(sorted(member)),)
+            break
+    verdicts.append(("base", witness is None, witness))
+
+    witness = None
+    for i in range(len(atoms)):
+        if len(cells[signature[i]]) != 1:
+            witness = ("|".join(atoms[i]),)
+            break
+    verdicts.append(("principal", witness is None, witness))
+
+    witness = None
+    for x in states:
+        if not ev[x]:
+            witness = (x,)
+            break
+    verdicts.append(("nonempty", witness is None, witness))
+    return verdicts
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,15 @@ import pytest
 import oracles
 from conftest import (arbitrary_plan, consistent_plan, inconsistent_plan,
                       splitting_tree, subset_family_structure)
-from evistruct import (CertificateReport, EStructure, ExplicitRepresentation,
-                       FeasibilityResult, FeasibilitySystem, Plan, PlanError,
+from evistruct import (CertificateReport, CanonicalSpace, EStructure,
+                       ExplicitRepresentation, FeasibilityResult,
+                       FeasibilitySystem, Plan, PlanError,
                        RationalizationReport, TreeError, WitnessReport,
-                       as_tree, build_system, check_isd_plan,
-                       decide_rationalizable, decide_system,
-                       verify_certificate, verify_rationalization)
+                       as_tree, build_canonical, build_system, canonical,
+                       check_axioms, check_isd_plan, construct_sceu,
+                       decide_rationalizable, decide_system, find_trees,
+                       verify_canonical, verify_certificate,
+                       verify_rationalization)
 
 
 def fm_decide(system):
@@ -441,3 +444,114 @@ class TestTreeTheorem:
         n = len(result.system.atoms)
         assert result.weights == dict.fromkeys(result.system.atoms,
                                                Fraction(1, n))
+
+
+def test_canonical_space_is_built_once_per_structure(monkeypatch):
+    """decide_rationalizable and construct_sceu on a tree-shaped structure
+    share one build and one verification of its canonical space, while
+    the public verify_canonical re-checks on every call."""
+    built, verified = [], []
+    event_space = canonical._event_space
+    verify = canonical.verify_canonical
+    monkeypatch.setattr(canonical, "_event_space",
+                        lambda s: built.append(s) or event_space(s))
+    monkeypatch.setattr(canonical, "verify_canonical",
+                        lambda space, s: verified.append(s)
+                        or verify(space, s))
+    s = EStructure.from_generators(
+        ["r", "u", "v", "u1", "u2"], "r",
+        [("u", "r"), ("v", "r"), ("u1", "u"), ("u2", "u")])
+    plan = Plan(("a", "b"),
+                {"r": "a", "u": "a", "v": "b", "u1": "a", "u2": "b"})
+    result = decide_rationalizable(s, plan)
+    assert result.feasible and result.path == "tree"
+    construct_sceu(as_tree(s), plan)
+    build_canonical(s)
+    assert (built, verified) == ([s], [s])
+    canonical.verify_canonical(build_canonical(s), s)
+    assert verified == [s, s]
+
+
+def _example_t_shape():
+    """r over x1 and x2; x0 below both, x3 below x1 only, x4 below x2
+    only: example_t's shape with six states."""
+    return EStructure.from_generators(
+        ["r", "x0", "x1", "x2", "x3", "x4"], "r",
+        [("x1", "r"), ("x2", "r"), ("x0", "x1"), ("x0", "x2"),
+         ("x3", "x1"), ("x4", "x2")])
+
+
+def test_six_state_plan_is_inconsistent_yet_rationalizable():
+    """Dominance consistency is not necessary: the smallest such plan."""
+    s = _example_t_shape()
+    assert check_axioms(s).passed
+    plan = Plan(("a", "b"), {"r": "a", "x0": "b", "x1": "b", "x2": "b",
+                             "x3": "a", "x4": "a"})
+    assert check_isd_plan(s, plan).violations == (("r", "b"),)
+    result = decide_rationalizable(s, plan)
+    assert result.feasible and result.path == "simplex"
+    assert verify_certificate(result.system, result).valid
+
+
+def test_contained_trees_decide_by_consistency():
+    """Claim (iii) on trees strictly inside their structure: a plan on the
+    tree's nodes is rationalizable on the ambient structure iff it is
+    rationalizable on the tree iff it is consistent on the tree."""
+    rng = random.Random(7)
+    verdicts = {True: 0, False: 0}
+    for _ in range(200):
+        s = subset_family_structure(rng, max_universe=3)
+        for tree in find_trees(s):
+            if len(tree.nodes) == len(s.states):
+                continue
+            for k in range(4):
+                alts = ("a", "b", "c")[:rng.randint(2, 3)]
+                choice: dict[str, str] = {}
+                # bottom up; k == 0 keeps every unanimous node consistent
+                for x in sorted(tree.nodes,
+                                key=lambda x: -tree.rank_in_tree[x]):
+                    picks = {choice[y] for y in tree.children[x]}
+                    choice[x] = (picks.pop() if k == 0 and len(picks) == 1
+                                 else rng.choice(alts))
+                plan = Plan(alts, choice)
+                consistent = check_isd_plan(tree.as_estructure,
+                                            plan).consistent
+                ambient = decide_rationalizable(s, plan)
+                own = decide_rationalizable(tree.as_estructure, plan)
+                assert ambient.feasible == own.feasible == consistent
+                assert verify_certificate(ambient.system, ambient).valid
+                assert verify_certificate(own.system, own).valid
+                verdicts[consistent] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 30
+
+
+def _example_r(corpus):
+    ws = corpus["example_r"]
+    return ws.structure, build_canonical(ws.structure), \
+        decide_rationalizable(ws.structure, ws.plan)
+
+
+@pytest.mark.parametrize("check", [
+    pytest.param(lambda s, space, result: verify_canonical(
+        CanonicalSpace(None, space.events), s), id="canonical-atoms-None"),
+    pytest.param(lambda s, space, result: verify_canonical(
+        CanonicalSpace(space.atoms, {**space.events,
+                                     s.root: frozenset({"a"})}), s),
+        id="canonical-event-of-strings"),
+    pytest.param(lambda s, space, result: verify_canonical(
+        CanonicalSpace(space.atoms, {**space.events,
+                                     s.root: frozenset({-1})}), s),
+        id="canonical-negative-index"),
+    pytest.param(lambda s, space, result: verify_canonical(
+        CanonicalSpace(space.atoms, {**space.events,
+                                     s.root: frozenset({99})}), s),
+        id="canonical-index-past-the-atoms"),
+    pytest.param(lambda s, space, result: verify_certificate(
+        result.system, None), id="certificate-result-None"),
+    pytest.param(lambda s, space, result: verify_certificate(None, result),
+                 id="certificate-system-None"),
+])
+def test_verifiers_fail_malformed_input_without_raising(corpus, check):
+    report = check(*_example_r(corpus))
+    passed = report.passed if hasattr(report, "passed") else report.valid
+    assert passed is False

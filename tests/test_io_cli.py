@@ -1,6 +1,7 @@
 """Workspace file parsing, serialization, and the command-line front end."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -16,10 +17,13 @@ import pytest
 import oracles
 from conftest import (arbitrary_plan, consistent_plan,
                       subset_family_structure, splitting_tree)
-from evistruct import (FIXTURES, ParseError, TreeBlock, Workspace,
-                       construct_sceu, emit_fixtures, format_rational,
-                       format_workspace, load_structure, parse_rational,
-                       parse_workspace, verify_rationalization)
+from evistruct import (FIXTURES, CanonicalSpace, ConditionReport, ParseError,
+                       TreeBlock, WitnessReport, Workspace, build_canonical,
+                       build_tree, construct_sceu, decide_rationalizable,
+                       emit_fixtures, format_rational, format_workspace,
+                       load_structure, parse_rational, parse_workspace,
+                       verify_canonical, verify_certificate,
+                       verify_rationalization)
 from evistruct import cli
 
 TWO_CHAIN = "root r\nstate a\npair a r\n"
@@ -578,6 +582,146 @@ class TestInvocation:
                             "--format", "json"]) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
+
+
+SUBCOMMANDS = (["check"], ["rank"], ["canonical"], ["trees", "find"],
+               ["trees", "check"], ["plan", "isd"], ["plan", "decide"],
+               ["plan", "rationalize"])
+SWAPS = (None, 0, -1, 1.5, True, "x", "1/0", "nothing", [], ["x"], {},
+         {"a": 1})
+
+
+def _mutate_text(rng, text):
+    """One line drop, line swap, truncation or token swap."""
+    lines = text.splitlines()
+    kind = rng.randrange(4)
+    if kind == 2:
+        return text[:rng.randrange(len(text) + 1)]
+    if kind == 0 and lines:
+        del lines[rng.randrange(len(lines))]
+    elif kind == 1 and lines:
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == 3:
+        tokens = text.split()
+        i = rng.randrange(len(lines)) if lines else 0
+        parts = lines[i].split() if lines else []
+        if parts and tokens:
+            parts[rng.randrange(len(parts))] = rng.choice(tokens)
+            lines[i] = " ".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+def _mutate_value(rng, value):
+    """One type swap, deletion or insertion, somewhere inside value."""
+    if isinstance(value, dict) and value and rng.random() < 0.7:
+        value, key = dict(value), rng.choice(sorted(value, key=str))
+        kind = rng.randrange(3)
+        if kind == 0:
+            del value[key]
+        elif kind == 1:
+            value[key] = _mutate_value(rng, value[key])
+        else:
+            value[f"{key}x"] = rng.choice(SWAPS)
+        return value
+    if isinstance(value, (list, tuple)) and value and rng.random() < 0.7:
+        items, i = list(value), rng.randrange(len(value))
+        kind = rng.randrange(3)
+        if kind == 0:
+            del items[i]
+        elif kind == 1:
+            items[i] = _mutate_value(rng, items[i])
+        else:
+            items.insert(i, rng.choice(SWAPS))
+        return type(value)(items)
+    return rng.choice(SWAPS)
+
+
+class TestTotalityCampaign:
+    """Seeded mutations of fixture texts, verify witnesses and library
+    witnesses: every CLI run exits 0, 1 or 2 with nothing on stderr but
+    error: lines, and every library verifier returns a report."""
+
+    @staticmethod
+    def run_cli(capsys, argv):
+        code = cli.run(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        assert all(line.startswith("error:")
+                   for line in err.splitlines()), err
+
+    def test_mutated_fixture_texts(self, capsys, tmp_path):
+        rng = random.Random(4242)
+        path = tmp_path / "mutated.est"
+        for _ in range(800):
+            text = FIXTURES[rng.choice(sorted(FIXTURES))]
+            for _ in range(rng.randint(1, 3)):
+                text = _mutate_text(rng, text)
+            path.write_text(text, encoding="utf-8")
+            self.run_cli(capsys, rng.choice(SUBCOMMANDS) + [
+                str(path), "--format", rng.choice(["text", "json"])])
+
+    def test_mutated_witness_files(self, capsys, est, tmp_path):
+        witnesses = []
+        for stem, command in (("example_d", "rationalize"),
+                              ("example_r", "decide")):
+            code, data = run_json(capsys, ["plan", command, est(stem)])
+            assert code == 0
+            keep = ("points", "weights", "utilities")
+            witnesses.append((stem, {k: v for k, v in data.items()
+                                     if k in keep}))
+        rng = random.Random(2424)
+        path = tmp_path / "witness.json"
+        for _ in range(500):
+            stem, data = rng.choice(witnesses)
+            for _ in range(rng.randint(1, 3)):
+                data = _mutate_value(rng, data)
+            path.write_text(json.dumps(data), encoding="utf-8")
+            self.run_cli(capsys, ["verify", est(stem), str(path)])
+
+    def test_mutated_library_witnesses(self, corpus):
+        ws = corpus["example_d"]
+        tree = build_tree(ws.structure, ws.trees[0].nodes,
+                          ws.trees[0].edges)
+        built = construct_sceu(tree, ws.plan)
+        results = [decide_rationalizable(corpus[stem].structure,
+                                         corpus[stem].plan)
+                   for stem in ("example_d", "example_r", "example_t")]
+        space = build_canonical(ws.structure)
+        rng = random.Random(2442)
+        for _ in range(1000):
+            times = rng.randint(1, 3)
+            kind = rng.randrange(4)
+            if kind == 0:  # the constructed witness's own fields
+                name = rng.choice(["points", "raw_weights", "weights",
+                                   "utilities", "avoid"])
+                value = getattr(built, name)
+                for _ in range(times):
+                    value = _mutate_value(rng, value)
+                witness = dataclasses.replace(built, **{name: value})
+                report = verify_rationalization(tree, ws.plan, witness)
+            elif kind == 1:
+                result = rng.choice(results)
+                name = rng.choice(["feasible", "weights", "utilities",
+                                   "certificate"])
+                value = getattr(result, name)
+                for _ in range(times):
+                    value = _mutate_value(rng, value)
+                tampered = dataclasses.replace(result, **{name: value})
+                report = verify_certificate(result.system, tampered)
+            elif kind == 2:
+                events = dict(space.events)
+                for _ in range(times):
+                    events = _mutate_value(rng, events)
+                report = verify_canonical(
+                    CanonicalSpace(space.atoms, events), ws.structure)
+            else:
+                atoms = space.atoms
+                for _ in range(times):
+                    atoms = _mutate_value(rng, atoms)
+                report = verify_canonical(
+                    CanonicalSpace(atoms, space.events), ws.structure)
+            assert isinstance(report, (ConditionReport, WitnessReport))
 
 
 def test_cli_output_matches_the_golden_table(capsys, tmp_path, monkeypatch):

@@ -12,12 +12,15 @@ import pytest
 import evistruct
 import oracles
 from conftest import subset_family_structure
-from evistruct import (AXIOM_IDS, AxiomReport, AxiomVerdict, CanonicalReport,
+from evistruct import (AXIOM_IDS, CANONICAL_CONDITION_IDS, AxiomReport,
+                       AxiomVerdict, CanonicalReport, CanonicalSpace,
                        ConditionReport, ConditionVerdict, EmbeddingReport,
                        EStructure, StructureError, TreeCheckReport,
-                       build_canonical, check_axioms, check_tree,
-                       derive_relations, rank, rank_level_sets,
-                       verify_canonical, verify_embedding)
+                       build_canonical, check_axioms, check_tree, cli,
+                       derive_relations, emit_fixtures, rank,
+                       rank_level_sets, verify_canonical, verify_embedding)
+from evistruct import structure
+from evistruct.canonical import _event_space
 
 
 def test_axiom_ids_are_stable():
@@ -179,9 +182,15 @@ def test_failing_axiom_reports_carry_witnesses():
 
 
 HASH_SEED_PROBE = """
-from evistruct import EStructure, check_axioms, verify_embedding
+from evistruct import (CanonicalSpace, EStructure, check_axioms,
+                       verify_canonical, verify_embedding)
 s = EStructure.from_generators("rabcd", "r", [(x, "r") for x in "abcd"])
 print(verify_embedding(s, {x: frozenset({1}) for x in s.states}).failures)
+# every state shares atom 0: r's event lies inside a's though r is not
+# more specific, and the incompatible a and b meet
+space = CanonicalSpace(tuple((x,) for x in "abcd"),
+                       {x: frozenset({0}) for x in s.states})
+print("canonical", verify_canonical(space, s).failures)
 # not closed: a < b < r and c < d < r, and x refines a strict cycle p, q, t
 # whose members all sit between x and each other, so x has no parent
 pairs = [("a", "b"), ("b", "r"), ("c", "d"), ("d", "r"), ("x", "p"),
@@ -208,6 +217,93 @@ def test_witnesses_do_not_depend_on_the_hash_seed():
     assert "'disjoint': ('a', 'b')" in outputs[0]
     assert "('not transitive', 'a', 'b', 'r')" in outputs[0]
     assert "'intermediacy': ('x', 'p')" in outputs[0]
+    canonical = outputs[0].splitlines()[1]
+    assert "'monotone': ('r', 'a')" in canonical
+    assert "'disjoint': ('a', 'b')" in canonical
+
+
+def _verdicts(report):
+    return [(v.condition, v.passed, v.witness) for v in report.verdicts]
+
+
+def _degraded(rng):
+    """A subset family whose relation lost some pairs, either closed again
+    (from_generators) or left as it is: not transitive, and at times not
+    reflexive or holding strict cycles."""
+    s = subset_family_structure(rng, max_universe=4)
+    pairs = [p for p in s.relation if rng.random() < 0.8]
+    if rng.random() < 0.3:
+        return EStructure.from_generators(
+            s.states, s.root, [p for p in pairs if p[0] != p[1]])
+    pairs += [(y, x) for x, y in pairs if rng.random() < 0.05]
+    return EStructure(s.states, s.root, frozenset(pairs))
+
+
+class TestSetBasedReference:
+    """The bit-row core against the tuple-lookup loops it replaced
+    (oracles.*_by_sets), whole reports at a time, witnesses included."""
+
+    def test_axioms_and_relations_match_witness_for_witness(self):
+        rng = random.Random(909)
+        failed = set()
+        for _ in range(300):
+            s = _degraded(rng)
+            expected = oracles.check_axioms_by_sets(s.states, s.root,
+                                                    s.relation)
+            assert _verdicts(check_axioms(s)) == expected
+            failed.update(c for c, passed, _ in expected if not passed)
+            d = derive_relations(s)
+            for name, value in oracles.derive_relations_by_sets(
+                    s.states, s.relation).items():
+                assert getattr(d, name) == value, name
+        # the draws fail every axiom that can fail
+        assert failed == set(AXIOM_IDS) - {"finite_branching"}
+
+    @pytest.mark.parametrize("pairs, witness", [
+        ([("a", "r")], ("not reflexive", "r")),
+        ([("r", "r"), ("a", "a"), ("b", "b"), ("b", "a"), ("a", "r")],
+         ("not transitive", "b", "a", "r")),
+    ])
+    def test_preorder_witnesses_on_unclosed_relations(self, pairs, witness):
+        s = EStructure(("r", "a", "b"), "r", frozenset(pairs))
+        report = check_axioms(s)
+        assert report["preorder"].witness == witness
+        assert _verdicts(report) == oracles.check_axioms_by_sets(
+            s.states, s.root, s.relation)
+
+    def test_strict_cycle_matches(self):
+        states = ("r", "p", "q", "t", "x")
+        pairs = [(y, y) for y in states] + [
+            ("p", "q"), ("q", "t"), ("t", "p"), ("x", "p"), ("x", "q"),
+            ("x", "t")] + [(y, "r") for y in states]
+        s = EStructure(states, "r", frozenset(pairs))
+        assert _verdicts(check_axioms(s)) == oracles.check_axioms_by_sets(
+            s.states, s.root, s.relation)
+        d = derive_relations(s)
+        reference = oracles.derive_relations_by_sets(s.states, s.relation)
+        assert (d.sms, d.parents, d.incompat) == (
+            reference["sms"], reference["parents"], reference["incompat"])
+
+    def test_canonical_verdicts_match_witness_for_witness(self):
+        rng = random.Random(919)
+        failed = set()
+        for _ in range(300):
+            s = _degraded(rng)
+            if not all(s.wms(x, x) for x in s.states):
+                s = EStructure(s.states, s.root, s.relation | {
+                    (x, x) for x in s.states})
+            space = _event_space(s)
+            if rng.random() < 0.5:  # move some atoms in or out of events
+                natoms = len(space.atoms)
+                space = CanonicalSpace(space.atoms, {
+                    x: e ^ frozenset(i for i in range(natoms)
+                                     if rng.random() < 0.1)
+                    for x, e in space.events.items()})
+            expected = oracles.verify_canonical_by_sets(
+                s.states, s.root, s.relation, space.atoms, space.events)
+            assert _verdicts(verify_canonical(space, s)) == expected
+            failed.update(c for c, passed, _ in expected if not passed)
+        assert failed == set(CANONICAL_CONDITION_IDS)
 
 
 class TestRandomized:
@@ -286,3 +382,28 @@ class TestRandomized:
                     seen_twin = True
                     assert table.rho[x] == table.rho[y]
         assert seen_twin
+
+
+def test_axioms_are_evaluated_once_per_structure(monkeypatch, tmp_path,
+                                                capsys):
+    """check_axioms, rank, rank_level_sets and the CLI's guards read one
+    report cached on the structure."""
+    evaluated = []
+    evaluate = structure._evaluate_axioms
+    monkeypatch.setattr(structure, "_evaluate_axioms",
+                        lambda s: evaluated.append(s) or evaluate(s))
+    s = EStructure.from_generators(
+        ["r", "a", "b", "a1", "a2"], "r",
+        [("a", "r"), ("b", "r"), ("a1", "a"), ("a2", "a")])
+    check_axioms(s)
+    rank(s)
+    rank_level_sets(s, 1)
+    check_axioms(s)
+    assert evaluated == [s]
+    emit_fixtures(tmp_path)
+    for argv in (["rank"], ["canonical"], ["plan", "decide"],
+                 ["plan", "isd"]):
+        evaluated.clear()
+        cli.run(argv + [str(tmp_path / "example_r.est")])
+        assert len(evaluated) == 1, argv
+    capsys.readouterr()
