@@ -201,19 +201,22 @@ def _eliminate(row: list[int], prow: list[int], enter: int, p: int,
     return [p * v // det for v in row]
 
 
-def _row_values(system: FeasibilitySystem,
-                x: Sequence[Fraction]) -> list[Fraction]:
-    """Each row's exact value at x, summed in integers over x's least
-    common denominator."""
-    den = lcm(*[v.denominator for v in x])
-    scaled = [v.numerator * (den // v.denominator) for v in x]
-    return [Fraction(sum([c * v for c, v in zip(r.coeffs, scaled) if c]), den)
+def _over_lcm(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of values over their least common denominator."""
+    den = lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _row_values(system: FeasibilitySystem, g: Sequence[int]) -> list[int]:
+    """Each row's value at integer g."""
+    return [sum([c * v for c, v in zip(r.coeffs, g) if c])
             for r in system.rows]
 
 
-def _normalization(weights: Sequence[Fraction]) -> tuple[Fraction, list[str]]:
-    """The weights' total, and failures for a total not 1 or a negative."""
-    total = sum(weights, start=Fraction(0))
+def _normalization(weights: Sequence[int], den: int
+                   ) -> tuple[Fraction, list[str]]:
+    """The total of weights/den, and failures for not 1 or a negative."""
+    total = Fraction(sum(weights), den)
     failures = [] if total == 1 else [f"weights sum to {total}, not 1"]
     if any(w < 0 for w in weights):
         failures.append("negative weight")
@@ -243,11 +246,14 @@ def verify_weighting(system: FeasibilitySystem,
     if not all(isinstance(v, (int, Fraction)) for v in (*w, *u)):
         failures.append("witness value is not rational")
         return WitnessReport(False, failures=tuple(failures))
-    total, more = _normalization(w)
+    w, wden = _over_lcm(w)
+    u, uden = _over_lcm(u)
+    total, more = _normalization(w, wden)
     failures += more
     g = [x * v for x, v in zip(w * len(system.alternatives), u)]
     rows = list(zip(system.rows, _row_values(system, g)))
-    margins = {(r.state, r.alternative): m for r, m in rows}
+    margins = {(r.state, r.alternative): Fraction(m, wden * uden)
+               for r, m in rows}
     failures += [f"no strict preference at {r.state!r} over "
                  f"{r.alternative!r}" for r, m in rows if m <= 0]
     return WitnessReport(not failures, margins, tuple(failures), total)
@@ -280,8 +286,6 @@ def _certificate_failure(system: FeasibilitySystem,
     if not isinstance(certificate, (tuple, list)):
         return "certificate is not a list"
     key = {(r.state, r.alternative): r for r in system.rows}
-    total = 0
-    combined = [0] * system.ncols
     for entry in certificate:
         if not (isinstance(entry, (tuple, list)) and len(entry) == 3
                 and all(isinstance(label, str) for label in entry[:2])):
@@ -291,12 +295,15 @@ def _certificate_failure(system: FeasibilitySystem,
             return f"unknown row ({state}, {alt})"
         if not isinstance(mult, (int, Fraction)) or mult < 0:
             return f"multiplier {mult!r} is not a nonnegative rational"
-        total += mult
+    # one positive scale keeps every sign, which is all that is checked
+    mults, _ = _over_lcm([entry[2] for entry in certificate])
+    if sum(mults) <= 0:
+        return "zero combination"
+    combined = [0] * system.ncols
+    for (state, alt, _), m in zip(certificate, mults):
         for j, c in enumerate(key[state, alt].coeffs):
             if c:
-                combined[j] += mult * c
-    if total <= 0:
-        return "zero combination"
+                combined[j] += m * c
     for j, value in enumerate(combined):
         if value > 0:
             alt, atom = system.column_label(j)
@@ -337,7 +344,8 @@ def decide_system(system: FeasibilitySystem) -> FeasibilityResult:
         raise PlanError("system has no constraints; nothing to decide")
     verdict, payload = _phase1(coeff_rows, system.ncols)
     if verdict == "feasible":
-        if min(_row_values(system, payload)) < 1:
+        g, den = _over_lcm(payload)
+        if min(_row_values(system, g)) < den:
             raise RuntimeError("exact simplex returned an invalid point")
         result = _result_from_point(system, payload)
     else:

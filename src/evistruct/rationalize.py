@@ -12,8 +12,11 @@ reaches a leaf.
 
 Distinct avoidance points are ordered so states closer to the root come
 first, and the i-th point gets raw weight 2/3^(i+1); the total 1 - 3^(-N)
-is normalized away. Geometric decay makes every point outweigh all later
-points combined, which is what drives every strict preference below.
+is normalized away, leaving 2*3^(N-1-i)/(3^N - 1). Geometric decay makes
+every point outweigh all later points combined, which is what drives
+every strict preference below. The checks put the weights, and the
+utilities, over one common denominator each and run on the integer
+numerators; Fractions appear only in the values they return.
 
 The utility of alternative b at a point (w, x) is 1 when some tree state
 refining x and containing w in its event chooses b, else 0. Support must
@@ -27,10 +30,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .feasibility import _normalization, build_system, verify_weighting
+from .feasibility import (_normalization, _over_lcm, build_system,
+                          verify_weighting)
 from .plans import Plan, PlanError
-from .structure import EStructure, WitnessReport
-from .trees import ExperimentationTree
+from .structure import EStructure, StructureError, WitnessReport
+from .trees import ExperimentationTree, check_graph_tree
 
 
 class RationalizationError(PlanError):
@@ -129,18 +133,20 @@ def construct_sceu(tree: ExperimentationTree, plan: Plan) -> Rationalization:
         plan = plan.restricted_to(tree.nodes)
 
     atom_of = {cls[0]: i for i, cls in enumerate(tree.canonical.atoms)}
-    seen: dict[SamplePoint, None] = {}
+    rank = tree.rank_in_tree
+    # point -> the choices on its path from its state down to its leaf
+    seen: dict[SamplePoint, set[str]] = {}
     avoid_points: dict[tuple[str, str], SamplePoint] = {}
     for x in tree.nodes:
         for a in plan.alternatives:
             if a == plan.choice[x]:
                 continue
-            leaf = avoiding_branch(tree, plan, x, a)[-1]
-            point = SamplePoint(atom_of[leaf], x)
-            seen.setdefault(point, None)
+            branch = avoiding_branch(tree, plan, x, a)
+            point = SamplePoint(atom_of[branch[-1]], x)
+            if point not in seen:
+                seen[point] = {plan.choice[y] for y in branch[rank[x]:]}
             avoid_points[x, a] = point
 
-    rank = tree.rank_in_tree
     decl = {x: i for i, x in enumerate(tree.nodes)}
     atom_decl = {i: decl[cls[0]] for i, cls in enumerate(tree.canonical.atoms)}
     points = tuple(sorted(
@@ -149,18 +155,10 @@ def construct_sceu(tree: ExperimentationTree, plan: Plan) -> Rationalization:
 
     n = len(points)
     raw = tuple([Fraction(2, 3 ** (i + 1)) for i in range(n)])
-    total = 1 - Fraction(1, 3 ** n)
-    weights = tuple([w / total for w in raw])
-
-    order = tree.order
-    events = tree.canonical.events
-    utilities = {
-        b: tuple([
-            1 if any(p.atom in events[x] and (x, p.state) in order
-                     and plan.choice[x] == b for x in tree.nodes) else 0
-            for p in points])
-        for b in plan.alternatives
-    }
+    weights = tuple([Fraction(2 * 3 ** (n - 1 - i), 3 ** n - 1)
+                     for i in range(n)])  # raw / (1 - 3^-n)
+    utilities = {b: tuple([1 if b in seen[p] else 0 for p in points])
+                 for b in plan.alternatives}
     avoid = {key: index[pt] for key, pt in avoid_points.items()}
     return Rationalization(tree, plan, points, raw, weights, utilities, avoid)
 
@@ -175,36 +173,58 @@ def _margins(tree: ExperimentationTree, plan: Plan, atoms: Sequence[int],
     each rival a of the choice at x, the margin is the sum, over points
     whose atom lies in the event of x, of weight times (chosen payoff minus
     a's payoff). Weight times payoff is summed once per atom and
-    alternative, then over each event. The report fails on weights not
+    alternative, then over each event, in integers over the weights' and
+    the utilities' common denominators. The report fails on weights not
     summing to 1, a negative weight, and each margin that is not strictly
     positive.
     """
-    total, failures = _normalization(weights)
+    weights, wden = _over_lcm(weights)
+    total, failures = _normalization(weights, wden)
+    k = len(atoms)
+    pays, uden = _over_lcm([v for b in plan.alternatives
+                            for v in utilities[b]])
     events = tree.canonical.events
-    mass: dict[str, dict[int, Fraction]] = {}  # alternative -> atom -> sum
-    for b in plan.alternatives:
+    mass: dict[str, dict[int, int]] = {}  # alternative -> atom -> sum
+    for j, b in enumerate(plan.alternatives):
         table = mass[b] = {}
-        for atom, w, u in zip(atoms, weights, utilities[b]):
+        for atom, w, u in zip(atoms, weights, pays[j * k:(j + 1) * k]):
             table[atom] = table.get(atom, 0) + w * u
+    den = wden * uden
     margins: dict[tuple[str, str], Fraction] = {}
     for x in tree.nodes:
         chosen = plan.choice[x]
         inside = [atom for atom in events[x] if atom in mass[chosen]]
+        base = sum([mass[chosen][atom] for atom in inside])
         for a in plan.alternatives:
             if a == chosen:
                 continue
-            margin = sum([mass[chosen][atom] - mass[a][atom]
-                          for atom in inside], start=Fraction(0))
-            margins[x, a] = margin
+            margin = base - sum([mass[a][atom] for atom in inside])
+            margins[x, a] = Fraction(margin, den)
             if margin <= 0:
                 failures.append(f"no strict preference at {x!r} over {a!r}")
     return WitnessReport(not failures, margins, tuple(failures), total)
 
 
+def _tree_fits(t: object) -> bool:
+    """Whether a tree's nodes are distinct ambient states with the root,
+    and every other node has a node as parent, its chain reaching the root."""
+    if not (isinstance(t, ExperimentationTree)
+            and isinstance(t.ambient, EStructure)
+            and isinstance(t.nodes, tuple) and isinstance(t.parent, Mapping)
+            and all(isinstance(x, str)
+                    for x in [*t.nodes, *t.parent.values()])):
+        return False
+    nodes, root, parent = set(t.nodes), t.root, t.parent
+    return (len(nodes) == len(t.nodes) and root in nodes
+            and nodes <= set(t.ambient.states)
+            and set(parent) == nodes - {root}
+            and set(parent.values()) <= nodes
+            and check_graph_tree(t.nodes, parent.items(), root).is_tree)
+
+
 def _fits(r: object) -> bool:
     """Whether a constructed witness has the shape its verifier reads."""
-    if not (isinstance(r, Rationalization)
-            and isinstance(r.tree, ExperimentationTree)
+    if not (isinstance(r, Rationalization) and _tree_fits(r.tree)
             and isinstance(r.plan, Plan) and isinstance(r.points, Sequence)
             and isinstance(r.utilities, Mapping)
             and isinstance(r.avoid, Mapping)):
@@ -227,8 +247,9 @@ def _verify_constructed(r: Rationalization) -> WitnessReport:
     report = _margins(tree, r.plan, [p.atom for p in r.points], r.weights,
                       r.utilities)
     margins, failures = report.margins, list(report.failures)
-    later = report.total_weight  # the weight of the points after point i
-    for i, w in enumerate(r.weights):
+    weights, wden = _over_lcm(r.weights)  # every bound is over wden
+    later = sum(weights)  # the weight of the points after point i
+    for i, w in enumerate(weights):
         later -= w
         if w <= later:
             failures.append(
@@ -239,17 +260,17 @@ def _verify_constructed(r: Rationalization) -> WitnessReport:
     if any(a > b for a, b in zip(ranks, ranks[1:])):
         failures.append("points are not ordered by state depth")
 
-    deeper = dict.fromkeys(tree.nodes, Fraction(0))  # weight strictly below
-    for p, w in zip(r.points, r.weights):
+    deeper = dict.fromkeys(tree.nodes, 0)  # weight strictly below
+    for p, w in zip(r.points, weights):
         for x in tree.path_to_root(p.state)[:-1]:
             deeper[x] += w
-    for x, a in margins:
-        bound = r.weights[r.avoid[x, a]] - deeper[x]
+    for (x, a), m in margins.items():
+        bound = weights[r.avoid[x, a]] - deeper[x]
         if bound <= 0:
             failures.append(
                 f"avoidance point of ({x!r}, {a!r}) does not outweigh "
                 f"deeper points")
-        elif margins[x, a] < bound:
+        elif m.numerator * wden < bound * m.denominator:
             failures.append(
                 f"margin at ({x!r}, {a!r}) falls below its bound")
     return WitnessReport(not failures, margins, tuple(failures),
@@ -266,19 +287,28 @@ def verify_rationalization(
     A constructed Rationalization is checked for its strict margins and
     its structural guarantees (normalization, every point outweighing all
     later ones, depth-ordered points, avoidance bounds); a malformed one
-    fails. An explicit atom-level witness is checked by verify_weighting.
+    fails, as does one whose tree is malformed or whose points lie outside
+    the tree's atoms. An explicit atom-level witness is checked by
+    verify_weighting.
     """
     if isinstance(witness, ExplicitRepresentation):
         if isinstance(target, ExperimentationTree):
             target = target.as_estructure
         return verify_weighting(build_system(target, plan), witness.weights,
                                 witness.utilities)
+    malformed = WitnessReport(False, failures=("not a well-formed witness",))
     if not _fits(witness):
-        return WitnessReport(False, failures=("not a well-formed witness",))
+        return malformed
     tree = witness.tree
     if isinstance(target, ExperimentationTree) and (
             (target.nodes, target.parent) != (tree.nodes, tree.parent)):
         raise PlanError("witness was built for a different tree")
     if witness.plan.choice != {x: plan.choice.get(x) for x in tree.nodes}:
         raise PlanError("witness was built for a different plan")
+    try:
+        atoms = range(len(tree.canonical.atoms))
+    except StructureError:  # the tree's own structure fails its axioms
+        return malformed
+    if not all(p.atom in atoms for p in witness.points):
+        return malformed
     return _verify_constructed(witness)

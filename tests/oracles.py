@@ -692,3 +692,141 @@ def qualifying_branches(nodes, parent, root, rel, zeta, x, a):
         if all(zeta[y] != a for y in br if (y, x) in rel):
             out.append(br)
     return out
+
+
+# ---------------------------------------------------------------------------
+# witness checks in Fractions: the references for the integer kernels
+# ---------------------------------------------------------------------------
+# Each returns (verified, margins, failures, total_weight), margins a dict
+# in the order the package reports them, except certificate_failure_by_
+# fractions, which returns the first reason a certificate fails, or None.
+
+def _normalization_by_fractions(weights):
+    total = sum(weights, start=Fraction(0))
+    failures = [] if total == 1 else [f"weights sum to {total}, not 1"]
+    if any(w < 0 for w in weights):
+        failures.append("negative weight")
+    return total, failures
+
+
+def margins_by_fractions(events, nodes, choice, alternatives, atoms,
+                         weights, utilities):
+    """Margins of the chosen alternative over each rival at each node:
+    point i lies in atom atoms[i] with weight weights[i] and payoff
+    utilities[b][i]; events maps a node to its atoms."""
+    total, failures = _normalization_by_fractions(weights)
+    mass = {}
+    for b in alternatives:
+        table = mass[b] = {}
+        for atom, w, u in zip(atoms, weights, utilities[b]):
+            table[atom] = table.get(atom, 0) + w * u
+    margins = {}
+    for x in nodes:
+        chosen = choice[x]
+        inside = [atom for atom in events[x] if atom in mass[chosen]]
+        for a in alternatives:
+            if a == chosen:
+                continue
+            margin = sum([mass[chosen][atom] - mass[a][atom]
+                          for atom in inside], start=Fraction(0))
+            margins[x, a] = margin
+            if margin <= 0:
+                failures.append(f"no strict preference at {x!r} over {a!r}")
+    return not failures, margins, failures, total
+
+
+def verify_constructed_by_fractions(events, nodes, root, parent, choice,
+                                    alternatives, points, weights,
+                                    utilities, avoid):
+    """A constructed witness's margins and structural guarantees; points
+    are (atom, state) pairs, avoid maps (state, rival) to a point index."""
+    def path_to_root(x):
+        path = [x]
+        while path[-1] != root:
+            path.append(parent[path[-1]])
+        return path[::-1]
+
+    _, margins, failures, total = margins_by_fractions(
+        events, nodes, choice, alternatives, [atom for atom, _ in points],
+        weights, utilities)
+    later = total
+    for i, w in enumerate(weights):
+        later -= w
+        if w <= later:
+            failures.append(
+                f"weight {i} does not outweigh all later points")
+            break
+    ranks = [len(path_to_root(state)) for _, state in points]
+    if any(a > b for a, b in zip(ranks, ranks[1:])):
+        failures.append("points are not ordered by state depth")
+    deeper = dict.fromkeys(nodes, Fraction(0))
+    for (_, state), w in zip(points, weights):
+        for x in path_to_root(state)[:-1]:
+            deeper[x] += w
+    for x, a in margins:
+        bound = weights[avoid[x, a]] - deeper[x]
+        if bound <= 0:
+            failures.append(
+                f"avoidance point of ({x!r}, {a!r}) does not outweigh "
+                f"deeper points")
+        elif margins[x, a] < bound:
+            failures.append(
+                f"margin at ({x!r}, {a!r}) falls below its bound")
+    return not failures, margins, failures, total
+
+
+def verify_weighting_by_fractions(rows, atoms, alternatives, weights,
+                                  utilities):
+    """An atom-level weighting against rows (state, rival, coeffs), the
+    columns running over alternatives, then atoms."""
+    unknown = sorted(set(weights) - set(atoms), key=str)
+    failures = [f"unknown sample points {unknown}"] if unknown else []
+    w = [weights.get(atom, 0) for atom in atoms]
+    u = [utilities.get(alt, {}).get(atom, 0)
+         for alt in alternatives for atom in atoms]
+    if not all(isinstance(v, (int, Fraction)) for v in (*w, *u)):
+        failures.append("witness value is not rational")
+        return False, {}, failures, Fraction(0)
+    total, more = _normalization_by_fractions(w)
+    failures += more
+    g = [x * v for x, v in zip(w * len(alternatives), u)]
+    margins = {}
+    for state, rival, coeffs in rows:
+        margin = sum([c * v for c, v in zip(coeffs, g) if c],
+                     start=Fraction(0))
+        margins[state, rival] = margin
+        if margin <= 0:
+            failures.append(
+                f"no strict preference at {state!r} over {rival!r}")
+    return not failures, margins, failures, total
+
+
+def certificate_failure_by_fractions(rows, atoms, alternatives, certificate):
+    """Why a Farkas certificate over rows (state, rival, coeffs) fails to
+    prove them empty, or None."""
+    if not certificate:
+        return "missing certificate"
+    if not isinstance(certificate, (tuple, list)):
+        return "certificate is not a list"
+    key = {(state, rival): coeffs for state, rival, coeffs in rows}
+    total = 0
+    combined = [0] * (len(alternatives) * len(atoms))
+    for entry in certificate:
+        if not (isinstance(entry, (tuple, list)) and len(entry) == 3
+                and all(isinstance(label, str) for label in entry[:2])):
+            return f"malformed entry {entry!r}"
+        state, alt, mult = entry
+        if (state, alt) not in key:
+            return f"unknown row ({state}, {alt})"
+        if not isinstance(mult, (int, Fraction)) or mult < 0:
+            return f"multiplier {mult!r} is not a nonnegative rational"
+        total += mult
+        for j, c in enumerate(key[state, alt]):
+            combined[j] += mult * c
+    if total <= 0:
+        return "zero combination"
+    for j, value in enumerate(combined):
+        if value > 0:
+            alt, atom = alternatives[j // len(atoms)], atoms[j % len(atoms)]
+            return f"combination positive on g[{alt}][{atom}]"
+    return None

@@ -723,6 +723,25 @@ class TestTotalityCampaign:
                     CanonicalSpace(atoms, space.events), ws.structure)
             assert isinstance(report, (ConditionReport, WitnessReport))
 
+    def test_mutated_witness_trees(self, corpus):
+        ws = corpus["example_d"]
+        tree = build_tree(ws.structure, ws.trees[0].nodes,
+                          ws.trees[0].edges)
+        built = construct_sceu(tree, ws.plan)
+        rng = random.Random(2244)
+        failed = 0
+        for _ in range(300):
+            name = rng.choice(["ambient", "nodes", "parent"])
+            value = getattr(tree, name)
+            for _ in range(rng.randint(1, 3)):
+                value = _mutate_value(rng, value)
+            witness = dataclasses.replace(
+                built, tree=dataclasses.replace(tree, **{name: value}))
+            report = verify_rationalization(ws.structure, ws.plan, witness)
+            assert isinstance(report, WitnessReport)
+            failed += not report.verified
+        assert failed > 250
+
 
 def test_cli_output_matches_the_golden_table(capsys, tmp_path, monkeypatch):
     """Every command of the benchmark's golden table, run in-process from a

@@ -10,8 +10,8 @@ import pytest
 import oracles
 from conftest import consistent_plan, inconsistent_plan, splitting_tree
 from evistruct import (EStructure, ExplicitRepresentation, Plan, PlanError,
-                       RationalizationError, avoiding_branch, build_tree,
-                       construct_sceu, verify_rationalization)
+                       RationalizationError, SamplePoint, avoiding_branch,
+                       build_tree, construct_sceu, verify_rationalization)
 from evistruct.rationalize import _margins
 
 
@@ -301,8 +301,11 @@ class TestVerification:
         lambda r: dataclasses.replace(
             r, avoid=dict(list(r.avoid.items())[1:])),
         lambda r: dataclasses.replace(r, weights=(None, *r.weights[1:])),
+        lambda r: dataclasses.replace(r, points=(*r.points[:-1], SamplePoint(
+            99, r.points[-1].state))),
     ], ids=["None", "dict", "short-weights", "short-utilities",
-            "missing-alternative", "missing-avoid-key", "None-weight"])
+            "missing-alternative", "missing-avoid-key", "None-weight",
+            "point-outside-the-atoms"])
     def test_malformed_constructed_witness_fails(self, t1, edit):
         tree, plan = t1
         report = verify_rationalization(tree, plan,
