@@ -13,7 +13,7 @@ a finite discrete point set and are not materialized here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Mapping
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .structure import (ConditionReport, ConditionVerdict, EStructure,
                         StructureError, _bits, _first_pair,
@@ -124,12 +124,7 @@ def verify_canonical(space: CanonicalSpace,
             return _unfit(CANONICAL_CONDITION_IDS, (x, "not atom indices"))
     d, states = s.derived, s.states
     everything = (1 << len(states)) - 1
-    events = [sum([1 << i for i in ev[x]]) for x in states]
-    signature = [0] * natoms  # per atom, the states whose event holds it
-    for k, x in enumerate(states):
-        for i in ev[x]:
-            signature[i] |= 1 << k
-    missing = [everything & ~sig for sig in signature]
+    events, signature = _point_rows([ev[x] for x in states], natoms)
     verdicts: list[ConditionVerdict] = []
 
     witness: tuple | None = None
@@ -137,9 +132,7 @@ def verify_canonical(space: CanonicalSpace,
         witness = (s.root, tuple(sorted(ev[s.root])))
     verdicts.append(ConditionVerdict("top", witness is None, witness))
 
-    # x wms y iff no atom of e(x) is missing from e(y)
-    witness = _first_pair(states, [u ^ (everything & ~_union(missing, e))
-                                   for u, e in zip(d.up, events)])
+    witness = _order_mismatch(states, d.up, events, signature)
     verdicts.append(ConditionVerdict("monotone", witness is None, witness))
 
     # x incompatible with y iff no atom of e(x) is in e(y)
@@ -174,6 +167,34 @@ def verify_canonical(space: CanonicalSpace,
     verdicts.append(ConditionVerdict("nonempty", witness is None, witness))
 
     return ConditionReport(tuple(verdicts))
+
+
+def _point_rows(events: Sequence[Iterable[int]], npoints: int
+                ) -> tuple[list[int], list[int]]:
+    """Each event as a mask over point indices, and each point's
+    signature: the mask over event positions of the events holding it."""
+    masks: list[int] = []
+    signature = [0] * npoints
+    for k, event in enumerate(events):
+        mask = 0
+        for i in event:
+            mask |= 1 << i
+            signature[i] |= 1 << k
+        masks.append(mask)
+    return masks, signature
+
+
+def _order_mismatch(states: Sequence[str], up: Sequence[int],
+                    masks: Sequence[int], signature: Sequence[int]
+                    ) -> tuple[str, str] | None:
+    """The first pair (x, y) in declaration order on which x wms y (the
+    up rows) and the inclusion of x's event in y's (the point rows of
+    _point_rows) disagree."""
+    everything = (1 << len(states)) - 1
+    missing = [everything & ~sig for sig in signature]
+    # x wms y iff no point of e(x) is missing from e(y)
+    return _first_pair(states, [u ^ (everything & ~_union(missing, e))
+                                for u, e in zip(up, masks)])
 
 
 def generated_field(events, atom_count: int) -> set[frozenset[int]]:
@@ -230,22 +251,24 @@ def verify_embedding(
     for x, event in mapping.items():
         if not isinstance(event, (set, frozenset)):
             return _unfit(EMBEDDING_CONDITION_IDS, (x, "not a set"))
-    d = s.derived
+    d, states = s.derived, s.states
     universe: frozenset[Hashable] = frozenset().union(*mapping.values())
+    point = {p: i for i, p in enumerate(universe)}
+    events, signature = _point_rows(
+        [[point[p] for p in mapping[x]] for x in states], len(point))
     verdicts: list[ConditionVerdict] = []
 
-    witness: tuple | None = (s.root,) if mapping[s.root] != universe else next(
-        ((x, y) for x in s.states for y in s.states
-         if ((x, y) in s.relation) != (mapping[x] <= mapping[y])), None)
+    witness: tuple | None = (s.root,) if mapping[s.root] != universe else (
+        _order_mismatch(states, d.up, events, signature))
     verdicts.append(ConditionVerdict("order", witness is None, witness))
 
-    witness = next(((x, s.states[y]) for k, x in enumerate(s.states)
+    witness = next(((x, states[y]) for k, x in enumerate(states)
                     for y in _bits(d.incompat_rows[k])
-                    if mapping[x] & mapping[s.states[y]]), None)
+                    if events[k] & events[y]), None)
     verdicts.append(ConditionVerdict("disjoint", witness is None, witness))
 
     kids = d.immed_sets
-    witness = next(((z,) for z in s.states if kids[z] and mapping[z]
+    witness = next(((z,) for z in states if kids[z] and mapping[z]
                     != frozenset().union(*[mapping[x] for x in kids[z]])),
                    None)
     verdicts.append(ConditionVerdict("saturation", witness is None, witness))

@@ -44,12 +44,22 @@ class FeasibilityRow:
     Attributes:
         state: domain state the constraint comes from.
         alternative: the rejected alternative it compares against.
-        coeffs: dense coefficient list over the g variables.
+        terms: (column, coefficient) for each nonzero coefficient.
+        width: the number of g variables.
     """
 
     state: str
     alternative: str
-    coeffs: tuple[int, ...]
+    terms: tuple[tuple[int, int], ...]
+    width: int
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """The dense coefficient list over the g variables."""
+        dense = [0] * self.width
+        for j, c in self.terms:
+            dense[j] = c
+        return tuple(dense)
 
 
 @dataclass(frozen=True)
@@ -102,6 +112,7 @@ def build_system(s: EStructure, plan: Plan) -> FeasibilitySystem:
     atoms = space.labels
     natoms = len(atoms)
     alts = plan.alternatives
+    ncols = len(alts) * natoms
     index = {a: i for i, a in enumerate(alts)}
     rows: list[FeasibilityRow] = []
     for x in s.states:
@@ -109,14 +120,12 @@ def build_system(s: EStructure, plan: Plan) -> FeasibilitySystem:
             continue
         chosen = plan.choice[x]
         event = space.events[x]
+        gain = tuple([(index[chosen] * natoms + w, 1) for w in event])
         for a in alts:
             if a == chosen:
                 continue
-            coeffs = [0] * (len(alts) * natoms)
-            for w in event:
-                coeffs[index[chosen] * natoms + w] += 1
-                coeffs[index[a] * natoms + w] -= 1
-            rows.append(FeasibilityRow(x, a, tuple(coeffs)))
+            loss = tuple([(index[a] * natoms + w, -1) for w in event])
+            rows.append(FeasibilityRow(x, a, gain + loss, ncols))
     return FeasibilitySystem(alts, atoms, tuple(rows))
 
 
@@ -209,8 +218,7 @@ def _over_lcm(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
 
 def _row_values(system: FeasibilitySystem, g: Sequence[int]) -> list[int]:
     """Each row's value at integer g."""
-    return [sum([c * v for c, v in zip(r.coeffs, g) if c])
-            for r in system.rows]
+    return [sum([c * g[j] for j, c in r.terms]) for r in system.rows]
 
 
 def _normalization(weights: Sequence[int], den: int
@@ -301,9 +309,8 @@ def _certificate_failure(system: FeasibilitySystem,
         return "zero combination"
     combined = [0] * system.ncols
     for (state, alt, _), m in zip(certificate, mults):
-        for j, c in enumerate(key[state, alt].coeffs):
-            if c:
-                combined[j] += m * c
+        for j, c in key[state, alt].terms:
+            combined[j] += m * c
     for j, value in enumerate(combined):
         if value > 0:
             alt, atom = system.column_label(j)

@@ -104,19 +104,49 @@ def avoiding_branch(tree: ExperimentationTree, plan: Plan,
     """
     if x not in tree.nodes:
         raise RationalizationError(f"{x!r} is not a tree node")
+    walks = _walks(tree, plan, a)
+    step, end, chosen = walks[x]
+    if chosen is None:
+        raise _stuck(end, a)
     path = list(tree.path_to_root(x))
-    cur = x
-    while True:
-        kids = tree.children[cur]
-        if not kids:
-            return tuple(path)
-        step = next((k for k in kids if plan.choice.get(k) != a), None)
-        if step is None:
-            raise RationalizationError(
-                f"every child of {cur!r} chooses {a!r}; the plan is "
-                f"dominance-inconsistent there")
+    while step is not None:
         path.append(step)
-        cur = step
+        step = walks[step][0]
+    return tuple(path)
+
+
+def _walks(tree: ExperimentationTree, plan: Plan, a: str
+           ) -> dict[str, tuple[str | None, str, int | None]]:
+    """The avoidance walk rejecting a from every tree node x, as
+    (step, end, chosen).
+
+    step is the first child of x whose choice is not a, None at a leaf or
+    where every child chooses a. end is the leaf the walk reaches, or the
+    node where it stops because every child there chooses a. chosen holds
+    bit j for each alternatives[j] chosen from x down to that leaf, and is
+    None when the walk stops short. Entries are built bottom-up by tree
+    rank, each from the entry of its step.
+    """
+    choice, children, rank = plan.choice, tree.children, tree.rank_in_tree
+    bit = {b: 1 << j for j, b in enumerate(plan.alternatives)}
+    walks: dict[str, tuple[str | None, str, int | None]] = {}
+    for x in sorted(tree.nodes, key=rank.__getitem__, reverse=True):
+        mine = bit.get(choice.get(x), 0)
+        kids = children[x]
+        step = next((k for k in kids if choice.get(k) != a), None)
+        if not kids:
+            walks[x] = (None, x, mine)
+        elif step is None:
+            walks[x] = (None, x, None)
+        else:
+            _, end, below = walks[step]
+            walks[x] = (step, end, None if below is None else mine | below)
+    return walks
+
+
+def _stuck(x: str, a: str) -> RationalizationError:
+    return RationalizationError(f"every child of {x!r} chooses {a!r}; the "
+                                f"plan is dominance-inconsistent there")
 
 
 def construct_sceu(tree: ExperimentationTree, plan: Plan) -> Rationalization:
@@ -134,17 +164,19 @@ def construct_sceu(tree: ExperimentationTree, plan: Plan) -> Rationalization:
 
     atom_of = {cls[0]: i for i, cls in enumerate(tree.canonical.atoms)}
     rank = tree.rank_in_tree
-    # point -> the choices on its path from its state down to its leaf
-    seen: dict[SamplePoint, set[str]] = {}
+    walks = {a: _walks(tree, plan, a) for a in plan.alternatives}
+    # point -> the choices on its walk from its state down to its leaf
+    seen: dict[SamplePoint, int] = {}
     avoid_points: dict[tuple[str, str], SamplePoint] = {}
     for x in tree.nodes:
         for a in plan.alternatives:
             if a == plan.choice[x]:
                 continue
-            branch = avoiding_branch(tree, plan, x, a)
-            point = SamplePoint(atom_of[branch[-1]], x)
-            if point not in seen:
-                seen[point] = {plan.choice[y] for y in branch[rank[x]:]}
+            _, end, chosen = walks[a][x]
+            if chosen is None:
+                raise _stuck(end, a)
+            point = SamplePoint(atom_of[end], x)
+            seen.setdefault(point, chosen)
             avoid_points[x, a] = point
 
     decl = {x: i for i, x in enumerate(tree.nodes)}
@@ -157,8 +189,8 @@ def construct_sceu(tree: ExperimentationTree, plan: Plan) -> Rationalization:
     raw = tuple([Fraction(2, 3 ** (i + 1)) for i in range(n)])
     weights = tuple([Fraction(2 * 3 ** (n - 1 - i), 3 ** n - 1)
                      for i in range(n)])  # raw / (1 - 3^-n)
-    utilities = {b: tuple([1 if b in seen[p] else 0 for p in points])
-                 for b in plan.alternatives}
+    utilities = {b: tuple([seen[p] >> j & 1 for p in points])
+                 for j, b in enumerate(plan.alternatives)}
     avoid = {key: index[pt] for key, pt in avoid_points.items()}
     return Rationalization(tree, plan, points, raw, weights, utilities, avoid)
 
@@ -260,10 +292,13 @@ def _verify_constructed(r: Rationalization) -> WitnessReport:
     if any(a > b for a, b in zip(ranks, ranks[1:])):
         failures.append("points are not ordered by state depth")
 
-    deeper = dict.fromkeys(tree.nodes, 0)  # weight strictly below
+    own = dict.fromkeys(tree.nodes, 0)  # weight of the points at x
     for p, w in zip(r.points, weights):
-        for x in tree.path_to_root(p.state)[:-1]:
-            deeper[x] += w
+        own[p.state] += w
+    deeper = dict.fromkeys(tree.nodes, 0)  # weight strictly below x
+    for x in sorted(tree.nodes, key=rank.__getitem__, reverse=True):
+        if x in tree.parent:
+            deeper[tree.parent[x]] += own[x] + deeper[x]
     for (x, a), m in margins.items():
         bound = weights[r.avoid[x, a]] - deeper[x]
         if bound <= 0:

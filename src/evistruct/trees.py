@@ -26,13 +26,14 @@ itself; `as_estructure` exposes that view.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_
 from typing import Iterable, Mapping, Sequence
 
 from .canonical import CanonicalSpace, build_canonical
 from .structure import (ConditionReport, ConditionVerdict, DerivedRelations,
                         EStructure, StructureError, _bits, _closure,
-                        derive_relations)
+                        _lowest, derive_relations)
 
 TREE_CONDITION_IDS: tuple[str, ...] = (
     "t-root", "t-order", "t-parent", "t-immediate",
@@ -105,14 +106,16 @@ class ExperimentationTree:
 
     @cached_property
     def rank_in_tree(self) -> dict[str, int]:
-        # a loop, not a self-calling closure, which would be a reference
-        # cycle keeping the tree alive until a full garbage collection
         rho: dict[str, int] = {}
-        for x in self.nodes:
-            for y in self.path_to_root(x):
-                if y not in rho:
-                    rho[y] = 0 if y == self.root else rho[self.parent[y]] + 1
+        for x in self._top_down:
+            rho[x] = rho[self.parent[x]] + 1 if x in self.parent else 0
         return rho
+
+    @cached_property
+    def _top_down(self) -> tuple[str, ...]:
+        """The nodes, each after its parent; empty unless the parent map
+        is tree-shaped."""
+        return _shape(self.nodes, self.parent.items(), self.root)[2]
 
     @property
     def depth(self) -> int:
@@ -129,12 +132,14 @@ class ExperimentationTree:
 
     @cached_property
     def as_estructure(self) -> EStructure:
+        s = self.ambient
+        if self.nodes == s.states and self._top_down:
+            d = s.derived
+            up = _up_rows(self._top_down, self.parent, d.index)
+            if tuple([up[x] for x in s.states]) == d.up:
+                return s  # the tree is all of s: keep s and its relations
         edges = tuple([(x, self.parent[x]) for x in self.nodes
                        if x != self.root])
-        s = self.ambient
-        if (self.nodes == s.states
-                and _closure(self.nodes, edges) == s.relation):
-            return s  # the tree is all of s: keep s and its derived relations
         return EStructure.from_generators(self.nodes, self.root, edges)
 
     @cached_property
@@ -181,28 +186,56 @@ def _validate_members(s: EStructure, nodes: Sequence[str],
 def check_graph_tree(nodes: Sequence[str], edges: Iterable[tuple[str, str]],
                      root: str) -> GraphReport:
     """Shape check only: one parent each, no cycles, all reach the root."""
+    return _shape(nodes, edges, root)[0]
+
+
+def _shape(nodes: Sequence[str], edges: Iterable[tuple[str, str]], root: str
+           ) -> tuple[GraphReport, dict[str, str], tuple[str, ...]]:
+    """check_graph_tree's report and, when the edges form a tree, the
+    child -> parent map and the nodes top-down, each after its parent.
+
+    With one parent for each non-root node and none for the root, a walk
+    up from any node either meets the root or runs into a cycle. A walk
+    stops at the first node already placed, so on a tree each node is
+    walked over once.
+    """
     up: dict[str, list[str]] = {x: [] for x in nodes}
     for c, p in edges:
         up[c].append(p)
+    parent: dict[str, str] = {}
     for x in nodes:
         if x == root:
             if up[x]:
-                return GraphReport(False, True, False, ("root has parent", x))
+                witness = ("root has parent", x)
+                return GraphReport(False, True, False, witness), {}, ()
         elif len(up[x]) != 1:
-            return GraphReport(False, True, False, (x, len(up[x])))
+            return GraphReport(False, True, False, (x, len(up[x]))), {}, ()
+        else:
+            parent[x] = up[x][0]
+    top_down = [root] if root in up else []
+    placed = set(top_down)
     for x in nodes:
-        trail = [x]
-        seen = {x}
-        while up[trail[-1]]:
-            nxt = up[trail[-1]][0]
-            if nxt in seen:
-                cycle = trail[trail.index(nxt):] + [nxt]
-                return GraphReport(False, False, True, tuple(cycle))
-            seen.add(nxt)
-            trail.append(nxt)
-        if trail[-1] != root:
-            return GraphReport(False, True, True, ("unreachable", x))
-    return GraphReport(True, True, True)
+        trail: list[str] = []
+        y = x
+        while y not in placed:
+            if y in trail:
+                cycle = trail[trail.index(y):] + [y]
+                return GraphReport(False, False, True, tuple(cycle)), {}, ()
+            trail.append(y)
+            y = parent[y]
+        placed.update(trail)
+        top_down.extend(reversed(trail))
+    return GraphReport(True, True, True), parent, tuple(top_down)
+
+
+def _up_rows(top_down: Sequence[str], parent: Mapping[str, str],
+             index: Mapping[str, int]) -> dict[str, int]:
+    """Each node's tree up-set, the node and its ancestors, as a bit row
+    over the given indices; top_down puts each node after its parent."""
+    up: dict[str, int] = {}
+    for x in top_down:
+        up[x] = (up[parent[x]] if x in parent else 0) | 1 << index[x]
+    return up
 
 
 def check_tree(s: EStructure, nodes: Sequence[str],
@@ -219,13 +252,37 @@ def check_tree(s: EStructure, nodes: Sequence[str],
 def _check_tree(s: EStructure, nodes: tuple[str, ...],
                 edges: tuple[tuple[str, str], ...]
                 ) -> tuple[ConditionReport, dict[str, tuple[str, ...]]]:
-    """check_tree's report, with each node's immediate tree predecessors."""
+    """check_tree's report, with each node's immediate tree predecessors.
+
+    A tree-shaped edge list (check_graph_tree) is read in one top-down
+    pass over bit rows of ambient indices: a node's tree up-set is its
+    parent's plus itself, and its one immediate tree predecessor is its
+    parent. Any other list, one with a redundant transitive edge say,
+    orders the nodes by the closure of its edges, and the immediate
+    predecessors are derived from that.
+    """
     _validate_members(s, nodes, edges)
     d = s.derived
     index, incompat = d.index, d.incompat_rows
-    order = _closure(nodes, edges)
-    t = derive_relations(EStructure(nodes, s.root, order))
-    kids = t.immed_sets
+    shape, parent, top_down = _shape(nodes, edges, s.root)
+    if shape.is_tree:
+        up = _up_rows(top_down, parent, index)
+        # the least pair, as sorted(order) gives it on the other route
+        order_witness = min(((x, min([s.states[j] for j in _bits(extra)]))
+                             for x in nodes
+                             if (extra := up[x] & ~d.up[index[x]])),
+                            default=None)
+        parents = {x: (parent[x],) if x in parent else () for x in nodes}
+        kids = {x: [] for x in nodes}
+        for x in nodes:
+            if x in parent:
+                kids[parent[x]].append(x)
+    else:
+        order = _closure(nodes, edges)
+        t = derive_relations(EStructure(nodes, s.root, order))
+        order_witness = next(((x, y) for x, y in sorted(order)
+                              if (x, y) not in s.relation), None)
+        parents, kids = t.parents, t.immed_sets
     verdicts: list[ConditionVerdict] = []
 
     witness: tuple | None = None
@@ -235,16 +292,15 @@ def _check_tree(s: EStructure, nodes: tuple[str, ...],
         witness = ("fewer than two nodes",)
     verdicts.append(ConditionVerdict("t-root", witness is None, witness))
 
-    witness = next(((x, y) for x, y in sorted(order)
-                    if (x, y) not in s.relation), None)
-    verdicts.append(ConditionVerdict("t-order", witness is None, witness))
+    verdicts.append(ConditionVerdict("t-order", order_witness is None,
+                                     order_witness))
 
-    witness = next(((x, len(t.parents[x])) for x in nodes
-                    if x != s.root and len(t.parents[x]) != 1), None)
+    witness = next(((x, len(parents[x])) for x in nodes
+                    if x != s.root and len(parents[x]) != 1), None)
     verdicts.append(ConditionVerdict("t-parent", witness is None, witness))
 
     witness = next(((x, z) for x, z in sorted(
-        [(x, z) for x in nodes for z in t.parents[x]])
+        [(x, z) for x in nodes for z in parents[x]])
         if z not in d.parents[x]), None)
     verdicts.append(ConditionVerdict("t-immediate", witness is None, witness))
 
@@ -257,14 +313,16 @@ def _check_tree(s: EStructure, nodes: tuple[str, ...],
                     if not incompat[index[x]] >> index[y] & 1), None)
     verdicts.append(ConditionVerdict("t-incompat", witness is None, witness))
 
-    # a strict refiner z of a node x incompatible with all of x's children
-    chosen = {x: sum([1 << index[w] for w in kids[x]]) for x in nodes}
-    witness = next(((s.states[z], x) for x in nodes if kids[x]
-                    for z in _bits(d.refiners[index[x]] & ~d.up[index[x]])
-                    if not chosen[x] & ~incompat[z]), None)
+    # a strict refiner of a node x incompatible with all of x's children:
+    # the lowest bit of x's strict refiners and its children's incompat rows
+    witness = next(((s.states[_lowest(bad)], x) for x in nodes if kids[x]
+                    if (bad := reduce(and_, [incompat[index[w]]
+                                             for w in kids[x]],
+                                      d.refiners[index[x]] & ~d.up[index[x]]))
+                    ), None)
     verdicts.append(ConditionVerdict("t-unbiased", witness is None, witness))
 
-    return ConditionReport(tuple(verdicts)), t.parents
+    return ConditionReport(tuple(verdicts)), parents
 
 
 def build_tree(s: EStructure, nodes: Sequence[str],

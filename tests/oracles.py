@@ -330,6 +330,25 @@ def verify_canonical_by_sets(states, root, rel, atoms, events):
     return verdicts
 
 
+def verify_embedding_by_sets(states, root, rel, mapping):
+    """verify_embedding's verdicts and witnesses, comparing the mapped
+    sets pair by pair in declaration order."""
+    d = derive_relations_by_sets(states, rel)
+    kids = d["immed_sets"]
+    universe = frozenset().union(*mapping.values())
+    witnesses = [
+        (root,) if mapping[root] != universe else next(
+            ((x, y) for x in states for y in states
+             if ((x, y) in rel) != (mapping[x] <= mapping[y])), None),
+        next(((x, y) for x in states for y in states
+              if (x, y) in d["incompat"] and mapping[x] & mapping[y]), None),
+        next(((z,) for z in states if kids[z] and mapping[z]
+              != frozenset().union(*[mapping[x] for x in kids[z]])), None),
+    ]
+    return [(c, w is None, w)
+            for c, w in zip(("order", "disjoint", "saturation"), witnesses)]
+
+
 # ---------------------------------------------------------------------------
 # trees
 # ---------------------------------------------------------------------------
@@ -382,6 +401,40 @@ def check_tree_oracle(states, root, rel, nodes, edges):
             if not ok:
                 failed.add("t-unbiased")
     return failed
+
+
+def check_tree_by_pairs(states, root, rel, nodes, edges):
+    """check_tree with its witnesses, on pair sets: the tree order is the
+    closure of the edges, whatever their shape, and the tree's immediate
+    predecessors and children are derived from that order.
+
+    Returns the verdicts as (condition, passed, witness) triples, in
+    TREE_CONDITIONS order, and each node's immediate tree predecessors.
+    """
+    nodes = list(nodes)
+    ambient = derive_relations_by_sets(states, rel)
+    incompat = ambient["incompat"]
+    order = closure(nodes, edges)
+    tree = derive_relations_by_sets(nodes, order)
+    parents, kids = tree["parents"], tree["immed_sets"]
+    witnesses = [
+        ("root missing",) if root not in nodes
+        else ("fewer than two nodes",) if len(nodes) < 2 else None,
+        next(((x, y) for x, y in sorted(order) if (x, y) not in rel), None),
+        next(((x, len(parents[x])) for x in nodes
+              if x != root and len(parents[x]) != 1), None),
+        next(((x, z) for x, z in sorted((x, z) for x in nodes
+                                        for z in parents[x])
+              if z not in ambient["parents"][x]), None),
+        next(((x, 1) for x in nodes if len(kids[x]) == 1), None),
+        next(((x, y, z) for z in nodes for x, y in combinations(kids[z], 2)
+              if (x, y) not in incompat), None),
+        next(((z, x) for x in nodes if kids[x] for z in states
+              if (z, x) in ambient["sms"]
+              and all((z, w) in incompat for w in kids[x])), None),
+    ]
+    verdicts = [(c, w is None, w) for c, w in zip(TREE_CONDITIONS, witnesses)]
+    return verdicts, parents
 
 
 def enumerate_trees_oracle(states, root, rel, limit=None):
@@ -692,6 +745,54 @@ def qualifying_branches(nodes, parent, root, rel, zeta, x, a):
         if all(zeta[y] != a for y in br if (y, x) in rel):
             out.append(br)
     return out
+
+
+def construct_sceu_by_walks(nodes, root, parent, choice, alternatives,
+                            leaf_atom):
+    """construct_sceu with one avoidance walk per (node, rejected
+    alternative), in node order then alternative order: from the node
+    down, always into the first child in node order whose choice is not
+    the rejected one. leaf_atom maps each leaf to its atom index.
+
+    Returns (points as (atom, state) pairs, raw weights, weights,
+    utilities, avoid); raises ValueError with construct_sceu's text where
+    a walk finds every child choosing the rejected alternative.
+    """
+    kids = {x: [y for y in nodes if parent.get(y) == x] for x in nodes}
+
+    def path_to_root(x):
+        path = [x]
+        while path[-1] != root:
+            path.append(parent[path[-1]])
+        return path[::-1]
+
+    rank = {x: len(path_to_root(x)) - 1 for x in nodes}
+    chosen_below, avoid_points = {}, {}
+    for x in nodes:
+        for a in alternatives:
+            if a == choice[x]:
+                continue
+            walk = [x]
+            while kids[walk[-1]]:
+                step = next((k for k in kids[walk[-1]] if choice[k] != a),
+                            None)
+                if step is None:
+                    raise ValueError(
+                        f"every child of {walk[-1]!r} chooses {a!r}; the "
+                        f"plan is dominance-inconsistent there")
+                walk.append(step)
+            point = (leaf_atom[walk[-1]], x)
+            chosen_below.setdefault(point, {choice[y] for y in walk})
+            avoid_points[x, a] = point
+    position = {x: i for i, x in enumerate(nodes)}
+    leaf_of = {atom: leaf for leaf, atom in leaf_atom.items()}
+    points = sorted(chosen_below, key=lambda p: (
+        rank[p[1]], position[p[1]], position[leaf_of[p[0]]]))
+    raw, weights = geometric_weights(len(points))
+    utilities = {b: [1 if b in chosen_below[p] else 0 for p in points]
+                 for b in alternatives}
+    avoid = {key: points.index(p) for key, p in avoid_points.items()}
+    return points, raw, weights, utilities, avoid
 
 
 # ---------------------------------------------------------------------------

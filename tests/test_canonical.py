@@ -279,3 +279,33 @@ class TestRandomized:
             maximal = [x for x in s.states
                        if not any((w, x) in d.sms for w in s.states)]
             assert sum(len(cls) for cls in space.atoms) == len(maximal)
+
+
+def test_embedding_witnesses_match_the_set_reference():
+    """The order check compares point masks with the up rows; the
+    reference compares the sets themselves. Mappings are the canonical
+    events or the product embedding, some with two events swapped, a
+    point added or one taken away."""
+    rng = random.Random(909)
+    failed: set[str] = set()
+    for i in range(150):
+        s = subset_family_structure(rng, max_universe=4)
+        space = build_canonical(s)
+        mapping = (dict(space.events) if i % 2
+                   else product_embedding(space, s))
+        x, y = rng.sample(s.states, 2)
+        points = sorted(mapping[s.root])
+        if i % 5 == 1:
+            mapping[x], mapping[y] = mapping[y], mapping[x]
+        elif i % 5 == 2:
+            mapping[x] = mapping[x] | {rng.choice(points)}
+        elif i % 5 == 3 and len(mapping[x]) > 1:
+            mapping[x] = mapping[x] - {rng.choice(sorted(mapping[x]))}
+        elif i % 5 == 4:
+            mapping[x] = mapping[x] | {"elsewhere"}
+        report = verify_embedding(s, mapping)
+        assert [(v.condition, v.passed, v.witness)
+                for v in report.verdicts] == oracles.verify_embedding_by_sets(
+                    s.states, s.root, s.relation, mapping)
+        failed.update(report.failed_ids)
+    assert failed == set(EMBEDDING_CONDITION_IDS)

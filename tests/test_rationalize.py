@@ -8,10 +8,12 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from conftest import consistent_plan, inconsistent_plan, splitting_tree
+from conftest import (consistent_plan, inconsistent_plan, splitting_tree,
+                      subset_family_structure)
 from evistruct import (EStructure, ExplicitRepresentation, Plan, PlanError,
                        RationalizationError, SamplePoint, avoiding_branch,
-                       build_tree, construct_sceu, verify_rationalization)
+                       build_tree, construct_sceu, find_trees,
+                       verify_rationalization)
 from evistruct.rationalize import _margins
 
 
@@ -423,3 +425,45 @@ class TestVerification:
             plan = inconsistent_plan(rng, tree)
             with pytest.raises(RationalizationError):
                 construct_sceu(tree, plan)
+
+
+def test_walk_tables_match_the_walk_reference():
+    """construct_sceu reads its avoidance walks off one table per
+    alternative; oracles.construct_sceu_by_walks walks once per (node,
+    rejected alternative). Points, weights, utilities, avoid and the
+    error text must agree, on spanning and contained trees."""
+    rng = random.Random(1212)
+    built = stuck = contained = 0
+    for i in range(150):
+        if i % 3:
+            tree = splitting_tree(rng, max_nodes=20)
+        else:  # a tree inside a subset family
+            found = find_trees(subset_family_structure(rng, max_universe=4))
+            if not found:
+                continue
+            tree = rng.choice(found)
+        alts = ("a", "b", "c", "d")[:rng.randint(2, 4) if i % 3 else 2]
+        if i % 3 and i % 4 < 2:  # the generators need parents first
+            make = consistent_plan if i % 4 == 0 else inconsistent_plan
+            choice = dict(make(rng, tree, n_alts=len(alts)).choice)
+        else:  # random choices, and choices off a contained tree
+            choice = {x: rng.choice(alts) for x in tree.ambient.states}
+        plan = Plan(alts, choice)
+        leaf_atom = {cls[0]: k for k, cls in enumerate(tree.canonical.atoms)}
+        try:
+            want = oracles.construct_sceu_by_walks(
+                tree.nodes, tree.root, dict(tree.parent),
+                {x: plan.choice[x] for x in tree.nodes}, alts, leaf_atom)
+        except ValueError as error:
+            with pytest.raises(RationalizationError) as info:
+                construct_sceu(tree, plan)
+            assert str(info.value) == str(error)
+            stuck += 1
+            continue
+        r = construct_sceu(tree, plan)
+        assert ([(p.atom, p.state) for p in r.points], list(r.raw_weights),
+                list(r.weights), {b: list(u) for b, u in r.utilities.items()},
+                dict(r.avoid)) == want
+        built += 1
+        contained += tree.nodes != tree.ambient.states
+    assert built > 60 and stuck > 30 and contained > 10

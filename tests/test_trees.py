@@ -6,11 +6,15 @@ import random
 import pytest
 
 import oracles
-from conftest import splitting_tree, subset_family_structure
+from conftest import consistent_plan, splitting_tree, subset_family_structure
 from evistruct import (TREE_CONDITION_IDS, EStructure, TreeError, as_tree,
                        build_tree, build_canonical, check_axioms,
-                       check_graph_tree, check_tree, decompose_field_element,
-                       find_trees, parse_workspace, partitions)
+                       check_graph_tree, check_tree, construct_sceu,
+                       decide_rationalizable, decompose_field_element,
+                       find_trees, parse_workspace, partitions,
+                       verify_rationalization)
+from evistruct import structure, trees
+from evistruct.trees import _check_tree
 
 
 def test_condition_ids_are_stable():
@@ -457,3 +461,147 @@ class TestRandomizedTrees:
             found = find_trees(own)
             node_sets = [frozenset(f.nodes) for f in found]
             assert frozenset(t.nodes) in node_sets
+
+
+def _variants(rng, s, nodes, edges):
+    """Edge lists around one tree (nodes, edges) of s: as given; with the
+    nodes shuffled and the edges reversed; with two nodes moved under
+    other nodes, still a tree; with a redundant transitive edge; with a
+    second parent; with a cycle; with a parent for the root; with a node
+    dropped; and without the root."""
+    root, parent = s.root, dict(edges)
+    others = [x for x in nodes if x != root]
+    yield nodes, edges
+    shuffled = list(nodes)
+    rng.shuffle(shuffled)
+    yield tuple(shuffled), edges[::-1]
+
+    def above(y, up):
+        while y in up:
+            y = up[y]
+            yield y
+
+    moved = dict(parent)
+    for x in rng.sample(others, min(2, len(others))):
+        moved[x] = rng.choice([y for y in nodes
+                               if y != x and x not in above(y, moved)])
+    yield nodes, tuple(moved.items())
+    deep = [x for x in others if parent[x] != root]
+    if deep:
+        x = rng.choice(deep)
+        yield nodes, edges + ((x, parent[parent[x]]),)
+    x = rng.choice(others)
+    yield nodes, edges + ((x, rng.choice([y for y in nodes
+                                          if y != parent[x]])),)
+    if deep:  # hang x's parent under x
+        x = rng.choice(deep)
+        yield nodes, tuple([(c, x if c == parent[x] else p)
+                            for c, p in edges])
+    yield nodes, edges + ((root, rng.choice(others)),)
+    x = rng.choice(others)
+    yield (tuple([y for y in nodes if y != x]),
+           tuple([(c, p) for c, p in edges if x not in (c, p)]))
+    yield others, tuple([(c, p) for c, p in edges if p != root])
+
+
+class TestAgainstPairSetReference:
+    """check_tree reads a tree-shaped edge list off its parent map and
+    closes any other list; oracles.check_tree_by_pairs closes every list.
+    Verdicts, witnesses and the returned parents must agree."""
+
+    @staticmethod
+    def compare(s, nodes, edges):
+        report, parents = _check_tree(s, tuple(nodes), tuple(edges))
+        verdicts, want_parents = oracles.check_tree_by_pairs(
+            s.states, s.root, s.relation, nodes, edges)
+        assert [(v.condition, v.passed, v.witness)
+                for v in report.verdicts] == verdicts
+        assert dict(parents) == want_parents
+        return report
+
+    def test_seeded_candidates(self):
+        rng = random.Random(1111)
+        failed: set[str] = set()
+        shapes = {True: 0, False: 0}
+        passed = 0
+        for i in range(90):
+            if i % 3:
+                t = splitting_tree(rng, max_nodes=16)
+            else:  # a tree inside a subset family, maybe among twins
+                found = find_trees(subset_family_structure(rng,
+                                                           max_universe=4))
+                if not found:
+                    continue
+                t = rng.choice(found)
+            s = t.ambient
+            edges = tuple([(x, t.parent[x]) for x in t.nodes
+                           if x != s.root])
+            for nodes, candidate in _variants(rng, s, t.nodes, edges):
+                report = self.compare(s, nodes, candidate)
+                failed.update(report.failed_ids)
+                passed += report.passed
+                shapes[check_graph_tree(nodes, candidate, s.root).is_tree] += 1
+        assert failed == set(TREE_CONDITION_IDS)
+        assert passed > 60 and min(shapes.values()) > 100
+
+    def test_random_candidates_and_corpus_blocks(self, corpus):
+        rng = random.Random(2468)
+        for _ in range(150):
+            s = subset_family_structure(rng, max_universe=4)
+            immms = oracles.immms_pairs(s.states, s.relation)
+            nodes = [x for x in s.states
+                     if rng.random() < (0.9 if x == s.root else 0.6)]
+            edges = []
+            for x in nodes:
+                ups = [p for p in nodes if (x, p) in immms]
+                if ups and rng.random() < 0.8:
+                    edges.append((x, rng.choice(ups)))
+                if rng.random() < 0.2:
+                    edges.append((x, rng.choice(nodes)))
+            self.compare(s, nodes, edges)
+        for ws in corpus.values():
+            for block in ws.trees:
+                self.compare(ws.structure, block.nodes, block.edges)
+
+    def test_redundant_transitive_edge_takes_the_closure(self):
+        s = EStructure.from_generators(
+            ["r", "a", "b", "c", "d"], "r",
+            [("a", "r"), ("b", "r"), ("c", "a"), ("d", "a")])
+        report = self.compare(s, ["r", "a", "b", "c", "d"],
+                              [("a", "r"), ("b", "r"), ("c", "a"),
+                               ("d", "a"), ("c", "r")])
+        assert report.passed
+
+
+def test_tree_op_closes_and_derives_once(monkeypatch):
+    """One consistent op on a 12-node tree: build the structure and the
+    tree, decide, construct and verify. Every tree on the way is read off
+    its parent map, so the edges are closed once and the relations
+    derived once, both for the structure itself."""
+    rng = random.Random(12)
+    tree = splitting_tree(rng, max_nodes=12, min_nodes=12)
+    while len(tree.nodes) != 12:
+        tree = splitting_tree(rng, max_nodes=12, min_nodes=12)
+    plan = consistent_plan(rng, tree, n_alts=3)
+    nodes, edges = tree.nodes, tuple(tree.parent.items())
+    calls = {"_closure": 0, "derive_relations": 0}
+
+    def counted(name):
+        original = getattr(structure, name)
+
+        def count(*args):
+            calls[name] += 1
+            return original(*args)
+        return count
+
+    for name in calls:
+        wrapper = counted(name)
+        for module in (structure, trees):
+            monkeypatch.setattr(module, name, wrapper)
+    s = EStructure.from_generators(nodes, tree.root, edges)
+    t = build_tree(s, nodes, edges)
+    result = decide_rationalizable(s, plan)
+    r = construct_sceu(t, plan)
+    assert result.path == "tree" and result.feasible
+    assert verify_rationalization(t, plan, r).verified
+    assert calls == {"_closure": 1, "derive_relations": 1}
