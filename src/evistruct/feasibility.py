@@ -29,16 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .canonical import build_canonical
-from .plans import Plan, PlanError, check_isd_plan
+from .canonical import CanonicalSpace, build_canonical
+from .plans import Plan, PlanError, _check_domain, check_isd_plan
 from .structure import EStructure, WitnessReport
 from .trees import ExperimentationTree, TreeError, as_tree
 
 
-@dataclass(frozen=True)
-class FeasibilityRow:
+class FeasibilityRow(NamedTuple):
     """One strict-dominance constraint.
 
     Attributes:
@@ -105,28 +104,34 @@ class FeasibilityResult:
 
 def build_system(s: EStructure, plan: Plan) -> FeasibilitySystem:
     """Linearize the strict-dominance requirements of a plan."""
-    for x in plan.choice:
-        if x not in s.states:
-            raise PlanError(f"plan state {x!r} is not a state")
+    _check_domain(s, plan)
     space = build_canonical(s)
-    atoms = space.labels
-    natoms = len(atoms)
-    alts = plan.alternatives
+    return FeasibilitySystem(plan.alternatives, space.labels,
+                             _rows(space, plan, s.states))
+
+
+def _rows(space: CanonicalSpace, plan: Plan,
+          states: Sequence[str]) -> tuple[FeasibilityRow, ...]:
+    """A row per state of states the plan decides, in that order, and per
+    rival of its choice; its value at g is the margin. Column
+    j * natoms + w stands for g[plan.alternatives[j]][atom w] of space."""
+    natoms = len(space.atoms)
+    alts, choice, events = plan.alternatives, plan.choice, space.events
     ncols = len(alts) * natoms
-    index = {a: i for i, a in enumerate(alts)}
+    start = {a: i * natoms for i, a in enumerate(alts)}
     rows: list[FeasibilityRow] = []
-    for x in s.states:
-        if x not in plan.choice:
+    for x in states:
+        if x not in choice:
             continue
-        chosen = plan.choice[x]
-        event = space.events[x]
-        gain = tuple([(index[chosen] * natoms + w, 1) for w in event])
+        chosen = choice[x]
+        event = events[x]
+        gain = tuple([(start[chosen] + w, 1) for w in event])
         for a in alts:
             if a == chosen:
                 continue
-            loss = tuple([(index[a] * natoms + w, -1) for w in event])
+            loss = tuple([(start[a] + w, -1) for w in event])
             rows.append(FeasibilityRow(x, a, gain + loss, ncols))
-    return FeasibilitySystem(alts, atoms, tuple(rows))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------- simplex
@@ -216,9 +221,34 @@ def _over_lcm(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _row_values(system: FeasibilitySystem, g: Sequence[int]) -> list[int]:
+def _row_values(rows: Sequence[FeasibilityRow],
+                g: Sequence[int]) -> list[int]:
     """Each row's value at integer g."""
-    return [sum([c * g[j] for j, c in r.terms]) for r in system.rows]
+    return [sum([c * g[j] for j, c in r.terms]) for r in rows]
+
+
+def _mass(ncols: int, columns: Sequence[int], weights: Sequence[int],
+          pays: Sequence[Sequence[int]]) -> list[int]:
+    """g[j * ncols + c]: weight times payoff under alternative j, summed
+    over the points i with columns[i] == c; pays[j][i] is that payoff."""
+    g = [0] * (len(pays) * ncols)
+    for j, row in enumerate(pays):
+        base = j * ncols
+        for c, w, u in zip(columns, weights, row):
+            g[base + c] += w * u
+    return g
+
+
+def _report(rows: Sequence[FeasibilityRow], g: Sequence[int], den: int,
+            total: Fraction, failures: Sequence[str]) -> WitnessReport:
+    """Margins of rows at integer g over den, keyed (state, rival), and
+    after the given failures one per margin that is not positive."""
+    values = list(zip(rows, _row_values(rows, g)))
+    margins = {(r.state, r.alternative): Fraction(m, den) for r, m in values}
+    failures = (*failures, *[f"no strict preference at {r.state!r} over "
+                             f"{r.alternative!r}"
+                             for r, m in values if m <= 0])
+    return WitnessReport(not failures, margins, failures, total)
 
 
 def _normalization(weights: Sequence[int], den: int
@@ -259,12 +289,7 @@ def verify_weighting(system: FeasibilitySystem,
     total, more = _normalization(w, wden)
     failures += more
     g = [x * v for x, v in zip(w * len(system.alternatives), u)]
-    rows = list(zip(system.rows, _row_values(system, g)))
-    margins = {(r.state, r.alternative): Fraction(m, wden * uden)
-               for r, m in rows}
-    failures += [f"no strict preference at {r.state!r} over "
-                 f"{r.alternative!r}" for r, m in rows if m <= 0]
-    return WitnessReport(not failures, margins, tuple(failures), total)
+    return _report(system.rows, g, wden * uden, total, failures)
 
 
 def verify_certificate(system: FeasibilitySystem,
@@ -352,7 +377,7 @@ def decide_system(system: FeasibilitySystem) -> FeasibilityResult:
     verdict, payload = _phase1(coeff_rows, system.ncols)
     if verdict == "feasible":
         g, den = _over_lcm(payload)
-        if min(_row_values(system, g)) < den:
+        if min(_row_values(system.rows, g)) < den:
             raise RuntimeError("exact simplex returned an invalid point")
         result = _result_from_point(system, payload)
     else:
@@ -416,14 +441,10 @@ def _decide_on_tree(system: FeasibilitySystem, tree: ExperimentationTree,
                                  path="tree")
     from .rationalize import construct_sceu  # rationalize imports this module
     r = construct_sceu(tree, plan)
-    column = {label: k for k, label in enumerate(system.atoms)}
-    atom_column = [column[label] for label in tree.canonical.labels]
     n = len(r.points)
     # the raw weights 2/3^(i+1), times 3^n/2
     weights = [3 ** (n - 1 - i) for i in range(n)]
-    natoms = len(system.atoms)
-    g = [0] * system.ncols
-    for j, alt in enumerate(system.alternatives):
-        for p, w, pays in zip(r.points, weights, r.utilities[alt]):
-            g[j * natoms + atom_column[p.atom]] += w * pays
+    # the tree is all of s, so its atom k is the system's atom k
+    g = _mass(len(system.atoms), [p.atom for p in r.points], weights,
+              [r.utilities[alt] for alt in system.alternatives])
     return replace(_result_from_point(system, g), path="tree")

@@ -76,6 +76,13 @@ class IsdReport:
         return not self.violations
 
 
+def _check_domain(s: EStructure, plan: Plan) -> None:
+    """Raise PlanError unless every state the plan decides is a state of s."""
+    for x in plan.choice:
+        if x not in s.derived.index:
+            raise PlanError(f"plan state {x!r} is not a state")
+
+
 def check_isd_plan(s: EStructure, plan: Plan) -> IsdReport:
     """Dominance check for a plan.
 
@@ -84,9 +91,7 @@ def check_isd_plan(s: EStructure, plan: Plan) -> IsdReport:
     the plan picks something else at z. States whose refinements are only
     partly covered by the domain impose no constraint.
     """
-    for x in plan.choice:
-        if x not in s.states:
-            raise PlanError(f"plan state {x!r} is not a state")
+    _check_domain(s, plan)
     refinements = s.derived.immed_sets
     violations: list[tuple] = []
     for z in s.states:

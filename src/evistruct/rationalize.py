@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .feasibility import (_normalization, _over_lcm, build_system,
-                          verify_weighting)
+from .feasibility import (_mass, _normalization, _over_lcm, _report, _rows,
+                          build_system, verify_weighting)
 from .plans import Plan, PlanError
 from .structure import EStructure, StructureError, WitnessReport
 from .trees import ExperimentationTree, check_graph_tree
@@ -201,40 +201,19 @@ def _margins(tree: ExperimentationTree, plan: Plan, atoms: Sequence[int],
     """Weighted-utility margins of each chosen alternative over its rivals.
 
     Point i lies in the tree's atom atoms[i], with weight weights[i] and
-    payoff utilities[b][i] under alternative b. For each tree node x and
-    each rival a of the choice at x, the margin is the sum, over points
-    whose atom lies in the event of x, of weight times (chosen payoff minus
-    a's payoff). Weight times payoff is summed once per atom and
-    alternative, then over each event, in integers over the weights' and
-    the utilities' common denominators. The report fails on weights not
-    summing to 1, a negative weight, and each margin that is not strictly
-    positive.
+    payoff utilities[b][i] under alternative b. The margins are the rows
+    of the tree's own linear system at g, weight times payoff summed per
+    atom over common denominators. The report fails on weights not summing
+    to 1, a negative weight, and each margin that is not strictly positive.
     """
     weights, wden = _over_lcm(weights)
     total, failures = _normalization(weights, wden)
-    k = len(atoms)
-    pays, uden = _over_lcm([v for b in plan.alternatives
-                            for v in utilities[b]])
-    events = tree.canonical.events
-    mass: dict[str, dict[int, int]] = {}  # alternative -> atom -> sum
-    for j, b in enumerate(plan.alternatives):
-        table = mass[b] = {}
-        for atom, w, u in zip(atoms, weights, pays[j * k:(j + 1) * k]):
-            table[atom] = table.get(atom, 0) + w * u
-    den = wden * uden
-    margins: dict[tuple[str, str], Fraction] = {}
-    for x in tree.nodes:
-        chosen = plan.choice[x]
-        inside = [atom for atom in events[x] if atom in mass[chosen]]
-        base = sum([mass[chosen][atom] for atom in inside])
-        for a in plan.alternatives:
-            if a == chosen:
-                continue
-            margin = base - sum([mass[a][atom] for atom in inside])
-            margins[x, a] = Fraction(margin, den)
-            if margin <= 0:
-                failures.append(f"no strict preference at {x!r} over {a!r}")
-    return WitnessReport(not failures, margins, tuple(failures), total)
+    k, alts, space = len(atoms), plan.alternatives, tree.canonical
+    pays, uden = _over_lcm([v for b in alts for v in utilities[b]])
+    g = _mass(len(space.atoms), atoms, weights,
+              [pays[j * k:(j + 1) * k] for j in range(len(alts))])
+    return _report(_rows(space, plan, tree.nodes), g, wden * uden, total,
+                   failures)
 
 
 def _tree_fits(t: object) -> bool:

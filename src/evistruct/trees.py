@@ -178,14 +178,22 @@ def _validate_members(s: EStructure, nodes: Sequence[str],
         if x in seen:
             raise TreeError(f"duplicate tree node {x!r}")
         seen.add(x)
+    _validate_edges(seen, edges)
+
+
+def _validate_edges(nodes: set[str],
+                    edges: Iterable[tuple[str, str]]) -> None:
     for c, p in edges:
-        if c not in seen or p not in seen:
+        if c not in nodes or p not in nodes:
             raise TreeError(f"edge ({c!r}, {p!r}) mentions a non-node")
 
 
 def check_graph_tree(nodes: Sequence[str], edges: Iterable[tuple[str, str]],
                      root: str) -> GraphReport:
-    """Shape check only: one parent each, no cycles, all reach the root."""
+    """Shape check only: one parent each, no cycles, all reach the root.
+    An edge that mentions a non-node raises TreeError."""
+    edges = tuple(edges)
+    _validate_edges(set(nodes), edges)
     return _shape(nodes, edges, root)[0]
 
 
@@ -197,7 +205,7 @@ def _shape(nodes: Sequence[str], edges: Iterable[tuple[str, str]], root: str
     With one parent for each non-root node and none for the root, a walk
     up from any node either meets the root or runs into a cycle. A walk
     stops at the first node already placed, so on a tree each node is
-    walked over once.
+    walked over once. Callers have checked that edges join nodes.
     """
     up: dict[str, list[str]] = {x: [] for x in nodes}
     for c, p in edges:
@@ -477,11 +485,9 @@ class PartitionSequence:
         return True
 
 
-def partitions(t: ExperimentationTree,
-               space: CanonicalSpace | None = None) -> PartitionSequence:
+def partitions(t: ExperimentationTree) -> PartitionSequence:
     """The refinement filtration of the tree's events."""
-    if space is None:
-        space = build_canonical(t.ambient)
+    space = build_canonical(t.ambient)
     rho = t.rank_in_tree
     leaves = set(t.leaves)
     stages_members: list[tuple[str, ...]] = []

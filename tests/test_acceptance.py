@@ -199,7 +199,7 @@ def _audit_structure(s):
                 assert not union & space.events[a]
                 union |= space.events[a]
             assert union == space.events[z]
-        assert partitions(tree, space).is_refinement_chain()
+        assert partitions(tree).is_refinement_chain()
 
 
 @pytest.mark.criterion(9, "canonical spaces and embeddings verify everywhere")

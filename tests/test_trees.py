@@ -180,7 +180,7 @@ class TestT2AsItsOwnStructure:
         assert stages[0] == {frozenset({0, 1, 2, 3, 4})}
         assert stages[1] == {frozenset({0, 1}), frozenset({2, 3, 4})}
         assert stages[2] == {frozenset({i}) for i in range(5)}
-        assert seq.is_refinement_chain
+        assert seq.is_refinement_chain()
 
     def test_partitions_match_oracle(self, t2):
         _, oracle_seq = oracles.partitions_oracle(
@@ -260,6 +260,13 @@ class TestGraphChecks:
         report = check_graph_tree(["r", "a", "b"],
                                   [("a", "r"), ("b", "r")], "r")
         assert report.is_tree
+
+    def test_edge_to_a_non_node(self):
+        with pytest.raises(TreeError,
+                           match=r"edge \('x', 'r'\) mentions a non-node"):
+            check_graph_tree(["r"], [("x", "r")], "r")
+        with pytest.raises(TreeError, match="mentions a non-node"):
+            check_graph_tree(["r", "a"], [("a", "y")], "r")
 
 
 def test_lopsided_subtree_fails_branching_and_unbiased():
@@ -409,7 +416,7 @@ class TestRandomizedTrees:
         for _ in range(40):
             t = splitting_tree(rng, max_nodes=25)
             seq = partitions(t)
-            assert seq.is_refinement_chain
+            assert seq.is_refinement_chain()
             n_atoms = len(t.canonical.atoms)
             assert set(map(frozenset, seq.blocks[0])) == {
                 frozenset(range(n_atoms))}

@@ -4,6 +4,7 @@ verify_weighting, _certificate_failure, rationalize._margins and
 _verify_constructed put their inputs over one common denominator and run
 on integer numerators; tests/oracles.py keeps the same checks written in
 Fractions. Every report must agree field for field, in the same order.
+A point-level witness's margins are the rows of the atom-level system.
 """
 from __future__ import annotations
 
@@ -17,11 +18,11 @@ import pytest
 import oracles
 from conftest import (arbitrary_plan, consistent_plan, inconsistent_plan,
                       splitting_tree, subset_family_structure)
-from evistruct import (WitnessReport, build_tree, construct_sceu,
-                       decide_rationalizable, verify_certificate,
-                       verify_rationalization)
+from evistruct import (Plan, WitnessReport, build_system, build_tree,
+                       construct_sceu, decide_rationalizable, find_trees,
+                       verify_certificate, verify_rationalization)
 from evistruct.feasibility import _certificate_failure, verify_weighting
-from evistruct.rationalize import _verify_constructed
+from evistruct.rationalize import _margins, _verify_constructed
 
 
 def fields(report: WitnessReport):
@@ -168,6 +169,67 @@ class TestAgainstFractionReferences:
             reasons.add(want.split(" ")[0] if want else None)
             checked += 1
         assert {None, "zero", "combination"} <= reasons
+
+
+def atom_level(tree, atoms, weights, utilities):
+    """Each atom weighs its points' total weight and pays their weighted
+    mean payoff, keyed by atom label."""
+    labels = tree.canonical.labels
+    w, mass = {}, {b: {} for b in utilities}
+    for i, k in enumerate(atoms):
+        z = labels[k]
+        w[z] = w.get(z, 0) + weights[i]
+        for b, pays in utilities.items():
+            mass[b][z] = mass[b].get(z, 0) + weights[i] * pays[i]
+    return w, {b: {z: m / w[z] for z, m in table.items()}
+               for b, table in mass.items()}
+
+
+def consistent_by_rank(rng, tree, alts):
+    """A random total plan with no dominance violations, chosen bottom-up
+    by tree rank, so the nodes may come in any order."""
+    choice = {}
+    for x in sorted(tree.nodes, key=tree.rank_in_tree.__getitem__,
+                    reverse=True):
+        picks = {choice[k] for k in tree.children[x]}
+        choice[x] = picks.pop() if len(picks) == 1 else rng.choice(alts)
+    return Plan(alts, choice)
+
+
+def test_point_margins_are_rows_of_the_atom_level_system():
+    """_margins on a point-level witness and verify_weighting on the
+    tree's own system, at the witness summed per atom, give the same
+    margins in the same order and the same verdict: on constructed
+    witnesses, and with their utilities rescaled and shifted so that
+    some margins fail, on spanning and on contained trees."""
+    rng = random.Random(6060)
+    checked = contained = failing = 0
+    for i in range(120):
+        if i % 2:
+            tree = splitting_tree(rng, max_nodes=16)
+        else:  # a tree inside a subset family, not all of it if one is
+            found = find_trees(subset_family_structure(rng, max_universe=4))
+            if not found:
+                continue
+            inner = [t for t in found if t.as_estructure is not t.ambient]
+            tree = rng.choice(inner or found)
+            contained += tree.as_estructure is not tree.ambient
+        alts = ("a", "b", "c", "d")[:rng.randint(2, 4)]
+        plan = consistent_by_rank(rng, tree, alts)
+        r = construct_sceu(tree, plan)
+        atoms = [p.atom for p in r.points]
+        shifted = {b: [mixed(rng, v) - rng.randint(0, 1) for v in u]
+                   for b, u in r.utilities.items()}
+        system = build_system(tree.as_estructure, plan)
+        for utilities in (r.utilities, shifted):
+            got = _margins(tree, plan, atoms, r.weights, utilities)
+            want = verify_weighting(system, *atom_level(
+                tree, atoms, r.weights, utilities))
+            assert list(got.margins.items()) == list(want.margins.items())
+            assert got.verified == want.verified
+            failing += not got.verified
+        checked += 1
+    assert checked > 90 and contained > 20 and failing > 50
 
 
 def test_large_denominators_on_a_160_node_tree():
