@@ -9,9 +9,9 @@ be explained by a single probability-and-utility pair.
 from __future__ import annotations
 
 from .canonical import (CANONICAL_CONDITION_IDS, EMBEDDING_CONDITION_IDS,
-                        CanonicalError, CanonicalReport, CanonicalSpace,
-                        EmbeddingReport, build_canonical, generated_field,
-                        product_embedding, verify_canonical, verify_embedding)
+                        CanonicalError, CanonicalSpace, build_canonical,
+                        generated_field, product_embedding, verify_canonical,
+                        verify_embedding)
 from .feasibility import (FeasibilityResult, FeasibilityRow, FeasibilitySystem,
                           build_system, decide_rationalizable, decide_system,
                           verify_certificate, verify_weighting)
@@ -24,34 +24,27 @@ from .plans import (ConditionalPreferenceRelation, IsdReport, Plan,
 from .rationalize import (ExplicitRepresentation, Rationalization,
                           RationalizationError, SamplePoint, avoiding_branch,
                           construct_sceu, verify_rationalization)
-from .structure import (AXIOM_IDS, AxiomReport, AxiomVerdict,
-                        CertificateReport, ConditionReport, ConditionVerdict,
+from .structure import (AXIOM_IDS, ConditionReport, ConditionVerdict,
                         DerivedRelations, EStructure, RankTable,
-                        RationalizationReport, StructureError, WitnessReport,
-                        check_axioms, derive_relations, rank, rank_level_sets)
+                        StructureError, WitnessReport, check_axioms,
+                        derive_relations, rank, rank_level_sets)
 from .trees import (TREE_CONDITION_IDS, Branch, ExperimentationTree,
-                    GraphReport, PartitionSequence, TreeCheckReport,
-                    TreeError, as_tree, build_tree, check_graph_tree,
-                    check_tree, decompose_field_element, find_trees,
-                    partitions)
+                    GraphReport, PartitionSequence, TreeError, as_tree,
+                    build_tree, check_graph_tree, check_tree,
+                    decompose_field_element, find_trees, partitions)
 
 __all__ = [
     "AXIOM_IDS",
-    "AxiomReport",
-    "AxiomVerdict",
     "Branch",
     "CANONICAL_CONDITION_IDS",
     "CanonicalError",
-    "CanonicalReport",
     "CanonicalSpace",
-    "CertificateReport",
     "ConditionReport",
     "ConditionVerdict",
     "ConditionalPreferenceRelation",
     "DerivedRelations",
     "EMBEDDING_CONDITION_IDS",
     "EStructure",
-    "EmbeddingReport",
     "ExperimentationTree",
     "ExplicitRepresentation",
     "FIXTURES",
@@ -67,12 +60,10 @@ __all__ = [
     "RankTable",
     "Rationalization",
     "RationalizationError",
-    "RationalizationReport",
     "SamplePoint",
     "StructureError",
     "TREE_CONDITION_IDS",
     "TreeBlock",
-    "TreeCheckReport",
     "TreeError",
     "WitnessReport",
     "Workspace",

@@ -55,10 +55,6 @@ class CanonicalSpace:
         return tuple([self.atom_label(i) for i in range(len(self.atoms))])
 
 
-CanonicalReport = ConditionReport
-EmbeddingReport = ConditionReport
-
-
 def build_canonical(s: EStructure) -> CanonicalSpace:
     """Construct the canonical space and verify it, raising on violation.
 

@@ -44,21 +44,11 @@ class FeasibilityRow(NamedTuple):
         state: domain state the constraint comes from.
         alternative: the rejected alternative it compares against.
         terms: (column, coefficient) for each nonzero coefficient.
-        width: the number of g variables.
     """
 
     state: str
     alternative: str
     terms: tuple[tuple[int, int], ...]
-    width: int
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        """The dense coefficient list over the g variables."""
-        dense = [0] * self.width
-        for j, c in self.terms:
-            dense[j] = c
-        return tuple(dense)
 
 
 @dataclass(frozen=True)
@@ -117,7 +107,6 @@ def _rows(space: CanonicalSpace, plan: Plan,
     j * natoms + w stands for g[plan.alternatives[j]][atom w] of space."""
     natoms = len(space.atoms)
     alts, choice, events = plan.alternatives, plan.choice, space.events
-    ncols = len(alts) * natoms
     start = {a: i * natoms for i, a in enumerate(alts)}
     rows: list[FeasibilityRow] = []
     for x in states:
@@ -130,20 +119,20 @@ def _rows(space: CanonicalSpace, plan: Plan,
             if a == chosen:
                 continue
             loss = tuple([(start[a] + w, -1) for w in event])
-            rows.append(FeasibilityRow(x, a, gain + loss, ncols))
+            rows.append(FeasibilityRow(x, a, gain + loss))
     return tuple(rows)
 
 
 # ---------------------------------------------------------------- simplex
 
-def _phase1(rows: Sequence[Sequence[int]], ncols: int):
+def _phase1(rows: Sequence[FeasibilityRow], ncols: int):
     """Phase-1 simplex with Bland's rule on an integer-preserving tableau.
 
-    Decides {x >= 0 : Ax >= 1} over [A | -I | I | 1], starting from the
-    artificial basis. Every stored row, the reduced-cost row included, is
-    D times the rational tableau B^-1 [A | -I | I | 1], where D > 0 is the
-    determinant of the basis B, so all entries are integers (Edmonds 1967,
-    Bareiss 1968). Ratios are compared by cross-multiplication, so the
+    Decides {x >= 0 : Ax >= 1}, row i of A being rows[i]'s terms, over
+    [A | -I | I | 1], starting from the artificial basis. Every stored
+    row, the reduced-cost row included, is D times the rational tableau
+    B^-1 [A | -I | I | 1], where D > 0 is the determinant of the basis B,
+    so all entries are integers (Edmonds 1967, Bareiss 1968). Ratios are compared by cross-multiplication, so the
     pivots are those of the rational tableau. Returns ("feasible", x) with
     x exact, or ("infeasible", y) with y the exact Farkas duals per row.
     """
@@ -151,8 +140,10 @@ def _phase1(rows: Sequence[Sequence[int]], ncols: int):
     n = ncols
     width = n + 2 * m
     tableau: list[list[int]] = []
-    for i, coeffs in enumerate(rows):
-        row = [*coeffs, *[0] * (2 * m), 1]
+    for i, r in enumerate(rows):
+        row = [0] * width + [1]
+        for j, c in r.terms:
+            row[j] = c
         row[n + i] = -1
         row[n + m + i] = 1
         tableau.append(row)
@@ -371,10 +362,9 @@ def decide_system(system: FeasibilitySystem) -> FeasibilityResult:
     it yields is checked again by verify_certificate before it is
     returned.
     """
-    coeff_rows = [r.coeffs for r in system.rows]
-    if not coeff_rows:
+    if not system.rows:
         raise PlanError("system has no constraints; nothing to decide")
-    verdict, payload = _phase1(coeff_rows, system.ncols)
+    verdict, payload = _phase1(system.rows, system.ncols)
     if verdict == "feasible":
         g, den = _over_lcm(payload)
         if min(_row_values(system.rows, g)) < den:

@@ -194,5 +194,5 @@ def check_isd_relation(
                     continue
                 if all(prefers(y, a, b) for y in kids) and not prefers(z, a, b):
                     violations.append((z, a, b))
-    violations.sort(key=lambda v: (s.states.index(v[0]), v[1], v[2]))
+    violations.sort(key=lambda v: (s.derived.index[v[0]], v[1], v[2]))
     return IsdReport(tuple(violations))

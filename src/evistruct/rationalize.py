@@ -302,8 +302,10 @@ def verify_rationalization(
     its structural guarantees (normalization, every point outweighing all
     later ones, depth-ordered points, avoidance bounds); a malformed one
     fails, as does one whose tree is malformed or whose points lie outside
-    the tree's atoms. An explicit atom-level witness is checked by
-    verify_weighting.
+    the tree's atoms. Its target must be its tree, that tree's ambient
+    structure or the tree's own structure (as_estructure): any other
+    target raises PlanError, as a plan other than its own does. An
+    explicit atom-level witness is checked by verify_weighting.
     """
     if isinstance(witness, ExplicitRepresentation):
         if isinstance(target, ExperimentationTree):
@@ -323,6 +325,9 @@ def verify_rationalization(
         atoms = range(len(tree.canonical.atoms))
     except StructureError:  # the tree's own structure fails its axioms
         return malformed
+    if not isinstance(target, ExperimentationTree) and (
+            target not in (tree.ambient, tree.as_estructure)):
+        raise PlanError("witness was built for a different structure")
     if not all(p.atom in atoms for p in witness.points):
         return malformed
     return _verify_constructed(witness)

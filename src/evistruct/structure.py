@@ -53,10 +53,8 @@ class DerivedRelations:
             specific than z, in declaration order.
 
     Built on first access: ``incompat_rows``, per state the states it
-    has no common refinement with, and the pair-set views ``sms`` (x wms
-    y but not y wms x), ``eqs`` (both), ``immms`` (x sms z, nothing
-    strictly between) and ``incompat``. The relation is a finite
-    preorder, so the maximal states are those with no ``immed_sets``.
+    has no common refinement with. The relation is a finite preorder,
+    so the maximal states are those with no ``immed_sets``.
     """
 
     states: tuple[str, ...]
@@ -71,27 +69,6 @@ class DerivedRelations:
         # y meets x when y lies above some refiner of x
         full = (1 << len(self.states)) - 1
         return tuple([full & ~_union(self.up, r) for r in self.refiners])
-
-    def _pairs(self, rows: Iterable[int]) -> frozenset[tuple[str, str]]:
-        return frozenset([(self.states[i], self.states[j])
-                          for i, row in enumerate(rows) for j in _bits(row)])
-
-    @cached_property
-    def sms(self) -> frozenset[tuple[str, str]]:
-        return self._pairs([u & ~r for u, r in zip(self.up, self.refiners)])
-
-    @cached_property
-    def eqs(self) -> frozenset[tuple[str, str]]:
-        return self._pairs([u & r for u, r in zip(self.up, self.refiners)])
-
-    @cached_property
-    def immms(self) -> frozenset[tuple[str, str]]:
-        return frozenset([(x, z) for x in self.states
-                          for z in self.parents[x]])
-
-    @cached_property
-    def incompat(self) -> frozenset[tuple[str, str]]:
-        return self._pairs(self.incompat_rows)
 
 
 @dataclass(frozen=True)
@@ -133,10 +110,6 @@ class ConditionReport:
         raise KeyError(condition)
 
 
-AxiomVerdict = ConditionVerdict
-AxiomReport = ConditionReport
-
-
 @dataclass(frozen=True)
 class WitnessReport:
     """What every witness and certificate check returns; margins maps
@@ -158,9 +131,6 @@ class WitnessReport:
     @property
     def min_margin(self) -> Fraction | None:
         return min(self.margins.values(), default=None)
-
-
-CertificateReport = RationalizationReport = WitnessReport
 
 
 @dataclass(frozen=True)

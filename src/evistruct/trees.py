@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import and_
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 from .canonical import CanonicalSpace, build_canonical
 from .structure import (ConditionReport, ConditionVerdict, DerivedRelations,
@@ -43,9 +43,6 @@ TREE_CONDITION_IDS: tuple[str, ...] = (
 
 class TreeError(StructureError):
     """Raised for malformed tree input or failed tree conditions."""
-
-
-TreeCheckReport = ConditionReport
 
 
 @dataclass(frozen=True)
@@ -168,9 +165,10 @@ class ExperimentationTree:
         return tuple(reversed(path))
 
 
-def _validate_members(s: EStructure, nodes: Sequence[str],
+def _validate_members(known: Container[str], nodes: Sequence[str],
                       edges: Iterable[tuple[str, str]]) -> None:
-    known = set(s.states)
+    """The one node-list check: nodes are distinct members of known, and
+    every edge joins two of them."""
     seen: set[str] = set()
     for x in nodes:
         if x not in known:
@@ -178,22 +176,18 @@ def _validate_members(s: EStructure, nodes: Sequence[str],
         if x in seen:
             raise TreeError(f"duplicate tree node {x!r}")
         seen.add(x)
-    _validate_edges(seen, edges)
-
-
-def _validate_edges(nodes: set[str],
-                    edges: Iterable[tuple[str, str]]) -> None:
     for c, p in edges:
-        if c not in nodes or p not in nodes:
+        if c not in seen or p not in seen:
             raise TreeError(f"edge ({c!r}, {p!r}) mentions a non-node")
 
 
 def check_graph_tree(nodes: Sequence[str], edges: Iterable[tuple[str, str]],
                      root: str) -> GraphReport:
     """Shape check only: one parent each, no cycles, all reach the root.
-    An edge that mentions a non-node raises TreeError."""
+    A repeated node, or an edge that mentions a non-node, raises
+    TreeError."""
     edges = tuple(edges)
-    _validate_edges(set(nodes), edges)
+    _validate_members(set(nodes), nodes, edges)
     return _shape(nodes, edges, root)[0]
 
 
@@ -269,8 +263,8 @@ def _check_tree(s: EStructure, nodes: tuple[str, ...],
     orders the nodes by the closure of its edges, and the immediate
     predecessors are derived from that.
     """
-    _validate_members(s, nodes, edges)
     d = s.derived
+    _validate_members(d.index, nodes, edges)
     index, incompat = d.index, d.incompat_rows
     shape, parent, top_down = _shape(nodes, edges, s.root)
     if shape.is_tree:
@@ -398,9 +392,8 @@ def find_trees(s: EStructure,
         grown = _grow(s.root, child_sets, budget)
         if max_count and len(grown) >= max_count:
             break
-    index = {x: i for i, x in enumerate(s.states)}
     grown.sort(key=lambda parent: (len(parent),
-                                   sorted([index[x] for x in parent])))
+                                   sorted([d.index[x] for x in parent])))
     found: list[ExperimentationTree] = []
     for parent in grown[:max_count]:
         nodes = tuple([x for x in s.states if x == s.root or x in parent])

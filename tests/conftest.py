@@ -161,3 +161,14 @@ def arbitrary_plan(rng: random.Random, s: EStructure,
         domain = rng.sample(list(s.states), size)
         domain = [x for x in s.states if x in set(domain)]
     return Plan(alts, {x: rng.choice(alts) for x in domain})
+
+
+def dense_rows(system) -> list[list[int]]:
+    """Each row of a feasibility system as a dense coefficient list."""
+    out = []
+    for r in system.rows:
+        coeffs = [0] * system.ncols
+        for j, c in r.terms:
+            coeffs[j] = c
+        out.append(coeffs)
+    return out

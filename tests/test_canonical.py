@@ -276,8 +276,8 @@ class TestRandomized:
             s = subset_family_structure(rng, dup_prob=0.5)
             space = build_canonical(s)
             d = s.derived
-            maximal = [x for x in s.states
-                       if not any((w, x) in d.sms for w in s.states)]
+            maximal = [x for i, x in enumerate(s.states)
+                       if not d.refiners[i] & ~d.up[i]]
             assert sum(len(cls) for cls in space.atoms) == len(maximal)
 
 

@@ -8,12 +8,12 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from conftest import (arbitrary_plan, consistent_plan, inconsistent_plan,
-                      splitting_tree, subset_family_structure)
-from evistruct import (CertificateReport, CanonicalSpace, EStructure,
-                       ExplicitRepresentation, FeasibilityResult,
-                       FeasibilitySystem, Plan, PlanError,
-                       RationalizationReport, TreeError, WitnessReport,
+from conftest import (arbitrary_plan, consistent_plan, dense_rows,
+                      inconsistent_plan, splitting_tree,
+                      subset_family_structure)
+from evistruct import (CanonicalSpace, EStructure, ExplicitRepresentation,
+                       FeasibilityResult, FeasibilitySystem, Plan, PlanError,
+                       TreeError, WitnessReport,
                        as_tree, build_canonical, build_system, canonical,
                        check_axioms, check_isd_plan, construct_sceu,
                        decide_rationalizable, decide_system, find_trees,
@@ -24,7 +24,7 @@ from evistruct import (CertificateReport, CanonicalSpace, EStructure,
 def fm_decide(system):
     """Independent referee: Fourier-Motzkin on the equivalent strict
     homogeneous system (rows > 0 plus one positivity row per variable)."""
-    rows = [list(r.coeffs) for r in system.rows]
+    rows = dense_rows(system)
     m = len(rows)
     for j in range(system.ncols):
         unit = [Fraction(0)] * system.ncols
@@ -50,18 +50,18 @@ class TestSystemShape:
     def test_root_row_coefficients(self, corpus):
         ws = corpus["example_t"]
         system = build_system(ws.structure, ws.plan)
-        row = next(r for r in system.rows
+        row = next(dense for r, dense in zip(system.rows, dense_rows(system))
                    if r.state == "nothing" and r.alternative == "b")
         # chosen a gets +1 on every atom of the full event, rival b -1
-        assert list(row.coeffs) == [1, 1, 1, -1, -1, -1, 0, 0, 0]
+        assert row == [1, 1, 1, -1, -1, -1, 0, 0, 0]
 
     def test_partial_event_row(self, corpus):
         ws = corpus["example_t"]
         system = build_system(ws.structure, ws.plan)
-        row = next(r for r in system.rows
+        row = next(dense for r, dense in zip(system.rows, dense_rows(system))
                    if r.state == "x1" and r.alternative == "a")
         # e(x1) = {z1, z3}; chosen there is b
-        assert list(row.coeffs) == [-1, 0, -1, 1, 0, 1, 0, 0, 0]
+        assert row == [-1, 0, -1, 1, 0, 1, 0, 0, 0]
 
 
 class TestCorpusDecisions:
@@ -294,8 +294,8 @@ class TestOneAtomLevelRule:
                                        ())
 
     def test_old_report_names_are_aliases(self):
-        assert CertificateReport is WitnessReport
-        assert RationalizationReport is WitnessReport
+        """valid and reason, older names for verified and the first
+        failure, stay on the one report."""
         report = WitnessReport(False, failures=("first", "second"))
         assert (report.valid, report.reason) == (False, "first")
         assert WitnessReport(True).reason is None

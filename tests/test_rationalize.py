@@ -277,6 +277,19 @@ class TestVerification:
         with pytest.raises(PlanError, match="tree"):
             verify_rationalization(other, plan, r)
 
+    def test_wrong_structure_rejected(self, t1, corpus):
+        tree, plan = t1
+        r = construct_sceu(tree, plan)
+        with pytest.raises(PlanError, match="different structure"):
+            verify_rationalization(corpus["example_c"].structure, plan, r)
+
+    def test_ambient_and_own_structure_accepted(self, t1):
+        tree, plan = t1
+        r = construct_sceu(tree, plan)
+        assert tree.as_estructure != tree.ambient
+        for target in (tree.ambient, tree.as_estructure):
+            assert verify_rationalization(target, plan, r).verified
+
     def test_wrong_plan_rejected(self, t1):
         tree, plan = t1
         r = construct_sceu(tree, plan)

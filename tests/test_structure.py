@@ -12,13 +12,12 @@ import pytest
 import evistruct
 import oracles
 from conftest import subset_family_structure
-from evistruct import (AXIOM_IDS, CANONICAL_CONDITION_IDS, AxiomReport,
-                       AxiomVerdict, CanonicalReport, CanonicalSpace,
-                       ConditionReport, ConditionVerdict, EmbeddingReport,
-                       EStructure, StructureError, TreeCheckReport,
-                       build_canonical, check_axioms, check_tree, cli,
-                       derive_relations, emit_fixtures, rank,
-                       rank_level_sets, verify_canonical, verify_embedding)
+from evistruct import (AXIOM_IDS, CANONICAL_CONDITION_IDS, CanonicalSpace,
+                       ConditionReport, ConditionVerdict, EStructure,
+                       StructureError, build_canonical, check_axioms,
+                       check_tree, cli, derive_relations, emit_fixtures,
+                       rank, rank_level_sets, verify_canonical,
+                       verify_embedding)
 from evistruct import structure
 from evistruct.canonical import _event_space
 
@@ -86,16 +85,15 @@ class TestExampleC:
 
     def test_rank_is_not_antimonotone(self, corpus):
         s = corpus["example_c"].structure
-        d = s.derived
         table = rank(s)
-        assert ("z", "y") in d.sms
+        assert s.wms("z", "y") and not s.wms("y", "z")
         assert table.rho["z"] < table.rho["y"]
 
     def test_z_has_two_immediate_generalizations(self, corpus):
         s = corpus["example_c"].structure
         d = s.derived
-        assert ("z", "y") in d.immms
-        assert ("z", "q") in d.immms
+        assert "y" in d.parents["z"]
+        assert "q" in d.parents["z"]
 
     def test_chains_are_shortest_immediate_paths(self, corpus):
         s = corpus["example_c"].structure
@@ -106,7 +104,7 @@ class TestExampleC:
             assert chain[0] == x and chain[-1] == s.root
             assert len(chain) == table.rho[x] + 1
             for a, b in zip(chain, chain[1:]):
-                assert (a, b) in d.immms
+                assert b in d.parents[a]
 
     def test_level_sets_are_cumulative(self, corpus):
         s = corpus["example_c"].structure
@@ -140,8 +138,10 @@ class TestExampleJ:
     def test_incompatibility(self, corpus):
         s = corpus["example_j"].structure
         d = s.derived
-        assert ("h2t0", "h0t2") in d.incompat
-        assert ("h1t0", "h0t1") not in d.incompat
+        i, j = d.index["h2t0"], d.index["h0t2"]
+        assert d.incompat_rows[i] >> j & 1
+        i, j = d.index["h1t0"], d.index["h0t1"]
+        assert not d.incompat_rows[i] >> j & 1
 
 
 def test_two_chain_fails_separation():
@@ -168,9 +168,12 @@ def test_every_check_returns_the_one_report_type(corpus):
     assert [v.condition for v in reports[0].verdicts] == list(AXIOM_IDS)
     assert reports[3].failures == {c: reports[3][c].witness
                                    for c in reports[3].failed_ids}
-    assert {AxiomReport, CanonicalReport, EmbeddingReport,
-            TreeCheckReport} == {ConditionReport}
-    assert AxiomVerdict is ConditionVerdict
+
+
+def test_each_public_name_is_its_own_object():
+    """Every exported name resolves, and no object is exported twice."""
+    objects = [getattr(evistruct, name) for name in evistruct.__all__]
+    assert len({id(o) for o in objects}) == len(evistruct.__all__)
 
 
 def test_failing_axiom_reports_carry_witnesses():
@@ -226,6 +229,30 @@ def _verdicts(report):
     return [(v.condition, v.passed, v.witness) for v in report.verdicts]
 
 
+def _rows(states, pairs):
+    """Pairs (x, y) as bit rows over declaration indices: row x holds y."""
+    index = {x: i for i, x in enumerate(states)}
+    rows = [0] * len(states)
+    for x, y in pairs:
+        rows[index[x]] |= 1 << index[y]
+    return tuple(rows)
+
+
+def _strict_rows(d):
+    """Per state x, the states y with x strictly more specific than y."""
+    return tuple([u & ~r for u, r in zip(d.up, d.refiners)])
+
+
+def _equal_rows(d):
+    """Per state x, the states y with x wms y and y wms x."""
+    return tuple([u & r for u, r in zip(d.up, d.refiners)])
+
+
+def _immediate_pairs(d):
+    """(x, z) for each state x and each of its parents z."""
+    return {(x, z) for x in d.states for z in d.parents[x]}
+
+
 def _degraded(rng):
     """A subset family whose relation lost some pairs, either closed again
     (from_generators) or left as it is: not transitive, and at times not
@@ -253,9 +280,13 @@ class TestSetBasedReference:
             assert _verdicts(check_axioms(s)) == expected
             failed.update(c for c, passed, _ in expected if not passed)
             d = derive_relations(s)
-            for name, value in oracles.derive_relations_by_sets(
-                    s.states, s.relation).items():
-                assert getattr(d, name) == value, name
+            reference = oracles.derive_relations_by_sets(s.states, s.relation)
+            assert (_strict_rows(d), _equal_rows(d), d.incompat_rows) == tuple(
+                [_rows(s.states, reference[name])
+                 for name in ("sms", "eqs", "incompat")])
+            assert _immediate_pairs(d) == reference["immms"]
+            assert (d.immed_sets, d.parents) == (reference["immed_sets"],
+                                                 reference["parents"])
         # the draws fail every axiom that can fail
         assert failed == set(AXIOM_IDS) - {"finite_branching"}
 
@@ -281,8 +312,9 @@ class TestSetBasedReference:
             s.states, s.root, s.relation)
         d = derive_relations(s)
         reference = oracles.derive_relations_by_sets(s.states, s.relation)
-        assert (d.sms, d.parents, d.incompat) == (
-            reference["sms"], reference["parents"], reference["incompat"])
+        assert (_strict_rows(d), d.parents, d.incompat_rows) == (
+            _rows(s.states, reference["sms"]), reference["parents"],
+            _rows(s.states, reference["incompat"]))
 
     def test_canonical_verdicts_match_witness_for_witness(self):
         rng = random.Random(919)
@@ -341,10 +373,12 @@ class TestRandomized:
         for _ in range(60):
             s = subset_family_structure(rng)
             d = derive_relations(s)
-            assert d.sms == oracles.sms_pairs(s.relation)
-            assert d.eqs == oracles.eqs_pairs(s.relation)
+            assert _strict_rows(d) == _rows(
+                s.states, oracles.sms_pairs(s.relation))
+            assert _equal_rows(d) == _rows(s.states,
+                                           oracles.eqs_pairs(s.relation))
             immms = oracles.immms_pairs(s.states, s.relation)
-            assert d.immms == immms
+            assert _immediate_pairs(d) == immms
             for z in s.states:
                 assert set(d.immed_sets[z]) == oracles.children_of(
                     s.states, s.relation, z)
@@ -355,9 +389,9 @@ class TestRandomized:
                                              if x in ordered]
             assert [x for x in s.states if not d.immed_sets[x]] == \
                 oracles.maximal_states(s.states, s.relation)
-            assert d.incompat == frozenset(
+            assert d.incompat_rows == _rows(s.states, {
                 (x, y) for x in s.states for y in s.states
-                if oracles.incompatible(s.states, s.relation, x, y))
+                if oracles.incompatible(s.states, s.relation, x, y)})
 
     def test_rank_matches_oracle(self):
         rng = random.Random(404)
@@ -375,9 +409,8 @@ class TestRandomized:
         seen_twin = False
         for _ in range(40):
             s = subset_family_structure(rng, dup_prob=0.6)
-            d = s.derived
             table = rank(s)
-            for x, y in d.eqs:
+            for x, y in oracles.eqs_pairs(s.relation):
                 if x != y:
                     seen_twin = True
                     assert table.rho[x] == table.rho[y]

@@ -128,8 +128,8 @@ def test_find_trees_matches_the_subset_search():
             assert find_trees(s, max_count=m) == found[:m]
         # one tree per node set, so parent choices never decide the order
         assert len({t.nodes for t in found}) == len(found)
-        twins_with_trees += bool(found) and bool(s.derived.eqs
-                                                 - {(x, x) for x in s.states})
+        twins_with_trees += bool(found) and bool(
+            oracles.eqs_pairs(s.relation) - {(x, x) for x in s.states})
         several += len(found) > 2
     # the draws reach trees among equivalence twins and several trees
     assert twins_with_trees > 0 and several > 5
@@ -267,6 +267,10 @@ class TestGraphChecks:
             check_graph_tree(["r"], [("x", "r")], "r")
         with pytest.raises(TreeError, match="mentions a non-node"):
             check_graph_tree(["r", "a"], [("a", "y")], "r")
+
+    def test_duplicate_node(self):
+        with pytest.raises(TreeError, match="duplicate tree node 'a'"):
+            check_graph_tree(["r", "a", "a"], [("a", "r")], "r")
 
 
 def test_lopsided_subtree_fails_branching_and_unbiased():

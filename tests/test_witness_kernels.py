@@ -16,8 +16,9 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from conftest import (arbitrary_plan, consistent_plan, inconsistent_plan,
-                      splitting_tree, subset_family_structure)
+from conftest import (arbitrary_plan, consistent_plan, dense_rows,
+                      inconsistent_plan, splitting_tree,
+                      subset_family_structure)
 from evistruct import (Plan, WitnessReport, build_system, build_tree,
                        construct_sceu, decide_rationalizable, find_trees,
                        verify_certificate, verify_rationalization)
@@ -45,7 +46,8 @@ def constructed_by_fractions(r):
 
 
 def rows_of(system):
-    return [(r.state, r.alternative, r.coeffs) for r in system.rows]
+    return [(r.state, r.alternative, coeffs)
+            for r, coeffs in zip(system.rows, dense_rows(system))]
 
 
 def weighting_by_fractions(system, weights, utilities):
