@@ -17,16 +17,18 @@ recovers utilities from any feasible g.
 The decision runs one phase-1 simplex with Bland's rule on an
 integer-preserving (fraction-free) tableau: rows are kept as integer
 multiples of the rational tableau by the basis determinant, so every
-step is exact integer arithmetic and nothing is rounded. A total plan on
-a structure that is itself an experimentation tree needs no simplex: the
-paper's theorem settles it by dominance consistency, and the witness is
-built directly. Every returned verdict carries an exactly verified
-witness: a weighting with utilities, or a nonnegative row combination
-proving emptiness.
+step is exact integer arithmetic and nothing is rounded. A tall system,
+with many more rows than columns, is decided on its Farkas alternative
+instead, by the same loop, whose basis then has one row per column and
+one more. A total plan on a structure that is itself an experimentation
+tree needs no simplex: the paper's theorem settles it by dominance
+consistency, and the witness is built directly. Every returned verdict
+carries an exactly verified witness: a weighting with utilities, or a
+nonnegative row combination proving emptiness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Mapping, NamedTuple, Sequence
@@ -80,8 +82,11 @@ class FeasibilityResult:
     preference. Infeasible: certificate lists (state, alternative,
     multiplier) rows whose nonnegative combination has no positive entry
     in any column yet positive total, so no nonnegative g can satisfy all
-    rows. path names what settled the verdict: "simplex" (decide_system)
-    or "tree" (the dominance theorem on an experimentation tree).
+    rows. path names what settled the verdict: "simplex" (decide_system's
+    phase-1 simplex on the system itself), "simplex-dual" (the same
+    simplex on the system's Farkas alternative, which decide_system picks
+    for a system with at least four more rows than columns) or "tree"
+    (the dominance theorem on an experimentation tree).
     """
 
     feasible: bool
@@ -125,80 +130,89 @@ def _rows(space: CanonicalSpace, plan: Plan,
 
 # ---------------------------------------------------------------- simplex
 
-def _phase1(rows: Sequence[FeasibilityRow], ncols: int):
+def _phase1(rows: Sequence[Sequence[tuple[int, int]]], b: Sequence[int],
+            ncols: int):
     """Phase-1 simplex with Bland's rule on an integer-preserving tableau.
 
-    Decides {x >= 0 : Ax >= 1}, row i of A being rows[i]'s terms, over
-    [A | -I | I | 1], starting from the artificial basis. Every stored
-    row, the reduced-cost row included, is D times the rational tableau
-    B^-1 [A | -I | I | 1], where D > 0 is the determinant of the basis B,
-    so all entries are integers (Edmonds 1967, Bareiss 1968). Ratios are compared by cross-multiplication, so the
-    pivots are those of the rational tableau. Returns ("feasible", x) with
-    x exact, or ("infeasible", y) with y the exact Farkas duals per row.
+    Decides {x >= 0 : Ax >= b} for b >= 0, where row i of A has the
+    (column, coefficient) terms rows[i]. The phase-1 tableau is
+    [A | -I | I | b], started from the artificial basis, but only
+    [A | -I | b] is stored: row operations keep artificial column
+    n + m + i the negation of slack column n + i, and its reduced cost is
+    D - red[n + i]. Bland's rule scans the artificial columns after all
+    others, so it picks the pivots the full tableau would. Every stored
+    row, the reduced-cost row included, is D times the rational tableau,
+    where D > 0 is the determinant of the basis, so every entry is an
+    integer (Edmonds 1967, Bareiss 1968). Ratios are compared by
+    cross-multiplication, so the pivots are those of the rational
+    tableau. Returns ("feasible", x) with x exact, or ("infeasible", y)
+    with y the exact Farkas duals per row: y >= 0, yA <= 0 and yb > 0.
     """
     m = len(rows)
     n = ncols
-    width = n + 2 * m
+    width = n + m
     tableau: list[list[int]] = []
-    for i, r in enumerate(rows):
-        row = [0] * width + [1]
-        for j, c in r.terms:
+    for i, (terms, bi) in enumerate(zip(rows, b)):
+        row = [0] * width + [bi]
+        for j, c in terms:
             row[j] = c
         row[n + i] = -1
-        row[n + m + i] = 1
         tableau.append(row)
-    basis = list(range(n + m, n + 2 * m))
+    basis = list(range(width, width + m))
     red = [-sum(column) for column in zip(*tableau)]
-    for j in range(n + m, n + 2 * m):
-        red[j] += 1
     det = 1
 
     while True:
         enter = next((j for j in range(width) if red[j] < 0), None)
-        if enter is None:
-            break
+        if enter is not None:
+            column = [row[enter] for row in tableau]
+            f = red[enter]
+        else:
+            slack = next((j for j in range(n, width) if red[j] > det), None)
+            if slack is None:
+                break
+            enter = slack + m
+            column = [-row[slack] for row in tableau]
+            f = det - red[slack]
         pivot_row = None
-        for i, row in enumerate(tableau):
-            t = row[enter]
+        for i, t in enumerate(column):
             if t <= 0:
                 continue
             if pivot_row is None:
                 pivot_row = i
                 continue
-            best = tableau[pivot_row]
-            lhs = row[width] * best[enter]
-            rhs = best[width] * t
+            lhs = tableau[i][width] * column[pivot_row]
+            rhs = tableau[pivot_row][width] * t
             if lhs < rhs or (lhs == rhs and basis[i] < basis[pivot_row]):
                 pivot_row = i
         if pivot_row is None:
             raise RuntimeError("phase-1 objective unbounded")
         prow = tableau[pivot_row]
-        p = prow[enter]
+        p = column[pivot_row]
         for i, row in enumerate(tableau):
             if i != pivot_row:
-                tableau[i] = _eliminate(row, prow, enter, p, det)
-        red = _eliminate(red, prow, enter, p, det)
+                tableau[i] = _eliminate(row, prow, column[i], p, det)
+        red = _eliminate(red, prow, f, p, det)
         basis[pivot_row] = enter
         det = p
 
     if red[width] == 0:
         x = [Fraction(0)] * n
-        for i, b in enumerate(basis):
-            if b < n:
-                x[b] = Fraction(tableau[i][width], det)
+        for i, j in enumerate(basis):
+            if j < n:
+                x[j] = Fraction(tableau[i][width], det)
         return "feasible", x
-    return "infeasible", [1 - Fraction(red[n + m + i], det)
-                          for i in range(m)]
+    return "infeasible", [Fraction(red[n + i], det) for i in range(m)]
 
 
-def _eliminate(row: list[int], prow: list[int], enter: int, p: int,
+def _eliminate(row: list[int], prow: list[int], f: int, p: int,
                det: int) -> list[int]:
-    """One row of a fraction-free pivot: (p*row - row[enter]*prow) / det.
+    """One row of a fraction-free pivot: (p*row - f*prow) / det, where f is
+    the row's entry in the entering column and p the pivot's.
 
     The division is exact because the result is the new determinant times
     an entry of the new rational tableau.
     """
-    f = row[enter]
     if f:
         return [(p * v - f * w) // det for v, w in zip(row, prow)]
     if p == det:
@@ -334,8 +348,8 @@ def _certificate_failure(system: FeasibilitySystem,
     return None
 
 
-def _result_from_point(system: FeasibilitySystem,
-                       x: Sequence[Fraction]) -> FeasibilityResult:
+def _result_from_point(system: FeasibilitySystem, x: Sequence[Fraction],
+                       path: str) -> FeasibilityResult:
     n = len(system.atoms)
     weight = Fraction(1, n)
     weights = {atom: weight for atom in system.atoms}
@@ -344,35 +358,70 @@ def _result_from_point(system: FeasibilitySystem,
         for i, alt in enumerate(system.alternatives)
     }
     return FeasibilityResult(True, system, weights=weights,
-                             utilities=utilities)
+                             utilities=utilities, path=path)
 
 
-def _result_from_duals(system: FeasibilitySystem,
-                       y: Sequence[Fraction]) -> FeasibilityResult:
+def _result_from_duals(system: FeasibilitySystem, y: Sequence[Fraction],
+                       path: str) -> FeasibilityResult:
     cert = tuple([(r.state, r.alternative, v)
                   for r, v in zip(system.rows, y) if v])
-    return FeasibilityResult(False, system, certificate=cert)
+    return FeasibilityResult(False, system, certificate=cert, path=path)
 
 
 def decide_system(system: FeasibilitySystem) -> FeasibilityResult:
     """Decide a linearized system and return a verified result.
 
-    Runs the integer-preserving Bland simplex, whose only arithmetic is
-    on Python integers and Fractions, so nothing is rounded. The witness
-    it yields is checked again by verify_certificate before it is
-    returned.
+    The phase-1 simplex's basis has one row per constraint of the system
+    it runs on. A system {g >= 0 : Ag >= 1} with m rows and n columns is
+    empty exactly when its Farkas alternative y >= 0, -A^T y >= 0,
+    1^T y >= 1 is feasible, and that system's basis has n + 1 rows. So a
+    tall system, m >= n + 4, is decided on the alternative: a feasible y
+    is the certificate, and otherwise the loop's own Farkas duals (u, t)
+    give the point u/t; the result's path is "simplex-dual". Any other
+    system is decided directly, with path "simplex". The two sides cost
+    about the same near m = n + 1; the margin of three rows keeps the
+    bundled examples' systems, example_t's 12 x 9 the tallest, on the
+    direct side, where their printed witnesses stay as they were. All
+    arithmetic is on Python integers and Fractions, so nothing is
+    rounded, and the witness is checked again by verify_certificate
+    before it is returned.
     """
     if not system.rows:
         raise PlanError("system has no constraints; nothing to decide")
-    verdict, payload = _phase1(system.rows, system.ncols)
-    if verdict == "feasible":
-        g, den = _over_lcm(payload)
-        if min(_row_values(system.rows, g)) < den:
-            raise RuntimeError("exact simplex returned an invalid point")
-        result = _result_from_point(system, payload)
+    return _verified(_simplex(system, len(system.rows) >= system.ncols + 4))
+
+
+def _alternative(rows: Sequence[FeasibilityRow], ncols: int):
+    """The Farkas alternative of {g >= 0 : Ag >= 1} as _phase1's arguments:
+    one row -A^T y >= 0 per column of A, then 1^T y >= 1, over one
+    variable y per row of A."""
+    transposed: list[list[tuple[int, int]]] = [[] for _ in range(ncols)]
+    for i, r in enumerate(rows):
+        for j, c in r.terms:
+            transposed[j].append((i, -c))
+    transposed.append([(i, 1) for i in range(len(rows))])
+    return transposed, [0] * ncols + [1], len(rows)
+
+
+def _simplex(system: FeasibilitySystem, dual: bool) -> FeasibilityResult:
+    """The phase-1 verdict and witness for a system, run on the system
+    itself or, when dual, on its Farkas alternative."""
+    rows, n = system.rows, system.ncols
+    if dual:
+        verdict, payload = _phase1(*_alternative(rows, n))
+        if verdict == "feasible":
+            return _result_from_duals(system, payload, "simplex-dual")
+        x = [u / payload[n] for u in payload[:n]]  # the duals (u, t) give u/t
     else:
-        result = _result_from_duals(system, payload)
-    return _verified(result)
+        verdict, payload = _phase1([r.terms for r in rows], [1] * len(rows),
+                                   n)
+        if verdict == "infeasible":
+            return _result_from_duals(system, payload, "simplex")
+        x = payload
+    g, den = _over_lcm(x)
+    if min(_row_values(rows, g)) < den:
+        raise RuntimeError("exact simplex returned an invalid point")
+    return _result_from_point(system, x, "simplex-dual" if dual else "simplex")
 
 
 def _verified(result: FeasibilityResult) -> FeasibilityResult:
@@ -437,4 +486,4 @@ def _decide_on_tree(system: FeasibilitySystem, tree: ExperimentationTree,
     # the tree is all of s, so its atom k is the system's atom k
     g = _mass(len(system.atoms), [p.atom for p in r.points], weights,
               [r.utilities[alt] for alt in system.alternatives])
-    return replace(_result_from_point(system, g), path="tree")
+    return _result_from_point(system, g, "tree")

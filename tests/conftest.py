@@ -95,6 +95,19 @@ def subset_family_structure(rng: random.Random, max_universe: int = 5,
     return EStructure.from_generators([names[0]] + tail, "root", pairs)
 
 
+def subset_lattice(k: int) -> EStructure:
+    """Every nonempty subset of k points as a state, smaller sets more
+    specific; the full set is the root "s01..." and the k singletons are
+    the atoms."""
+    sets = [frozenset(c) for r in range(k, 0, -1)
+            for c in itertools.combinations(range(k), r)]
+    label = {s: "s" + "".join(str(p) for p in sorted(s)) for s in sets}
+    covers = [(label[s - {p}], label[s]) for s in sets if len(s) > 1
+              for p in s]
+    return EStructure.from_generators([label[s] for s in sets],
+                                      label[sets[0]], covers)
+
+
 def splitting_tree(rng: random.Random, max_nodes: int = 40,
                    min_nodes: int = 3) -> ExperimentationTree:
     """Random experimentation tree grown by splitting leaves 2-4 ways."""

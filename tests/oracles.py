@@ -704,6 +704,79 @@ def fourier_motzkin(rows, nvars):
     return True, None
 
 
+def phase1_full_tableau(rows, ncols, b=None, entering=None):
+    """Phase-1 simplex with Bland's rule over the whole tableau
+    [A | -I | I | b], the artificial block stored.
+
+    rows: one list of (column, coefficient) terms per row of A; b: the
+    right-hand side, all ones when None. Decides {x >= 0 : Ax >= b} on an
+    integer-preserving tableau (every stored row is the basis determinant
+    D times the rational tableau). Returns ("feasible", x) or
+    ("infeasible", y) with y the Farkas duals per row, both as Fractions.
+    Each entering column is appended to entering when it is a list.
+    """
+    m = len(rows)
+    n = ncols
+    width = n + 2 * m
+    b = [1] * m if b is None else b
+    tableau = []
+    for i, terms in enumerate(rows):
+        row = [0] * width + [b[i]]
+        for j, c in terms:
+            row[j] = c
+        row[n + i] = -1
+        row[n + m + i] = 1
+        tableau.append(row)
+    basis = list(range(n + m, n + 2 * m))
+    red = [-sum(column) for column in zip(*tableau)]
+    for j in range(n + m, n + 2 * m):
+        red[j] += 1
+    det = 1
+
+    def eliminate(row, prow, enter, p):
+        f = row[enter]
+        return [(p * v - f * w) // det for v, w in zip(row, prow)]
+
+    while True:
+        enter = next((j for j in range(width) if red[j] < 0), None)
+        if enter is None:
+            break
+        if entering is not None:
+            entering.append(enter)
+        pivot_row = None
+        for i, row in enumerate(tableau):
+            t = row[enter]
+            if t <= 0:
+                continue
+            if pivot_row is None:
+                pivot_row = i
+                continue
+            best = tableau[pivot_row]
+            lhs = row[width] * best[enter]
+            rhs = best[width] * t
+            if lhs < rhs or (lhs == rhs and basis[i] < basis[pivot_row]):
+                pivot_row = i
+        if pivot_row is None:
+            raise RuntimeError("phase-1 objective unbounded")
+        prow = tableau[pivot_row]
+        p = prow[enter]
+        for i, row in enumerate(tableau):
+            if i != pivot_row:
+                tableau[i] = eliminate(row, prow, enter, p)
+        red = eliminate(red, prow, enter, p)
+        basis[pivot_row] = enter
+        det = p
+
+    if red[width] == 0:
+        x = [Fraction(0)] * n
+        for i, j in enumerate(basis):
+            if j < n:
+                x[j] = Fraction(tableau[i][width], det)
+        return "feasible", x
+    return "infeasible", [1 - Fraction(red[n + m + i], det)
+                          for i in range(m)]
+
+
 def margins_oracle(event_of, weights, utilities, domain, zeta, alternatives):
     """Exact strict-preference margins for every (x, a != zeta(x)).
 

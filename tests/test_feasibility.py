@@ -10,14 +10,14 @@ import pytest
 import oracles
 from conftest import (arbitrary_plan, consistent_plan, dense_rows,
                       inconsistent_plan, splitting_tree,
-                      subset_family_structure)
+                      subset_family_structure, subset_lattice)
 from evistruct import (CanonicalSpace, EStructure, ExplicitRepresentation,
-                       FeasibilityResult, FeasibilitySystem, Plan, PlanError,
-                       TreeError, WitnessReport,
-                       as_tree, build_canonical, build_system, canonical,
+                       FeasibilityResult, FeasibilityRow, FeasibilitySystem,
+                       Plan, PlanError, TreeError, WitnessReport, as_tree,
+                       build_canonical, build_system, canonical,
                        check_axioms, check_isd_plan, construct_sceu,
-                       decide_rationalizable, decide_system, find_trees,
-                       verify_canonical, verify_certificate,
+                       decide_rationalizable, decide_system, feasibility,
+                       find_trees, verify_canonical, verify_certificate,
                        verify_rationalization)
 
 
@@ -34,6 +34,22 @@ def fm_decide(system):
     if feasible:
         return True, None
     return False, multipliers[:m]
+
+
+def side_of(system):
+    """The path decide_system's shape rule picks: the Farkas alternative
+    when the system has at least four more rows than columns."""
+    tall = len(system.rows) >= system.ncols + 4
+    return "simplex-dual" if tall else "simplex"
+
+
+def both_sides(system):
+    """The simplex run on the system itself and on its Farkas alternative,
+    each witness checked by verify_certificate."""
+    results = [feasibility._simplex(system, dual) for dual in (False, True)]
+    assert [r.path for r in results] == ["simplex", "simplex-dual"]
+    assert all(verify_certificate(system, r).valid for r in results)
+    return results
 
 
 class TestSystemShape:
@@ -316,8 +332,8 @@ def test_empty_system_rejected():
 
 
 class TestFourierMotzkinAgreement:
-    """The simplex and an elimination procedure that shares no code with
-    it must agree on every random small system."""
+    """The simplex, on either side, and an elimination procedure that
+    shares no code with it must agree on every random small system."""
 
     def test_agreement_on_random_plans(self):
         rng = random.Random(88)
@@ -329,8 +345,11 @@ class TestFourierMotzkinAgreement:
             if not system.rows:
                 continue
             result = decide_system(system)
+            assert result.path == side_of(system)
+            primal, dual = both_sides(system)
             fm_feasible, fm_mult = fm_decide(system)
-            assert result.feasible == fm_feasible
+            assert (result.feasible == primal.feasible == dual.feasible
+                    == fm_feasible)
             outcomes[result.feasible] += 1
             if not fm_feasible:
                 cert = tuple((r.state, r.alternative, v)
@@ -338,6 +357,94 @@ class TestFourierMotzkinAgreement:
                 referee = FeasibilityResult(False, system, certificate=cert)
                 assert verify_certificate(system, referee).valid
         assert outcomes[True] > 10 and outcomes[False] > 10
+
+
+class TestFullTableauReference:
+    """_phase1 stores [A | -I | b] and reads the artificial block off the
+    slack block; oracles.phase1_full_tableau stores all of
+    [A | -I | I | b]. Both must return the same verdict and the same
+    exact point or duals, on a system and on its Farkas alternative."""
+
+    @staticmethod
+    def systems(corpus):
+        rng = random.Random(404)
+        for _ in range(120):
+            s = subset_family_structure(rng, max_universe=4)
+            yield build_system(s, arbitrary_plan(rng, s, max_alts=3))
+        for _ in range(20):
+            tree = splitting_tree(rng, max_nodes=24)
+            yield build_system(tree.ambient,
+                               arbitrary_plan(rng, tree.ambient, max_alts=3))
+        for ws in corpus.values():
+            if ws.plan is not None:
+                yield build_system(ws.structure, ws.plan)
+
+    def test_lean_loop_matches_the_full_tableau(self, corpus):
+        checked = pivots = artificial = 0
+        for system in self.systems(corpus):
+            if not system.rows:
+                continue
+            m, n = len(system.rows), system.ncols
+            direct = ([r.terms for r in system.rows], [1] * m, n)
+            for rows, b, ncols in (direct, feasibility._alternative(
+                    system.rows, n)):
+                entering: list[int] = []
+                assert (feasibility._phase1(rows, b, ncols)
+                        == oracles.phase1_full_tableau(rows, ncols, b,
+                                                       entering=entering))
+                pivots += len(entering)
+                artificial += sum(j >= ncols + len(rows) for j in entering)
+            checked += 1
+        # an artificial column that left the basis comes back in a few of
+        # these draws, so the branch that reads it off the slack runs
+        assert checked > 120 and pivots > 1000 and artificial > 0
+
+
+class TestFarkasSide:
+    """decide_system runs a system with m rows and n columns on its Farkas
+    alternative, whose basis has n + 1 rows, when m >= n + 4."""
+
+    @staticmethod
+    def lattice_plan(k, seed):
+        s = subset_lattice(k)
+        rng = random.Random(seed)
+        return s, Plan(("a", "b", "c"),
+                       {x: rng.choice("abc") for x in s.states})
+
+    def test_lattice_plan_is_decided_on_the_farkas_side(self):
+        s, plan = self.lattice_plan(6, 6)
+        result = decide_rationalizable(s, plan)
+        assert (len(result.system.rows), result.system.ncols) == (126, 18)
+        assert result.path == "simplex-dual"
+        assert verify_certificate(result.system, result).valid
+
+    def test_both_sides_agree_on_lattice_plans(self):
+        for seed in range(3):
+            s, plan = self.lattice_plan(5, seed)
+            system = build_system(s, plan)
+            assert (len(system.rows), system.ncols) == (62, 15)
+            primal, dual = both_sides(system)
+            assert not primal.feasible and not dual.feasible
+        # a plan on the lattice's singletons alone is rationalizable
+        plan = Plan(("a", "b"), {f"s{p}": "ab"[p % 2] for p in range(5)})
+        primal, dual = both_sides(build_system(s, plan))
+        assert primal.feasible and dual.feasible
+
+    @pytest.mark.parametrize("m, path", [(5, "simplex"),
+                                         (6, "simplex-dual")])
+    @pytest.mark.parametrize("feasible", [True, False])
+    def test_shape_rule_boundary(self, m, path, feasible):
+        """Two columns: m = n + 3 rows stay on the system, m = n + 4 go to
+        the alternative, and either side returns a verified witness."""
+        prefer_a = ((0, 1), (1, -1))
+        prefer_b = ((0, -1), (1, 1))
+        rows = [FeasibilityRow(f"x{i}", "b", prefer_a) for i in range(m - 1)]
+        rows.append(FeasibilityRow("y", "a" if feasible else "b",
+                                   prefer_a if feasible else prefer_b))
+        system = FeasibilitySystem(("a", "b"), ("w",), tuple(rows))
+        result = decide_system(system)
+        assert (result.path, result.feasible) == (path, feasible)
+        assert verify_certificate(system, result).valid
 
 
 class TestTreePlans:
@@ -370,7 +477,8 @@ class TestTreeTheorem:
     def agree(s, plan):
         fast = decide_rationalizable(s, plan)
         simplex = decide_system(build_system(s, plan))
-        assert (fast.path, simplex.path) == ("tree", "simplex")
+        assert (fast.path, simplex.path) == ("tree",
+                                             side_of(simplex.system))
         assert fast.feasible == simplex.feasible
         assert fast.feasible == check_isd_plan(s, plan).consistent
         assert verify_certificate(fast.system, fast).valid
@@ -401,7 +509,8 @@ class TestTreeTheorem:
             try:
                 as_tree(s)
             except TreeError:
-                assert decide_rationalizable(s, plan).path == "simplex"
+                result = decide_rationalizable(s, plan)
+                assert result.path == side_of(result.system)
                 continue
             self.agree(s, plan)
             trees += 1
@@ -416,7 +525,7 @@ class TestTreeTheorem:
             plan = full.restricted_to(
                 [x for x in tree.nodes if x != dropped])
             result = decide_rationalizable(tree.ambient, plan)
-            assert result.path == "simplex"
+            assert result.path == side_of(result.system)
             assert verify_certificate(result.system, result).valid
 
     @pytest.mark.parametrize("stem", ["example_d", "example_r", "example_t"])
@@ -489,6 +598,7 @@ def test_six_state_plan_is_inconsistent_yet_rationalizable():
                              "x3": "a", "x4": "a"})
     assert check_isd_plan(s, plan).violations == (("r", "b"),)
     result = decide_rationalizable(s, plan)
+    assert (len(result.system.rows), result.system.ncols) == (6, 6)
     assert result.feasible and result.path == "simplex"
     assert verify_certificate(result.system, result).valid
 
