@@ -464,10 +464,11 @@ def _decide_on_tree(system: FeasibilitySystem, tree: ExperimentationTree,
     choose c and z chooses b, row (z, c) plus row (k, b) for each child k
     sums to zero in every column, because the children's events partition
     the event of z, while the multipliers sum to 1 + |children|. A
-    consistent plan gets construct_sceu's representation, summed per atom
-    into g = weight x utility: margins are linear in g, so they keep
-    their signs. The system is homogeneous, so g may be scaled to
-    integers.
+    consistent plan gets construct_sceu's witness from the integer pass it
+    is built on (rationalize._avoidance), summed per atom into g = weight x
+    utility: margins are linear in g, so they keep their signs. Point i
+    weighs 3^(n-1-i), its raw weight times 3^n/2, an integer scaling the
+    homogeneous system allows.
     """
     s = tree.ambient
     violations = check_isd_plan(s, plan).violations
@@ -478,12 +479,12 @@ def _decide_on_tree(system: FeasibilitySystem, tree: ExperimentationTree,
             (k, b, Fraction(1)) for k in s.derived.immed_sets[z]])
         return FeasibilityResult(False, system, certificate=certificate,
                                  path="tree")
-    from .rationalize import construct_sceu  # rationalize imports this module
-    r = construct_sceu(tree, plan)
-    n = len(r.points)
-    # the raw weights 2/3^(i+1), times 3^n/2
-    weights = [3 ** (n - 1 - i) for i in range(n)]
+    from .rationalize import _avoidance  # rationalize imports this module
+    points, chosen, _ = _avoidance(tree, plan)
+    n = len(points)
     # the tree is all of s, so its atom k is the system's atom k
-    g = _mass(len(system.atoms), [p.atom for p in r.points], weights,
-              [r.utilities[alt] for alt in system.alternatives])
+    g = _mass(len(system.atoms), [atom for atom, _ in points],
+              [3 ** (n - 1 - i) for i in range(n)],
+              [[c >> j & 1 for c in chosen]
+               for j in range(len(plan.alternatives))])
     return _result_from_point(system, g, "tree")

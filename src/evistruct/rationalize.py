@@ -124,13 +124,13 @@ def _walks(tree: ExperimentationTree, plan: Plan, a: str
     where every child chooses a. end is the leaf the walk reaches, or the
     node where it stops because every child there chooses a. chosen holds
     bit j for each alternatives[j] chosen from x down to that leaf, and is
-    None when the walk stops short. Entries are built bottom-up by tree
-    rank, each from the entry of its step.
+    None when the walk stops short. Entries are built children first, in
+    the tree's top-down order reversed, each from the entry of its step.
     """
-    choice, children, rank = plan.choice, tree.children, tree.rank_in_tree
+    choice, children = plan.choice, tree.children
     bit = {b: 1 << j for j, b in enumerate(plan.alternatives)}
     walks: dict[str, tuple[str | None, str, int | None]] = {}
-    for x in sorted(tree.nodes, key=rank.__getitem__, reverse=True):
+    for x in reversed(tree._top_down):
         mine = bit.get(choice.get(x), 0)
         kids = children[x]
         step = next((k for k in kids if choice.get(k) != a), None)
@@ -149,6 +149,37 @@ def _stuck(x: str, a: str) -> RationalizationError:
                                 f"plan is dominance-inconsistent there")
 
 
+def _avoidance(tree: ExperimentationTree, plan: Plan
+               ) -> tuple[list[tuple[int, str]], list[int],
+                          dict[tuple[str, str], int]]:
+    """The construction in integers, for a plan deciding every tree node:
+    the distinct avoidance points as (atom, state) pairs in weight order,
+    each point's choice bits (bit j for each alternatives[j] chosen on its
+    walk), and (state, rejected alternative) -> index of its point.
+    """
+    atom_of = {cls[0]: i for i, cls in enumerate(tree.canonical.atoms)}
+    walks = {a: _walks(tree, plan, a) for a in plan.alternatives}
+    seen: dict[tuple[str, str], int] = {}  # (leaf, state) -> choice bits
+    avoid_points: dict[tuple[str, str], tuple[str, str]] = {}
+    for x in tree.nodes:
+        for a in plan.alternatives:
+            if a == plan.choice[x]:
+                continue
+            _, end, chosen = walks[a][x]
+            if chosen is None:
+                raise _stuck(end, a)
+            point = (end, x)
+            seen.setdefault(point, chosen)
+            avoid_points[x, a] = point
+
+    rank, decl = tree.rank_in_tree, {x: i for i, x in enumerate(tree.nodes)}
+    order = sorted(seen, key=lambda p: (rank[p[1]], decl[p[1]], decl[p[0]]))
+    index = {p: i for i, p in enumerate(order)}
+    return ([(atom_of[leaf], x) for leaf, x in order],
+            [seen[p] for p in order],
+            {key: index[p] for key, p in avoid_points.items()})
+
+
 def construct_sceu(tree: ExperimentationTree, plan: Plan) -> Rationalization:
     """Build the weighting and utilities rationalizing a consistent plan.
 
@@ -162,36 +193,14 @@ def construct_sceu(tree: ExperimentationTree, plan: Plan) -> Rationalization:
     if set(plan.choice) != set(tree.nodes):
         plan = plan.restricted_to(tree.nodes)
 
-    atom_of = {cls[0]: i for i, cls in enumerate(tree.canonical.atoms)}
-    rank = tree.rank_in_tree
-    walks = {a: _walks(tree, plan, a) for a in plan.alternatives}
-    # point -> the choices on its walk from its state down to its leaf
-    seen: dict[SamplePoint, int] = {}
-    avoid_points: dict[tuple[str, str], SamplePoint] = {}
-    for x in tree.nodes:
-        for a in plan.alternatives:
-            if a == plan.choice[x]:
-                continue
-            _, end, chosen = walks[a][x]
-            if chosen is None:
-                raise _stuck(end, a)
-            point = SamplePoint(atom_of[end], x)
-            seen.setdefault(point, chosen)
-            avoid_points[x, a] = point
-
-    decl = {x: i for i, x in enumerate(tree.nodes)}
-    atom_decl = {i: decl[cls[0]] for i, cls in enumerate(tree.canonical.atoms)}
-    points = tuple(sorted(
-        seen, key=lambda p: (rank[p.state], decl[p.state], atom_decl[p.atom])))
-    index = {p: i for i, p in enumerate(points)}
-
+    points, chosen, avoid = _avoidance(tree, plan)
     n = len(points)
     raw = tuple([Fraction(2, 3 ** (i + 1)) for i in range(n)])
     weights = tuple([Fraction(2 * 3 ** (n - 1 - i), 3 ** n - 1)
                      for i in range(n)])  # raw / (1 - 3^-n)
-    utilities = {b: tuple([seen[p] >> j & 1 for p in points])
+    utilities = {b: tuple([c >> j & 1 for c in chosen])
                  for j, b in enumerate(plan.alternatives)}
-    avoid = {key: index[pt] for key, pt in avoid_points.items()}
+    points = tuple([SamplePoint(*p) for p in points])
     return Rationalization(tree, plan, points, raw, weights, utilities, avoid)
 
 
@@ -218,7 +227,10 @@ def _margins(tree: ExperimentationTree, plan: Plan, atoms: Sequence[int],
 
 def _tree_fits(t: object) -> bool:
     """Whether a tree's nodes are distinct ambient states with the root,
-    and every other node has a node as parent, its chain reaching the root."""
+    and every other node has a node as parent, its chain reaching the root.
+    The tree's ranks and structure are read in its cached top-down order,
+    which an edit of the parent map in place leaves as it was, so that
+    order must still put each node after its parent."""
     if not (isinstance(t, ExperimentationTree)
             and isinstance(t.ambient, EStructure)
             and isinstance(t.nodes, tuple) and isinstance(t.parent, Mapping)
@@ -226,11 +238,14 @@ def _tree_fits(t: object) -> bool:
                     for x in [*t.nodes, *t.parent.values()])):
         return False
     nodes, root, parent = set(t.nodes), t.root, t.parent
-    return (len(nodes) == len(t.nodes) and root in nodes
+    if not (len(nodes) == len(t.nodes) and root in nodes
             and nodes <= set(t.ambient.states)
             and set(parent) == nodes - {root}
             and set(parent.values()) <= nodes
-            and check_graph_tree(t.nodes, parent.items(), root).is_tree)
+            and check_graph_tree(t.nodes, parent.items(), root).is_tree):
+        return False
+    at = {x: i for i, x in enumerate(t._top_down)}
+    return set(at) == nodes and all(at[p] < at[c] for c, p in parent.items())
 
 
 def _fits(r: object) -> bool:

@@ -253,15 +253,17 @@ def check_tree(s: EStructure, nodes: Sequence[str],
 
 def _check_tree(s: EStructure, nodes: tuple[str, ...],
                 edges: tuple[tuple[str, str], ...]
-                ) -> tuple[ConditionReport, dict[str, tuple[str, ...]]]:
-    """check_tree's report, with each node's immediate tree predecessors.
+                ) -> tuple[ConditionReport, dict[str, tuple[str, ...]],
+                           tuple[str, ...]]:
+    """check_tree's report, with each node's immediate tree predecessors
+    and the nodes top-down as _shape gives them.
 
     A tree-shaped edge list (check_graph_tree) is read in one top-down
     pass over bit rows of ambient indices: a node's tree up-set is its
     parent's plus itself, and its one immediate tree predecessor is its
     parent. Any other list, one with a redundant transitive edge say,
     orders the nodes by the closure of its edges, and the immediate
-    predecessors are derived from that.
+    predecessors are derived from that; its top-down order is empty.
     """
     d = s.derived
     _validate_members(d.index, nodes, edges)
@@ -324,20 +326,25 @@ def _check_tree(s: EStructure, nodes: tuple[str, ...],
                     ), None)
     verdicts.append(ConditionVerdict("t-unbiased", witness is None, witness))
 
-    return ConditionReport(tuple(verdicts)), parents
+    return ConditionReport(tuple(verdicts)), parents, top_down
 
 
 def build_tree(s: EStructure, nodes: Sequence[str],
                edges: Iterable[tuple[str, str]]) -> ExperimentationTree:
-    """Check the seven conditions and assemble the verified tree."""
+    """Check the seven conditions and assemble the verified tree, with
+    the top-down order the check read cached on the instance, not in a
+    field, so a dataclasses.replace copy reads its own shape."""
     nodes = tuple(nodes)
-    report, parents = _check_tree(s, nodes, tuple(edges))
+    report, parents, top_down = _check_tree(s, nodes, tuple(edges))
     if not report.passed:
         raise TreeError("tree conditions failed: "
                         + ", ".join(report.failed_ids))
     # t-parent passed, so every non-root node has exactly one parent
     parent = {x: parents[x][0] for x in nodes if x != s.root}
-    return ExperimentationTree(s, nodes, parent)
+    tree = ExperimentationTree(s, nodes, parent)
+    if top_down:  # empty when the edges were closed instead
+        tree.__dict__["_top_down"] = top_down
+    return tree
 
 
 def as_tree(s: EStructure) -> ExperimentationTree:

@@ -868,6 +868,38 @@ def construct_sceu_by_walks(nodes, root, parent, choice, alternatives,
     return points, raw, weights, utilities, avoid
 
 
+def decide_on_tree_by_construction(atoms, alternatives, choice, children,
+                                   violations, points, utilities):
+    """The tree route's verdict and witness, as read off construct_sceu.
+
+    violations are check_isd_plan's; children maps each state to its
+    immediate refinements. At the first violation (z, c) the certificate
+    is row (z, c) and row (k, choice[z]) for each child k, each with
+    multiplier 1. Otherwise points (atom index, state) and utilities (per
+    alternative, a payoff per point) are construct_sceu's: point i weighs
+    3^(n-1-i), and g[b][atom] sums weight times payoff under b over the
+    points in that atom. The weighting is uniform over atoms, and the
+    utility of b at an atom is natoms times g[b][atom].
+
+    Returns (feasible, weights, utilities, certificate, path) as the
+    fields of the result.
+    """
+    if violations:
+        z, c = violations[0]
+        certificate = ((z, c, Fraction(1)),) + tuple(
+            (k, choice[z], Fraction(1)) for k in children[z])
+        return False, None, None, certificate, "tree"
+    n, natoms = len(points), len(atoms)
+    g = {b: [0] * natoms for b in alternatives}
+    for i, (atom, _) in enumerate(points):
+        for b in alternatives:
+            g[b][atom] += 3 ** (n - 1 - i) * utilities[b][i]
+    weights = {label: Fraction(1, natoms) for label in atoms}
+    pays = {b: {label: Fraction(natoms * g[b][k])
+                for k, label in enumerate(atoms)} for b in alternatives}
+    return True, weights, pays, None, "tree"
+
+
 # ---------------------------------------------------------------------------
 # witness checks in Fractions: the references for the integer kernels
 # ---------------------------------------------------------------------------

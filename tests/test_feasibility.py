@@ -554,6 +554,53 @@ class TestTreeTheorem:
         assert result.weights == dict.fromkeys(result.system.atoms,
                                                Fraction(1, n))
 
+    def test_route_matches_the_construction_reference(self):
+        """The tree route reads its witness off the integer avoidance pass
+        it shares with construct_sceu; oracles.decide_on_tree_by_
+        construction reads it off construct_sceu's witness, as the route
+        did before. The results must agree field for field, and
+        construct_sceu must agree with the walk reference."""
+        rng = random.Random(1515)
+        cases = []
+        for i in range(60):  # splitting trees, 2 to 4 alternatives
+            tree = splitting_tree(rng, max_nodes=24)
+            make = consistent_plan if i % 2 == 0 else inconsistent_plan
+            cases.append((tree.ambient, make(rng, tree, n_alts=2 + i % 3)))
+        families = 0
+        while families < 40:  # subset families that are trees
+            s = subset_family_structure(rng, max_universe=4)
+            try:
+                as_tree(s)
+            except TreeError:
+                continue
+            cases.append((s, arbitrary_plan(rng, s, max_alts=4,
+                                            full_prob=1.0)))
+            families += 1
+        verdicts = {True: 0, False: 0}
+        for s, plan in cases:
+            result = decide_rationalizable(s, plan)
+            assert result.path == "tree"
+            violations = check_isd_plan(s, plan).violations
+            points = utilities = None
+            if not violations:
+                r = construct_sceu(as_tree(s), plan)
+                points = [(p.atom, p.state) for p in r.points]
+                utilities = r.utilities
+                leaf_atom = {cls[0]: k for k, cls in
+                             enumerate(r.tree.canonical.atoms)}
+                assert (points, list(r.raw_weights), list(r.weights),
+                        {b: list(u) for b, u in utilities.items()},
+                        dict(r.avoid)) == oracles.construct_sceu_by_walks(
+                    s.states, s.root, dict(r.tree.parent), plan.choice,
+                    plan.alternatives, leaf_atom)
+            want = oracles.decide_on_tree_by_construction(
+                result.system.atoms, plan.alternatives, plan.choice,
+                s.derived.immed_sets, violations, points, utilities)
+            assert (result.feasible, result.weights, result.utilities,
+                    result.certificate, result.path) == want
+            verdicts[result.feasible] += 1
+        assert min(verdicts.values()) > 25
+
 
 def test_canonical_space_is_built_once_per_structure(monkeypatch):
     """decide_rationalizable and construct_sceu on a tree-shaped structure

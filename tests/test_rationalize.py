@@ -328,6 +328,40 @@ class TestVerification:
         assert not report.verified
         assert report.failures == ("not a well-formed witness",)
 
+    @pytest.mark.parametrize("in_place", [False, True],
+                             ids=["replaced", "in-place"])
+    @pytest.mark.parametrize("edit", [
+        lambda parent: parent.update(a="c"),
+        lambda parent: parent.update(r="b"),
+        lambda parent: parent.update(d="zz"),
+        lambda parent: parent.pop("d"),
+        lambda parent: parent.update(b="c"),
+    ], ids=["cycle", "fork-at-root", "parent-not-a-node", "no-parent",
+            "still-a-tree-out-of-order"])
+    def test_broken_shape_fails_despite_the_cached_order(self, edit,
+                                                         in_place):
+        """build_tree caches the top-down order it read on the instance.
+        A copy made by dataclasses.replace starts without it, and an edit
+        of the parent map in place leaves it stale; either way the
+        verifier reads the shape again and fails the witness. Hanging b
+        under c keeps a tree, but the cached order has b before c."""
+        nodes = ["r", "a", "b", "c", "d"]
+        edges = [("a", "r"), ("b", "r"), ("c", "a"), ("d", "a")]
+        tree = make_tree(nodes, edges, "r")
+        assert tree.__dict__["_top_down"] == ("r", "a", "b", "c", "d")
+        plan = Plan(("x", "y"), {"r": "x", "a": "x", "b": "y", "c": "x",
+                                 "d": "y"})
+        r = construct_sceu(tree, plan)
+        parent = dict(tree.parent) if not in_place else tree.parent
+        edit(parent)
+        if not in_place:
+            broken = dataclasses.replace(tree, parent=parent)
+            assert "_top_down" not in broken.__dict__
+            r = dataclasses.replace(r, tree=broken)
+        report = verify_rationalization(tree.ambient, plan, r)
+        assert not report.verified
+        assert report.failures == ("not a well-formed witness",)
+
     def test_uniform_weights_fail_the_outweighing_check_once(self, t1):
         tree, plan = t1
         r = construct_sceu(tree, plan)

@@ -13,7 +13,7 @@ from evistruct import (TREE_CONDITION_IDS, EStructure, TreeError, as_tree,
                        decide_rationalizable, decompose_field_element,
                        find_trees, parse_workspace, partitions,
                        verify_rationalization)
-from evistruct import structure, trees
+from evistruct import rationalize, structure, trees
 from evistruct.trees import _check_tree
 
 
@@ -522,7 +522,7 @@ class TestAgainstPairSetReference:
 
     @staticmethod
     def compare(s, nodes, edges):
-        report, parents = _check_tree(s, tuple(nodes), tuple(edges))
+        report, parents, _ = _check_tree(s, tuple(nodes), tuple(edges))
         verdicts, want_parents = oracles.check_tree_by_pairs(
             s.states, s.root, s.relation, nodes, edges)
         assert [(v.condition, v.passed, v.witness)
@@ -588,26 +588,31 @@ def test_tree_op_closes_and_derives_once(monkeypatch):
     """One consistent op on a 12-node tree: build the structure and the
     tree, decide, construct and verify. Every tree on the way is read off
     its parent map, so the edges are closed once and the relations
-    derived once, both for the structure itself."""
+    derived once, both for the structure itself. Each built tree keeps the
+    top-down order its check read, so the shape is read three times:
+    by build_tree, by as_tree's build_tree and by verify_rationalization,
+    which reads it again on its own. The decision and the construction
+    each walk once per alternative."""
     rng = random.Random(12)
     tree = splitting_tree(rng, max_nodes=12, min_nodes=12)
     while len(tree.nodes) != 12:
         tree = splitting_tree(rng, max_nodes=12, min_nodes=12)
     plan = consistent_plan(rng, tree, n_alts=3)
     nodes, edges = tree.nodes, tuple(tree.parent.items())
-    calls = {"_closure": 0, "derive_relations": 0}
+    homes = {"_closure": (structure, trees),
+             "derive_relations": (structure, trees),
+             "_shape": (trees,), "_walks": (rationalize,)}
+    calls = dict.fromkeys(homes, 0)
 
-    def counted(name):
-        original = getattr(structure, name)
-
+    def counted(name, original):
         def count(*args):
             calls[name] += 1
             return original(*args)
         return count
 
-    for name in calls:
-        wrapper = counted(name)
-        for module in (structure, trees):
+    for name, modules in homes.items():
+        wrapper = counted(name, getattr(modules[0], name))
+        for module in modules:
             monkeypatch.setattr(module, name, wrapper)
     s = EStructure.from_generators(nodes, tree.root, edges)
     t = build_tree(s, nodes, edges)
@@ -615,4 +620,5 @@ def test_tree_op_closes_and_derives_once(monkeypatch):
     r = construct_sceu(t, plan)
     assert result.path == "tree" and result.feasible
     assert verify_rationalization(t, plan, r).verified
-    assert calls == {"_closure": 1, "derive_relations": 1}
+    assert calls == {"_closure": 1, "derive_relations": 1, "_shape": 3,
+                     "_walks": 2 * len(plan.alternatives)}
