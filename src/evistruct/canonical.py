@@ -12,8 +12,8 @@ a finite discrete point set and are not materialized here.
 """
 from __future__ import annotations
 
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
 
 from .structure import (ConditionReport, ConditionVerdict, EStructure,
                         StructureError, _bits, _first_pair,

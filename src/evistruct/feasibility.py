@@ -28,10 +28,11 @@ nonnegative row combination proving emptiness.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .canonical import CanonicalSpace, build_canonical
 from .plans import Plan, PlanError, _check_domain, check_isd_plan
@@ -348,13 +349,17 @@ def _certificate_failure(system: FeasibilitySystem,
     return None
 
 
-def _result_from_point(system: FeasibilitySystem, x: Sequence[Fraction],
+def _result_from_point(system: FeasibilitySystem, g: Sequence[int], den: int,
                        path: str) -> FeasibilityResult:
+    """The uniform weighting and the utilities n * g / den, Fractions on
+    every route; equal values share one Fraction."""
     n = len(system.atoms)
     weight = Fraction(1, n)
     weights = {atom: weight for atom in system.atoms}
+    value = {v: Fraction(n * v, den) for v in set(g)}
     utilities = {
-        alt: {atom: n * x[i * n + k] for k, atom in enumerate(system.atoms)}
+        alt: {atom: value[g[i * n + k]]
+              for k, atom in enumerate(system.atoms)}
         for i, alt in enumerate(system.alternatives)
     }
     return FeasibilityResult(True, system, weights=weights,
@@ -421,7 +426,8 @@ def _simplex(system: FeasibilitySystem, dual: bool) -> FeasibilityResult:
     g, den = _over_lcm(x)
     if min(_row_values(rows, g)) < den:
         raise RuntimeError("exact simplex returned an invalid point")
-    return _result_from_point(system, x, "simplex-dual" if dual else "simplex")
+    return _result_from_point(system, g, den,
+                              "simplex-dual" if dual else "simplex")
 
 
 def _verified(result: FeasibilityResult) -> FeasibilityResult:
@@ -487,4 +493,4 @@ def _decide_on_tree(system: FeasibilitySystem, tree: ExperimentationTree,
               [3 ** (n - 1 - i) for i in range(n)],
               [[c >> j & 1 for c in chosen]
                for j in range(len(plan.alternatives))])
-    return _result_from_point(system, g, "tree")
+    return _result_from_point(system, g, 1, "tree")

@@ -26,15 +26,15 @@ punish it, and the strict margins break.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from .feasibility import (_mass, _normalization, _over_lcm, _report, _rows,
                           build_system, verify_weighting)
 from .plans import Plan, PlanError
 from .structure import EStructure, StructureError, WitnessReport
-from .trees import ExperimentationTree, check_graph_tree
+from .trees import ExperimentationTree
 
 
 class RationalizationError(PlanError):
@@ -228,9 +228,9 @@ def _margins(tree: ExperimentationTree, plan: Plan, atoms: Sequence[int],
 def _tree_fits(t: object) -> bool:
     """Whether a tree's nodes are distinct ambient states with the root,
     and every other node has a node as parent, its chain reaching the root.
-    The tree's ranks and structure are read in its cached top-down order,
-    which an edit of the parent map in place leaves as it was, so that
-    order must still put each node after its parent."""
+    The parent map is a read-only copy, so the tree's cached top-down
+    order, by which its ranks and structure are read, is its own shape:
+    empty exactly when the map is not tree-shaped."""
     if not (isinstance(t, ExperimentationTree)
             and isinstance(t.ambient, EStructure)
             and isinstance(t.nodes, tuple) and isinstance(t.parent, Mapping)
@@ -238,14 +238,10 @@ def _tree_fits(t: object) -> bool:
                     for x in [*t.nodes, *t.parent.values()])):
         return False
     nodes, root, parent = set(t.nodes), t.root, t.parent
-    if not (len(nodes) == len(t.nodes) and root in nodes
+    return (len(nodes) == len(t.nodes) and root in nodes
             and nodes <= set(t.ambient.states)
             and set(parent) == nodes - {root}
-            and set(parent.values()) <= nodes
-            and check_graph_tree(t.nodes, parent.items(), root).is_tree):
-        return False
-    at = {x: i for i, x in enumerate(t._top_down)}
-    return set(at) == nodes and all(at[p] < at[c] for c, p in parent.items())
+            and set(parent.values()) <= nodes and bool(t._top_down))
 
 
 def _fits(r: object) -> bool:

@@ -214,6 +214,13 @@ class EStructure:
         from .canonical import _verified_space  # canonical imports this
         return _verified_space(self)
 
+    def __getstate__(self) -> dict:
+        # a weak reference does not pickle: leave out the one build_tree
+        # keeps to the structure's spanning tree
+        state = dict(self.__dict__)
+        state.pop("_spanning_tree", None)
+        return state
+
     def restrict(self, states: Iterable[str]) -> "EStructure":
         """Sub-structure induced on a subset of states (relation restricted)."""
         kept = set(states)

@@ -25,10 +25,12 @@ itself; `as_estructure` exposes that view.
 """
 from __future__ import annotations
 
+import weakref
+from collections.abc import Container, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import and_
-from typing import Container, Iterable, Mapping, Sequence
+from types import MappingProxyType
 
 from .canonical import CanonicalSpace, build_canonical
 from .structure import (ConditionReport, ConditionVerdict, DerivedRelations,
@@ -85,12 +87,27 @@ class ExperimentationTree:
     Attributes:
         ambient: the structure the tree was carved from.
         nodes: tree states in ambient declaration order.
-        parent: child -> parent for every non-root node.
+        parent: child -> parent for every non-root node, a read-only copy
+            of the mapping given; anything but a mapping is kept as given,
+            for the verifiers to reject.
     """
 
     ambient: EStructure
     nodes: tuple[str, ...]
     parent: Mapping[str, str]
+
+    def __post_init__(self) -> None:
+        # frozen, so every cached view below is a function of the fields
+        if isinstance(self.parent, Mapping):
+            object.__setattr__(self, "parent",
+                               MappingProxyType(dict(self.parent)))
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle; loading makes the copy again
+        parent = self.parent
+        if isinstance(parent, MappingProxyType):
+            parent = dict(parent)
+        return type(self), (self.ambient, self.nodes, parent)
 
     @property
     def root(self) -> str:
@@ -333,7 +350,15 @@ def build_tree(s: EStructure, nodes: Sequence[str],
                edges: Iterable[tuple[str, str]]) -> ExperimentationTree:
     """Check the seven conditions and assemble the verified tree, with
     the top-down order the check read cached on the instance, not in a
-    field, so a dataclasses.replace copy reads its own shape."""
+    field, so a dataclasses.replace copy reads its own shape.
+
+    A tree whose nodes are exactly s.states is the one as_tree(s) reads,
+    because a structure has at most one spanning tree (see find_trees),
+    so s keeps a weak reference to it and as_tree returns it unchecked
+    while it lives. Each node must then have one immediate predecessor,
+    as that argument shows on a closed relation; that is checked too,
+    since EStructure itself does not close what it is given.
+    """
     nodes = tuple(nodes)
     report, parents, top_down = _check_tree(s, nodes, tuple(edges))
     if not report.passed:
@@ -344,6 +369,11 @@ def build_tree(s: EStructure, nodes: Sequence[str],
     tree = ExperimentationTree(s, nodes, parent)
     if top_down:  # empty when the edges were closed instead
         tree.__dict__["_top_down"] = top_down
+    if nodes == s.states and all(len(s.derived.parents[x]) == 1
+                                 for x in parent):
+        # weak, because the tree holds s: a strong reference would make
+        # each pair a cycle, garbage only the cycle collector frees
+        s.__dict__["_spanning_tree"] = weakref.ref(tree)
     return tree
 
 
@@ -352,8 +382,15 @@ def as_tree(s: EStructure) -> ExperimentationTree:
     pairs: each non-root state hangs from its one immediate predecessor.
 
     Raises TreeError when a state has no or several immediate
-    predecessors, or when the seven conditions fail on the result.
+    predecessors, or when the seven conditions fail on the result. While
+    any caller holds the tree, from this call or from a build_tree of the
+    same tree, s keeps a weak reference to it, and as_tree returns that
+    object without checking it again.
     """
+    kept = s.__dict__.get("_spanning_tree")
+    tree = kept() if kept is not None else None
+    if tree is not None:
+        return tree
     edges = []
     for x in s.states:
         if x == s.root:

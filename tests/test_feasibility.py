@@ -602,6 +602,28 @@ class TestTreeTheorem:
         assert min(verdicts.values()) > 25
 
 
+@pytest.mark.parametrize("path", ["tree", "simplex", "simplex-dual"])
+def test_witness_values_are_fractions_on_every_route(corpus, path):
+    if path == "tree":
+        rng = random.Random(5)
+        tree = splitting_tree(rng, max_nodes=10, min_nodes=10)
+        result = decide_rationalizable(tree.ambient,
+                                       consistent_plan(rng, tree, n_alts=3))
+    elif path == "simplex":
+        result = decide_rationalizable(corpus["example_r"].structure,
+                                       corpus["example_r"].plan)
+    else:
+        prefer_a = ((0, 1), (1, -1))
+        rows = [FeasibilityRow(f"x{i}", "b", prefer_a) for i in range(6)]
+        result = decide_system(FeasibilitySystem(("a", "b"), ("w",),
+                                                 tuple(rows)))
+    assert (result.path, result.feasible) == (path, True)
+    values = [*result.weights.values(),
+              *[v for table in result.utilities.values()
+                for v in table.values()]]
+    assert values and all(type(v) is Fraction for v in values)
+
+
 def test_canonical_space_is_built_once_per_structure(monkeypatch):
     """decide_rationalizable and construct_sceu on a tree-shaped structure
     share one build and one verification of its canonical space, while

@@ -1,6 +1,7 @@
 """The explicit geometric-weight construction and its verification."""
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import random
 from fractions import Fraction
@@ -10,7 +11,8 @@ import pytest
 import oracles
 from conftest import (consistent_plan, inconsistent_plan, splitting_tree,
                       subset_family_structure)
-from evistruct import (EStructure, ExplicitRepresentation, Plan, PlanError,
+from evistruct import (EStructure, ExperimentationTree,
+                       ExplicitRepresentation, Plan, PlanError,
                        RationalizationError, SamplePoint, avoiding_branch,
                        build_tree, construct_sceu, find_trees,
                        verify_rationalization)
@@ -330,21 +332,19 @@ class TestVerification:
 
     @pytest.mark.parametrize("in_place", [False, True],
                              ids=["replaced", "in-place"])
-    @pytest.mark.parametrize("edit", [
-        lambda parent: parent.update(a="c"),
-        lambda parent: parent.update(r="b"),
-        lambda parent: parent.update(d="zz"),
-        lambda parent: parent.pop("d"),
-        lambda parent: parent.update(b="c"),
+    @pytest.mark.parametrize("child, new_parent", [
+        ("a", "c"), ("r", "b"), ("d", "zz"), ("d", None), ("b", "c"),
     ], ids=["cycle", "fork-at-root", "parent-not-a-node", "no-parent",
             "still-a-tree-out-of-order"])
-    def test_broken_shape_fails_despite_the_cached_order(self, edit,
+    def test_broken_shape_fails_despite_the_cached_order(self, child,
+                                                         new_parent,
                                                          in_place):
         """build_tree caches the top-down order it read on the instance.
-        A copy made by dataclasses.replace starts without it, and an edit
-        of the parent map in place leaves it stale; either way the
-        verifier reads the shape again and fails the witness. Hanging b
-        under c keeps a tree, but the cached order has b before c."""
+        A copy made by dataclasses.replace starts without it and reads its
+        own shape, so the verifier fails the witness. The tree's parent
+        map is a read-only copy, so the same edit in place raises and
+        leaves the witness as it was. Hanging b under c keeps a tree, but
+        the cached order has b before c. (new_parent None deletes.)"""
         nodes = ["r", "a", "b", "c", "d"]
         edges = [("a", "r"), ("b", "r"), ("c", "a"), ("d", "a")]
         tree = make_tree(nodes, edges, "r")
@@ -352,15 +352,51 @@ class TestVerification:
         plan = Plan(("x", "y"), {"r": "x", "a": "x", "b": "y", "c": "x",
                                  "d": "y"})
         r = construct_sceu(tree, plan)
-        parent = dict(tree.parent) if not in_place else tree.parent
-        edit(parent)
-        if not in_place:
-            broken = dataclasses.replace(tree, parent=parent)
-            assert "_top_down" not in broken.__dict__
-            r = dataclasses.replace(r, tree=broken)
+        parent = tree.parent if in_place else dict(tree.parent)
+        with (pytest.raises(TypeError) if in_place
+              else contextlib.nullcontext()):
+            if new_parent is None:
+                del parent[child]
+            else:
+                parent[child] = new_parent
+        if in_place:
+            assert tree.parent == dict(edges)
+            assert verify_rationalization(tree.ambient, plan, r).verified
+            return
+        broken = dataclasses.replace(tree, parent=parent)
+        assert "_top_down" not in broken.__dict__
+        r = dataclasses.replace(r, tree=broken)
         report = verify_rationalization(tree.ambient, plan, r)
         assert not report.verified
         assert report.failures == ("not a well-formed witness",)
+
+    def test_frozen_parent_map(self):
+        """r(a(c, d), b): hanging d under c leaves c one child. In place
+        the edit raises; through dataclasses.replace the edited tree's own
+        structure gives c one refinement, so its canonical space fails and
+        the witness is not well-formed."""
+        tree = make_tree(["r", "a", "b", "c", "d"],
+                         [("a", "r"), ("b", "r"), ("c", "a"), ("d", "a")],
+                         "r")
+        plan = Plan(("x", "y"), {"r": "x", "a": "x", "b": "y", "c": "x",
+                                 "d": "y"})
+        r = construct_sceu(tree, plan)
+        with pytest.raises(TypeError):
+            tree.parent["d"] = "c"
+        edited = dataclasses.replace(tree, parent={**tree.parent, "d": "c"})
+        report = verify_rationalization(tree.ambient, plan,
+                                        dataclasses.replace(r, tree=edited))
+        assert report.failures == ("not a well-formed witness",)
+
+    def test_parent_map_is_a_copy(self):
+        """Editing the mapping a tree was built from leaves the tree."""
+        s = EStructure.from_generators(["r", "a", "b"], "r",
+                                       [("a", "r"), ("b", "r")])
+        given = {"a": "r", "b": "r"}
+        tree = ExperimentationTree(s, ("r", "a", "b"), given)
+        given["b"] = "a"
+        assert tree.parent == {"a": "r", "b": "r"}
+        assert dataclasses.replace(tree, parent=None).parent is None
 
     def test_uniform_weights_fail_the_outweighing_check_once(self, t1):
         tree, plan = t1

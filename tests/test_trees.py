@@ -1,7 +1,11 @@
 """Tree conditions, enumeration, partitions, and event decomposition."""
 from __future__ import annotations
 
+import copy
+import gc
+import pickle
 import random
+import weakref
 
 import pytest
 
@@ -337,6 +341,73 @@ class TestAsTree:
         with pytest.raises(TreeError, match="t-branching"):
             as_tree(s)
 
+    def test_built_spanning_tree_is_the_one_as_tree_reads(self):
+        """build_tree on all of a structure's states gives the tree as_tree
+        reads on a fresh copy of the structure, whatever the edge order,
+        and caches it: as_tree then returns that object."""
+        rng = random.Random(1606)
+        for _ in range(40):
+            s = splitting_tree(rng, max_nodes=40, min_nodes=6).ambient
+            s = EStructure(s.states, s.root, s.relation)
+            edges = [(x, p) for x in reversed(s.states)
+                     for p in s.derived.parents[x]]
+            t = build_tree(s, s.states, edges)
+            read = as_tree(EStructure(s.states, s.root, s.relation))
+            assert t == read and t._top_down == read._top_down
+            assert as_tree(s) is t
+
+    def test_as_tree_is_checked_once_while_held(self, monkeypatch):
+        """The structure keeps its tree weakly: once no caller holds the
+        tree, as_tree checks a new one."""
+        s = splitting_tree(random.Random(3), min_nodes=8).ambient
+        s = EStructure(s.states, s.root, s.relation)
+        calls = []
+        monkeypatch.setattr(trees, "_check_tree",
+                            lambda *args: calls.append(1)
+                            or _check_tree(*args))
+        t = as_tree(s)
+        assert as_tree(s) is t and len(calls) == 1
+        del t
+        gc.collect()
+        assert as_tree(s) == as_tree(EStructure(s.states, s.root,
+                                                s.relation))
+        assert len(calls) == 3
+
+    def test_structure_and_tree_free_without_the_cycle_collector(self):
+        s = splitting_tree(random.Random(4), min_nodes=8).ambient
+        s = EStructure(s.states, s.root, s.relation)
+        t = build_tree(s, s.states, [(x, p) for x in s.states
+                                     for p in s.derived.parents[x]])
+        assert as_tree(s) is t and t.canonical is s.canonical
+        gone = weakref.ref(s)
+        gc.disable()
+        try:
+            del s, t
+            assert gone() is None
+        finally:
+            gc.enable()
+
+    def test_trees_and_their_structures_pickle(self):
+        s = splitting_tree(random.Random(8), min_nodes=8).ambient
+        t = as_tree(s)
+        for copied in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+            assert copied == t and copied.canonical == t.canonical
+            assert as_tree(copied.ambient) == copied
+            with pytest.raises(TypeError):
+                copied.parent[t.nodes[1]] = t.root
+
+    def test_contained_tree_seeds_nothing(self, corpus):
+        ws = corpus["example_d"]
+        fresh = EStructure(ws.structure.states, ws.structure.root,
+                           ws.structure.relation)
+        with pytest.raises(TreeError) as expected:
+            as_tree(fresh)
+        build_tree(ws.structure, *_block(ws, 0))
+        assert "_spanning_tree" not in ws.structure.__dict__
+        with pytest.raises(TreeError) as info:
+            as_tree(ws.structure)
+        assert str(info.value) == str(expected.value)
+
     def test_contained_tree_keeps_its_own_structure(self, corpus):
         ws = corpus["example_d"]
         t = build_tree(ws.structure, *_block(ws, 0))
@@ -588,11 +659,11 @@ def test_tree_op_closes_and_derives_once(monkeypatch):
     """One consistent op on a 12-node tree: build the structure and the
     tree, decide, construct and verify. Every tree on the way is read off
     its parent map, so the edges are closed once and the relations
-    derived once, both for the structure itself. Each built tree keeps the
-    top-down order its check read, so the shape is read three times:
-    by build_tree, by as_tree's build_tree and by verify_rationalization,
-    which reads it again on its own. The decision and the construction
-    each walk once per alternative."""
+    derived once, both for the structure itself. The tree build_tree
+    accepts spans the structure, so it is the one as_tree returns: its
+    seven conditions are checked once and its shape read once, and the
+    verifier reads the shape that tree cached. The decision and the
+    construction each walk once per alternative."""
     rng = random.Random(12)
     tree = splitting_tree(rng, max_nodes=12, min_nodes=12)
     while len(tree.nodes) != 12:
@@ -601,7 +672,8 @@ def test_tree_op_closes_and_derives_once(monkeypatch):
     nodes, edges = tree.nodes, tuple(tree.parent.items())
     homes = {"_closure": (structure, trees),
              "derive_relations": (structure, trees),
-             "_shape": (trees,), "_walks": (rationalize,)}
+             "_shape": (trees,), "_check_tree": (trees,),
+             "_walks": (rationalize,)}
     calls = dict.fromkeys(homes, 0)
 
     def counted(name, original):
@@ -620,5 +692,5 @@ def test_tree_op_closes_and_derives_once(monkeypatch):
     r = construct_sceu(t, plan)
     assert result.path == "tree" and result.feasible
     assert verify_rationalization(t, plan, r).verified
-    assert calls == {"_closure": 1, "derive_relations": 1, "_shape": 3,
-                     "_walks": 2 * len(plan.alternatives)}
+    assert calls == {"_closure": 1, "derive_relations": 1, "_shape": 1,
+                     "_check_tree": 1, "_walks": 2 * len(plan.alternatives)}

@@ -296,6 +296,30 @@ def test_broken_tree_gives_a_failing_report(built, edit):
                                    failures=("not a well-formed witness",))
 
 
+def test_edited_parent_maps_give_reports(built):
+    """Seeded edits inside a built tree's parent map, each made on a copy,
+    since the map itself is read-only, and put back through
+    dataclasses.replace: the verifier reports on every one, and verifies
+    only a map equal to the one the witness was built on."""
+    s, plan, r = built
+    rng = random.Random(1616)
+    names = [*r.tree.nodes, "elsewhere"]
+    values = [*names, None, 0, ("x",)]
+    for _ in range(200):
+        parent = dict(r.tree.parent)
+        for _ in range(rng.randint(1, 3)):
+            key = rng.choice(names)
+            if key in parent and rng.random() < 0.3:
+                del parent[key]
+            else:
+                parent[key] = rng.choice(values)
+        tree = dataclasses.replace(r.tree, parent=parent)
+        report = verify_rationalization(s, plan,
+                                        dataclasses.replace(r, tree=tree))
+        assert isinstance(report, WitnessReport)
+        assert report.verified == (parent == r.tree.parent)
+
+
 def test_tree_whose_own_structure_fails_its_axioms(built):
     """A well-shaped parent map whose tree is a chain: its own structure
     has a state with one refinement, so its canonical space fails."""
