@@ -322,12 +322,8 @@ def _cmd_plan_rationalize(args) -> int:
         return guard
     try:
         tree = _target_tree(w)
-    except TreeError as exc:
-        _emit(args, {"error": str(exc)}, [str(exc)])
-        return 1
-    try:
         r = construct_sceu(tree, plan)
-    except RationalizationError as exc:
+    except (TreeError, RationalizationError) as exc:
         _emit(args, {"error": str(exc)}, [str(exc)])
         return 1
     report = verify_rationalization(tree, plan, r)

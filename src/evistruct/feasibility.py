@@ -488,7 +488,7 @@ def _decide_on_tree(system: FeasibilitySystem, tree: ExperimentationTree,
     from .rationalize import _avoidance  # rationalize imports this module
     points, chosen, _ = _avoidance(tree, plan)
     n = len(points)
-    # the tree is all of s, so its atom k is the system's atom k
+    # as_estructure is s, so the tree's atom k is the system's atom k
     g = _mass(len(system.atoms), [atom for atom, _ in points],
               [3 ** (n - 1 - i) for i in range(n)],
               [[c >> j & 1 for c in chosen]

@@ -226,22 +226,17 @@ def _margins(tree: ExperimentationTree, plan: Plan, atoms: Sequence[int],
 
 
 def _tree_fits(t: object) -> bool:
-    """Whether a tree's nodes are distinct ambient states with the root,
-    and every other node has a node as parent, its chain reaching the root.
-    The parent map is a read-only copy, so the tree's cached top-down
-    order, by which its ranks and structure are read, is its own shape:
-    empty exactly when the map is not tree-shaped."""
+    """Whether a tree's nodes are two or more distinct ambient states with
+    the root, each other node's parent a node, its chain reaching the root:
+    its cached top-down order, by which its ranks and structure are read,
+    says so, and the parent map is read-only, so that order is current."""
     if not (isinstance(t, ExperimentationTree)
             and isinstance(t.ambient, EStructure)
             and isinstance(t.nodes, tuple) and isinstance(t.parent, Mapping)
             and all(isinstance(x, str)
                     for x in [*t.nodes, *t.parent.values()])):
         return False
-    nodes, root, parent = set(t.nodes), t.root, t.parent
-    return (len(nodes) == len(t.nodes) and root in nodes
-            and nodes <= set(t.ambient.states)
-            and set(parent) == nodes - {root}
-            and set(parent.values()) <= nodes and bool(t._top_down))
+    return set(t.nodes) <= set(t.ambient.states) and len(t._top_down) > 1
 
 
 def _fits(r: object) -> bool:
@@ -277,8 +272,7 @@ def _verify_constructed(r: Rationalization) -> WitnessReport:
             failures.append(
                 f"weight {i} does not outweigh all later points")
             break
-    rank = tree.rank_in_tree
-    ranks = [rank[p.state] for p in r.points]
+    ranks = [tree.rank_in_tree[p.state] for p in r.points]
     if any(a > b for a, b in zip(ranks, ranks[1:])):
         failures.append("points are not ordered by state depth")
 
@@ -286,9 +280,8 @@ def _verify_constructed(r: Rationalization) -> WitnessReport:
     for p, w in zip(r.points, weights):
         own[p.state] += w
     deeper = dict.fromkeys(tree.nodes, 0)  # weight strictly below x
-    for x in sorted(tree.nodes, key=rank.__getitem__, reverse=True):
-        if x in tree.parent:
-            deeper[tree.parent[x]] += own[x] + deeper[x]
+    for x in reversed(tree._top_down[1:]):  # children first, as _walks
+        deeper[tree.parent[x]] += own[x] + deeper[x]
     for (x, a), m in margins.items():
         bound = weights[r.avoid[x, a]] - deeper[x]
         if bound <= 0:
@@ -316,10 +309,13 @@ def verify_rationalization(
     the tree's atoms. Its target must be its tree, that tree's ambient
     structure or the tree's own structure (as_estructure): any other
     target raises PlanError, as a plan other than its own does. An
-    explicit atom-level witness is checked by verify_weighting.
+    explicit atom-level witness is checked by verify_weighting, against
+    a tree target's own structure; a malformed tree target fails.
     """
     if isinstance(witness, ExplicitRepresentation):
         if isinstance(target, ExperimentationTree):
+            if not _tree_fits(target):
+                return WitnessReport(False, failures=("malformed tree",))
             target = target.as_estructure
         return verify_weighting(build_system(target, plan), witness.weights,
                                 witness.utilities)

@@ -113,10 +113,12 @@ class ExperimentationTree:
     def root(self) -> str:
         return self.ambient.root
 
-    @property
+    @cached_property
     def children(self) -> Mapping[str, tuple[str, ...]]:
-        """Each node's children, in node order."""
-        return self.as_estructure.derived.immed_sets
+        """Each node's children in node order, read off the parent map;
+        TreeError when that map is not a tree of two or more nodes."""
+        self._checked_top_down()
+        return {x: tuple(k) for x, k in _kids(self.nodes, self.parent).items()}
 
     @cached_property
     def rank_in_tree(self) -> dict[str, int]:
@@ -127,9 +129,18 @@ class ExperimentationTree:
 
     @cached_property
     def _top_down(self) -> tuple[str, ...]:
-        """The nodes, each after its parent; empty unless the parent map
-        is tree-shaped."""
-        return _shape(self.nodes, self.parent.items(), self.root)[2]
+        """The nodes, each after its parent; empty unless the nodes are
+        distinct and the parent map is a tree-shaped mapping among them."""
+        p, nodes = self.parent, set(self.nodes)
+        if (isinstance(p, Mapping) and len(nodes) == len(self.nodes)
+                and {*p, *p.values()} <= nodes):
+            return _shape(self.nodes, p.items(), self.root)[2]
+        return ()
+
+    def _checked_top_down(self) -> tuple[str, ...]:
+        if len(self._top_down) < 2:  # not a tree, or the root alone
+            raise TreeError("parent map is not a tree of two or more nodes")
+        return self._top_down
 
     @property
     def depth(self) -> int:
@@ -146,15 +157,18 @@ class ExperimentationTree:
 
     @cached_property
     def as_estructure(self) -> EStructure:
-        s = self.ambient
-        if self.nodes == s.states and self._top_down:
-            d = s.derived
-            up = _up_rows(self._top_down, self.parent, d.index)
-            if tuple([up[x] for x in s.states]) == d.up:
-                return s  # the tree is all of s: keep s and its relations
-        edges = tuple([(x, self.parent[x]) for x in self.nodes
-                       if x != self.root])
-        return EStructure.from_generators(self.nodes, self.root, edges)
+        """The tree as a structure in its own right. Its order is read off
+        the parent map by one top-down pass of bit rows over the tree's own
+        node indices; when those rows are the ambient structure's, the
+        ambient structure itself is returned. TreeError as for children."""
+        nodes, s = self.nodes, self.ambient
+        up = _up_rows(self._checked_top_down(), self.parent,
+                      {x: i for i, x in enumerate(nodes)})
+        rows = tuple([up[x] for x in nodes])
+        if nodes == s.states and rows == s.derived.up:
+            return s
+        return EStructure(nodes, self.root, frozenset(
+            [(x, nodes[j]) for x, r in zip(nodes, rows) for j in _bits(r)]))
 
     @cached_property
     def canonical(self) -> CanonicalSpace:
@@ -257,6 +271,16 @@ def _up_rows(top_down: Sequence[str], parent: Mapping[str, str],
     return up
 
 
+def _kids(nodes: Sequence[str],
+          parent: Mapping[str, str]) -> dict[str, list[str]]:
+    """Each node's children in node order, off a child -> parent map."""
+    kids: dict[str, list[str]] = {x: [] for x in nodes}
+    for x in nodes:
+        if x in parent:
+            kids[parent[x]].append(x)
+    return kids
+
+
 def check_tree(s: EStructure, nodes: Sequence[str],
                edges: Iterable[tuple[str, str]]) -> ConditionReport:
     """Evaluate the seven tree conditions, with a witness per failure.
@@ -294,10 +318,7 @@ def _check_tree(s: EStructure, nodes: tuple[str, ...],
                              if (extra := up[x] & ~d.up[index[x]])),
                             default=None)
         parents = {x: (parent[x],) if x in parent else () for x in nodes}
-        kids = {x: [] for x in nodes}
-        for x in nodes:
-            if x in parent:
-                kids[parent[x]].append(x)
+        kids = _kids(nodes, parent)
     else:
         order = _closure(nodes, edges)
         t = derive_relations(EStructure(nodes, s.root, order))
@@ -352,12 +373,11 @@ def build_tree(s: EStructure, nodes: Sequence[str],
     the top-down order the check read cached on the instance, not in a
     field, so a dataclasses.replace copy reads its own shape.
 
-    A tree whose nodes are exactly s.states is the one as_tree(s) reads,
-    because a structure has at most one spanning tree (see find_trees),
-    so s keeps a weak reference to it and as_tree returns it unchecked
-    while it lives. Each node must then have one immediate predecessor,
-    as that argument shows on a closed relation; that is checked too,
-    since EStructure itself does not close what it is given.
+    A tree that is all of s, its nodes s.states and its order s's own
+    (as_estructure is s; EStructure does not close what it is given), is
+    the one as_tree(s) reads, as a structure has at most one spanning tree
+    (see find_trees). So s keeps a weak reference to it, and as_tree
+    returns it unchecked while it lives.
     """
     nodes = tuple(nodes)
     report, parents, top_down = _check_tree(s, nodes, tuple(edges))
@@ -369,8 +389,7 @@ def build_tree(s: EStructure, nodes: Sequence[str],
     tree = ExperimentationTree(s, nodes, parent)
     if top_down:  # empty when the edges were closed instead
         tree.__dict__["_top_down"] = top_down
-    if nodes == s.states and all(len(s.derived.parents[x]) == 1
-                                 for x in parent):
+    if nodes == s.states and tree.as_estructure is s:
         # weak, because the tree holds s: a strong reference would make
         # each pair a cycle, garbage only the cycle collector frees
         s.__dict__["_spanning_tree"] = weakref.ref(tree)
@@ -441,13 +460,12 @@ def find_trees(s: EStructure,
     found: list[ExperimentationTree] = []
     for parent in grown[:max_count]:
         nodes = tuple([x for x in s.states if x == s.root or x in parent])
-        edges = tuple([(x, parent[x]) for x in nodes if x != s.root])
-        report = check_tree(s, nodes, edges)
+        report = check_tree(s, nodes, parent.items())
         if not report.passed:
             raise TreeError("a grown tree fails "
                             + ", ".join(report.failed_ids)
                             + "; is the relation a closed preorder?")
-        found.append(ExperimentationTree(s, nodes, dict(edges)))
+        found.append(ExperimentationTree(s, nodes, parent))
     return tuple(found)
 
 
@@ -515,27 +533,18 @@ class PartitionSequence:
         return len(self.blocks)
 
     def is_refinement_chain(self) -> bool:
-        for prev, cur in zip(self.blocks, self.blocks[1:]):
-            for blk in cur:
-                if not any(blk <= old for old in prev):
-                    return False
-        return True
+        return all(any(blk <= old for old in prev) for prev, cur
+                   in zip(self.blocks, self.blocks[1:]) for blk in cur)
 
 
 def partitions(t: ExperimentationTree) -> PartitionSequence:
     """The refinement filtration of the tree's events."""
-    space = build_canonical(t.ambient)
-    rho = t.rank_in_tree
-    leaves = set(t.leaves)
-    stages_members: list[tuple[str, ...]] = []
-    stages_blocks: list[tuple[frozenset[int], ...]] = []
-    for n in range(t.depth + 1):
-        members = tuple([x for x in t.nodes
-                         if rho[x] == n or (rho[x] < n and x in leaves)])
-        stages_members.append(members)
-        stages_blocks.append(tuple([space.events[x] for x in members]))
-    return PartitionSequence(space, tuple(stages_members),
-                             tuple(stages_blocks))
+    space, rho, leaves = build_canonical(t.ambient), t.rank_in_tree, t.leaves
+    members = tuple([tuple([x for x in t.nodes if rho[x] == n
+                            or (rho[x] < n and x in leaves)])
+                     for n in range(t.depth + 1)])
+    return PartitionSequence(space, members, tuple(
+        [tuple([space.events[x] for x in stage]) for stage in members]))
 
 
 def decompose_field_element(t: ExperimentationTree,
@@ -552,8 +561,7 @@ def decompose_field_element(t: ExperimentationTree,
     if not remaining <= universe:
         raise TreeError("element mentions unknown sample points")
     picked: list[str] = []
-    index = {x: i for i, x in enumerate(t.nodes)}
-    for x in sorted(t.nodes, key=lambda x: (t.rank_in_tree[x], index[x])):
+    for x in sorted(t.nodes, key=t.rank_in_tree.__getitem__):  # stable
         ev = t.canonical.events[x]
         if ev and ev <= remaining:
             picked.append(x)

@@ -9,6 +9,7 @@ import random
 import shutil
 import subprocess
 import sys
+from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
 
@@ -382,6 +383,21 @@ class TestPlanCommands:
         assert code == 1
         assert "not itself a tree" in data["error"]
 
+    @pytest.mark.parametrize("choices, message", [
+        ("choose r x\nchoose a y\nchoose b y\n",
+         "every child of 'r' chooses 'y'; the plan is "
+         "dominance-inconsistent there"),
+        ("choose r x\nchoose a y\n", "plan does not cover tree node 'b'"),
+    ], ids=["dominance", "partial"])
+    def test_rationalize_reports_a_plan_it_cannot_rationalize(
+            self, capsys, tmp_path, choices, message):
+        path = tmp_path / "fork.est"
+        path.write_text("root r\nstate a\nstate b\npair a r\npair b r\n"
+                        "alts x y\n" + choices, encoding="utf-8")
+        code, data = run_json(capsys, ["plan", "rationalize", str(path)])
+        assert code == 1
+        assert data == {"error": message}
+
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_closed_stdout_keeps_the_exit_code(est, fmt):
@@ -522,6 +538,26 @@ class TestVerifyCommand:
         assert message in captured.err
         assert len(captured.err.splitlines()) == 1
 
+    def test_product_witness_point_state_outside_the_tree(
+            self, capsys, est, tmp_path):
+        code, built = run_json(capsys, ["plan", "rationalize",
+                                        est("example_d")])
+        points = [*built["points"][:-1], [*built["points"][-1][:-1], "zz"]]
+        witness = self.witness_path(tmp_path, {
+            "points": points, "weights": built["weights"],
+            "utilities": built["utilities"]})
+        assert cli.run(["verify", est("example_d"), witness]) == 2
+        assert capsys.readouterr().err == (
+            "error: point state 'zz' is not a tree node\n")
+
+    def test_product_witness_on_a_structure_that_is_no_tree(
+            self, capsys, est):
+        witness = str(PERFBENCH / "witnesses" / "example_d_product.json")
+        code, data = run_json(capsys, ["verify", est("example_t"), witness])
+        assert code == 1
+        assert data == {"error": "state 'z3' has 2 immediate predecessors, "
+                                 "so the structure is not itself a tree"}
+
     def test_witness_must_be_json_object(self, capsys, est, tmp_path):
         witness = self.witness_path(tmp_path, [1, 2])
         assert cli.run(["verify", est("example_r"), witness]) == 2
@@ -613,8 +649,10 @@ def _mutate_text(rng, text):
 
 
 def _mutate_value(rng, value):
-    """One type swap, deletion or insertion, somewhere inside value."""
-    if isinstance(value, dict) and value and rng.random() < 0.7:
+    """One type swap, deletion or insertion, somewhere inside value. Any
+    Mapping is edited as a dict copy, so a tree's read-only parent map is
+    edited inside, not only swapped whole."""
+    if isinstance(value, Mapping) and value and rng.random() < 0.7:
         value, key = dict(value), rng.choice(sorted(value, key=str))
         kind = rng.randrange(3)
         if kind == 0:
@@ -729,18 +767,21 @@ class TestTotalityCampaign:
                           ws.trees[0].edges)
         built = construct_sceu(tree, ws.plan)
         rng = random.Random(2244)
-        failed = 0
+        failed = edited_inside = 0
         for _ in range(300):
             name = rng.choice(["ambient", "nodes", "parent"])
             value = getattr(tree, name)
             for _ in range(rng.randint(1, 3)):
                 value = _mutate_value(rng, value)
+            edited_inside += (name == "parent" and isinstance(value, dict)
+                              and bool(value.keys() & tree.parent.keys()))
             witness = dataclasses.replace(
                 built, tree=dataclasses.replace(tree, **{name: value}))
             report = verify_rationalization(ws.structure, ws.plan, witness)
             assert isinstance(report, WitnessReport)
             failed += not report.verified
         assert failed > 250
+        assert edited_inside > 30  # the read-only parent map, edited inside
 
 
 def test_cli_output_matches_the_golden_table(capsys, tmp_path, monkeypatch):

@@ -407,6 +407,42 @@ class TestVerification:
         assert [f for f in report.failures if "all later" in f] == [
             "weight 0 does not outweigh all later points"]
 
+    @pytest.mark.parametrize("parent", [
+        {"As": "Sb", "Sb": "As", "Ge": "nothing"},
+        {"As": "zzz", "Sb": "nothing", "Ge": "nothing"},
+        None,
+    ], ids=["2-cycle", "parent-not-a-node", "None"])
+    def test_explicit_witness_on_a_malformed_tree_target_fails(self, t1,
+                                                              parent):
+        tree, plan = t1
+        target = dataclasses.replace(tree, parent=parent)
+        witness = ExplicitRepresentation({"As": Fraction(1)}, {})
+        report = verify_rationalization(
+            target, plan.restricted_to(tree.nodes), witness)
+        assert not report.verified
+        assert report.failures == ("malformed tree",)
+
+    def test_explicit_witness_on_a_contained_tree_target(self, t1):
+        """Checked against the tree's own structure: its three leaves are
+        the atoms, and each node's rows are the margins."""
+        tree, plan = t1
+        plan = plan.restricted_to(tree.nodes)
+        assert plan.choice == {"nothing": "a", "As": "b", "Sb": "c",
+                               "Ge": "a"}
+        weights = dict.fromkeys(["As", "Sb", "Ge"], Fraction(1, 3))
+        utilities = {"a": {"Ge": 3}, "b": {"As": 1}, "c": {"Sb": 1}}
+        report = verify_rationalization(
+            tree, plan, ExplicitRepresentation(weights, utilities))
+        assert report.verified
+        assert report.margins[("nothing", "b")] == Fraction(2, 3)
+        assert {x for x, _ in report.margins} == set(tree.nodes)
+        utilities["a"]["Ge"] = 1  # a ties b and c at the root
+        report = verify_rationalization(
+            tree, plan, ExplicitRepresentation(weights, utilities))
+        assert report.failures == (
+            "no strict preference at 'nothing' over 'b'",
+            "no strict preference at 'nothing' over 'c'")
+
     @pytest.mark.parametrize("bad", [None, "x", 0.5])
     def test_explicit_witness_with_non_rational_utility(self, corpus, bad):
         ws = corpus["example_r"]

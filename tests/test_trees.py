@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import gc
 import pickle
 import random
@@ -11,8 +12,8 @@ import pytest
 
 import oracles
 from conftest import consistent_plan, splitting_tree, subset_family_structure
-from evistruct import (TREE_CONDITION_IDS, EStructure, TreeError, as_tree,
-                       build_tree, build_canonical, check_axioms,
+from evistruct import (FIXTURES, TREE_CONDITION_IDS, EStructure, TreeError,
+                       as_tree, build_tree, build_canonical, check_axioms,
                        check_graph_tree, check_tree, construct_sceu,
                        decide_rationalizable, decompose_field_element,
                        find_trees, parse_workspace, partitions,
@@ -694,3 +695,45 @@ def test_tree_op_closes_and_derives_once(monkeypatch):
     assert verify_rationalization(t, plan, r).verified
     assert calls == {"_closure": 1, "derive_relations": 1, "_shape": 1,
                      "_check_tree": 1, "_walks": 2 * len(plan.alternatives)}
+
+
+def test_contained_tree_closes_nothing(monkeypatch):
+    """A tree inside a larger structure (example_d, block 0) is read off
+    its parent map too. Once the structure's relations are derived,
+    building the tree, constructing on it and verifying close no edges
+    and call no from_generators; the one derive_relations is the tree's
+    own structure's. A parent map with a cycle, one naming a non-node,
+    no map at all and a repeated node are no tree, and both views say
+    so."""
+    ws = parse_workspace(FIXTURES["example_d.est"])
+    s = ws.structure
+    s.derived  # the ambient relations, derived before counting
+    calls = dict.fromkeys(["_closure", "derive_relations",
+                           "from_generators"], 0)
+
+    def counted(name, original):
+        def count(*args):
+            calls[name] += 1
+            return original(*args)
+        return count
+
+    for name in ("_closure", "derive_relations"):
+        wrapper = counted(name, getattr(structure, name))
+        for module in (structure, trees):
+            monkeypatch.setattr(module, name, wrapper)
+    monkeypatch.setattr(EStructure, "from_generators", classmethod(
+        counted("from_generators", EStructure.from_generators.__func__)))
+    t = build_tree(s, *_block(ws, 0))
+    r = construct_sceu(t, ws.plan)
+    assert verify_rationalization(t, ws.plan, r).verified
+    assert t.as_estructure is not s
+    assert calls == {"_closure": 0, "derive_relations": 1,
+                     "from_generators": 0}
+
+    for edit in ({"parent": {**t.parent, "As": "Sb", "Sb": "As"}},
+                 {"parent": {**t.parent, "As": "zzz"}}, {"parent": None},
+                 {"nodes": (*t.nodes, "As")}):
+        broken = dataclasses.replace(t, **edit)
+        for view in ("children", "as_estructure"):
+            with pytest.raises(TreeError):
+                getattr(broken, view)
