@@ -245,12 +245,34 @@ def _mass(ncols: int, columns: Sequence[int], weights: Sequence[int],
     return g
 
 
+class _Margins(Mapping):
+    """Margins as integer numerators over one positive denominator, keyed
+    (state, rival): a read-only view that builds a Fraction when read."""
+
+    __slots__ = ("numerators", "den")
+
+    def __init__(self, numerators: dict[tuple[str, str], int], den: int):
+        self.numerators, self.den = numerators, den
+
+    def __getitem__(self, key: tuple[str, str]) -> Fraction:
+        return Fraction(self.numerators[key], self.den)
+
+    def __iter__(self):
+        return iter(self.numerators)
+
+    def __len__(self) -> int:
+        return len(self.numerators)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 def _report(rows: Sequence[FeasibilityRow], g: Sequence[int], den: int,
             total: Fraction, failures: Sequence[str]) -> WitnessReport:
     """Margins of rows at integer g over den, keyed (state, rival), and
     after the given failures one per margin that is not positive."""
     values = list(zip(rows, _row_values(rows, g)))
-    margins = {(r.state, r.alternative): Fraction(m, den) for r, m in values}
+    margins = _Margins({(r.state, r.alternative): m for r, m in values}, den)
     failures = (*failures, *[f"no strict preference at {r.state!r} over "
                              f"{r.alternative!r}"
                              for r, m in values if m <= 0])

@@ -30,6 +30,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .canonical import CanonicalSpace
 from .feasibility import (_mass, _normalization, _over_lcm, _report, _rows,
                           build_system, verify_weighting)
 from .plans import Plan, PlanError
@@ -239,6 +240,15 @@ def _tree_fits(t: object) -> bool:
     return set(t.nodes) <= set(t.ambient.states) and len(t._top_down) > 1
 
 
+def _own_space(tree: ExperimentationTree) -> CanonicalSpace | None:
+    """The tree's own canonical space; None when the tree's own structure
+    fails its axioms."""
+    try:
+        return tree.canonical
+    except StructureError:
+        return None
+
+
 def _fits(r: object) -> bool:
     """Whether a constructed witness has the shape its verifier reads."""
     if not (isinstance(r, Rationalization) and _tree_fits(r.tree)
@@ -282,13 +292,13 @@ def _verify_constructed(r: Rationalization) -> WitnessReport:
     deeper = dict.fromkeys(tree.nodes, 0)  # weight strictly below x
     for x in reversed(tree._top_down[1:]):  # children first, as _walks
         deeper[tree.parent[x]] += own[x] + deeper[x]
-    for (x, a), m in margins.items():
+    for (x, a), m in margins.numerators.items():  # over margins.den
         bound = weights[r.avoid[x, a]] - deeper[x]
         if bound <= 0:
             failures.append(
                 f"avoidance point of ({x!r}, {a!r}) does not outweigh "
                 f"deeper points")
-        elif m.numerator * wden < bound * m.denominator:
+        elif m * wden < bound * margins.den:
             failures.append(
                 f"margin at ({x!r}, {a!r}) falls below its bound")
     return WitnessReport(not failures, margins, tuple(failures),
@@ -310,15 +320,17 @@ def verify_rationalization(
     structure or the tree's own structure (as_estructure): any other
     target raises PlanError, as a plan other than its own does. An
     explicit atom-level witness is checked by verify_weighting, against
-    a tree target's own structure; a malformed tree target fails.
+    a tree target's own structure; a malformed tree target fails, as does
+    one whose own structure fails the axioms.
     """
     if isinstance(witness, ExplicitRepresentation):
-        if isinstance(target, ExperimentationTree):
-            if not _tree_fits(target):
-                return WitnessReport(False, failures=("malformed tree",))
-            target = target.as_estructure
-        return verify_weighting(build_system(target, plan), witness.weights,
-                                witness.utilities)
+        if not isinstance(target, ExperimentationTree):
+            system = build_system(target, plan)
+        elif not _tree_fits(target) or _own_space(target) is None:
+            return WitnessReport(False, failures=("malformed tree",))
+        else:
+            system = build_system(target.as_estructure, plan)
+        return verify_weighting(system, witness.weights, witness.utilities)
     malformed = WitnessReport(False, failures=("not a well-formed witness",))
     if not _fits(witness):
         return malformed
@@ -328,10 +340,10 @@ def verify_rationalization(
         raise PlanError("witness was built for a different tree")
     if witness.plan.choice != {x: plan.choice.get(x) for x in tree.nodes}:
         raise PlanError("witness was built for a different plan")
-    try:
-        atoms = range(len(tree.canonical.atoms))
-    except StructureError:  # the tree's own structure fails its axioms
+    space = _own_space(tree)
+    if space is None:
         return malformed
+    atoms = range(len(space.atoms))
     if not isinstance(target, ExperimentationTree) and (
             target not in (tree.ambient, tree.as_estructure)):
         raise PlanError("witness was built for a different structure")

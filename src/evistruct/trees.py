@@ -26,10 +26,11 @@ itself; `as_estructure` exposes that view.
 from __future__ import annotations
 
 import weakref
-from collections.abc import Container, Iterable, Mapping, Sequence
+from collections import Counter
+from collections.abc import Collection, Iterable, Mapping, Sequence, Set
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
-from operator import and_
+from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 
 from .canonical import CanonicalSpace, build_canonical
@@ -41,6 +42,10 @@ TREE_CONDITION_IDS: tuple[str, ...] = (
     "t-root", "t-order", "t-parent", "t-immediate",
     "t-branching", "t-incompat", "t-unbiased",
 )
+
+# a passing verdict has no witness: one report is every passing check's
+_PASSED = ConditionReport(tuple([ConditionVerdict(c, True)
+                                 for c in TREE_CONDITION_IDS]))
 
 
 class TreeError(StructureError):
@@ -118,7 +123,11 @@ class ExperimentationTree:
         """Each node's children in node order, read off the parent map;
         TreeError when that map is not a tree of two or more nodes."""
         self._checked_top_down()
-        return {x: tuple(k) for x, k in _kids(self.nodes, self.parent).items()}
+        kids: dict[str, list[str]] = {x: [] for x in self.nodes}
+        for x in self.nodes:
+            if x in self.parent:
+                kids[self.parent[x]].append(x)
+        return {x: tuple(k) for x, k in kids.items()}
 
     @cached_property
     def rank_in_tree(self) -> dict[str, int]:
@@ -196,11 +205,15 @@ class ExperimentationTree:
         return tuple(reversed(path))
 
 
-def _validate_members(known: Container[str], nodes: Sequence[str],
+def _validate_members(known: Set[str], nodes: Sequence[str],
                       edges: Iterable[tuple[str, str]]) -> None:
     """The one node-list check: nodes are distinct members of known, and
-    every edge joins two of them."""
-    seen: set[str] = set()
+    every edge joins two of them. A scan names the first fault."""
+    seen = set(nodes)
+    if (len(seen) == len(nodes) and seen <= known
+            and seen.issuperset(chain.from_iterable(edges))):
+        return
+    seen.clear()
     for x in nodes:
         if x not in known:
             raise TreeError(f"tree node {x!r} is not a state")
@@ -222,40 +235,40 @@ def check_graph_tree(nodes: Sequence[str], edges: Iterable[tuple[str, str]],
     return _shape(nodes, edges, root)[0]
 
 
-def _shape(nodes: Sequence[str], edges: Iterable[tuple[str, str]], root: str
-           ) -> tuple[GraphReport, dict[str, str], tuple[str, ...]]:
+def _shape(nodes: Sequence[str], edges: Collection[tuple[str, str]],
+           root: str) -> tuple[GraphReport, dict[str, str], tuple[str, ...]]:
     """check_graph_tree's report and, when the edges form a tree, the
     child -> parent map and the nodes top-down, each after its parent.
 
-    With one parent for each non-root node and none for the root, a walk
-    up from any node either meets the root or runs into a cycle. A walk
-    stops at the first node already placed, so on a tree each node is
-    walked over once. Callers have checked that edges join nodes.
+    Callers have checked that the nodes are distinct and that edges join
+    them, so edges giving each node but the root one parent are the
+    parent map; otherwise a scan finds the first node that has not one
+    parent (none, for the root). A walk up from any node then meets the
+    root or runs into a cycle; it stops at the first node already
+    placed, so on a tree each node is walked over once.
     """
-    up: dict[str, list[str]] = {x: [] for x in nodes}
-    for c, p in edges:
-        up[c].append(p)
-    parent: dict[str, str] = {}
-    for x in nodes:
-        if x == root:
-            if up[x]:
-                witness = ("root has parent", x)
+    parent = dict(edges)
+    if not (len(parent) == len(edges) == len(nodes) - 1
+            and root not in parent and root in nodes):
+        ups = Counter([c for c, _ in edges])
+        for x in nodes:
+            if ups[x] != (0 if x == root else 1):
+                witness = ("root has parent", x) if x == root else (x, ups[x])
                 return GraphReport(False, True, False, witness), {}, ()
-        elif len(up[x]) != 1:
-            return GraphReport(False, True, False, (x, len(up[x]))), {}, ()
-        else:
-            parent[x] = up[x][0]
-    top_down = [root] if root in up else []
+    top_down = [root] if root in nodes else []
     placed = set(top_down)
     for x in nodes:
+        if x not in placed and parent[x] in placed:  # one step up
+            placed.add(x)
+            top_down.append(x)
+            continue
         trail: list[str] = []
-        y = x
-        while y not in placed:
-            if y in trail:
-                cycle = trail[trail.index(y):] + [y]
+        while x not in placed:
+            if x in trail:
+                cycle = trail[trail.index(x):] + [x]
                 return GraphReport(False, False, True, tuple(cycle)), {}, ()
-            trail.append(y)
-            y = parent[y]
+            trail.append(x)
+            x = parent[x]
         placed.update(trail)
         top_down.extend(reversed(trail))
     return GraphReport(True, True, True), parent, tuple(top_down)
@@ -269,16 +282,6 @@ def _up_rows(top_down: Sequence[str], parent: Mapping[str, str],
     for x in top_down:
         up[x] = (up[parent[x]] if x in parent else 0) | 1 << index[x]
     return up
-
-
-def _kids(nodes: Sequence[str],
-          parent: Mapping[str, str]) -> dict[str, list[str]]:
-    """Each node's children in node order, off a child -> parent map."""
-    kids: dict[str, list[str]] = {x: [] for x in nodes}
-    for x in nodes:
-        if x in parent:
-            kids[parent[x]].append(x)
-    return kids
 
 
 def check_tree(s: EStructure, nodes: Sequence[str],
@@ -300,71 +303,71 @@ def _check_tree(s: EStructure, nodes: tuple[str, ...],
     and the nodes top-down as _shape gives them.
 
     A tree-shaped edge list (check_graph_tree) is read in one top-down
-    pass over bit rows of ambient indices: a node's tree up-set is its
-    parent's plus itself, and its one immediate tree predecessor is its
-    parent. Any other list, one with a redundant transitive edge say,
-    orders the nodes by the closure of its edges, and the immediate
-    predecessors are derived from that; its top-down order is empty.
+    pass over bit rows of ambient indices, a node's tree up-set being its
+    parent's plus itself, then one loop over the nodes for t-order, the
+    kids and t-immediate (a node's one parent). Any other list, one with
+    a redundant transitive edge say, orders the nodes by the closure of
+    its edges, and its top-down order is empty. Either way, one loop over
+    the nodes with kids checks the rest.
     """
-    d = s.derived
-    _validate_members(d.index, nodes, edges)
-    index, incompat = d.index, d.incompat_rows
-    shape, parent, top_down = _shape(nodes, edges, s.root)
+    d, root, states = s.derived, s.root, s.states
+    index, ups, incompat = d.index, d.up, d.incompat_rows
+    _validate_members(index.keys(), nodes, edges)
+    shape, parent, top_down = _shape(nodes, edges, root)
     if shape.is_tree:
         up = _up_rows(top_down, parent, index)
-        # the least pair, as sorted(order) gives it on the other route
-        order_witness = min(((x, min([s.states[j] for j in _bits(extra)]))
-                             for x in nodes
-                             if (extra := up[x] & ~d.up[index[x]])),
-                            default=None)
-        parents = {x: (parent[x],) if x in parent else () for x in nodes}
-        kids = _kids(nodes, parent)
+        parents: dict[str, tuple[str, ...]] = dict.fromkeys(nodes, ())
+        kids: dict[str, list[str]] = {x: [] for x in nodes}
+        order, immediate = [], []  # the nodes failing each
+        for x in nodes:
+            if up[x] & ~ups[index[x]]:
+                order.append(x)
+            if x in parent:
+                p = parent[x]
+                parents[x] = (p,)
+                kids[p].append(x)
+                if p not in d.parents[x]:
+                    immediate.append(x)
+        # least pairs, as on the closure route; t-parent holds by _shape
+        x, y = min(order, default=None), min(immediate, default=None)
+        witnesses = [None if x is None else (x, min(
+            [states[j] for j in _bits(up[x] & ~ups[index[x]])])),
+            None, None if y is None else (y, parent[y])]
     else:
-        order = _closure(nodes, edges)
-        t = derive_relations(EStructure(nodes, s.root, order))
-        order_witness = next(((x, y) for x, y in sorted(order)
-                              if (x, y) not in s.relation), None)
+        closed = _closure(nodes, edges)
+        t = derive_relations(EStructure(nodes, root, closed))
         parents, kids = t.parents, t.immed_sets
-    verdicts: list[ConditionVerdict] = []
-
-    witness: tuple | None = None
-    if s.root not in nodes:
-        witness = ("root missing",)
-    elif len(nodes) < 2:
-        witness = ("fewer than two nodes",)
-    verdicts.append(ConditionVerdict("t-root", witness is None, witness))
-
-    verdicts.append(ConditionVerdict("t-order", order_witness is None,
-                                     order_witness))
-
-    witness = next(((x, len(parents[x])) for x in nodes
-                    if x != s.root and len(parents[x]) != 1), None)
-    verdicts.append(ConditionVerdict("t-parent", witness is None, witness))
-
-    witness = next(((x, z) for x, z in sorted(
-        [(x, z) for x in nodes for z in parents[x]])
-        if z not in d.parents[x]), None)
-    verdicts.append(ConditionVerdict("t-immediate", witness is None, witness))
-
-    # a maximal node has no kids; any other needs at least two
-    witness = next(((x, 1) for x in nodes if len(kids[x]) == 1), None)
-    verdicts.append(ConditionVerdict("t-branching", witness is None, witness))
-
-    witness = next(((x, y, z) for z in nodes for i, x in enumerate(kids[z])
-                    for y in kids[z][i + 1:]
-                    if not incompat[index[x]] >> index[y] & 1), None)
-    verdicts.append(ConditionVerdict("t-incompat", witness is None, witness))
-
-    # a strict refiner of a node x incompatible with all of x's children:
-    # the lowest bit of x's strict refiners and its children's incompat rows
-    witness = next(((s.states[_lowest(bad)], x) for x in nodes if kids[x]
-                    if (bad := reduce(and_, [incompat[index[w]]
-                                             for w in kids[x]],
-                                      d.refiners[index[x]] & ~d.up[index[x]]))
-                    ), None)
-    verdicts.append(ConditionVerdict("t-unbiased", witness is None, witness))
-
-    return ConditionReport(tuple(verdicts)), parents, top_down
+        witnesses = [
+            min(closed - s.relation, default=None),
+            next(((x, len(parents[x])) for x in nodes
+                  if x != root and len(parents[x]) != 1), None),
+            min([(x, z) for x in nodes for z in parents[x]
+                 if z not in d.parents[x]], default=None)]
+    witnesses.insert(0, ("root missing",) if root not in nodes else
+                     ("fewer than two nodes",) if len(nodes) < 2 else None)
+    branching = clash = unbiased = None
+    for x in nodes:
+        if not kids[x]:  # a maximal node
+            continue
+        if len(kids[x]) == 1 and branching is None:
+            branching = (x, 1)
+        # the strict refiners of x incompatible with every kid so far
+        bad, seen = d.refiners[index[x]] & ~ups[index[x]], 0
+        for w in kids[x]:
+            row = incompat[index[w]]
+            if seen & ~row and clash is None:  # the first pair, in order
+                clash = next((a, b, x) for n, a in enumerate(kids[x])
+                             for b in kids[x][n + 1:]
+                             if not incompat[index[a]] >> index[b] & 1)
+            bad &= row
+            seen |= 1 << index[w]
+        if bad and unbiased is None:
+            unbiased = (states[_lowest(bad)], x)
+    witnesses += [branching, clash, unbiased]
+    verdicts = tuple([ConditionVerdict(v.condition, False, w) if w else v
+                      for v, w in zip(_PASSED.verdicts, witnesses)])
+    return (_PASSED if verdicts == _PASSED.verdicts
+            else ConditionReport(verdicts)), parents, top_down
 
 
 def build_tree(s: EStructure, nodes: Sequence[str],
@@ -410,17 +413,14 @@ def as_tree(s: EStructure) -> ExperimentationTree:
     tree = kept() if kept is not None else None
     if tree is not None:
         return tree
-    edges = []
-    for x in s.states:
-        if x == s.root:
-            continue
-        parents = s.derived.parents[x]
-        if len(parents) != 1:
+    parents = s.derived.parents
+    others = [x for x in s.states if x != s.root]
+    for x in others:
+        if len(parents[x]) != 1:
             raise TreeError(
-                f"state {x!r} has {len(parents)} immediate predecessors, "
+                f"state {x!r} has {len(parents[x])} immediate predecessors, "
                 f"so the structure is not itself a tree")
-        edges.append((x, parents[0]))
-    return build_tree(s, s.states, edges)
+    return build_tree(s, s.states, [(x, parents[x][0]) for x in others])
 
 
 def find_trees(s: EStructure,

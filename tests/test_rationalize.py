@@ -11,7 +11,7 @@ import pytest
 import oracles
 from conftest import (consistent_plan, inconsistent_plan, splitting_tree,
                       subset_family_structure)
-from evistruct import (EStructure, ExperimentationTree,
+from evistruct import (CanonicalError, EStructure, ExperimentationTree,
                        ExplicitRepresentation, Plan, PlanError,
                        RationalizationError, SamplePoint, avoiding_branch,
                        build_tree, construct_sceu, find_trees,
@@ -419,6 +419,21 @@ class TestVerification:
         witness = ExplicitRepresentation({"As": Fraction(1)}, {})
         report = verify_rationalization(
             target, plan.restricted_to(tree.nodes), witness)
+        assert not report.verified
+        assert report.failures == ("malformed tree",)
+
+    def test_explicit_witness_on_a_tree_whose_own_structure_fails(self, t1):
+        """A tree-shaped target whose own structure fails the axioms, the
+        root of example_d with As alone under it, gets a failing report,
+        not the CanonicalError its own structure raises."""
+        tree, plan = t1
+        target = ExperimentationTree(tree.ambient, ("nothing", "As"),
+                                     {"As": "nothing"})
+        with pytest.raises(CanonicalError):
+            target.canonical
+        report = verify_rationalization(
+            target, plan.restricted_to(target.nodes),
+            ExplicitRepresentation({"As": Fraction(1)}, {}))
         assert not report.verified
         assert report.failures == ("malformed tree",)
 

@@ -646,6 +646,47 @@ class TestAgainstPairSetReference:
             for block in ws.trees:
                 self.compare(ws.structure, block.nodes, block.edges)
 
+    def test_witnesses_at_several_failing_nodes(self):
+        """Tree-shaped candidates failing a condition at two or more
+        nodes, declared out of name order. t-order and t-immediate name
+        the least pair, not the first failing node. t-incompat names the
+        first pair at the first failing node: there the third kid is the
+        first to meet an earlier one, but the first and fourth kids make
+        the first pair, and a later node fails too."""
+        s = EStructure.from_generators(
+            ["r", "a", "b", "a1", "a2", "k1", "k2", "k3", "k4", "m14",
+             "m23", "p", "q", "pq"], "r",
+            [("a", "r"), ("b", "r"), ("a1", "a"), ("a2", "a"),
+             *[(k, "b") for k in ("k1", "k2", "k3", "k4")],
+             ("m14", "k1"), ("m14", "k4"), ("m23", "k2"), ("m23", "k3"),
+             ("p", "k1"), ("q", "k1"), ("pq", "p"), ("pq", "q")])
+        nodes = ("r", "a", "b", "a1", "a2", "k1", "k2", "k3", "k4", "p", "q")
+        edges = [(x, s.derived.parents[x][0]) for x in nodes[1:]]
+        assert check_graph_tree(nodes, edges, s.root).is_tree
+        report = self.compare(s, nodes, edges)
+        assert report["t-incompat"].witness == ("k1", "k4", "b")
+
+        s = EStructure.from_generators(
+            ["r", "p", "q", "s1", "s2", "t1", "t2", "w1", "w2"], "r",
+            [("p", "r"), ("q", "r"), ("s1", "p"), ("s2", "p"), ("t1", "q"),
+             ("t2", "q"), ("w1", "s1"), ("w2", "t1")])
+        # s1 under t1 and t2 under p: order and immediacy fail at both
+        nodes = ("r", "t2", "q", "p", "t1", "s1", "s2")
+        edges = [("q", "r"), ("p", "r"), ("t1", "q"), ("s1", "t1"),
+                 ("t2", "p"), ("s2", "p")]
+        assert check_graph_tree(nodes, edges, s.root).is_tree
+        report = self.compare(s, nodes, edges)
+        assert report["t-order"].witness == ("s1", "q")
+        assert report["t-immediate"].witness == ("s1", "t1")
+        # w1 and w2 each skip a level: immediacy alone fails, at both
+        nodes = ("r", "w2", "q", "p", "w1", "s2", "t2")
+        edges = [("q", "r"), ("p", "r"), ("w1", "p"), ("s2", "p"),
+                 ("w2", "q"), ("t2", "q")]
+        assert check_graph_tree(nodes, edges, s.root).is_tree
+        report = self.compare(s, nodes, edges)
+        assert report["t-order"].passed
+        assert report["t-immediate"].witness == ("w1", "p")
+
     def test_redundant_transitive_edge_takes_the_closure(self):
         s = EStructure.from_generators(
             ["r", "a", "b", "c", "d"], "r",
