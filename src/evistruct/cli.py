@@ -5,6 +5,11 @@ holds or the construction succeeded, 1 means the property fails (the
 output carries witnesses), 2 means the input or usage was malformed.
 Every subcommand takes --format json|text; output bytes are
 deterministic for fixed input and flags.
+
+run() alone turns a command's outcome into output and an exit code.
+Each handler returns (code, payload, lines); a helper that ends a
+command early raises _Outcome carrying that triple, and _UsageError is
+the one path to exit 2.
 """
 from __future__ import annotations
 
@@ -14,14 +19,15 @@ import os
 import sys
 from pathlib import Path
 
-from .canonical import CanonicalError, build_canonical
+from .canonical import build_canonical
 from .feasibility import decide_rationalizable, verify_certificate
 from .io import (ParseError, Workspace, emit_fixtures, format_rational,
                  parse_rational, parse_workspace)
-from .plans import PlanError, check_isd_plan
+from .plans import Plan, check_isd_plan
 from .rationalize import (ExplicitRepresentation, RationalizationError,
                           _margins, construct_sceu, verify_rationalization)
-from .structure import StructureError, WitnessReport, check_axioms, rank
+from .structure import (EStructure, StructureError, WitnessReport,
+                        check_axioms, rank)
 from .trees import (ExperimentationTree, TreeError, as_tree, build_tree,
                     check_tree, find_trees)
 
@@ -30,21 +36,32 @@ class _UsageError(Exception):
     """Problems with input or invocation; mapped to exit code 2."""
 
 
+_Result = tuple[int, dict, list[str]]  # (exit code, payload, text lines)
+
+
+class _Outcome(Exception):
+    """A command's (code, payload, lines), raised by a helper that ends
+    the command early; run() emits it as it does a handler's return."""
+
+
+def _error(exc: Exception) -> _Outcome:
+    """The outcome of a command stopped by exc: exit 1, its message as
+    the payload's "error" and as the one text line."""
+    return _Outcome(1, {"error": str(exc)}, [str(exc)])
+
+
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(f"cannot read {path}: {exc}") from exc
+
+
 def _load(path: str) -> Workspace:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc}") from exc
-    try:
-        return parse_workspace(text)
+        return parse_workspace(_read(path))
     except ParseError as exc:
         raise _UsageError(f"{path}: {exc}") from exc
-
-
-def _require_plan(w: Workspace):
-    if w.plan is None:
-        raise _UsageError("the file declares no plan (alts/choose lines)")
-    return w.plan
 
 
 def _emit(args, payload: dict, lines: list[str]) -> None:
@@ -70,26 +87,40 @@ def _target_tree(w: Workspace) -> ExperimentationTree:
     structure read as a tree through its immediate-refinement pairs.
     """
     s = w.structure
-    if w.trees:
-        block = w.trees[0]
-        return build_tree(s, block.nodes, block.edges)
-    return as_tree(s)
+    try:
+        if w.trees:
+            block = w.trees[0]
+            return build_tree(s, block.nodes, block.edges)
+        return as_tree(s)
+    except TreeError as exc:
+        raise _error(exc) from exc
 
 
-def _guard_axioms(args, s) -> int | None:
+def _guard_axioms(s: EStructure) -> None:
     report = check_axioms(s)
-    if report.passed:
-        return None
-    failed = ", ".join(report.failed_ids)
-    _emit(args, {"passed": False, "axioms": {v.condition: v.passed
-                                             for v in report.verdicts}},
-          [f"not an e-structure; failing axioms: {failed}"])
-    return 1
+    if not report.passed:
+        failed = ", ".join(report.failed_ids)
+        raise _Outcome(1, {"passed": False, "axioms": {
+            v.condition: v.passed for v in report.verdicts}},
+            [f"not an e-structure; failing axioms: {failed}"])
+
+
+def _plan_input(args) -> tuple[Workspace, Plan,
+                              dict | ExplicitRepresentation | None]:
+    """The preamble of the plan commands and verify: the workspace, its
+    plan and verify's witness (None for the others), then the axiom
+    guard: usage errors that need nothing from the structure come first."""
+    w = _load(args.file)
+    if w.plan is None:
+        raise _UsageError("the file declares no plan (alts/choose lines)")
+    witness = _read_witness(args.witness) if "witness" in args else None
+    _guard_axioms(w.structure)
+    return w, w.plan, witness
 
 
 # ------------------------------------------------------------- commands
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> _Result:
     s = _load(args.file).structure
     report = check_axioms(s)
     payload = {
@@ -109,37 +140,28 @@ def _cmd_check(args) -> int:
             line += "  (" + ", ".join(str(p) for p in v.witness) + ")"
         lines.append(line)
     lines.append("e-structure" if report.passed else "not an e-structure")
-    _emit(args, payload, lines)
-    return 0 if report.passed else 1
+    return 0 if report.passed else 1, payload, lines
 
 
-def _cmd_rank(args) -> int:
+def _cmd_rank(args) -> _Result:
     s = _load(args.file).structure
     try:
         table = rank(s)
     except StructureError as exc:
-        _emit(args, {"error": str(exc)}, [str(exc)])
-        return 1
+        raise _error(exc) from exc
     payload = {
         "rho": {x: table.rho[x] for x in s.states},
         "chains": {x: list(table.chains[x]) for x in s.states},
     }
     lines = [f"rho({x}) = {table.rho[x]}  chain: "
              + " -> ".join(table.chains[x]) for x in s.states]
-    _emit(args, payload, lines)
-    return 0
+    return 0, payload, lines
 
 
-def _cmd_canonical(args) -> int:
+def _cmd_canonical(args) -> _Result:
     s = _load(args.file).structure
-    guard = _guard_axioms(args, s)
-    if guard is not None:
-        return guard
-    try:
-        space = build_canonical(s)
-    except CanonicalError as exc:
-        _emit(args, {"error": str(exc)}, [str(exc)])
-        return 1
+    _guard_axioms(s)
+    space = build_canonical(s)
     payload = {
         "atoms": [list(cls) for cls in space.atoms],
         "events": {x: sorted(space.events[x]) for x in s.states},
@@ -148,13 +170,11 @@ def _cmd_canonical(args) -> int:
              for i in range(len(space.atoms))]
     lines += [f"e({x}) = {{" + ", ".join(map(str, sorted(space.events[x])))
               + "}" for x in s.states]
-    _emit(args, payload, lines)
-    return 0
+    return 0, payload, lines
 
 
-def _cmd_trees_find(args) -> int:
-    w = _load(args.file)
-    s = w.structure
+def _cmd_trees_find(args) -> _Result:
+    s = _load(args.file).structure
     try:
         trees = find_trees(s, max_count=args.max)
     except ValueError as exc:
@@ -166,18 +186,16 @@ def _cmd_trees_find(args) -> int:
                              if x != s.root]}
                   for t in trees],
     }
-    if trees:
-        lines = [f"found {len(trees)} experimentation tree(s)"]
-        for i, t in enumerate(trees):
-            edges = " ".join(f"{x}<-{t.parent[x]}" for x in t.nodes
-                             if x != s.root)
-            lines.append(f"tree {i}: nodes " + " ".join(t.nodes)
-                         + ("; edges " + edges if edges else ""))
-        _emit(args, payload, lines)
-        return 0
-    payload["message"] = "no experimentation tree"
-    _emit(args, payload, ["no experimentation tree"])
-    return 1
+    if not trees:
+        payload["message"] = "no experimentation tree"
+        return 1, payload, ["no experimentation tree"]
+    lines = [f"found {len(trees)} experimentation tree(s)"]
+    for i, t in enumerate(trees):
+        edges = " ".join(f"{x}<-{t.parent[x]}" for x in t.nodes
+                         if x != s.root)
+        lines.append(f"tree {i}: nodes " + " ".join(t.nodes)
+                     + ("; edges " + edges if edges else ""))
+    return 0, payload, lines
 
 
 def _parse_edge_list(raw: str) -> list[tuple[str, str]]:
@@ -194,7 +212,7 @@ def _parse_edge_list(raw: str) -> list[tuple[str, str]]:
     return edges
 
 
-def _cmd_trees_check(args) -> int:
+def _cmd_trees_check(args) -> _Result:
     w = _load(args.file)
     s = w.structure
     checks: list[tuple[str, list[str], list[tuple[str, str]]]] = []
@@ -241,20 +259,12 @@ def _cmd_trees_check(args) -> int:
                 if wit:
                     lines.append(f"  {c}: "
                                  + ", ".join(str(p) for p in wit))
-    _emit(args, {"checks": results, "passed": all_pass}, lines)
-    return 0 if all_pass else 1
+    return 0 if all_pass else 1, {"checks": results, "passed": all_pass}, lines
 
 
-def _cmd_plan_isd(args) -> int:
-    w = _load(args.file)
-    plan = _require_plan(w)
-    guard = _guard_axioms(args, w.structure)
-    if guard is not None:
-        return guard
-    try:
-        report = check_isd_plan(w.structure, plan)
-    except PlanError as exc:
-        raise _UsageError(str(exc)) from exc
+def _cmd_plan_isd(args) -> _Result:
+    w, plan, _ = _plan_input(args)
+    report = check_isd_plan(w.structure, plan)
     payload = {
         "consistent": report.consistent,
         "violations": [list(v) for v in report.violations],
@@ -264,21 +274,12 @@ def _cmd_plan_isd(args) -> int:
     else:
         lines = [f"violation at {z}: immediate refinements unanimously "
                  f"choose {a}" for z, a in report.violations]
-    _emit(args, payload, lines)
-    return 0 if report.consistent else 1
+    return 0 if report.consistent else 1, payload, lines
 
 
-def _cmd_plan_decide(args) -> int:
-    w = _load(args.file)
-    s = w.structure
-    plan = _require_plan(w)
-    guard = _guard_axioms(args, s)
-    if guard is not None:
-        return guard
-    try:
-        result = decide_rationalizable(s, plan)
-    except PlanError as exc:
-        raise _UsageError(str(exc)) from exc
+def _cmd_plan_decide(args) -> _Result:
+    w, plan, _ = _plan_input(args)
+    result = decide_rationalizable(w.structure, plan)
     verified = verify_certificate(result.system, result).valid
     if result.feasible:
         payload = {
@@ -297,8 +298,7 @@ def _cmd_plan_decide(args) -> int:
             lines.append(f"f_{alt}: " + " ".join(
                 f"{atom}={format_rational(v)}" for atom, v in table.items()))
         lines.append(f"witness verified: {verified}")
-        _emit(args, payload, lines)
-        return 0
+        return 0, payload, lines
     payload = {
         "feasible": False,
         "certificate": [[state, alt, format_rational(mult)]
@@ -309,23 +309,16 @@ def _cmd_plan_decide(args) -> int:
     lines += [f"multiplier {format_rational(m)} on constraint "
               f"({state}, {alt})" for state, alt, m in result.certificate]
     lines.append(f"certificate verified: {verified}")
-    _emit(args, payload, lines)
-    return 1
+    return 1, payload, lines
 
 
-def _cmd_plan_rationalize(args) -> int:
-    w = _load(args.file)
-    s = w.structure
-    plan = _require_plan(w)
-    guard = _guard_axioms(args, s)
-    if guard is not None:
-        return guard
+def _cmd_plan_rationalize(args) -> _Result:
+    w, plan, _ = _plan_input(args)
+    tree = _target_tree(w)
     try:
-        tree = _target_tree(w)
         r = construct_sceu(tree, plan)
-    except (TreeError, RationalizationError) as exc:
-        _emit(args, {"error": str(exc)}, [str(exc)])
-        return 1
+    except RationalizationError as exc:
+        raise _error(exc) from exc
     report = verify_rationalization(tree, plan, r)
     atoms = tree.canonical.atoms
     margins = {f"{x}|{a}": format_rational(m)
@@ -351,8 +344,32 @@ def _cmd_plan_rationalize(args) -> int:
         lines.append(f"f_{alt}: " + " ".join(map(str, vals)))
     lines.append(f"verified: {report.verified}, min margin "
                  f"{format_rational(report.min_margin)}")
-    _emit(args, payload, lines)
-    return 0 if report.verified else 1
+    return 0 if report.verified else 1, payload, lines
+
+
+def _read_witness(path: str) -> dict | ExplicitRepresentation:
+    """verify's witness file: an ExplicitRepresentation for the
+    atom-level form, the JSON object itself for the product form, whose
+    points _verify_product reads against the target tree."""
+    try:
+        data = json.loads(_read(path))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise _UsageError(f"{path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise _UsageError("witness file must hold a JSON object")
+    if "points" in data:
+        return data
+    try:
+        weights = {atom: parse_rational(v)
+                   for atom, v in data.get("weights", {}).items()}
+        utilities = {alt: {atom: parse_rational(v)
+                           for atom, v in table.items()}
+                     for alt, table in data.get("utilities", {}).items()}
+    except (ParseError, AttributeError) as exc:
+        raise _UsageError(f"malformed witness: {exc}") from exc
+    if not weights:
+        raise _UsageError("witness has neither 'points' nor 'weights'")
+    return ExplicitRepresentation(weights, utilities)
 
 
 def _verify_product(tree: ExperimentationTree, plan,
@@ -402,38 +419,12 @@ def _verify_product(tree: ExperimentationTree, plan,
     return _margins(tree, plan, points, weights, utilities)
 
 
-def _cmd_verify(args) -> int:
-    w = _load(args.file)
-    plan = _require_plan(w)
-    try:
-        data = json.loads(Path(args.witness).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise _UsageError(f"cannot read {args.witness}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise _UsageError(f"{args.witness}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise _UsageError("witness file must hold a JSON object")
-
-    if "points" in data:
-        try:
-            tree = _target_tree(w)
-        except TreeError as exc:
-            _emit(args, {"error": str(exc)}, [str(exc)])
-            return 1
-        report = _verify_product(tree, plan, data)
-    else:
-        try:
-            weights = {atom: parse_rational(v)
-                       for atom, v in data.get("weights", {}).items()}
-            utilities = {alt: {atom: parse_rational(v)
-                               for atom, v in table.items()}
-                         for alt, table in data.get("utilities", {}).items()}
-        except (ParseError, AttributeError) as exc:
-            raise _UsageError(f"malformed witness: {exc}") from exc
-        if not weights:
-            raise _UsageError("witness has neither 'points' nor 'weights'")
-        witness = ExplicitRepresentation(weights, utilities)
+def _cmd_verify(args) -> _Result:
+    w, plan, witness = _plan_input(args)
+    if isinstance(witness, ExplicitRepresentation):
         report = verify_rationalization(w.structure, plan, witness)
+    else:
+        report = _verify_product(_target_tree(w), plan, witness)
     payload = {
         "verified": report.verified,
         "margins": {f"{x}|{a}": format_rational(m)
@@ -444,15 +435,15 @@ def _cmd_verify(args) -> int:
              for (x, a), m in report.margins.items()]
     lines += list(report.failures)
     lines.append("verified" if report.verified else "not verified")
-    _emit(args, payload, lines)
-    return 0 if report.verified else 1
+    return 0 if report.verified else 1, payload, lines
 
 
-def _cmd_fixtures(args) -> int:
-    written = emit_fixtures(args.dir)
-    _emit(args, {"written": [str(p) for p in written]},
-          [str(p) for p in written])
-    return 0
+def _cmd_fixtures(args) -> _Result:
+    try:
+        written = [str(p) for p in emit_fixtures(args.dir)]
+    except OSError as exc:
+        raise _UsageError(f"cannot write {args.dir}: {exc}") from exc
+    return 0, {"written": written}, written
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -536,10 +527,14 @@ def run(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.handler(args)
+        code, payload, lines = args.handler(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except _Outcome as exc:
+        code, payload, lines = exc.args
+    _emit(args, payload, lines)
+    return code
 
 
 def main() -> int:

@@ -240,11 +240,12 @@ def _tree_fits(t: object) -> bool:
     return set(t.nodes) <= set(t.ambient.states) and len(t._top_down) > 1
 
 
-def _own_space(tree: ExperimentationTree) -> CanonicalSpace | None:
-    """The tree's own canonical space; None when the tree's own structure
-    fails its axioms."""
+def _own_space(target: EStructure | ExperimentationTree
+               ) -> CanonicalSpace | None:
+    """The canonical space of a structure, or of a tree's own structure;
+    None when that structure fails its axioms."""
     try:
-        return tree.canonical
+        return target.canonical
     except StructureError:
         return None
 
@@ -321,16 +322,18 @@ def verify_rationalization(
     target raises PlanError, as a plan other than its own does. An
     explicit atom-level witness is checked by verify_weighting, against
     a tree target's own structure; a malformed tree target fails, as does
-    one whose own structure fails the axioms.
+    a target whose own structure fails the axioms.
     """
     if isinstance(witness, ExplicitRepresentation):
         if not isinstance(target, ExperimentationTree):
-            system = build_system(target, plan)
+            if _own_space(target) is None:
+                return WitnessReport(False, failures=("malformed structure",))
         elif not _tree_fits(target) or _own_space(target) is None:
             return WitnessReport(False, failures=("malformed tree",))
         else:
-            system = build_system(target.as_estructure, plan)
-        return verify_weighting(system, witness.weights, witness.utilities)
+            target = target.as_estructure
+        return verify_weighting(build_system(target, plan), witness.weights,
+                                witness.utilities)
     malformed = WitnessReport(False, failures=("not a well-formed witness",))
     if not _fits(witness):
         return malformed

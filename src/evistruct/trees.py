@@ -297,18 +297,18 @@ def check_tree(s: EStructure, nodes: Sequence[str],
 
 def _check_tree(s: EStructure, nodes: tuple[str, ...],
                 edges: tuple[tuple[str, str], ...]
-                ) -> tuple[ConditionReport, dict[str, tuple[str, ...]],
-                           tuple[str, ...]]:
-    """check_tree's report, with each node's immediate tree predecessors
-    and the nodes top-down as _shape gives them.
+                ) -> tuple[ConditionReport, ExperimentationTree | None]:
+    """check_tree's report and, when it passes, the checked tree.
 
     A tree-shaped edge list (check_graph_tree) is read in one top-down
     pass over bit rows of ambient indices, a node's tree up-set being its
     parent's plus itself, then one loop over the nodes for t-order, the
-    kids and t-immediate (a node's one parent). Any other list, one with
-    a redundant transitive edge say, orders the nodes by the closure of
-    its edges, and its top-down order is empty. Either way, one loop over
-    the nodes with kids checks the rest.
+    kids and t-immediate (a node's one parent); its tree is built on the
+    parent map _shape read, with that top-down order cached on it. Any
+    other list, one with a redundant transitive edge say, orders the
+    nodes by the closure of its edges, and its tree hangs each node from
+    its one immediate predecessor there. Either way, one loop over the
+    nodes with kids checks the rest.
     """
     d, root, states = s.derived, s.root, s.states
     index, ups, incompat = d.index, d.up, d.incompat_rows
@@ -316,7 +316,6 @@ def _check_tree(s: EStructure, nodes: tuple[str, ...],
     shape, parent, top_down = _shape(nodes, edges, root)
     if shape.is_tree:
         up = _up_rows(top_down, parent, index)
-        parents: dict[str, tuple[str, ...]] = dict.fromkeys(nodes, ())
         kids: dict[str, list[str]] = {x: [] for x in nodes}
         order, immediate = [], []  # the nodes failing each
         for x in nodes:
@@ -324,7 +323,6 @@ def _check_tree(s: EStructure, nodes: tuple[str, ...],
                 order.append(x)
             if x in parent:
                 p = parent[x]
-                parents[x] = (p,)
                 kids[p].append(x)
                 if p not in d.parents[x]:
                     immediate.append(x)
@@ -364,16 +362,22 @@ def _check_tree(s: EStructure, nodes: tuple[str, ...],
         if bad and unbiased is None:
             unbiased = (states[_lowest(bad)], x)
     witnesses += [branching, clash, unbiased]
-    verdicts = tuple([ConditionVerdict(v.condition, False, w) if w else v
-                      for v, w in zip(_PASSED.verdicts, witnesses)])
-    return (_PASSED if verdicts == _PASSED.verdicts
-            else ConditionReport(verdicts)), parents, top_down
+    if any(witnesses):
+        return ConditionReport(tuple([
+            ConditionVerdict(v.condition, False, w) if w else v
+            for v, w in zip(_PASSED.verdicts, witnesses)])), None
+    if not top_down:  # closed: t-parent passed, so one predecessor each
+        parent = {x: parents[x][0] for x in nodes if x != root}
+    tree = ExperimentationTree(s, nodes, parent)
+    if top_down:  # on the instance, not a field: see build_tree
+        tree.__dict__["_top_down"] = top_down
+    return _PASSED, tree
 
 
 def build_tree(s: EStructure, nodes: Sequence[str],
                edges: Iterable[tuple[str, str]]) -> ExperimentationTree:
-    """Check the seven conditions and assemble the verified tree, with
-    the top-down order the check read cached on the instance, not in a
+    """Check the seven conditions and return the checked tree, with the
+    top-down order the check read cached on the instance, not in a
     field, so a dataclasses.replace copy reads its own shape.
 
     A tree that is all of s, its nodes s.states and its order s's own
@@ -383,15 +387,10 @@ def build_tree(s: EStructure, nodes: Sequence[str],
     returns it unchecked while it lives.
     """
     nodes = tuple(nodes)
-    report, parents, top_down = _check_tree(s, nodes, tuple(edges))
-    if not report.passed:
+    report, tree = _check_tree(s, nodes, tuple(edges))
+    if tree is None:
         raise TreeError("tree conditions failed: "
                         + ", ".join(report.failed_ids))
-    # t-parent passed, so every non-root node has exactly one parent
-    parent = {x: parents[x][0] for x in nodes if x != s.root}
-    tree = ExperimentationTree(s, nodes, parent)
-    if top_down:  # empty when the edges were closed instead
-        tree.__dict__["_top_down"] = top_down
     if nodes == s.states and tree.as_estructure is s:
         # weak, because the tree holds s: a strong reference would make
         # each pair a cycle, garbage only the cycle collector frees
@@ -460,12 +459,12 @@ def find_trees(s: EStructure,
     found: list[ExperimentationTree] = []
     for parent in grown[:max_count]:
         nodes = tuple([x for x in s.states if x == s.root or x in parent])
-        report = check_tree(s, nodes, parent.items())
-        if not report.passed:
+        report, tree = _check_tree(s, nodes, tuple(parent.items()))
+        if tree is None:
             raise TreeError("a grown tree fails "
                             + ", ".join(report.failed_ids)
                             + "; is the relation a closed preorder?")
-        found.append(ExperimentationTree(s, nodes, parent))
+        found.append(tree)
     return tuple(found)
 
 

@@ -620,6 +620,48 @@ class TestInvocation:
         assert outs[0] == outs[1]
 
 
+SEPARATION_FAILS = ("root r\nstate a\nstate b\nstate c\npair a r\n"
+                    "pair b r\npair c a\nalts x y\nchoose r x\nchoose a y\n")
+
+
+@pytest.mark.parametrize("case, want", [
+    ("fixtures into a regular file", 2), ("structure not UTF-8", 2),
+    ("witness not UTF-8", 2), ("witness nested too deep", 2),
+    ("verify on a structure failing separation", 1)])
+def test_inputs_that_raised_exit_by_the_contract(capsys, tmp_path, case,
+                                                 want):
+    """Each of these once left run() as a traceback. Malformed input
+    exits 2 with one error: line; a structure failing its axioms stops
+    verify at the axiom guard, as it stops the plan commands."""
+    regular, raw = tmp_path / "F", tmp_path / "raw"
+    regular.write_text("x", encoding="utf-8")
+    raw.write_bytes(b"\xff\xfe")
+    deep, est = tmp_path / "deep.json", tmp_path / "sep.est"
+    deep.write_text("[" * 5000, encoding="utf-8")
+    est.write_text(SEPARATION_FAILS, encoding="utf-8")
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps({
+        "weights": {"c": "1/2", "b": "1/2"},
+        "utilities": {"x": {"b": 1}, "y": {"c": 1}}}), encoding="utf-8")
+    argv = {"fixtures into a regular file": ["fixtures", str(regular / "d")],
+            "structure not UTF-8": ["check", str(raw)],
+            "witness not UTF-8": ["verify", str(est), str(raw)],
+            "witness nested too deep": ["verify", str(est), str(deep)],
+            "verify on a structure failing separation":
+                ["verify", str(est), str(witness)]}[case]
+    assert cli.run(argv + ["--format", "json"]) == want
+    captured = capsys.readouterr()
+    if want == 2:
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+    else:
+        assert captured.err == ""
+        data = json.loads(captured.out)
+        assert data["passed"] is False
+        assert data["axioms"]["separation"] is False
+
+
 SUBCOMMANDS = (["check"], ["rank"], ["canonical"], ["trees", "find"],
                ["trees", "check"], ["plan", "isd"], ["plan", "decide"],
                ["plan", "rationalize"])
@@ -687,17 +729,35 @@ class TestTotalityCampaign:
         assert code in (0, 1, 2), argv
         assert all(line.startswith("error:")
                    for line in err.splitlines()), err
+        return code
 
     def test_mutated_fixture_texts(self, capsys, tmp_path):
-        rng = random.Random(4242)
+        """Each mutated text also goes to verify with a fixture witness,
+        and about one in ten has bytes that are not UTF-8 spliced in,
+        which every command rejects as malformed. The splices and the
+        witnesses are drawn from their own generator."""
+        rng, splice = random.Random(4242), random.Random(2424)
+        witnesses = sorted(str(p) for p in (PERFBENCH / "witnesses").glob(
+            "*.json"))
         path = tmp_path / "mutated.est"
+        spliced = 0
         for _ in range(800):
             text = FIXTURES[rng.choice(sorted(FIXTURES))]
             for _ in range(rng.randint(1, 3)):
                 text = _mutate_text(rng, text)
-            path.write_text(text, encoding="utf-8")
-            self.run_cli(capsys, rng.choice(SUBCOMMANDS) + [
-                str(path), "--format", rng.choice(["text", "json"])])
+            data, broken = text.encode(), splice.random() < 0.1
+            if broken:
+                i = splice.randrange(len(data) + 1)
+                data = (data[:i] + splice.choice([b"\xff", b"\xc3",
+                                                  b"\xe2\x82"]) + data[i:])
+            path.write_bytes(data)
+            spliced += broken
+            codes = {self.run_cli(capsys, rng.choice(SUBCOMMANDS) + [
+                str(path), "--format", rng.choice(["text", "json"])]),
+                self.run_cli(capsys, ["verify", str(path),
+                                      splice.choice(witnesses)])}
+            assert not broken or codes == {2}
+        assert spliced > 50
 
     def test_mutated_witness_files(self, capsys, est, tmp_path):
         witnesses = []

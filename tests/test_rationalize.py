@@ -437,6 +437,22 @@ class TestVerification:
         assert not report.verified
         assert report.failures == ("malformed tree",)
 
+    def test_explicit_witness_on_a_structure_that_fails_its_axioms(self):
+        """A structure target that fails the axioms (c under a alone, so
+        separation fails at (a, c)) gets a failing report, not the
+        CanonicalError its canonical space raises."""
+        s = EStructure.from_generators(
+            ["r", "a", "b", "c"], "r", [("a", "r"), ("b", "r"), ("c", "a")])
+        with pytest.raises(CanonicalError):
+            s.canonical
+        witness = ExplicitRepresentation(
+            {"c": Fraction(1, 2), "b": Fraction(1, 2)},
+            {"x": {"b": Fraction(1)}, "y": {"c": Fraction(1)}})
+        report = verify_rationalization(
+            s, Plan(("x", "y"), {"r": "x", "a": "y"}), witness)
+        assert not report.verified
+        assert report.failures == ("malformed structure",)
+
     def test_explicit_witness_on_a_contained_tree_target(self, t1):
         """Checked against the tree's own structure: its three leaves are
         the atoms, and each node's rows are the margins."""

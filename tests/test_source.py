@@ -1,0 +1,83 @@
+"""Source hygiene of the package, checked with the standard library's ast:
+every module parses under the oldest Python the package declares, and
+no module imports a name it never uses."""
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "evistruct").glob("*.py"))
+
+
+def _minimum_python() -> tuple[int, int]:
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    found = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', text,
+                      re.MULTILINE)
+    assert found, "pyproject.toml declares no requires-python floor"
+    return int(found[1]), int(found[2])
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Each name an import binds, with the line that binds it."""
+    names: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _used(tree: ast.Module) -> set[str]:
+    """Names the module reads: in code, in annotations written as
+    strings, and in __all__."""
+    used: set[str] = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            annotations += [a.annotation for a in (
+                *args.posonlyargs, *args.args, *args.kwonlyargs,
+                args.vararg, args.kwarg) if a is not None]
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    for annotation in annotations:
+        for node in ast.walk(annotation) if annotation else ():
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= _used(ast.parse(node.value, mode="eval"))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_parses_on_the_oldest_declared_python(path):
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+              feature_version=_minimum_python())
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = _used(tree)
+    unused = sorted((line, name) for name, line in _imported(tree).items()
+                    if name not in used)
+    assert unused == [], f"{path.name} imports names it never uses"
+
+
+def test_the_unused_import_check_sees_an_unused_name():
+    tree = ast.parse('from __future__ import annotations\n'
+                     'import json\nfrom x import (A, B, C as D)\n'
+                     'def f(a: "A") -> D: return 1\n')
+    assert sorted(set(_imported(tree)) - _used(tree)) == ["B", "json"]

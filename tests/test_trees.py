@@ -590,16 +590,22 @@ def _variants(rng, s, nodes, edges):
 class TestAgainstPairSetReference:
     """check_tree reads a tree-shaped edge list off its parent map and
     closes any other list; oracles.check_tree_by_pairs closes every list.
-    Verdicts, witnesses and the returned parents must agree."""
+    Verdicts and witnesses must agree, a passing check's tree must hang
+    each node from the reference's one parent, and a failing check gives
+    no tree."""
 
     @staticmethod
     def compare(s, nodes, edges):
-        report, parents, _ = _check_tree(s, tuple(nodes), tuple(edges))
+        report, tree = _check_tree(s, tuple(nodes), tuple(edges))
         verdicts, want_parents = oracles.check_tree_by_pairs(
             s.states, s.root, s.relation, nodes, edges)
         assert [(v.condition, v.passed, v.witness)
                 for v in report.verdicts] == verdicts
-        assert dict(parents) == want_parents
+        if report.passed:
+            assert dict(tree.parent) == {x: ps[0] for x, ps
+                                         in want_parents.items() if ps}
+        else:
+            assert tree is None
         return report
 
     def test_seeded_candidates(self):
@@ -736,6 +742,25 @@ def test_tree_op_closes_and_derives_once(monkeypatch):
     assert verify_rationalization(t, plan, r).verified
     assert calls == {"_closure": 1, "derive_relations": 1, "_shape": 1,
                      "_check_tree": 1, "_walks": 2 * len(plan.alternatives)}
+
+
+def test_found_trees_carry_their_order(monkeypatch):
+    """find_trees returns the trees its checks built, each with the
+    top-down order its check read: on a 12-node tree's structure, each
+    of the four trees found has its shape read once, and reading its
+    children reads no shape again."""
+    tree = splitting_tree(random.Random(5), max_nodes=12, min_nodes=12)
+    s = EStructure.from_generators(tree.nodes, tree.root,
+                                   tuple(tree.parent.items()))
+    calls = []
+    shape = trees._shape
+    monkeypatch.setattr(trees, "_shape",
+                        lambda *args: calls.append(1) or shape(*args))
+    found = find_trees(s)
+    for t in found:
+        t.children
+    assert len(tree.nodes) == 12 and len(found) == 4
+    assert len(calls) == 4
 
 
 def test_contained_tree_closes_nothing(monkeypatch):
