@@ -15,9 +15,9 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
-from .structure import (ConditionReport, ConditionVerdict, EStructure,
-                        StructureError, _bits, _first_pair,
-                        _lowest, _union)
+from .structure import (ConditionReport, EStructure, StructureError,
+                        _bits, _condition_report, _first_pair, _lowest,
+                        _union)
 
 # field enumeration is exponential in the atom count; anything needing more
 # than this many atoms has no business calling the exhaustive verifier
@@ -105,37 +105,30 @@ def verify_canonical(space: CanonicalSpace,
     structure, say) or an event holding anything but atom indices, fails
     every condition.
     """
+    ids = CANONICAL_CONDITION_IDS
     if not (isinstance(space, CanonicalSpace)
             and isinstance(space.events, Mapping)
             and isinstance(space.atoms, (tuple, list))
             and all(isinstance(cls, (tuple, list))
                     and all(isinstance(x, str) for x in cls)
                     for cls in space.atoms)):
-        return _unfit(CANONICAL_CONDITION_IDS, ("not a canonical space",))
+        return _condition_report(ids, [("not a canonical space",)] * len(ids))
     ev, natoms = space.events, len(space.atoms)
     for x in s.states:
         if not isinstance(ev.get(x), (set, frozenset)):
-            return _unfit(CANONICAL_CONDITION_IDS, (x, "no event"))
+            return _condition_report(ids, [(x, "no event")] * len(ids))
         if not all(isinstance(i, int) and 0 <= i < natoms for i in ev[x]):
-            return _unfit(CANONICAL_CONDITION_IDS, (x, "not atom indices"))
+            return _condition_report(ids, [(x, "not atom indices")] * len(ids))
     d, states = s.derived, s.states
     everything = (1 << len(states)) - 1
     events, signature = _point_rows([ev[x] for x in states], natoms)
-    verdicts: list[ConditionVerdict] = []
-
-    witness: tuple | None = None
-    if len(ev[s.root]) != natoms:
-        witness = (s.root, tuple(sorted(ev[s.root])))
-    verdicts.append(ConditionVerdict("top", witness is None, witness))
-
-    witness = _order_mismatch(states, d.up, events, signature)
-    verdicts.append(ConditionVerdict("monotone", witness is None, witness))
-
+    top = None if len(ev[s.root]) == natoms else (
+        s.root, tuple(sorted(ev[s.root])))
+    monotone = _order_mismatch(states, d.up, events, signature)
     # x incompatible with y iff no atom of e(x) is in e(y)
-    witness = _first_pair(states, [
+    disjoint = _first_pair(states, [
         row ^ (everything & ~_union(signature, e))
         for row, e in zip(d.incompat_rows, events)])
-    verdicts.append(ConditionVerdict("disjoint", witness is None, witness))
 
     # The minimal nonempty elements of the generated field are the classes
     # of sample points with identical membership signature across all
@@ -148,21 +141,18 @@ def verify_canonical(space: CanonicalSpace,
 
     # base: a nonempty field element includes some state's event iff every
     # minimal one does
-    witness = next(((tuple([*_bits(cell)]),) for cell in cells.values()
-                    if all(e & ~cell for e in events)), None)
-    verdicts.append(ConditionVerdict("base", witness is None, witness))
+    base = next(((tuple([*_bits(cell)]),) for cell in cells.values()
+                 if all(e & ~cell for e in events)), None)
 
     # each ultrafilter of a finite field is the up-set of one of its minimal
     # nonempty elements; they are principal at singletons exactly when every
     # singleton is in the field, i.e. when no two points share a signature
-    witness = next(((space.atom_label(i),) for i, sig in enumerate(signature)
-                    if cells[sig] != 1 << i), None)
-    verdicts.append(ConditionVerdict("principal", witness is None, witness))
+    principal = next(((space.atom_label(i),) for i, sig in
+                      enumerate(signature) if cells[sig] != 1 << i), None)
 
-    witness = next(((x,) for x in states if not ev[x]), None)
-    verdicts.append(ConditionVerdict("nonempty", witness is None, witness))
-
-    return ConditionReport(tuple(verdicts))
+    nonempty = next(((x,) for x in states if not ev[x]), None)
+    return _condition_report(
+        ids, [top, monotone, disjoint, base, principal, nonempty])
 
 
 def _point_rows(events: Sequence[Iterable[int]], npoints: int
@@ -239,43 +229,30 @@ def verify_embedding(
     not a set, fails every condition; one that misses a state raises
     StructureError.
     """
+    ids = EMBEDDING_CONDITION_IDS
     if not isinstance(mapping, Mapping):
-        return _unfit(EMBEDDING_CONDITION_IDS, ("not a mapping",))
+        return _condition_report(ids, [("not a mapping",)] * len(ids))
     for x in s.states:
         if x not in mapping:
             raise StructureError(f"mapping is not total: missing {x!r}")
     for x, event in mapping.items():
         if not isinstance(event, (set, frozenset)):
-            return _unfit(EMBEDDING_CONDITION_IDS, (x, "not a set"))
+            return _condition_report(ids, [(x, "not a set")] * len(ids))
     d, states = s.derived, s.states
     universe: frozenset[Hashable] = frozenset().union(*mapping.values())
     point = {p: i for i, p in enumerate(universe)}
     events, signature = _point_rows(
         [[point[p] for p in mapping[x]] for x in states], len(point))
-    verdicts: list[ConditionVerdict] = []
-
-    witness: tuple | None = (s.root,) if mapping[s.root] != universe else (
+    order = (s.root,) if mapping[s.root] != universe else (
         _order_mismatch(states, d.up, events, signature))
-    verdicts.append(ConditionVerdict("order", witness is None, witness))
-
-    witness = next(((x, states[y]) for k, x in enumerate(states)
-                    for y in _bits(d.incompat_rows[k])
-                    if events[k] & events[y]), None)
-    verdicts.append(ConditionVerdict("disjoint", witness is None, witness))
-
+    disjoint = next(((x, states[y]) for k, x in enumerate(states)
+                     for y in _bits(d.incompat_rows[k])
+                     if events[k] & events[y]), None)
     kids = d.immed_sets
-    witness = next(((z,) for z in states if kids[z] and mapping[z]
-                    != frozenset().union(*[mapping[x] for x in kids[z]])),
-                   None)
-    verdicts.append(ConditionVerdict("saturation", witness is None, witness))
-
-    return ConditionReport(tuple(verdicts))
-
-
-def _unfit(ids: tuple[str, ...], witness: tuple) -> ConditionReport:
-    """Every condition failed with one witness: input of the wrong shape."""
-    return ConditionReport(tuple([ConditionVerdict(c, False, witness)
-                                  for c in ids]))
+    saturation = next(((z,) for z in states if kids[z] and mapping[z]
+                       != frozenset().union(*[mapping[x] for x in kids[z]])),
+                      None)
+    return _condition_report(ids, [order, disjoint, saturation])
 
 
 def product_embedding(

@@ -213,6 +213,10 @@ def _parse_edge_list(raw: str) -> list[tuple[str, str]]:
 
 
 def _cmd_trees_check(args) -> _Result:
+    if args.nodes is None and args.edges is not None:
+        raise _UsageError("--edges needs --nodes")
+    if args.nodes is not None and args.block is not None:
+        raise _UsageError("give --block or --nodes, not both")
     w = _load(args.file)
     s = w.structure
     checks: list[tuple[str, list[str], list[tuple[str, str]]]] = []
@@ -484,8 +488,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = tsub.add_parser("check", parents=[fmt],
                         help="check the seven tree conditions")
     p.add_argument("file")
-    p.add_argument("--nodes", help="comma-separated node ids")
-    p.add_argument("--edges", help="comma-separated child=parent pairs")
+    p.add_argument("--nodes", help="comma-separated node ids, checked "
+                   "in place of the file's tree blocks")
+    p.add_argument("--edges", help="comma-separated child=parent pairs "
+                   "among the --nodes")
     p.add_argument("--block", type=int, default=None,
                    help="check only this tree block of the file (0-based)")
     p.set_defaults(handler=_cmd_trees_check)

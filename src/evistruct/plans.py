@@ -146,7 +146,8 @@ class ConditionalPreferenceRelation:
         return self._level(x, a) == self._level(x, b)
 
 
-def induced_relation(s: EStructure, plan: Plan) -> ConditionalPreferenceRelation:
+def induced_relation(s: EStructure,
+                     plan: Plan) -> ConditionalPreferenceRelation:
     """The relation a plan stands for: its pick strictly beats everything
     else where defined, total indifference elsewhere."""
     rest = tuple(plan.alternatives)
@@ -192,7 +193,8 @@ def check_isd_relation(
             for b in alternatives:
                 if a == b:
                     continue
-                if all(prefers(y, a, b) for y in kids) and not prefers(z, a, b):
+                if (all(prefers(y, a, b) for y in kids)
+                        and not prefers(z, a, b)):
                     violations.append((z, a, b))
     violations.sort(key=lambda v: (s.derived.index[v[0]], v[1], v[2]))
     return IsdReport(tuple(violations))

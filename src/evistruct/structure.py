@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:
@@ -108,6 +108,22 @@ class ConditionReport:
             if v.condition == condition:
                 return v
         raise KeyError(condition)
+
+
+def _condition_report(ids: tuple[str, ...],
+                      witnesses: Sequence[tuple | None]) -> ConditionReport:
+    """The one builder of a ConditionReport: verdict i, on ids[i], passes
+    exactly when witnesses[i] is None; counts that differ raise
+    ValueError. Every passing report on one ID tuple is one object."""
+    if witnesses.count(None) == len(witnesses) == len(ids):
+        return _passing(ids)
+    return ConditionReport(tuple([ConditionVerdict(c, w is None, w) for c, w
+                                  in zip(ids, witnesses, strict=True)]))
+
+
+@cache
+def _passing(ids: tuple[str, ...]) -> ConditionReport:
+    return ConditionReport(tuple([ConditionVerdict(c, True) for c in ids]))
 
 
 @dataclass(frozen=True)
@@ -222,7 +238,7 @@ class EStructure:
         return state
 
     def restrict(self, states: Iterable[str]) -> "EStructure":
-        """Sub-structure induced on a subset of states (relation restricted)."""
+        """Sub-structure induced on a subset of states, relation restricted."""
         kept = set(states)
         keep = [s for s in self.states if s in kept]
         rel = frozenset((x, y) for (x, y) in self.relation
@@ -322,44 +338,38 @@ def check_axioms(s: EStructure) -> ConditionReport:
 def _evaluate_axioms(s: EStructure) -> ConditionReport:
     d = s.derived
     states, up = s.states, d.up
-    verdicts: list[ConditionVerdict] = []
-
-    witness: tuple | None = next((("not reflexive", x) for i, x in
-                                  enumerate(states) if not up[i] >> i & 1),
-                                 None)
+    preorder: tuple | None = next((
+        ("not reflexive", x) for i, x in enumerate(states)
+        if not up[i] >> i & 1), None)
     # a wms b wms c without a wms c: c is in up[b] but not in up[a]
-    witness = witness or next((
+    preorder = preorder or next((
         ("not transitive", states[a], states[b],
          states[_lowest(up[b] & ~up[a])])
         for a in range(len(states)) for b in _bits(up[a])
         if up[b] & ~up[a]), None)
     # no strict-cycle check: sms excludes every pair whose reverse is in rel
-    verdicts.append(ConditionVerdict("preorder", witness is None, witness))
 
     below = [u & ~r for u, r in zip(up, d.refiners)]
     root = 1 << d.index[s.root] if s.root in d.index else 0
-    witness = ("fewer than two states",) if len(states) < 2 else next(
+    rooted = ("fewer than two states",) if len(states) < 2 else next(
         ((x,) for i, x in enumerate(states)
          if x != s.root and not below[i] & root), None)
-    verdicts.append(ConditionVerdict("root", witness is None, witness))
 
     # each z strictly below x lies above one of x's parents
-    witness = _first_pair(states, [
+    intermediacy = _first_pair(states, [
         below[i] & ~_union(up, sum([1 << d.index[y] for y in d.parents[x]]))
         for i, x in enumerate(states)])
-    verdicts.append(ConditionVerdict("intermediacy", witness is None, witness))
-
-    # always holds: each Y(z) is a subset of the finite state set
-    verdicts.append(ConditionVerdict("finite_branching", True))
 
     # each z not above x is incompatible with some refiner of x
     full = (1 << len(states)) - 1
-    witness = _first_pair(states, [
+    separation = _first_pair(states, [
         full & ~(u | _union(d.incompat_rows, r))
         for u, r in zip(up, d.refiners)])
-    verdicts.append(ConditionVerdict("separation", witness is None, witness))
 
-    return ConditionReport(tuple(verdicts))
+    return _condition_report(AXIOM_IDS, [
+        preorder, rooted, intermediacy,
+        None,  # always holds: each Y(z) is a subset of the finite state set
+        separation])
 
 
 def rank(s: EStructure) -> RankTable:

@@ -34,18 +34,14 @@ from itertools import chain
 from types import MappingProxyType
 
 from .canonical import CanonicalSpace, build_canonical
-from .structure import (ConditionReport, ConditionVerdict, DerivedRelations,
-                        EStructure, StructureError, _bits, _closure,
+from .structure import (ConditionReport, DerivedRelations, EStructure,
+                        StructureError, _bits, _closure, _condition_report,
                         _lowest, derive_relations)
 
 TREE_CONDITION_IDS: tuple[str, ...] = (
     "t-root", "t-order", "t-parent", "t-immediate",
     "t-branching", "t-incompat", "t-unbiased",
 )
-
-# a passing verdict has no witness: one report is every passing check's
-_PASSED = ConditionReport(tuple([ConditionVerdict(c, True)
-                                 for c in TREE_CONDITION_IDS]))
 
 
 class TreeError(StructureError):
@@ -132,7 +128,7 @@ class ExperimentationTree:
     @cached_property
     def rank_in_tree(self) -> dict[str, int]:
         rho: dict[str, int] = {}
-        for x in self._top_down:
+        for x in self._checked_top_down():
             rho[x] = rho[self.parent[x]] + 1 if x in self.parent else 0
         return rho
 
@@ -328,21 +324,21 @@ def _check_tree(s: EStructure, nodes: tuple[str, ...],
                     immediate.append(x)
         # least pairs, as on the closure route; t-parent holds by _shape
         x, y = min(order, default=None), min(immediate, default=None)
-        witnesses = [None if x is None else (x, min(
-            [states[j] for j in _bits(up[x] & ~ups[index[x]])])),
-            None, None if y is None else (y, parent[y])]
+        t_order = None if x is None else (x, min(
+            [states[j] for j in _bits(up[x] & ~ups[index[x]])]))
+        t_parent = None
+        t_immediate = None if y is None else (y, parent[y])
     else:
         closed = _closure(nodes, edges)
         t = derive_relations(EStructure(nodes, root, closed))
         parents, kids = t.parents, t.immed_sets
-        witnesses = [
-            min(closed - s.relation, default=None),
-            next(((x, len(parents[x])) for x in nodes
-                  if x != root and len(parents[x]) != 1), None),
-            min([(x, z) for x in nodes for z in parents[x]
-                 if z not in d.parents[x]], default=None)]
-    witnesses.insert(0, ("root missing",) if root not in nodes else
-                     ("fewer than two nodes",) if len(nodes) < 2 else None)
+        t_order = min(closed - s.relation, default=None)
+        t_parent = next(((x, len(parents[x])) for x in nodes
+                         if x != root and len(parents[x]) != 1), None)
+        t_immediate = min([(x, z) for x in nodes for z in parents[x]
+                           if z not in d.parents[x]], default=None)
+    t_root = (("root missing",) if root not in nodes else
+              ("fewer than two nodes",) if len(nodes) < 2 else None)
     branching = clash = unbiased = None
     for x in nodes:
         if not kids[x]:  # a maximal node
@@ -361,17 +357,17 @@ def _check_tree(s: EStructure, nodes: tuple[str, ...],
             seen |= 1 << index[w]
         if bad and unbiased is None:
             unbiased = (states[_lowest(bad)], x)
-    witnesses += [branching, clash, unbiased]
+    witnesses = [t_root, t_order, t_parent, t_immediate, branching, clash,
+                 unbiased]
+    report = _condition_report(TREE_CONDITION_IDS, witnesses)
     if any(witnesses):
-        return ConditionReport(tuple([
-            ConditionVerdict(v.condition, False, w) if w else v
-            for v, w in zip(_PASSED.verdicts, witnesses)])), None
+        return report, None
     if not top_down:  # closed: t-parent passed, so one predecessor each
         parent = {x: parents[x][0] for x in nodes if x != root}
     tree = ExperimentationTree(s, nodes, parent)
     if top_down:  # on the instance, not a field: see build_tree
         tree.__dict__["_top_down"] = top_down
-    return _PASSED, tree
+    return report, tree
 
 
 def build_tree(s: EStructure, nodes: Sequence[str],
@@ -422,8 +418,8 @@ def as_tree(s: EStructure) -> ExperimentationTree:
     return build_tree(s, s.states, [(x, parents[x][0]) for x in others])
 
 
-def find_trees(s: EStructure,
-               max_count: int | None = None) -> tuple[ExperimentationTree, ...]:
+def find_trees(s: EStructure, max_count: int | None = None
+               ) -> tuple[ExperimentationTree, ...]:
     """Enumerate every experimentation tree of the structure.
 
     Trees are grown top-down from the root. Every condition but t-root
@@ -537,7 +533,8 @@ class PartitionSequence:
 
 
 def partitions(t: ExperimentationTree) -> PartitionSequence:
-    """The refinement filtration of the tree's events."""
+    """The tree's refinement filtration; TreeError on a malformed tree."""
+    _validate_members(t.ambient.derived.index.keys(), t.nodes, ())
     space, rho, leaves = build_canonical(t.ambient), t.rank_in_tree, t.leaves
     members = tuple([tuple([x for x in t.nodes if rho[x] == n
                             or (rho[x] < n and x in leaves)])

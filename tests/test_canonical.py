@@ -6,11 +6,14 @@ import random
 import pytest
 
 import oracles
-from conftest import subset_family_structure
-from evistruct import (CANONICAL_CONDITION_IDS, EMBEDDING_CONDITION_IDS,
+from conftest import splitting_tree, subset_family_structure
+from evistruct import (AXIOM_IDS, CANONICAL_CONDITION_IDS,
+                       EMBEDDING_CONDITION_IDS, TREE_CONDITION_IDS,
                        CanonicalError, CanonicalSpace, EStructure,
-                       StructureError, build_canonical, generated_field,
-                       product_embedding, verify_canonical, verify_embedding)
+                       StructureError, build_canonical, check_axioms,
+                       check_tree, generated_field, product_embedding,
+                       verify_canonical, verify_embedding)
+from evistruct.structure import _condition_report
 
 
 def test_condition_ids_are_stable():
@@ -144,17 +147,59 @@ class TestVerifyConditions:
         assert report["monotone"].witness == ("r", "a")
 
 
-@pytest.mark.parametrize("space", [
+@pytest.mark.parametrize("space, shape", [
     pytest.param(lambda corpus: build_canonical(
-        corpus["example_j"].structure), id="space-of-another-structure"),
+        corpus["example_j"].structure), ("nothing", "no event"),
+        id="space-of-another-structure"),
     pytest.param(lambda corpus: CanonicalSpace((), dict.fromkeys(
-        corpus["example_d"].structure.states, 0)), id="event-not-a-set"),
-    pytest.param(lambda corpus: CanonicalSpace((), None), id="events-None"),
-    pytest.param(lambda corpus: None, id="None"),
+        corpus["example_d"].structure.states, 0)), ("nothing", "no event"),
+        id="event-not-a-set"),
+    pytest.param(lambda corpus: CanonicalSpace((), None),
+                 ("not a canonical space",), id="events-None"),
+    pytest.param(lambda corpus: None, ("not a canonical space",), id="None"),
 ])
-def test_malformed_space_fails_every_condition(corpus, space):
+def test_malformed_space_fails_every_condition(corpus, space, shape):
     report = verify_canonical(space(corpus), corpus["example_d"].structure)
     assert report.failed_ids == CANONICAL_CONDITION_IDS
+    assert [v.witness for v in report.verdicts] == [shape] * len(
+        CANONICAL_CONDITION_IDS)
+
+
+def test_one_builder_makes_every_condition_report(corpus):
+    """The four checks share one report builder: passing reports of one
+    check are one object, every report lists exactly its ID tuple in
+    order, and a witness count unlike the ID count is a ValueError."""
+    structures = [corpus[k].structure for k in ("example_d", "example_j")]
+    spaces = [build_canonical(s) for s in structures]
+    grown = splitting_tree(random.Random(1), 7, 7)
+    block = corpus["example_d"].trees[0]
+    passing = {
+        AXIOM_IDS: [check_axioms(s) for s in structures],
+        CANONICAL_CONDITION_IDS: [verify_canonical(space, s) for space, s
+                                  in zip(spaces, structures)],
+        EMBEDDING_CONDITION_IDS: [verify_embedding(s, space.events)
+                                  for space, s in zip(spaces, structures)],
+        TREE_CONDITION_IDS: [
+            check_tree(structures[0], block.nodes, block.edges),
+            check_tree(grown.ambient, grown.nodes, grown.parent.items())],
+    }
+    for ids, (first, second) in passing.items():
+        assert first.passed and first is second
+        assert tuple([v.condition for v in first.verdicts]) == ids
+    s, block = structures[0], corpus["example_d"].trees[1]
+    two_chain = EStructure.from_generators(["r", "a"], "r", [("a", "r")])
+    failing = {
+        AXIOM_IDS: check_axioms(two_chain),
+        CANONICAL_CONDITION_IDS: verify_canonical(spaces[1], s),
+        EMBEDDING_CONDITION_IDS: verify_embedding(s, None),
+        TREE_CONDITION_IDS: check_tree(s, block.nodes, block.edges),
+    }
+    for ids, report in failing.items():
+        assert not report.passed
+        assert tuple([v.condition for v in report.verdicts]) == ids
+    for witnesses in ([None] * 4, [None] * 6, [("w",), None, None, None]):
+        with pytest.raises(ValueError):
+            _condition_report(AXIOM_IDS, witnesses)
 
 
 def test_build_canonical_raises_on_violation():
@@ -190,23 +235,27 @@ class TestEmbedding:
         with pytest.raises(StructureError, match="total"):
             verify_embedding(s, mapping)
 
-    @pytest.mark.parametrize("malform", [
-        pytest.param(lambda events: None, id="None"),
-        pytest.param(lambda events: 5, id="int"),
-        pytest.param(lambda events: list(events.items()), id="pair-list"),
+    @pytest.mark.parametrize("malform, shape", [
+        pytest.param(lambda events: None, ("not a mapping",), id="None"),
+        pytest.param(lambda events: 5, ("not a mapping",), id="int"),
+        pytest.param(lambda events: list(events.items()),
+                     ("not a mapping",), id="pair-list"),
         pytest.param(lambda events: {x: sorted(e)
                                      for x, e in events.items()},
-                     id="list-values"),
+                     ("nothing", "not a set"), id="list-values"),
         pytest.param(lambda events: {x: len(e) for x, e in events.items()},
-                     id="int-values"),
+                     ("nothing", "not a set"), id="int-values"),
         pytest.param(lambda events: {**events, "extra": None},
-                     id="extra-key-to-None"),
+                     ("extra", "not a set"), id="extra-key-to-None"),
     ])
-    def test_malformed_mapping_fails_every_condition(self, corpus, malform):
+    def test_malformed_mapping_fails_every_condition(self, corpus, malform,
+                                                     shape):
         s = corpus["example_d"].structure
         mapping = malform(dict(build_canonical(s).events))
         report = verify_embedding(s, mapping)
         assert report.failed_ids == EMBEDDING_CONDITION_IDS
+        assert [v.witness for v in report.verdicts] == [shape] * len(
+            EMBEDDING_CONDITION_IDS)
 
     def test_swapped_events_fail_order(self, corpus):
         s = corpus["example_j"].structure

@@ -300,6 +300,20 @@ class TestTreeCommands:
         assert cli.run(["trees", "check", est("example_j")]) == 2
         assert "nothing to check" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        pytest.param(["--edges", "As=nothing"], "--edges needs --nodes",
+                     id="edges-without-nodes"),
+        pytest.param(["--nodes", "nothing,As,Sb,Ge", "--block", "1"],
+                     "not both", id="block-with-nodes"),
+    ])
+    def test_check_rejects_flags_it_would_ignore(self, capsys, est, flags,
+                                                 message):
+        assert cli.run(["trees", "check", est("example_d"), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("error: ") and message in captured.err
+
 
 class TestPlanCommands:
     def test_isd_flags_root_violation(self, capsys, est):

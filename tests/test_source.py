@@ -1,6 +1,7 @@
 """Source hygiene of the package, checked with the standard library's ast:
-every module parses under the oldest Python the package declares, and
-no module imports a name it never uses."""
+every module parses under the oldest Python the package declares, no
+module imports a name it never uses, and no line is wider than 79
+columns."""
 from __future__ import annotations
 
 import ast
@@ -74,6 +75,14 @@ def test_module_uses_every_name_it_imports(path):
     unused = sorted((line, name) for name, line in _imported(tree).items()
                     if name not in used)
     assert unused == [], f"{path.name} imports names it never uses"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_lines_fit_in_79_columns(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    wide = [(n, len(line)) for n, line in enumerate(lines, 1)
+            if len(line) > 79]
+    assert wide == [], f"{path.name} has lines wider than 79 columns"
 
 
 def test_the_unused_import_check_sees_an_unused_name():

@@ -12,8 +12,8 @@ import pytest
 
 import oracles
 from conftest import consistent_plan, splitting_tree, subset_family_structure
-from evistruct import (FIXTURES, TREE_CONDITION_IDS, EStructure, TreeError,
-                       as_tree, build_tree, build_canonical, check_axioms,
+from evistruct import (FIXTURES, TREE_CONDITION_IDS, EStructure,
+                       ExperimentationTree, TreeError, as_tree, build_tree, build_canonical, check_axioms,
                        check_graph_tree, check_tree, construct_sceu,
                        decide_rationalizable, decompose_field_element,
                        find_trees, parse_workspace, partitions,
@@ -761,6 +761,23 @@ def test_found_trees_carry_their_order(monkeypatch):
         t.children
     assert len(tree.nodes) == 12 and len(found) == 4
     assert len(calls) == 4
+
+
+def test_every_view_of_a_malformed_tree_raises_tree_error():
+    """Each view reads the parent map through its one checked walk, so a
+    cyclic map fails every view alike; partitions names a node that is
+    not an ambient state."""
+    tree = splitting_tree(random.Random(1), 7, 7)
+    assert len(tree.nodes) == 7
+    broken = dataclasses.replace(tree, parent={"n1": "n2", "n2": "n1"})
+    for view in ("children", "leaves", "as_estructure", "branches",
+                 "rank_in_tree", "depth"):
+        with pytest.raises(TreeError, match="not a tree"):
+            getattr(broken, view)
+    foreign = ExperimentationTree(tree.ambient, ("n0", "zz", "yy"),
+                                  {"zz": "n0", "yy": "n0"})
+    with pytest.raises(TreeError, match="'zz' is not a state"):
+        partitions(foreign)
 
 
 def test_contained_tree_closes_nothing(monkeypatch):
