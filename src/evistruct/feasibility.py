@@ -22,9 +22,12 @@ with many more rows than columns, is decided on its Farkas alternative
 instead, by the same loop, whose basis then has one row per column and
 one more. A total plan on a structure that is itself an experimentation
 tree needs no simplex: the paper's theorem settles it by dominance
-consistency, and the witness is built directly. Every returned verdict
-carries an exactly verified witness: a weighting with utilities, or a
-nonnegative row combination proving emptiness.
+consistency, and the witness is built directly. On any structure, two
+twins that choose differently, or a dominance violation whose state's
+immediate refinements partition its event, already give a certificate,
+read off before the simplex runs. Every returned verdict carries an
+exactly verified witness: a weighting with utilities, or a nonnegative
+row combination proving emptiness.
 """
 from __future__ import annotations
 
@@ -36,7 +39,7 @@ from typing import NamedTuple
 
 from .canonical import CanonicalSpace, build_canonical
 from .plans import Plan, PlanError, _check_domain, check_isd_plan
-from .structure import EStructure, WitnessReport
+from .structure import EStructure, WitnessReport, _bits
 from .trees import ExperimentationTree, TreeError, as_tree
 
 
@@ -86,8 +89,11 @@ class FeasibilityResult:
     rows. path names what settled the verdict: "simplex" (decide_system's
     phase-1 simplex on the system itself), "simplex-dual" (the same
     simplex on the system's Farkas alternative, which decide_system picks
-    for a system with at least four more rows than columns) or "tree"
-    (the dominance theorem on an experimentation tree).
+    for a system with at least four more rows than columns), "tree" (the
+    dominance theorem, for a total plan on a structure that is itself an
+    experimentation tree) or "dominance" (two twins that choose
+    differently, or a dominance violation at a state whose immediate
+    refinements partition its event, on any other input).
     """
 
     feasible: bool
@@ -463,50 +469,87 @@ def _verified(result: FeasibilityResult) -> FeasibilityResult:
 def decide_rationalizable(s: EStructure, plan: Plan) -> FeasibilityResult:
     """Decide whether any weighting and utilities rationalize the plan.
 
-    On an experimentation tree, a plan defined at every node is
-    rationalizable (its choice the strict conditional-expected-utility
-    maximizer at every node) if and only if it is dominance-consistent.
-    So when the plan covers every state and the structure is itself a
-    tree (as_tree), the verdict is check_isd_plan's and the witness is
-    built directly; the result's path is "tree". Every other input, a
-    partial plan or a structure that is not a tree, goes to the simplex
-    of decide_system. Either witness passes verify_certificate, in exact
+    First, on any structure, the plan's choices alone may prove it
+    infeasible (_dominance_certificate): two twins that choose
+    differently, or a dominance violation at a state whose immediate
+    refinements partition its event. On an experimentation tree, a plan
+    defined at every node is rationalizable (its choice the strict
+    conditional-expected-utility maximizer at every node) if and only if
+    it is dominance-consistent, and every violation is of that kind. So
+    when the plan covers every state and the structure is itself a tree
+    (as_tree), the certificate or the witness built directly settles it,
+    and the result's path is "tree". A certificate on any other input
+    has path "dominance". Every other input goes to the simplex of
+    decide_system. Each witness passes verify_certificate, in exact
     arithmetic, before it is returned.
     """
     system = build_system(s, plan)
+    certificate = _dominance_certificate(s, plan)
+    tree = None
     if len(plan.choice) == len(s.states):  # build_system checked the keys
         try:
             tree = as_tree(s)
         except TreeError:
             pass
-        else:
-            return _verified(_decide_on_tree(system, tree, plan))
+    if certificate:
+        return _verified(FeasibilityResult(
+            False, system, certificate=certificate,
+            path="dominance" if tree is None else "tree"))
+    if tree is not None:
+        return _verified(_decide_on_tree(system, tree, plan))
     return decide_system(system)
+
+
+def _dominance_certificate(s: EStructure, plan: Plan
+                           ) -> tuple[tuple[str, str, Fraction], ...] | None:
+    """A Farkas certificate read off the plan's choices, or None.
+
+    Twins, states that each refine the other, have one event, so when x
+    picks a and its twin x' picks b, rows (x, b) and (x', a) sum to zero
+    in every column: the first such pair in declaration order gives
+    ((x, b, 1), (x', a, 1)). Otherwise take the first check_isd_plan
+    violation (z, c), z choosing b, whose immediate refinements' events
+    are pairwise disjoint with union e(z): row (z, c) plus row (k, b) for
+    each refinement k, all choosing c, sums to zero in every column.
+    The partition is needed: where two refinements meet, as x1 and x2 do
+    in example_t, the sum is positive on their common atoms, and the
+    plan may be rationalizable. Events are read off the canonical space
+    the system's rows are built from.
+    """
+    d, states, choice = s.derived, s.states, plan.choice
+    one = Fraction(1)
+    for i, (up, refiners) in enumerate(zip(d.up, d.refiners)):
+        twins = up & refiners & -(2 << i)  # the twins j > i
+        if twins and states[i] in choice:
+            a = choice[states[i]]
+            for j in _bits(twins):
+                b = choice.get(states[j])
+                if b is not None and b != a:
+                    return (states[i], b, one), (states[j], a, one)
+    events = s.canonical.events  # build_system's space, built once
+    for z, c in check_isd_plan(s, plan).violations:
+        kids = d.immed_sets[z]
+        parts = [events[k] for k in kids]
+        if (sum(map(len, parts)) == len(events[z])
+                and frozenset().union(*parts) == events[z]):
+            b = choice[z]
+            return ((z, c, one),) + tuple([(k, b, one) for k in kids])
+    return None
 
 
 def _decide_on_tree(system: FeasibilitySystem, tree: ExperimentationTree,
                     plan: Plan) -> FeasibilityResult:
-    """The theorem's verdict for a total plan on a spanning tree.
+    """The theorem's witness for a total plan on a spanning tree that
+    _dominance_certificate found no certificate for.
 
-    At the first dominance violation (z, c), where the children of z all
-    choose c and z chooses b, row (z, c) plus row (k, b) for each child k
-    sums to zero in every column, because the children's events partition
-    the event of z, while the multipliers sum to 1 + |children|. A
-    consistent plan gets construct_sceu's witness from the integer pass it
-    is built on (rationalize._avoidance), summed per atom into g = weight x
-    utility: margins are linear in g, so they keep their signs. Point i
-    weighs 3^(n-1-i), its raw weight times 3^n/2, an integer scaling the
-    homogeneous system allows.
+    A node's tree children are its immediate refinements, and their
+    events partition its event, so every dominance violation would have
+    given a certificate: the plan is consistent. It gets construct_sceu's
+    witness from the integer pass it is built on (rationalize._avoidance),
+    summed per atom into g = weight x utility: margins are linear in g,
+    so they keep their signs. Point i weighs 3^(n-1-i), its raw weight
+    times 3^n/2, an integer scaling the homogeneous system allows.
     """
-    s = tree.ambient
-    violations = check_isd_plan(s, plan).violations
-    if violations:
-        z, c = violations[0]
-        b = plan.choice[z]
-        certificate = ((z, c, Fraction(1)),) + tuple([
-            (k, b, Fraction(1)) for k in s.derived.immed_sets[z]])
-        return FeasibilityResult(False, system, certificate=certificate,
-                                 path="tree")
     from .rationalize import _avoidance  # rationalize imports this module
     points, chosen, _ = _avoidance(tree, plan)
     n = len(points)

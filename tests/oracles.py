@@ -615,6 +615,48 @@ def isd_plan_oracle(states, rel, domain, zeta):
     return violations
 
 
+def dominance_certificate_by_events(states, events, choice):
+    """The certificate decide_rationalizable reads off a plan's choices,
+    found from the canonical events alone, or None.
+
+    events maps each state to its frozenset of atoms; choice maps the
+    plan's domain to its picks. Twins are states with equal events: the
+    first pair (x, y) in declaration order that both choose, x picking a
+    and y picking b != a, gives ((x, b, 1), (y, a, 1)). Otherwise the
+    immediate refinements of z are the states whose events lie strictly
+    inside e(z) with no event strictly between; at the first z in
+    declaration order that chooses b, whose refinements all choose one c
+    != b, and whose refinements' events are pairwise disjoint with union
+    e(z), the certificate is (z, c, 1) and (k, b, 1) per refinement k.
+    """
+    one = Fraction(1)
+    for i, x in enumerate(states):
+        for y in states[i + 1:]:
+            if (events[x] == events[y] and x in choice and y in choice
+                    and choice[x] != choice[y]):
+                return (x, choice[y], one), (y, choice[x], one)
+    for z in states:
+        if z not in choice:
+            continue
+        inside = [y for y in states if events[y] < events[z]]
+        kids = [y for y in inside
+                if not any(events[y] < events[w] for w in inside)]
+        if not kids or any(k not in choice for k in kids):
+            continue
+        picks = {choice[k] for k in kids}
+        if len(picks) != 1 or picks == {choice[z]}:
+            continue
+        covered: set = set()
+        disjoint = True
+        for k in kids:
+            disjoint = disjoint and not covered & events[k]
+            covered |= events[k]
+        if disjoint and covered == events[z]:
+            return ((z, picks.pop(), one),) + tuple(
+                (k, choice[z], one) for k in kids)
+    return None
+
+
 def isd_relation_violations(states, rel, alternatives, strict_pref):
     """Violations of the relation consistency rule, by direct evaluation.
 

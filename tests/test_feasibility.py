@@ -43,6 +43,16 @@ def side_of(system):
     return "simplex-dual" if tall else "simplex"
 
 
+def oracle_certificate(s, plan):
+    """oracles.dominance_certificate_by_events on the oracle's own
+    canonical events of s."""
+    atoms = oracles.atoms_oracle(s.states, s.relation)
+    events = {x: oracles.event_oracle(s.states, s.relation, atoms, x)
+              for x in s.states}
+    return oracles.dominance_certificate_by_events(s.states, events,
+                                                   plan.choice)
+
+
 def both_sides(system):
     """The simplex run on the system itself and on its Farkas alternative,
     each witness checked by verify_certificate."""
@@ -413,7 +423,7 @@ class TestFarkasSide:
 
     def test_lattice_plan_is_decided_on_the_farkas_side(self):
         s, plan = self.lattice_plan(6, 6)
-        result = decide_rationalizable(s, plan)
+        result = decide_system(build_system(s, plan))
         assert (len(result.system.rows), result.system.ncols) == (126, 18)
         assert result.path == "simplex-dual"
         assert verify_certificate(result.system, result).valid
@@ -510,7 +520,12 @@ class TestTreeTheorem:
                 as_tree(s)
             except TreeError:
                 result = decide_rationalizable(s, plan)
-                assert result.path == side_of(result.system)
+                certificate = oracle_certificate(s, plan)
+                if certificate:
+                    assert (result.path, result.certificate) == (
+                        "dominance", certificate)
+                else:
+                    assert result.path == side_of(result.system)
                 continue
             self.agree(s, plan)
             trees += 1
@@ -602,6 +617,78 @@ class TestTreeTheorem:
         assert min(verdicts.values()) > 25
 
 
+class TestDominanceCertificates:
+    """Two twins that choose differently, or a dominance violation at a
+    state whose immediate refinements partition its event, settle an
+    infeasible plan on any structure before the simplex runs."""
+
+    def test_campaign_matches_the_event_oracle(self):
+        rng = random.Random(2121)
+        cases = []
+        for _ in range(300):
+            s = subset_family_structure(rng, max_universe=4)
+            cases.append((s, arbitrary_plan(rng, s, max_alts=3)))
+        for _ in range(60):
+            s = splitting_tree(rng, max_nodes=16).ambient
+            cases.append((s, arbitrary_plan(rng, s, max_alts=3)))
+        kinds = {"twin": 0, "violation": 0}
+        for s, plan in cases:
+            result = decide_rationalizable(s, plan)
+            simplex = decide_system(build_system(s, plan))
+            assert result.feasible == simplex.feasible
+            certificate = oracle_certificate(s, plan)
+            if certificate is None:
+                assert result.path != "dominance"
+                continue
+            assert result.path in ("dominance", "tree")
+            assert result.certificate == certificate
+            assert verify_certificate(result.system, result).valid
+            kinds["twin" if len(certificate) == 2 else "violation"] += 1
+        assert min(kinds.values()) > 20
+
+    def test_twins_that_disagree_give_two_rows(self):
+        # s0 and s0q each refine the other; s1 picks a as s0 does
+        s = EStructure.from_generators(
+            ["root", "s0", "s1", "s0q"], "root",
+            [("s0", "root"), ("s1", "root"), ("s0q", "s0"), ("s0", "s0q")])
+        plan = Plan(("a", "b"), {"root": "a", "s0": "a", "s1": "a",
+                                 "s0q": "b"})
+        result = decide_rationalizable(s, plan)
+        assert (result.path, result.certificate) == (
+            "dominance", (("s0", "b", 1), ("s0q", "a", 1)))
+
+    def test_first_partitioning_violation_on_a_structure_that_is_no_tree(
+            self):
+        """s1 has two parents, so as_tree rejects the structure. The
+        root's violation is skipped, as its refinements s01 and s12 meet
+        in s1; s01's refinements s0 and s1 partition its event."""
+        s = EStructure.from_generators(
+            ["root", "s01", "s12", "s0", "s1", "s2"], "root",
+            [("s01", "root"), ("s12", "root"), ("s0", "s01"),
+             ("s1", "s01"), ("s1", "s12"), ("s2", "s12")])
+        with pytest.raises(TreeError):
+            as_tree(s)
+        plan = Plan(("a", "b", "c"), {"root": "c", "s01": "a", "s12": "a",
+                                      "s0": "b", "s1": "b", "s2": "a"})
+        assert check_isd_plan(s, plan).violations == (("root", "a"),
+                                                      ("s01", "b"))
+        result = decide_rationalizable(s, plan)
+        assert (result.path, result.certificate) == (
+            "dominance", (("s01", "b", 1), ("s0", "a", 1), ("s1", "a", 1)))
+
+    def test_partial_plan_on_a_tree_with_its_refinements_decided(self):
+        s = EStructure.from_generators(
+            ["r", "u", "v", "u1", "u2"], "r",
+            [("u", "r"), ("v", "r"), ("u1", "u"), ("u2", "u")])
+        plan = Plan(("a", "b"), {"u": "b", "u1": "a", "u2": "a"})
+        result = decide_rationalizable(s, plan)
+        assert (result.path, result.certificate) == (
+            "dominance", (("u", "a", 1), ("u1", "b", 1), ("u2", "b", 1)))
+        # with u2 undecided, u is no violation and the simplex decides
+        result = decide_rationalizable(s, plan.restricted_to(["u", "u1"]))
+        assert (result.path, result.feasible) == ("simplex", True)
+
+
 @pytest.mark.parametrize("path", ["tree", "simplex", "simplex-dual"])
 def test_witness_values_are_fractions_on_every_route(corpus, path):
     if path == "tree":
@@ -666,6 +753,8 @@ def test_six_state_plan_is_inconsistent_yet_rationalizable():
     plan = Plan(("a", "b"), {"r": "a", "x0": "b", "x1": "b", "x2": "b",
                              "x3": "a", "x4": "a"})
     assert check_isd_plan(s, plan).violations == (("r", "b"),)
+    # x1 and x2 meet in x0, so the violation at r is no certificate
+    assert oracle_certificate(s, plan) is None
     result = decide_rationalizable(s, plan)
     assert (len(result.system.rows), result.system.ncols) == (6, 6)
     assert result.feasible and result.path == "simplex"
