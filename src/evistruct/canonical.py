@@ -54,6 +54,11 @@ class CanonicalSpace:
     def labels(self) -> tuple[str, ...]:
         return tuple([self.atom_label(i) for i in range(len(self.atoms))])
 
+    def __getstate__(self) -> dict:
+        # the fields alone: feasibility._rows keeps its last rows on the
+        # space, which a pickle or a copy leaves out
+        return {"atoms": self.atoms, "events": self.events}
+
 
 def build_canonical(s: EStructure) -> CanonicalSpace:
     """Construct the canonical space and verify it, raising on violation.

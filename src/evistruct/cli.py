@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .canonical import build_canonical
-from .feasibility import decide_rationalizable, verify_certificate
+from .feasibility import _over_lcm, decide_rationalizable, verify_certificate
 from .io import (ParseError, Workspace, emit_fixtures, format_rational,
                  parse_rational, parse_workspace)
 from .plans import Plan, check_isd_plan
@@ -420,7 +420,7 @@ def _verify_product(tree: ExperimentationTree, plan,
         if len(utilities[alt]) != len(points):
             raise _UsageError(f"utility table for {alt!r} has wrong length")
 
-    return _margins(tree, plan, points, weights, utilities)
+    return _margins(tree, plan, points, *_over_lcm(weights), utilities)
 
 
 def _cmd_verify(args) -> _Result:

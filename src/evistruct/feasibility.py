@@ -112,13 +112,29 @@ def build_system(s: EStructure, plan: Plan) -> FeasibilitySystem:
                              _rows(space, plan, s.states))
 
 
+_UNDECIDED = object()  # a state's entry in _rows' key when not decided
+
+
 def _rows(space: CanonicalSpace, plan: Plan,
           states: Sequence[str]) -> tuple[FeasibilityRow, ...]:
     """A row per state of states the plan decides, in that order, and per
     rival of its choice; its value at g is the margin. Column
-    j * natoms + w stands for g[plan.alternatives[j]][atom w] of space."""
-    natoms = len(space.atoms)
-    alts, choice, events = plan.alternatives, plan.choice, space.events
+    j * natoms + w stands for g[plan.alternatives[j]][atom w] of space.
+
+    The rows are kept on the space, one entry, keyed by the alternatives,
+    the states and the plan's choice at each of them, read at each call:
+    an edit of the plan's choice dict between calls builds them again.
+    So build_system and the verifier of a spanning tree's witness, whose
+    canonical is the structure's own space, build them once. Rows are
+    tuples, so the kept rows are shared as they are.
+    """
+    alts, choice = tuple(plan.alternatives), plan.choice
+    key = (alts, tuple(states),
+           tuple([choice.get(x, _UNDECIDED) for x in states]))
+    kept = space.__dict__.get("_rows")
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    natoms, events = len(space.atoms), space.events
     start = {a: i * natoms for i, a in enumerate(alts)}
     rows: list[FeasibilityRow] = []
     for x in states:
@@ -132,7 +148,8 @@ def _rows(space: CanonicalSpace, plan: Plan,
                 continue
             loss = tuple([(start[a] + w, -1) for w in event])
             rows.append(FeasibilityRow(x, a, gain + loss))
-    return tuple(rows)
+    kept = space.__dict__["_rows"] = key, tuple(rows)
+    return kept[1]
 
 
 # ---------------------------------------------------------------- simplex
@@ -470,23 +487,27 @@ def decide_rationalizable(s: EStructure, plan: Plan) -> FeasibilityResult:
     """Decide whether any weighting and utilities rationalize the plan.
 
     First, on any structure, the plan's choices alone may prove it
-    infeasible (_dominance_certificate): two twins that choose
-    differently, or a dominance violation at a state whose immediate
-    refinements partition its event. On an experimentation tree, a plan
-    defined at every node is rationalizable (its choice the strict
-    conditional-expected-utility maximizer at every node) if and only if
-    it is dominance-consistent, and every violation is of that kind. So
-    when the plan covers every state and the structure is itself a tree
-    (as_tree), the certificate or the witness built directly settles it,
-    and the result's path is "tree". A certificate on any other input
-    has path "dominance". Every other input goes to the simplex of
-    decide_system. Each witness passes verify_certificate, in exact
-    arithmetic, before it is returned.
+    infeasible: two twins that choose differently (_twin_certificate),
+    or a dominance violation at a state whose immediate refinements
+    partition its event (_refinement_certificate). On an
+    experimentation tree, a plan defined at every node is rationalizable
+    (its choice the strict conditional-expected-utility maximizer at
+    every node) if and only if it is dominance-consistent, and every
+    violation is of that kind. So when the plan covers every state and
+    the structure is itself a tree (as_tree), the certificate or the
+    witness built directly settles it, and the result's path is "tree".
+    A certificate on any other input has path "dominance"; a structure
+    with twins is never a tree, so a twin certificate gets it without
+    as_tree. Every other input goes to the simplex of decide_system.
+    Each witness passes verify_certificate, in exact arithmetic, before
+    it is returned.
     """
     system = build_system(s, plan)
-    certificate = _dominance_certificate(s, plan)
+    twins = _twin_certificate(s, plan)
+    certificate = twins or _refinement_certificate(s, plan)
     tree = None
-    if len(plan.choice) == len(s.states):  # build_system checked the keys
+    # build_system checked the keys; a structure with twins is no tree
+    if not twins and len(plan.choice) == len(s.states):
         try:
             tree = as_tree(s)
         except TreeError:
@@ -500,24 +521,17 @@ def decide_rationalizable(s: EStructure, plan: Plan) -> FeasibilityResult:
     return decide_system(system)
 
 
-def _dominance_certificate(s: EStructure, plan: Plan
-                           ) -> tuple[tuple[str, str, Fraction], ...] | None:
-    """A Farkas certificate read off the plan's choices, or None.
+def _twin_certificate(s: EStructure, plan: Plan
+                      ) -> tuple[tuple[str, str, Fraction], ...] | None:
+    """A Farkas certificate read off two twins that choose differently,
+    or None.
 
     Twins, states that each refine the other, have one event, so when x
     picks a and its twin x' picks b, rows (x, b) and (x', a) sum to zero
     in every column: the first such pair in declaration order gives
-    ((x, b, 1), (x', a, 1)). Otherwise take the first check_isd_plan
-    violation (z, c), z choosing b, whose immediate refinements' events
-    are pairwise disjoint with union e(z): row (z, c) plus row (k, b) for
-    each refinement k, all choosing c, sums to zero in every column.
-    The partition is needed: where two refinements meet, as x1 and x2 do
-    in example_t, the sum is positive on their common atoms, and the
-    plan may be rationalizable. Events are read off the canonical space
-    the system's rows are built from.
+    ((x, b, 1), (x', a, 1)).
     """
     d, states, choice = s.derived, s.states, plan.choice
-    one = Fraction(1)
     for i, (up, refiners) in enumerate(zip(d.up, d.refiners)):
         twins = up & refiners & -(2 << i)  # the twins j > i
         if twins and states[i] in choice:
@@ -525,14 +539,30 @@ def _dominance_certificate(s: EStructure, plan: Plan
             for j in _bits(twins):
                 b = choice.get(states[j])
                 if b is not None and b != a:
+                    one = Fraction(1)
                     return (states[i], b, one), (states[j], a, one)
-    events = s.canonical.events  # build_system's space, built once
+    return None
+
+
+def _refinement_certificate(s: EStructure, plan: Plan
+                            ) -> tuple[tuple[str, str, Fraction], ...] | None:
+    """A Farkas certificate read off a dominance violation, or None.
+
+    Take the first check_isd_plan violation (z, c), z choosing b, whose
+    immediate refinements' events are pairwise disjoint with union e(z):
+    row (z, c) plus row (k, b) for each refinement k, all choosing c,
+    sums to zero in every column. The partition is needed: where two
+    refinements meet, as x1 and x2 do in example_t, the sum is positive
+    on their common atoms, and the plan may be rationalizable. Events are
+    read off the canonical space the system's rows are built from.
+    """
+    d, events, one = s.derived, s.canonical.events, Fraction(1)
     for z, c in check_isd_plan(s, plan).violations:
         kids = d.immed_sets[z]
         parts = [events[k] for k in kids]
         if (sum(map(len, parts)) == len(events[z])
                 and frozenset().union(*parts) == events[z]):
-            b = choice[z]
+            b = plan.choice[z]
             return ((z, c, one),) + tuple([(k, b, one) for k in kids])
     return None
 
@@ -540,15 +570,16 @@ def _dominance_certificate(s: EStructure, plan: Plan
 def _decide_on_tree(system: FeasibilitySystem, tree: ExperimentationTree,
                     plan: Plan) -> FeasibilityResult:
     """The theorem's witness for a total plan on a spanning tree that
-    _dominance_certificate found no certificate for.
+    _refinement_certificate found no certificate for.
 
     A node's tree children are its immediate refinements, and their
     events partition its event, so every dominance violation would have
     given a certificate: the plan is consistent. It gets construct_sceu's
-    witness from the integer pass it is built on (rationalize._avoidance),
-    summed per atom into g = weight x utility: margins are linear in g,
-    so they keep their signs. Point i weighs 3^(n-1-i), its raw weight
-    times 3^n/2, an integer scaling the homogeneous system allows.
+    witness from the integer pass it is built on (rationalize._avoidance,
+    which keeps the pass on the tree for construct_sceu), summed per atom
+    into g = weight x utility: margins are linear in g, so they keep
+    their signs. Point i weighs 3^(n-1-i), its raw weight times 3^n/2,
+    an integer scaling the homogeneous system allows.
     """
     from .rationalize import _avoidance  # rationalize imports this module
     points, chosen, _ = _avoidance(tree, plan)

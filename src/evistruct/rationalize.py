@@ -29,6 +29,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .canonical import CanonicalSpace
 from .feasibility import (_mass, _normalization, _over_lcm, _report, _rows,
@@ -151,20 +152,32 @@ def _stuck(x: str, a: str) -> RationalizationError:
 
 
 def _avoidance(tree: ExperimentationTree, plan: Plan
-               ) -> tuple[list[tuple[int, str]], list[int],
-                          dict[tuple[str, str], int]]:
+               ) -> tuple[tuple[tuple[int, str], ...], tuple[int, ...],
+                          Mapping[tuple[str, str], int]]:
     """The construction in integers, for a plan deciding every tree node:
     the distinct avoidance points as (atom, state) pairs in weight order,
     each point's choice bits (bit j for each alternatives[j] chosen on its
-    walk), and (state, rejected alternative) -> index of its point.
+    walk), and a read-only map (state, rejected alternative) -> index of
+    its point.
+
+    The pass is kept on the tree, one entry, keyed by the alternatives
+    and the plan's choice at each tree node in node order, read at each
+    call: an edit of the plan's choice dict between calls runs it again.
+    So the decision on a spanning tree and construct_sceu on that tree
+    run it once.
     """
+    choice = plan.choice
+    key = (tuple(plan.alternatives), tuple([choice[x] for x in tree.nodes]))
+    kept = tree.__dict__.get("_avoidance")
+    if kept is not None and kept[0] == key:
+        return kept[1]
     atom_of = {cls[0]: i for i, cls in enumerate(tree.canonical.atoms)}
     walks = {a: _walks(tree, plan, a) for a in plan.alternatives}
     seen: dict[tuple[str, str], int] = {}  # (leaf, state) -> choice bits
     avoid_points: dict[tuple[str, str], tuple[str, str]] = {}
     for x in tree.nodes:
         for a in plan.alternatives:
-            if a == plan.choice[x]:
+            if a == choice[x]:
                 continue
             _, end, chosen = walks[a][x]
             if chosen is None:
@@ -176,9 +189,11 @@ def _avoidance(tree: ExperimentationTree, plan: Plan
     rank, decl = tree.rank_in_tree, {x: i for i, x in enumerate(tree.nodes)}
     order = sorted(seen, key=lambda p: (rank[p[1]], decl[p[1]], decl[p[0]]))
     index = {p: i for i, p in enumerate(order)}
-    return ([(atom_of[leaf], x) for leaf, x in order],
-            [seen[p] for p in order],
-            {key: index[p] for key, p in avoid_points.items()})
+    kept = tree.__dict__["_avoidance"] = key, (
+        tuple([(atom_of[leaf], x) for leaf, x in order]),
+        tuple([seen[p] for p in order]),
+        MappingProxyType({k: index[p] for k, p in avoid_points.items()}))
+    return kept[1]
 
 
 def construct_sceu(tree: ExperimentationTree, plan: Plan) -> Rationalization:
@@ -186,7 +201,10 @@ def construct_sceu(tree: ExperimentationTree, plan: Plan) -> Rationalization:
 
     The plan must cover every tree node; choices at non-tree states are
     ignored. Dominance violations surface as RationalizationError from
-    the avoidance walks.
+    the avoidance walks. The walks are the integer pass _avoidance keeps
+    on the tree, so after decide_rationalizable on the structure this
+    tree spans, with the same choices, they are that decision's; the
+    witness gets its own copy of the pass's index map.
     """
     for x in tree.nodes:
         if x not in plan.choice:
@@ -202,21 +220,25 @@ def construct_sceu(tree: ExperimentationTree, plan: Plan) -> Rationalization:
     utilities = {b: tuple([c >> j & 1 for c in chosen])
                  for j, b in enumerate(plan.alternatives)}
     points = tuple([SamplePoint(*p) for p in points])
-    return Rationalization(tree, plan, points, raw, weights, utilities, avoid)
+    return Rationalization(tree, plan, points, raw, weights, utilities,
+                           dict(avoid))
 
 
 def _margins(tree: ExperimentationTree, plan: Plan, atoms: Sequence[int],
-             weights: Sequence[Fraction],
+             weights: Sequence[int], wden: int,
              utilities: Mapping[str, Sequence[Fraction]]) -> WitnessReport:
     """Weighted-utility margins of each chosen alternative over its rivals.
 
-    Point i lies in the tree's atom atoms[i], with weight weights[i] and
-    payoff utilities[b][i] under alternative b. The margins are the rows
-    of the tree's own linear system at g, weight times payoff summed per
-    atom over common denominators. The report fails on weights not summing
-    to 1, a negative weight, and each margin that is not strictly positive.
+    Point i lies in the tree's atom atoms[i], with weight weights[i] / wden
+    (the integer numerators _over_lcm gives) and payoff utilities[b][i]
+    under alternative b. The margins are the rows of the tree's own linear
+    system at g, weight times payoff summed per atom over common
+    denominators; those rows are _rows' on the tree's own canonical space,
+    which for a spanning tree is its structure's, so build_system's rows
+    for the same choices are read, not built again. The report fails on
+    weights not summing to 1, a negative weight, and each margin that is
+    not strictly positive.
     """
-    weights, wden = _over_lcm(weights)
     total, failures = _normalization(weights, wden)
     k, alts, space = len(atoms), plan.alternatives, tree.canonical
     pays, uden = _over_lcm([v for b in alts for v in utilities[b]])
@@ -272,10 +294,10 @@ def _fits(r: object) -> bool:
 
 def _verify_constructed(r: Rationalization) -> WitnessReport:
     tree = r.tree
-    report = _margins(tree, r.plan, [p.atom for p in r.points], r.weights,
-                      r.utilities)
-    margins, failures = report.margins, list(report.failures)
     weights, wden = _over_lcm(r.weights)  # every bound is over wden
+    report = _margins(tree, r.plan, [p.atom for p in r.points], weights,
+                      wden, r.utilities)
+    margins, failures = report.margins, list(report.failures)
     later = sum(weights)  # the weight of the points after point i
     for i, w in enumerate(weights):
         later -= w
@@ -315,7 +337,11 @@ def verify_rationalization(
 
     A constructed Rationalization is checked for its strict margins and
     its structural guarantees (normalization, every point outweighing all
-    later ones, depth-ordered points, avoidance bounds); a malformed one
+    later ones, depth-ordered points, avoidance bounds). Its margins are
+    the rows of the witness tree's own canonical space at g; when the
+    tree spans its structure, that space is the structure's, so the rows
+    decide_rationalizable built for the same choices are read again, and
+    a contained tree's space has rows of its own. A malformed one
     fails, as does one whose tree is malformed or whose points lie outside
     the tree's atoms. Its target must be its tree, that tree's ambient
     structure or the tree's own structure (as_estructure): any other

@@ -147,6 +147,18 @@ def consistent_plan(rng: random.Random, tree: ExperimentationTree,
     return Plan(alts, {x: choice[x] for x in tree.nodes})
 
 
+def consistent_by_rank(rng: random.Random, tree: ExperimentationTree,
+                       alts: tuple[str, ...]) -> Plan:
+    """A random total plan with no dominance violations, chosen bottom-up
+    by tree rank, so the nodes may come in any order."""
+    choice: dict[str, str] = {}
+    for x in sorted(tree.nodes, key=tree.rank_in_tree.__getitem__,
+                    reverse=True):
+        picks = {choice[k] for k in tree.children[x]}
+        choice[x] = picks.pop() if len(picks) == 1 else rng.choice(alts)
+    return Plan(alts, choice)
+
+
 def inconsistent_plan(rng: random.Random, tree: ExperimentationTree,
                       n_alts: int | None = None) -> Plan:
     """Random total plan with at least one dominance violation."""

@@ -657,6 +657,27 @@ class TestDominanceCertificates:
         assert (result.path, result.certificate) == (
             "dominance", (("s0", "b", 1), ("s0q", "a", 1)))
 
+    def test_twin_certificates_do_not_read_the_structure_as_a_tree(
+            self, monkeypatch):
+        """A structure with twins is never a tree, so a total plan with
+        disagreeing twins gets its certificate without as_tree; with the
+        twins agreeing, as_tree is still asked and refuses."""
+        s = EStructure.from_generators(
+            ["root", "s0", "s1", "s0q"], "root",
+            [("s0", "root"), ("s1", "root"), ("s0q", "s0"), ("s0", "s0q")])
+        calls = []
+        monkeypatch.setattr(feasibility, "as_tree",
+                            lambda *args: calls.append(1) or as_tree(*args))
+        plan = Plan(("a", "b"), {"root": "a", "s0": "a", "s1": "b",
+                                 "s0q": "b"})
+        result = decide_rationalizable(s, plan)
+        assert (result.path, result.certificate) == (
+            "dominance", (("s0", "b", 1), ("s0q", "a", 1)))
+        assert calls == []
+        agreeing = Plan(("a", "b"), {**plan.choice, "s0q": "a"})
+        assert decide_rationalizable(s, agreeing).path != "tree"
+        assert calls == [1]
+
     def test_first_partitioning_violation_on_a_structure_that_is_no_tree(
             self):
         """s1 has two parents, so as_tree rejects the structure. The

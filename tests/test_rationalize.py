@@ -3,19 +3,23 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
 import oracles
-from conftest import (consistent_plan, inconsistent_plan, splitting_tree,
+from conftest import (consistent_by_rank, consistent_plan,
+                      inconsistent_plan, splitting_tree,
                       subset_family_structure)
 from evistruct import (CanonicalError, EStructure, ExperimentationTree,
                        ExplicitRepresentation, Plan, PlanError,
                        RationalizationError, SamplePoint, avoiding_branch,
-                       build_tree, construct_sceu, find_trees,
+                       build_tree, check_isd_plan, construct_sceu,
+                       decide_rationalizable, find_trees,
                        verify_rationalization)
+from evistruct.feasibility import _over_lcm
 from evistruct.rationalize import _margins
 
 
@@ -250,7 +254,8 @@ class TestConstructionInvariants:
                        for _ in atoms]
             utilities = {b: [Fraction(rng.randint(-2, 3)) for _ in atoms]
                          for b in plan.alternatives}
-            report = _margins(tree, plan, atoms, weights, utilities)
+            report = _margins(tree, plan, atoms, *_over_lcm(weights),
+                              utilities)
             expected = oracles.margins_oracle(
                 lambda x: [i for i, atom in enumerate(atoms)
                            if atom in tree.canonical.events[x]],
@@ -617,3 +622,127 @@ def test_walk_tables_match_the_walk_reference():
         built += 1
         contained += tree.nodes != tree.ambient.states
     assert built > 60 and stuck > 30 and contained > 10
+
+
+def derive(s, tree, plan):
+    """One op on a structure and a tree: decide, construct and verify.
+    A construction stopped by a dominance violation gives its text."""
+    result = decide_rationalizable(s, plan)
+    try:
+        r = construct_sceu(tree, plan)
+    except RationalizationError as error:
+        return result, str(error), None
+    return result, r, verify_rationalization(tree, plan, r)
+
+
+def derive_afresh(tree, plan):
+    """derive on a new structure and tree with the same states, relation
+    and edges, and on a copy of the plan, so nothing kept is read."""
+    a = tree.ambient
+    s = EStructure(a.states, a.root, a.relation)
+    t = build_tree(s, tree.nodes, tuple(tree.parent.items()))
+    return derive(s, t, Plan(plan.alternatives, dict(plan.choice)))
+
+
+class TestKeptPasses:
+    """The avoidance pass is kept on the tree and the rows on the
+    canonical space, each keyed by the plan's choices, so a second read
+    in one op finds them and any other plan builds its own."""
+
+    def one_node_apart(self, seed):
+        rng = random.Random(seed)
+        tree = splitting_tree(rng, max_nodes=12, min_nodes=12)
+        plan = consistent_plan(rng, tree, n_alts=3)
+        other = next(
+            p for x in tree.leaves for b in plan.alternatives
+            if b != plan.choice[x]
+            for p in [Plan(plan.alternatives, {**plan.choice, x: b})]
+            if not check_isd_plan(tree.ambient, p).violations)
+        return tree, plan, other
+
+    def test_plans_one_node_apart_alternate_on_one_tree(self):
+        tree, plan, other = self.one_node_apart(2201)
+        s = tree.ambient
+        ops = [derive(s, tree, p) for p in (plan, other, plan, other)]
+        assert ops[0] != ops[1]
+        for p, got in zip((plan, other, plan, other), ops):
+            assert got[1].plan == p and got[2].verified
+            assert got == derive_afresh(tree, p)
+
+    def test_an_edited_choice_dict_is_derived_again(self):
+        tree, plan, other = self.one_node_apart(2202)
+        s = tree.ambient
+        edited = Plan(plan.alternatives, dict(plan.choice))
+        assert derive(s, tree, edited) == derive_afresh(tree, plan)
+        (x, b), = other.choice.items() - plan.choice.items()
+        edited.choice[x] = b
+        got = derive(s, tree, edited)
+        assert got == derive_afresh(tree, other)
+        assert got[1].utilities != construct_sceu(tree, plan).utilities
+
+    def test_every_op_matches_a_fresh_derivation(self):
+        """Runs of plans on one structure and tree each, on spanning
+        splitting trees and on trees contained in subset families:
+        consistent plans, the same plan edited at one node, and one
+        made inconsistent at an inner node."""
+        rng = random.Random(2203)
+        kinds = {"spanning": 0, "contained": 0, "stuck": 0}
+        for i in range(30):
+            if i % 3:
+                tree = splitting_tree(rng, max_nodes=14)
+            else:
+                inner = []
+                while not inner:
+                    inner = [t for t in find_trees(
+                        subset_family_structure(rng, 4))
+                        if t.as_estructure is not t.ambient]
+                tree = rng.choice(inner)
+            kinds["spanning" if i % 3 else "contained"] += 1
+            alts = ("a", "b", "c", "d")[:2 + i % 3]
+            for _ in range(2):
+                base = consistent_by_rank(rng, tree, alts)
+                x = rng.choice(tree.nodes)
+                edited = Plan(alts, {**base.choice, x: rng.choice(alts)})
+                z = rng.choice([y for y in tree.nodes if tree.children[y]])
+                a, b = rng.sample(alts, 2)
+                bad = Plan(alts, {**base.choice, z: b,
+                                  **dict.fromkeys(tree.children[z], a)})
+                for plan in (base, edited, base, bad, edited):
+                    got = derive(tree.ambient, tree, plan)
+                    assert got == derive_afresh(tree, plan)
+                    kinds["stuck"] += isinstance(got[1], str)
+        assert min(kinds.values()) > 5
+
+    def test_editing_a_witness_leaves_the_next_construction_alone(self):
+        rng = random.Random(2204)
+        tree = splitting_tree(rng, max_nodes=10, min_nodes=10)
+        plan = consistent_plan(rng, tree, n_alts=3)
+        want = derive_afresh(tree, plan)[1]
+        r = construct_sceu(tree, plan)
+        r.avoid.clear()
+        again = construct_sceu(tree, plan)
+        assert again == want and again.avoid is not r.avoid
+        assert verify_rationalization(tree, plan, again).verified
+
+    def test_no_field_equality_repr_or_pickle_changes(self):
+        """After a full op the structure, its space and its tree compare,
+        print, hash and pickle as before it, and loaded copies carry
+        nothing kept. The space holds a dict and the tree a read-only
+        map, so only the structure hashes."""
+        rng = random.Random(2205)
+        tree = splitting_tree(rng, max_nodes=12, min_nodes=12)
+        s, space = tree.ambient, tree.ambient.canonical
+        s.derived.incompat_rows  # a cache the op fills, not a kept pass
+        objects = (s, space, tree)
+        before = ([repr(o) for o in objects],
+                  [pickle.dumps(o) for o in objects], hash(s))
+        derive(s, tree, consistent_plan(rng, tree, n_alts=3))
+        assert "_rows" in space.__dict__ and "_avoidance" in tree.__dict__
+        assert before == ([repr(o) for o in objects],
+                          [pickle.dumps(o) for o in objects], hash(s))
+        loaded = [pickle.loads(pickle.dumps(o)) for o in objects]
+        assert loaded == list(objects)
+        assert loaded[0] == EStructure(s.states, s.root, s.relation)
+        assert "_rows" not in loaded[1].__dict__
+        assert "_avoidance" not in loaded[2].__dict__
+        assert "_rows" not in loaded[0].canonical.__dict__

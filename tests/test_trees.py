@@ -18,7 +18,7 @@ from evistruct import (FIXTURES, TREE_CONDITION_IDS, EStructure,
                        decide_rationalizable, decompose_field_element,
                        find_trees, parse_workspace, partitions,
                        verify_rationalization)
-from evistruct import rationalize, structure, trees
+from evistruct import feasibility, rationalize, structure, trees
 from evistruct.trees import _check_tree
 
 
@@ -710,8 +710,10 @@ def test_tree_op_closes_and_derives_once(monkeypatch):
     derived once, both for the structure itself. The tree build_tree
     accepts spans the structure, so it is the one as_tree returns: its
     seven conditions are checked once and its shape read once, and the
-    verifier reads the shape that tree cached. The decision and the
-    construction each walk once per alternative."""
+    verifier reads the shape that tree cached. The decision walks once
+    per alternative, and the construction reads the pass it kept on the
+    tree. build_system builds the rows once, and the verifier reads them
+    off the tree's canonical space, which is the structure's own."""
     rng = random.Random(12)
     tree = splitting_tree(rng, max_nodes=12, min_nodes=12)
     while len(tree.nodes) != 12:
@@ -721,7 +723,7 @@ def test_tree_op_closes_and_derives_once(monkeypatch):
     homes = {"_closure": (structure, trees),
              "derive_relations": (structure, trees),
              "_shape": (trees,), "_check_tree": (trees,),
-             "_walks": (rationalize,)}
+             "_walks": (rationalize,), "FeasibilityRow": (feasibility,)}
     calls = dict.fromkeys(homes, 0)
 
     def counted(name, original):
@@ -741,7 +743,9 @@ def test_tree_op_closes_and_derives_once(monkeypatch):
     assert result.path == "tree" and result.feasible
     assert verify_rationalization(t, plan, r).verified
     assert calls == {"_closure": 1, "derive_relations": 1, "_shape": 1,
-                     "_check_tree": 1, "_walks": 2 * len(plan.alternatives)}
+                     "_check_tree": 1, "_walks": len(plan.alternatives),
+                     "FeasibilityRow": len(result.system.rows)}
+    assert len(result.system.rows) == 12 * (len(plan.alternatives) - 1)
 
 
 def test_found_trees_carry_their_order(monkeypatch):

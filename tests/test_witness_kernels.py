@@ -16,13 +16,14 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from conftest import (arbitrary_plan, consistent_plan, dense_rows,
-                      inconsistent_plan, splitting_tree,
+from conftest import (arbitrary_plan, consistent_by_rank, consistent_plan,
+                      dense_rows, inconsistent_plan, splitting_tree,
                       subset_family_structure)
-from evistruct import (Plan, WitnessReport, build_system, build_tree,
+from evistruct import (WitnessReport, build_system, build_tree,
                        construct_sceu, decide_rationalizable, find_trees,
                        verify_certificate, verify_rationalization)
-from evistruct.feasibility import _certificate_failure, verify_weighting
+from evistruct.feasibility import (_certificate_failure, _over_lcm,
+                                   verify_weighting)
 from evistruct.rationalize import _margins, _verify_constructed
 
 
@@ -187,17 +188,6 @@ def atom_level(tree, atoms, weights, utilities):
                for b, table in mass.items()}
 
 
-def consistent_by_rank(rng, tree, alts):
-    """A random total plan with no dominance violations, chosen bottom-up
-    by tree rank, so the nodes may come in any order."""
-    choice = {}
-    for x in sorted(tree.nodes, key=tree.rank_in_tree.__getitem__,
-                    reverse=True):
-        picks = {choice[k] for k in tree.children[x]}
-        choice[x] = picks.pop() if len(picks) == 1 else rng.choice(alts)
-    return Plan(alts, choice)
-
-
 def test_point_margins_are_rows_of_the_atom_level_system():
     """_margins on a point-level witness and verify_weighting on the
     tree's own system, at the witness summed per atom, give the same
@@ -224,7 +214,8 @@ def test_point_margins_are_rows_of_the_atom_level_system():
                    for b, u in r.utilities.items()}
         system = build_system(tree.as_estructure, plan)
         for utilities in (r.utilities, shifted):
-            got = _margins(tree, plan, atoms, r.weights, utilities)
+            got = _margins(tree, plan, atoms, *_over_lcm(r.weights),
+                           utilities)
             want = verify_weighting(system, *atom_level(
                 tree, atoms, r.weights, utilities))
             assert list(got.margins.items()) == list(want.margins.items())
