@@ -20,12 +20,13 @@ import sys
 from pathlib import Path
 
 from .canonical import build_canonical
-from .feasibility import _over_lcm, decide_rationalizable, verify_certificate
+from .feasibility import (_margin_report, _over_lcm, _rows,
+                          decide_rationalizable, verify_certificate)
 from .io import (ParseError, Workspace, emit_fixtures, format_rational,
                  parse_rational, parse_workspace)
-from .plans import Plan, check_isd_plan
+from .plans import Plan, PlanError, check_isd_plan
 from .rationalize import (ExplicitRepresentation, RationalizationError,
-                          _margins, construct_sceu, verify_rationalization)
+                          construct_sceu, verify_rationalization)
 from .structure import (EStructure, StructureError, WitnessReport,
                         check_axioms, rank)
 from .trees import (ExperimentationTree, TreeError, as_tree, build_tree,
@@ -378,12 +379,12 @@ def _read_witness(path: str) -> dict | ExplicitRepresentation:
 
 def _verify_product(tree: ExperimentationTree, plan,
                     data) -> WitnessReport:
-    atoms = tree.canonical.atoms
-    atom_index = {cls: i for i, cls in enumerate(atoms)}
+    space = tree.canonical
+    atom_index = {cls: i for i, cls in enumerate(space.atoms)}
     node_set = set(tree.nodes)
     for x in tree.nodes:
-        if x not in plan.choice:
-            raise _UsageError(f"plan does not cover tree node {x!r}")
+        if x not in plan.choice:  # the file's fault, as plan rationalize's
+            raise _error(PlanError(f"plan does not cover tree node {x!r}"))
     raw_points = data.get("points")
     if not isinstance(raw_points, list) or not raw_points:
         raise _UsageError("witness 'points' must be a nonempty list")
@@ -420,7 +421,9 @@ def _verify_product(tree: ExperimentationTree, plan,
         if len(utilities[alt]) != len(points):
             raise _UsageError(f"utility table for {alt!r} has wrong length")
 
-    return _margins(tree, plan, points, *_over_lcm(weights), utilities)
+    return _margin_report(_rows(space, plan), len(space.atoms), points,
+                          *_over_lcm(weights),
+                          [utilities[alt] for alt in plan.alternatives])
 
 
 def _cmd_verify(args) -> _Result:

@@ -109,39 +109,41 @@ def build_system(s: EStructure, plan: Plan) -> FeasibilitySystem:
     _check_domain(s, plan)
     space = build_canonical(s)
     return FeasibilitySystem(plan.alternatives, space.labels,
-                             _rows(space, plan, s.states))
+                             _rows(space, plan))
 
 
-_UNDECIDED = object()  # a state's entry in _rows' key when not decided
+_UNDECIDED = object()  # a state's entry in _plan_key when not decided
 
 
-def _rows(space: CanonicalSpace, plan: Plan,
-          states: Sequence[str]) -> tuple[FeasibilityRow, ...]:
-    """A row per state of states the plan decides, in that order, and per
-    rival of its choice; its value at g is the margin. Column
-    j * natoms + w stands for g[plan.alternatives[j]][atom w] of space.
+def _plan_key(space: CanonicalSpace, plan: Plan) -> tuple:
+    """The key of a pass kept on the space: the alternatives and the
+    plan's choice at each of the space's states, in order."""
+    choice = plan.choice
+    return (tuple(plan.alternatives),
+            tuple([choice.get(x, _UNDECIDED) for x in space.events]))
 
-    The rows are kept on the space, one entry, keyed by the alternatives,
-    the states and the plan's choice at each of them, read at each call:
-    an edit of the plan's choice dict between calls builds them again.
-    So build_system and the verifier of a spanning tree's witness, whose
-    canonical is the structure's own space, build them once. Rows are
-    tuples, so the kept rows are shared as they are.
+
+def _rows(space: CanonicalSpace, plan: Plan) -> tuple[FeasibilityRow, ...]:
+    """A row per state of the space the plan decides, in the space's
+    order, and per rival of its choice; its value at g is the margin.
+    Column j * natoms + w stands for g[plan.alternatives[j]][atom w].
+
+    The rows are kept on the space, one entry keyed by _plan_key, read at
+    each call: an edit of the plan's choice dict between calls builds
+    them again. So build_system and the verifier of a spanning tree's
+    witness, whose canonical is the structure's own space, build them
+    once. Rows are tuples, so the kept rows are shared as they are.
     """
-    alts, choice = tuple(plan.alternatives), plan.choice
-    key = (alts, tuple(states),
-           tuple([choice.get(x, _UNDECIDED) for x in states]))
+    key = _plan_key(space, plan)
     kept = space.__dict__.get("_rows")
     if kept is not None and kept[0] == key:
         return kept[1]
-    natoms, events = len(space.atoms), space.events
+    alts, natoms = key[0], len(space.atoms)
     start = {a: i * natoms for i, a in enumerate(alts)}
     rows: list[FeasibilityRow] = []
-    for x in states:
-        if x not in choice:
+    for (x, event), chosen in zip(space.events.items(), key[1]):
+        if chosen is _UNDECIDED:
             continue
-        chosen = choice[x]
-        event = events[x]
         gain = tuple([(start[chosen] + w, 1) for w in event])
         for a in alts:
             if a == chosen:
@@ -290,26 +292,34 @@ class _Margins(Mapping):
         return repr(dict(self))
 
 
-def _report(rows: Sequence[FeasibilityRow], g: Sequence[int], den: int,
-            total: Fraction, failures: Sequence[str]) -> WitnessReport:
-    """Margins of rows at integer g over den, keyed (state, rival), and
-    after the given failures one per margin that is not positive."""
-    values = list(zip(rows, _row_values(rows, g)))
-    margins = _Margins({(r.state, r.alternative): m for r, m in values}, den)
-    failures = (*failures, *[f"no strict preference at {r.state!r} over "
-                             f"{r.alternative!r}"
-                             for r, m in values if m <= 0])
-    return WitnessReport(not failures, margins, failures, total)
-
-
-def _normalization(weights: Sequence[int], den: int
-                   ) -> tuple[Fraction, list[str]]:
-    """The total of weights/den, and failures for not 1 or a negative."""
+def _margin_report(rows: Sequence[FeasibilityRow], natoms: int,
+                   atoms: Sequence[int], weights: Sequence[int], den: int,
+                   pays: Sequence[Sequence[int | Fraction]],
+                   failures: Sequence[str] = ()) -> WitnessReport:
+    """The report of point masses against rows, the one place a margin
+    is computed: point i lies in atom atoms[i] of natoms, weighs
+    weights[i] / den and pays pays[j][i] under alternative j. Payoffs go
+    over their least common denominator, g = weight x payoff is summed
+    per atom (_mass), and each row's value at g is a margin, keyed
+    (state, rival). The failures are the given ones, weights not summing
+    to 1, a negative weight, and one per margin that is not positive.
+    """
     total = Fraction(sum(weights), den)
-    failures = [] if total == 1 else [f"weights sum to {total}, not 1"]
+    failures = list(failures)
+    if total != 1:
+        failures.append(f"weights sum to {total}, not 1")
     if any(w < 0 for w in weights):
         failures.append("negative weight")
-    return total, failures
+    k = len(atoms)
+    flat, uden = _over_lcm([v for row in pays for v in row])
+    g = _mass(natoms, atoms, weights,
+              [flat[j * k:(j + 1) * k] for j in range(len(pays))])
+    values = list(zip(rows, _row_values(rows, g)))
+    margins = _Margins({(r.state, r.alternative): m for r, m in values},
+                       den * uden)
+    failures += [f"no strict preference at {r.state!r} over "
+                 f"{r.alternative!r}" for r, m in values if m <= 0]
+    return WitnessReport(not failures, margins, tuple(failures), total)
 
 
 def verify_weighting(system: FeasibilitySystem,
@@ -320,7 +330,8 @@ def verify_weighting(system: FeasibilitySystem,
 
     A label missing from a table reads as zero. Every value must be an int
     or a Fraction, every weight label an atom, the weights nonnegative with
-    sum 1, and every row's margin, keyed (state, rival), strictly positive.
+    sum 1, and every row's margin, keyed (state, rival), strictly positive:
+    _margin_report with one point per atom.
     """
     if not (isinstance(weights, Mapping) and isinstance(utilities, Mapping)
             and all(isinstance(utilities.get(a, {}), Mapping)
@@ -330,17 +341,14 @@ def verify_weighting(system: FeasibilitySystem,
     unknown = sorted(set(weights) - set(system.atoms), key=str)
     failures = [f"unknown sample points {unknown}"] if unknown else []
     w = [weights.get(atom, 0) for atom in system.atoms]
-    u = [utilities.get(alt, {}).get(atom, 0)
-         for alt in system.alternatives for atom in system.atoms]
-    if not all(isinstance(v, (int, Fraction)) for v in (*w, *u)):
+    u = [[utilities.get(alt, {}).get(atom, 0) for atom in system.atoms]
+         for alt in system.alternatives]
+    if not all(isinstance(v, (int, Fraction)) for row in (w, *u)
+               for v in row):
         failures.append("witness value is not rational")
         return WitnessReport(False, failures=tuple(failures))
-    w, wden = _over_lcm(w)
-    u, uden = _over_lcm(u)
-    total, more = _normalization(w, wden)
-    failures += more
-    g = [x * v for x, v in zip(w * len(system.alternatives), u)]
-    return _report(system.rows, g, wden * uden, total, failures)
+    return _margin_report(system.rows, len(w), range(len(w)),
+                          *_over_lcm(w), u, failures)
 
 
 def verify_certificate(system: FeasibilitySystem,
@@ -576,9 +584,10 @@ def _decide_on_tree(system: FeasibilitySystem, tree: ExperimentationTree,
     events partition its event, so every dominance violation would have
     given a certificate: the plan is consistent. It gets construct_sceu's
     witness from the integer pass it is built on (rationalize._avoidance,
-    which keeps the pass on the tree for construct_sceu), summed per atom
-    into g = weight x utility: margins are linear in g, so they keep
-    their signs. Point i weighs 3^(n-1-i), its raw weight times 3^n/2,
+    which keeps the pass on the structure's canonical space, where
+    construct_sceu on any tree spanning it reads the pass again), summed
+    per atom into g = weight x utility: margins are linear in g, so they
+    keep their signs. Point i weighs 3^(n-1-i), its raw weight times 3^n/2,
     an integer scaling the homogeneous system allows.
     """
     from .rationalize import _avoidance  # rationalize imports this module

@@ -32,7 +32,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .canonical import CanonicalSpace
-from .feasibility import (_mass, _normalization, _over_lcm, _report, _rows,
+from .feasibility import (_margin_report, _over_lcm, _plan_key, _rows,
                           build_system, verify_weighting)
 from .plans import Plan, PlanError
 from .structure import EStructure, StructureError, WitnessReport
@@ -160,18 +160,18 @@ def _avoidance(tree: ExperimentationTree, plan: Plan
     walk), and a read-only map (state, rejected alternative) -> index of
     its point.
 
-    The pass is kept on the tree, one entry, keyed by the alternatives
-    and the plan's choice at each tree node in node order, read at each
-    call: an edit of the plan's choice dict between calls runs it again.
-    So the decision on a spanning tree and construct_sceu on that tree
-    run it once.
+    The pass is kept on the tree's canonical space, one entry keyed by
+    _plan_key at each call, as _rows keeps its rows. That space is the
+    tree's own structure's, whose order fixes the parent map, so the
+    decision on a structure and construct_sceu on any tree object
+    spanning it run the pass once.
     """
-    choice = plan.choice
-    key = (tuple(plan.alternatives), tuple([choice[x] for x in tree.nodes]))
-    kept = tree.__dict__.get("_avoidance")
+    choice, space = plan.choice, tree.canonical
+    key = _plan_key(space, plan)
+    kept = space.__dict__.get("_avoidance")
     if kept is not None and kept[0] == key:
         return kept[1]
-    atom_of = {cls[0]: i for i, cls in enumerate(tree.canonical.atoms)}
+    atom_of = {cls[0]: i for i, cls in enumerate(space.atoms)}
     walks = {a: _walks(tree, plan, a) for a in plan.alternatives}
     seen: dict[tuple[str, str], int] = {}  # (leaf, state) -> choice bits
     avoid_points: dict[tuple[str, str], tuple[str, str]] = {}
@@ -189,7 +189,7 @@ def _avoidance(tree: ExperimentationTree, plan: Plan
     rank, decl = tree.rank_in_tree, {x: i for i, x in enumerate(tree.nodes)}
     order = sorted(seen, key=lambda p: (rank[p[1]], decl[p[1]], decl[p[0]]))
     index = {p: i for i, p in enumerate(order)}
-    kept = tree.__dict__["_avoidance"] = key, (
+    kept = space.__dict__["_avoidance"] = key, (
         tuple([(atom_of[leaf], x) for leaf, x in order]),
         tuple([seen[p] for p in order]),
         MappingProxyType({k: index[p] for k, p in avoid_points.items()}))
@@ -202,9 +202,10 @@ def construct_sceu(tree: ExperimentationTree, plan: Plan) -> Rationalization:
     The plan must cover every tree node; choices at non-tree states are
     ignored. Dominance violations surface as RationalizationError from
     the avoidance walks. The walks are the integer pass _avoidance keeps
-    on the tree, so after decide_rationalizable on the structure this
-    tree spans, with the same choices, they are that decision's; the
-    witness gets its own copy of the pass's index map.
+    on the tree's canonical space, so after decide_rationalizable on the
+    structure this tree spans, with the same choices, they are that
+    decision's, whichever tree object spans it; the witness gets its own
+    copy of the pass's index map.
     """
     for x in tree.nodes:
         if x not in plan.choice:
@@ -222,30 +223,6 @@ def construct_sceu(tree: ExperimentationTree, plan: Plan) -> Rationalization:
     points = tuple([SamplePoint(*p) for p in points])
     return Rationalization(tree, plan, points, raw, weights, utilities,
                            dict(avoid))
-
-
-def _margins(tree: ExperimentationTree, plan: Plan, atoms: Sequence[int],
-             weights: Sequence[int], wden: int,
-             utilities: Mapping[str, Sequence[Fraction]]) -> WitnessReport:
-    """Weighted-utility margins of each chosen alternative over its rivals.
-
-    Point i lies in the tree's atom atoms[i], with weight weights[i] / wden
-    (the integer numerators _over_lcm gives) and payoff utilities[b][i]
-    under alternative b. The margins are the rows of the tree's own linear
-    system at g, weight times payoff summed per atom over common
-    denominators; those rows are _rows' on the tree's own canonical space,
-    which for a spanning tree is its structure's, so build_system's rows
-    for the same choices are read, not built again. The report fails on
-    weights not summing to 1, a negative weight, and each margin that is
-    not strictly positive.
-    """
-    total, failures = _normalization(weights, wden)
-    k, alts, space = len(atoms), plan.alternatives, tree.canonical
-    pays, uden = _over_lcm([v for b in alts for v in utilities[b]])
-    g = _mass(len(space.atoms), atoms, weights,
-              [pays[j * k:(j + 1) * k] for j in range(len(alts))])
-    return _report(_rows(space, plan, tree.nodes), g, wden * uden, total,
-                   failures)
 
 
 def _tree_fits(t: object) -> bool:
@@ -293,10 +270,11 @@ def _fits(r: object) -> bool:
 
 
 def _verify_constructed(r: Rationalization) -> WitnessReport:
-    tree = r.tree
+    tree, plan, space = r.tree, r.plan, r.tree.canonical
     weights, wden = _over_lcm(r.weights)  # every bound is over wden
-    report = _margins(tree, r.plan, [p.atom for p in r.points], weights,
-                      wden, r.utilities)
+    report = _margin_report(
+        _rows(space, plan), len(space.atoms), [p.atom for p in r.points],
+        weights, wden, [r.utilities[b] for b in plan.alternatives])
     margins, failures = report.margins, list(report.failures)
     later = sum(weights)  # the weight of the points after point i
     for i, w in enumerate(weights):
@@ -338,17 +316,18 @@ def verify_rationalization(
     A constructed Rationalization is checked for its strict margins and
     its structural guarantees (normalization, every point outweighing all
     later ones, depth-ordered points, avoidance bounds). Its margins are
-    the rows of the witness tree's own canonical space at g; when the
-    tree spans its structure, that space is the structure's, so the rows
-    decide_rationalizable built for the same choices are read again, and
-    a contained tree's space has rows of its own. A malformed one
-    fails, as does one whose tree is malformed or whose points lie outside
-    the tree's atoms. Its target must be its tree, that tree's ambient
-    structure or the tree's own structure (as_estructure): any other
-    target raises PlanError, as a plan other than its own does. An
-    explicit atom-level witness is checked by verify_weighting, against
-    a tree target's own structure; a malformed tree target fails, as does
-    a target whose own structure fails the axioms.
+    _margin_report's on the rows of the witness tree's own canonical
+    space, which for a spanning tree is its structure's, so the rows
+    decide_rationalizable built for the same choices are read again. A
+    malformed one fails, as does one whose tree is malformed or whose
+    points lie outside the tree's atoms. Its target must be its tree,
+    that tree's ambient structure or the tree's own structure
+    (as_estructure), and its plan must have the witness's alternatives
+    and choices at the tree's nodes: anything else raises PlanError. An
+    explicit atom-level witness is checked by verify_weighting; against
+    a tree target, on the tree's own structure and the plan restricted
+    to its nodes, as a constructed one is. A malformed tree target
+    fails, as does a target whose own structure fails the axioms.
     """
     if isinstance(witness, ExplicitRepresentation):
         if not isinstance(target, ExperimentationTree):
@@ -358,6 +337,7 @@ def verify_rationalization(
             return WitnessReport(False, failures=("malformed tree",))
         else:
             target = target.as_estructure
+            plan = plan.restricted_to(target.states)
         return verify_weighting(build_system(target, plan), witness.weights,
                                 witness.utilities)
     malformed = WitnessReport(False, failures=("not a well-formed witness",))
@@ -367,7 +347,8 @@ def verify_rationalization(
     if isinstance(target, ExperimentationTree) and (
             (target.nodes, target.parent) != (tree.nodes, tree.parent)):
         raise PlanError("witness was built for a different tree")
-    if witness.plan.choice != {x: plan.choice.get(x) for x in tree.nodes}:
+    if (witness.plan.choice != {x: plan.choice.get(x) for x in tree.nodes}
+            or set(witness.plan.alternatives) != set(plan.alternatives)):
         raise PlanError("witness was built for a different plan")
     space = _own_space(tree)
     if space is None:

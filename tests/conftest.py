@@ -14,6 +14,7 @@ import pytest
 
 from evistruct import (EStructure, ExperimentationTree, Plan, build_tree,
                        emit_fixtures, parse_workspace)
+from evistruct.feasibility import _margin_report, _over_lcm, _rows
 
 ALPHABET = ("a", "b", "c", "d")
 
@@ -197,3 +198,13 @@ def dense_rows(system) -> list[list[int]]:
             coeffs[j] = c
         out.append(coeffs)
     return out
+
+
+def point_margins(tree, plan, atoms, weights, utilities):
+    """The margin kernel on a point-level witness on a tree: point i in
+    the tree's atom atoms[i], with weight weights[i] and payoff
+    utilities[b][i] under alternative b."""
+    space = tree.canonical
+    return _margin_report(_rows(space, plan), len(space.atoms), atoms,
+                          *_over_lcm(weights),
+                          [utilities[b] for b in plan.alternatives])

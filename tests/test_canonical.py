@@ -208,6 +208,13 @@ def test_build_canonical_raises_on_violation():
         build_canonical(s)
 
 
+def test_generated_field_adds_complements():
+    """One event on three atoms: only its complement is new, as unions
+    and intersections with the empty set and the whole give nothing."""
+    assert generated_field([frozenset({0})], 3) == {
+        frozenset(), frozenset({0}), frozenset({1, 2}), frozenset({0, 1, 2})}
+
+
 def test_generated_field_is_capped():
     with pytest.raises(CanonicalError, match="capped"):
         generated_field([frozenset({0})], 17)

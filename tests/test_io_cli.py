@@ -434,6 +434,28 @@ def test_closed_stdout_keeps_the_exit_code(est, fmt):
     assert run.stderr == b""
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_plan_short_of_a_tree_node_fails_both_commands_alike(
+        capsys, tmp_path, fmt):
+    """plan rationalize and verify of a product-form witness read one
+    file whose plan leaves tree node b undecided: both exit 1 with one
+    error, a fault of the file's plan, not of the witness."""
+    path = tmp_path / "fork.est"
+    path.write_text("root r\nstate a\nstate b\npair a r\npair b r\n"
+                    "alts x y\nchoose r x\nchoose a y\n", encoding="utf-8")
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps({"points": [["a", "r"]], "weights": ["1"],
+                                   "utilities": {"x": [0], "y": [1]}}),
+                       encoding="utf-8")
+    message = "plan does not cover tree node 'b'"
+    want = json.dumps({"error": message}, indent=2) if fmt == "json" else (
+        message)
+    for argv in (["plan", "rationalize", str(path)],
+                 ["verify", str(path), str(witness)]):
+        assert cli.run(argv + ["--format", fmt]) == 1
+        assert capsys.readouterr() == (want + "\n", "")
+
+
 class TestVerifyCommand:
     def witness_path(self, tmp_path, payload):
         path = tmp_path / "witness.json"

@@ -101,6 +101,21 @@ class TestInducedRelation:
             ConditionalPreferenceRelation(
                 ("a", "b"), {"r": (frozenset({"a"}),)})
 
+    @pytest.mark.parametrize("tiers", [
+        (frozenset(), frozenset({"a", "b"})),
+        (frozenset({"a", "b"}), frozenset({"b"})),
+    ], ids=["empty tier", "overlapping tiers"])
+    def test_tiers_must_be_nonempty_and_disjoint(self, tiers):
+        with pytest.raises(PlanError, match="at 'r' are not disjoint"):
+            ConditionalPreferenceRelation(("a", "b"), {"r": tiers})
+
+    def test_unknown_alternative_is_a_plan_error(self):
+        rel = ConditionalPreferenceRelation(
+            ("a", "b"), {"r": (frozenset({"a"}), frozenset({"b"}))})
+        with pytest.raises(PlanError,
+                           match="alternative 'zz' missing from tiers"):
+            rel.prefers("r", "a", "zz")
+
     def test_relation_must_cover_states(self):
         s = EStructure.from_generators(
             ["r", "x", "y"], "r", [("x", "r"), ("y", "r")])

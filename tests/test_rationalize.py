@@ -11,16 +11,16 @@ import pytest
 
 import oracles
 from conftest import (consistent_by_rank, consistent_plan,
-                      inconsistent_plan, splitting_tree,
+                      inconsistent_plan, point_margins, splitting_tree,
                       subset_family_structure)
+from evistruct import rationalize
 from evistruct import (CanonicalError, EStructure, ExperimentationTree,
                        ExplicitRepresentation, Plan, PlanError,
                        RationalizationError, SamplePoint, avoiding_branch,
                        build_tree, check_isd_plan, construct_sceu,
                        decide_rationalizable, find_trees,
                        verify_rationalization)
-from evistruct.feasibility import _over_lcm
-from evistruct.rationalize import _margins
+from evistruct.feasibility import _plan_key
 
 
 def make_tree(nodes, edges, root):
@@ -254,8 +254,7 @@ class TestConstructionInvariants:
                        for _ in atoms]
             utilities = {b: [Fraction(rng.randint(-2, 3)) for _ in atoms]
                          for b in plan.alternatives}
-            report = _margins(tree, plan, atoms, *_over_lcm(weights),
-                              utilities)
+            report = point_margins(tree, plan, atoms, weights, utilities)
             expected = oracles.margins_oracle(
                 lambda x: [i for i, atom in enumerate(atoms)
                            if atom in tree.canonical.events[x]],
@@ -311,6 +310,53 @@ class TestVerification:
         partial = plan.restricted_to([x for x in tree.nodes if x != "As"])
         with pytest.raises(PlanError, match="different plan"):
             verify_rationalization(tree, partial, r)
+
+    def test_points_out_of_depth_order_fail(self, t1):
+        """Two points on one atom trade states, a root point with a
+        depth-1 one: the margins stay as they were, but the points are
+        no longer in depth order."""
+        tree, plan = t1
+        r = construct_sceu(tree, plan)
+        points = list(r.points)
+        assert [(p.atom, tree.rank_in_tree[p.state])
+                for p in (points[1], points[3])] == [(1, 0), (1, 1)]
+        points[1], points[3] = points[3], points[1]
+        report = verify_rationalization(
+            tree, plan, dataclasses.replace(r, points=tuple(points)))
+        assert report.margins == verify_rationalization(tree, plan,
+                                                        r).margins
+        assert report.failures == (
+            "points are not ordered by state depth",
+            "avoidance point of ('nothing', 'b') does not outweigh "
+            "deeper points")
+
+    def test_plan_with_other_alternatives_rejected(self):
+        """The same choices over one more alternative ask for margins the
+        witness has no utilities for: a different plan, not a pass."""
+        tree = make_tree(["r", "L", "R"], [("L", "r"), ("R", "r")], "r")
+        plan = Plan(("a", "b", "c"), {"r": "a", "L": "a", "R": "b"})
+        r = construct_sceu(tree, plan)
+        wider = Plan(("a", "b", "c", "zz"), plan.choice)
+        with pytest.raises(PlanError, match="different plan"):
+            verify_rationalization(tree, wider, r)
+        reordered = Plan(("c", "b", "a"), plan.choice)
+        assert verify_rationalization(tree, reordered, r).verified
+
+    def test_tree_target_reads_the_plan_on_its_nodes_for_both_kinds(
+            self, t1):
+        """A choice at a state outside the tree is ignored alike by a
+        constructed and by an explicit witness checked on the tree."""
+        tree, plan = t1
+        assert "AsO5" not in tree.nodes
+        wider = Plan(plan.alternatives, {**plan.choice, "AsO5": "a"})
+        r = construct_sceu(tree, wider)
+        assert verify_rationalization(tree, wider, r).verified
+        weights = dict.fromkeys(["As", "Sb", "Ge"], Fraction(1, 3))
+        utilities = {"a": {"Ge": 3}, "b": {"As": 1}, "c": {"Sb": 1}}
+        report = verify_rationalization(
+            tree, wider, ExplicitRepresentation(weights, utilities))
+        assert report.verified
+        assert {x for x, _ in report.margins} == set(tree.nodes)
 
     @pytest.mark.parametrize("edit", [
         lambda r: None,
@@ -645,9 +691,9 @@ def derive_afresh(tree, plan):
 
 
 class TestKeptPasses:
-    """The avoidance pass is kept on the tree and the rows on the
-    canonical space, each keyed by the plan's choices, so a second read
-    in one op finds them and any other plan builds its own."""
+    """The avoidance pass and the rows are kept on the canonical space,
+    each keyed by the plan's choices at the space's states, so a second
+    read in one op finds them and any other plan builds its own."""
 
     def one_node_apart(self, seed):
         rng = random.Random(seed)
@@ -727,8 +773,9 @@ class TestKeptPasses:
     def test_no_field_equality_repr_or_pickle_changes(self):
         """After a full op the structure, its space and its tree compare,
         print, hash and pickle as before it, and loaded copies carry
-        nothing kept. The space holds a dict and the tree a read-only
-        map, so only the structure hashes."""
+        nothing kept. Both passes are on the space, and the tree keeps
+        no plan-keyed entry. The space holds a dict and the tree a
+        read-only map, so only the structure hashes."""
         rng = random.Random(2205)
         tree = splitting_tree(rng, max_nodes=12, min_nodes=12)
         s, space = tree.ambient, tree.ambient.canonical
@@ -736,13 +783,45 @@ class TestKeptPasses:
         objects = (s, space, tree)
         before = ([repr(o) for o in objects],
                   [pickle.dumps(o) for o in objects], hash(s))
-        derive(s, tree, consistent_plan(rng, tree, n_alts=3))
-        assert "_rows" in space.__dict__ and "_avoidance" in tree.__dict__
+        plan = consistent_plan(rng, tree, n_alts=3)
+        derive(s, tree, plan)
+        key = _plan_key(space, plan)
+
+        def plan_keyed(o):
+            return [name for name, v in o.__dict__.items()
+                    if isinstance(v, tuple) and v[:1] == (key,)]
+        assert plan_keyed(space) == ["_rows", "_avoidance"]
+        assert plan_keyed(tree) == []
         assert before == ([repr(o) for o in objects],
                           [pickle.dumps(o) for o in objects], hash(s))
         loaded = [pickle.loads(pickle.dumps(o)) for o in objects]
         assert loaded == list(objects)
         assert loaded[0] == EStructure(s.states, s.root, s.relation)
-        assert "_rows" not in loaded[1].__dict__
-        assert "_avoidance" not in loaded[2].__dict__
-        assert "_rows" not in loaded[0].canonical.__dict__
+        assert not loaded[1].__dict__.keys() & {"_rows", "_avoidance"}
+        assert not loaded[0].canonical.__dict__.keys() & {"_rows",
+                                                          "_avoidance"}
+
+    def test_a_copy_of_the_spanning_tree_reads_the_decisions_pass(
+            self, monkeypatch):
+        """A dataclasses.replace copy of the built spanning tree is a new
+        object, with no weak reference to it from the structure, but its
+        canonical space is the structure's: constructing on it after the
+        decision walks no avoidance walk again, and the witness is the
+        one a fresh op builds."""
+        rng = random.Random(2206)
+        tree = splitting_tree(rng, max_nodes=12, min_nodes=12)
+        plan = consistent_plan(rng, tree, n_alts=3)
+        s = EStructure(tree.ambient.states, tree.root, tree.ambient.relation)
+        built = build_tree(s, tree.nodes, tuple(tree.parent.items()))
+        assert decide_rationalizable(s, plan).path == "tree"
+        copy = dataclasses.replace(built)
+        assert copy is not built and copy.canonical is s.canonical
+        walks = []
+        original = rationalize._walks
+        monkeypatch.setattr(rationalize, "_walks",
+                            lambda *args: walks.append(1) or original(*args))
+        r = construct_sceu(copy, plan)
+        assert walks == []
+        assert verify_rationalization(copy, plan, r).verified
+        assert r == dataclasses.replace(derive_afresh(tree, plan)[1],
+                                        tree=copy)

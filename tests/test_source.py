@@ -1,7 +1,7 @@
 """Source hygiene of the package, checked with the standard library's ast:
 every module parses under the oldest Python the package declares, no
-module imports a name it never uses, and no line is wider than 79
-columns."""
+module imports a name it never uses, every private top-level name is
+read somewhere in the package, and no line is wider than 79 columns."""
 from __future__ import annotations
 
 import ast
@@ -62,6 +62,42 @@ def _used(tree: ast.Module) -> set[str]:
     return used
 
 
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each private name a module binds at its top level (one leading
+    underscore, not a dunder), with the line that binds it."""
+    names: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target.id] if isinstance(node.target,
+                                                     ast.Name) else []
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.endswith("__"):
+                names.setdefault(name, node.lineno)
+    return names
+
+
+def _private_reads(trees: dict[str, ast.Module]) -> dict[str, set[str]]:
+    """For each module, the names read from it: loaded in the module
+    itself, or imported from it by another module of the package (whose
+    own use of the import the unused-import check holds)."""
+    reads: dict[str, set[str]] = {name: set() for name in trees}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads[module].add(node.id)
+            elif (isinstance(node, ast.ImportFrom) and node.level == 1
+                  and node.module in reads):
+                reads[node.module].update(a.name for a in node.names)
+    return reads
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_parses_on_the_oldest_declared_python(path):
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
@@ -77,6 +113,18 @@ def test_module_uses_every_name_it_imports(path):
     assert unused == [], f"{path.name} imports names it never uses"
 
 
+def test_every_private_name_is_read_in_the_package():
+    """A private top-level name that only tests read is dead code: a
+    consolidation that leaves a helper behind fails here."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in MODULES}
+    reads = _private_reads(trees)
+    unread = sorted((module, line, name) for module, tree in trees.items()
+                    for name, line in _private_definitions(tree).items()
+                    if name not in reads[module])
+    assert unread == [], "private names the package never reads"
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_lines_fit_in_79_columns(path):
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -90,3 +138,16 @@ def test_the_unused_import_check_sees_an_unused_name():
                      'import json\nfrom x import (A, B, C as D)\n'
                      'def f(a: "A") -> D: return 1\n')
     assert sorted(set(_imported(tree)) - _used(tree)) == ["B", "json"]
+
+
+def test_the_private_name_check_sees_an_unread_name():
+    trees = {
+        "a": ast.parse("_A = 1\n_B: int = 2\ndef _f(): return _A\n"
+                       "class _C: pass\n__all__ = []\n_B = 3\n"),
+        "b": ast.parse("from .a import _f\n"),
+    }
+    reads = _private_reads(trees)
+    assert _private_definitions(trees["a"]) == {"_A": 1, "_B": 2, "_f": 3,
+                                                "_C": 4}
+    assert sorted(set(_private_definitions(trees["a"])) - reads["a"]) == [
+        "_B", "_C"]

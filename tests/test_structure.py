@@ -184,6 +184,13 @@ def test_failing_axiom_reports_carry_witnesses():
     assert verdict.witness
 
 
+def test_condition_report_lookup_of_an_unknown_condition_raises():
+    report = check_axioms(EStructure.from_generators(["r", "a"], "r",
+                                                     [("a", "r")]))
+    with pytest.raises(KeyError, match="t-root"):
+        report["t-root"]
+
+
 HASH_SEED_PROBE = """
 from evistruct import (CanonicalSpace, EStructure, check_axioms,
                        verify_canonical, verify_embedding)

@@ -712,8 +712,8 @@ def test_tree_op_closes_and_derives_once(monkeypatch):
     seven conditions are checked once and its shape read once, and the
     verifier reads the shape that tree cached. The decision walks once
     per alternative, and the construction reads the pass it kept on the
-    tree. build_system builds the rows once, and the verifier reads them
-    off the tree's canonical space, which is the structure's own."""
+    tree's canonical space, which is the structure's own. build_system
+    builds the rows once, and the verifier reads them off that space."""
     rng = random.Random(12)
     tree = splitting_tree(rng, max_nodes=12, min_nodes=12)
     while len(tree.nodes) != 12:

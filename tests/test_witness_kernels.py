@@ -1,10 +1,11 @@
 """The integer witness kernels against their Fraction references.
 
-verify_weighting, _certificate_failure, rationalize._margins and
-_verify_constructed put their inputs over one common denominator and run
-on integer numerators; tests/oracles.py keeps the same checks written in
-Fractions. Every report must agree field for field, in the same order.
-A point-level witness's margins are the rows of the atom-level system.
+verify_weighting, _certificate_failure, the margin kernel
+(feasibility._margin_report) and _verify_constructed put their inputs
+over one common denominator and run on integer numerators;
+tests/oracles.py keeps the same checks written in Fractions. Every
+report must agree field for field, in the same order. A point-level
+witness's margins are the rows of the atom-level system.
 """
 from __future__ import annotations
 
@@ -17,14 +18,13 @@ import pytest
 
 import oracles
 from conftest import (arbitrary_plan, consistent_by_rank, consistent_plan,
-                      dense_rows, inconsistent_plan, splitting_tree,
-                      subset_family_structure)
+                      dense_rows, inconsistent_plan, point_margins,
+                      splitting_tree, subset_family_structure)
 from evistruct import (WitnessReport, build_system, build_tree,
                        construct_sceu, decide_rationalizable, find_trees,
                        verify_certificate, verify_rationalization)
-from evistruct.feasibility import (_certificate_failure, _over_lcm,
-                                   verify_weighting)
-from evistruct.rationalize import _margins, _verify_constructed
+from evistruct.feasibility import _certificate_failure, verify_weighting
+from evistruct.rationalize import _verify_constructed
 
 
 def fields(report: WitnessReport):
@@ -189,8 +189,8 @@ def atom_level(tree, atoms, weights, utilities):
 
 
 def test_point_margins_are_rows_of_the_atom_level_system():
-    """_margins on a point-level witness and verify_weighting on the
-    tree's own system, at the witness summed per atom, give the same
+    """The margin kernel on a point-level witness and verify_weighting on
+    the tree's own system, at the witness summed per atom, give the same
     margins in the same order and the same verdict: on constructed
     witnesses, and with their utilities rescaled and shifted so that
     some margins fail, on spanning and on contained trees."""
@@ -214,8 +214,7 @@ def test_point_margins_are_rows_of_the_atom_level_system():
                    for b, u in r.utilities.items()}
         system = build_system(tree.as_estructure, plan)
         for utilities in (r.utilities, shifted):
-            got = _margins(tree, plan, atoms, *_over_lcm(r.weights),
-                           utilities)
+            got = point_margins(tree, plan, atoms, r.weights, utilities)
             want = verify_weighting(system, *atom_level(
                 tree, atoms, r.weights, utilities))
             assert list(got.margins.items()) == list(want.margins.items())
