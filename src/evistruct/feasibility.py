@@ -20,14 +20,14 @@ multiples of the rational tableau by the basis determinant, so every
 step is exact integer arithmetic and nothing is rounded. A tall system,
 with many more rows than columns, is decided on its Farkas alternative
 instead, by the same loop, whose basis then has one row per column and
-one more. A total plan on a structure that is itself an experimentation
-tree needs no simplex: the paper's theorem settles it by dominance
-consistency, and the witness is built directly. On any structure, two
-twins that choose differently, or a dominance violation whose state's
-immediate refinements partition its event, already give a certificate,
-read off before the simplex runs. Every returned verdict carries an
-exactly verified witness: a weighting with utilities, or a nonnegative
-row combination proving emptiness.
+one more. On any structure, two twins that choose differently, or a
+dominance violation whose state's immediate refinements partition its
+event, already give a certificate, read off before the simplex runs. A
+total plan that none settles, on a structure that is itself an
+experimentation tree, needs no simplex either: by the paper's theorem it
+is rationalizable, and the witness is built directly. Every returned
+verdict carries an exactly verified witness: a weighting with utilities,
+or a nonnegative row combination proving emptiness.
 """
 from __future__ import annotations
 
@@ -86,14 +86,14 @@ class FeasibilityResult:
     preference. Infeasible: certificate lists (state, alternative,
     multiplier) rows whose nonnegative combination has no positive entry
     in any column yet positive total, so no nonnegative g can satisfy all
-    rows. path names what settled the verdict: "simplex" (decide_system's
-    phase-1 simplex on the system itself), "simplex-dual" (the same
-    simplex on the system's Farkas alternative, which decide_system picks
-    for a system with at least four more rows than columns), "tree" (the
-    dominance theorem, for a total plan on a structure that is itself an
-    experimentation tree) or "dominance" (two twins that choose
-    differently, or a dominance violation at a state whose immediate
-    refinements partition its event, on any other input).
+    rows. path names the code that produced the witness: "simplex"
+    (decide_system's phase-1 simplex on the system itself),
+    "simplex-dual" (the same simplex on the system's Farkas alternative,
+    which decide_system picks for a system with at least four more rows
+    than columns), "dominance" (a certificate read off the plan's
+    choices, on any structure) or "tree" (the theorem's witness for a
+    consistent total plan on a structure that is itself an
+    experimentation tree).
     """
 
     feasible: bool
@@ -494,52 +494,50 @@ def _verified(result: FeasibilityResult) -> FeasibilityResult:
 def decide_rationalizable(s: EStructure, plan: Plan) -> FeasibilityResult:
     """Decide whether any weighting and utilities rationalize the plan.
 
-    First, on any structure, the plan's choices alone may prove it
-    infeasible: two twins that choose differently (_twin_certificate),
-    or a dominance violation at a state whose immediate refinements
-    partition its event (_refinement_certificate). On an
+    The plan's choices alone may prove it infeasible, on any structure
+    (_dominance_certificate); the result's path is "dominance". On an
     experimentation tree, a plan defined at every node is rationalizable
     (its choice the strict conditional-expected-utility maximizer at
     every node) if and only if it is dominance-consistent, and every
-    violation is of that kind. So when the plan covers every state and
-    the structure is itself a tree (as_tree), the certificate or the
-    witness built directly settles it, and the result's path is "tree".
-    A certificate on any other input has path "dominance"; a structure
-    with twins is never a tree, so a twin certificate gets it without
-    as_tree. Every other input goes to the simplex of decide_system.
-    Each witness passes verify_certificate, in exact arithmetic, before
-    it is returned.
+    violation gives such a certificate. So a total plan that no
+    certificate settles, on a structure that is itself a tree (as_tree),
+    is rationalizable, and gets the theorem's witness with path "tree".
+    Every other input goes to the simplex of decide_system. Each witness
+    passes verify_certificate, in exact arithmetic, before it is returned.
     """
     system = build_system(s, plan)
-    twins = _twin_certificate(s, plan)
-    certificate = twins or _refinement_certificate(s, plan)
-    tree = None
-    # build_system checked the keys; a structure with twins is no tree
-    if not twins and len(plan.choice) == len(s.states):
+    certificate = _dominance_certificate(s, plan)
+    if certificate:
+        return _verified(FeasibilityResult(False, system,
+                                           certificate=certificate,
+                                           path="dominance"))
+    if len(plan.choice) == len(s.states):  # build_system checked the keys
         try:
             tree = as_tree(s)
         except TreeError:
             pass
-    if certificate:
-        return _verified(FeasibilityResult(
-            False, system, certificate=certificate,
-            path="dominance" if tree is None else "tree"))
-    if tree is not None:
-        return _verified(_decide_on_tree(system, tree, plan))
+        else:
+            return _verified(_decide_on_tree(system, tree, plan))
     return decide_system(system)
 
 
-def _twin_certificate(s: EStructure, plan: Plan
-                      ) -> tuple[tuple[str, str, Fraction], ...] | None:
-    """A Farkas certificate read off two twins that choose differently,
-    or None.
+def _dominance_certificate(s: EStructure, plan: Plan
+                           ) -> tuple[tuple[str, str, Fraction], ...] | None:
+    """A Farkas certificate read off the plan's choices, or None.
 
     Twins, states that each refine the other, have one event, so when x
     picks a and its twin x' picks b, rows (x, b) and (x', a) sum to zero
     in every column: the first such pair in declaration order gives
-    ((x, b, 1), (x', a, 1)).
+    ((x, b, 1), (x', a, 1)). Otherwise take the first check_isd_plan
+    violation (z, c), z choosing b, whose immediate refinements' events
+    are pairwise disjoint with union e(z): row (z, c) plus row (k, b) for
+    each refinement k, all choosing c, sums to zero in every column. The
+    partition is needed: where two refinements meet, as x1 and x2 do in
+    example_t, the sum is positive on their common atoms, and the plan
+    may be rationalizable. Events are read off the canonical space the
+    system's rows are built from.
     """
-    d, states, choice = s.derived, s.states, plan.choice
+    d, states, choice, one = s.derived, s.states, plan.choice, Fraction(1)
     for i, (up, refiners) in enumerate(zip(d.up, d.refiners)):
         twins = up & refiners & -(2 << i)  # the twins j > i
         if twins and states[i] in choice:
@@ -547,42 +545,26 @@ def _twin_certificate(s: EStructure, plan: Plan
             for j in _bits(twins):
                 b = choice.get(states[j])
                 if b is not None and b != a:
-                    one = Fraction(1)
                     return (states[i], b, one), (states[j], a, one)
-    return None
-
-
-def _refinement_certificate(s: EStructure, plan: Plan
-                            ) -> tuple[tuple[str, str, Fraction], ...] | None:
-    """A Farkas certificate read off a dominance violation, or None.
-
-    Take the first check_isd_plan violation (z, c), z choosing b, whose
-    immediate refinements' events are pairwise disjoint with union e(z):
-    row (z, c) plus row (k, b) for each refinement k, all choosing c,
-    sums to zero in every column. The partition is needed: where two
-    refinements meet, as x1 and x2 do in example_t, the sum is positive
-    on their common atoms, and the plan may be rationalizable. Events are
-    read off the canonical space the system's rows are built from.
-    """
-    d, events, one = s.derived, s.canonical.events, Fraction(1)
+    events = s.canonical.events
     for z, c in check_isd_plan(s, plan).violations:
         kids = d.immed_sets[z]
         parts = [events[k] for k in kids]
         if (sum(map(len, parts)) == len(events[z])
                 and frozenset().union(*parts) == events[z]):
-            b = plan.choice[z]
+            b = choice[z]
             return ((z, c, one),) + tuple([(k, b, one) for k in kids])
     return None
 
 
 def _decide_on_tree(system: FeasibilitySystem, tree: ExperimentationTree,
                     plan: Plan) -> FeasibilityResult:
-    """The theorem's witness for a total plan on a spanning tree that
-    _refinement_certificate found no certificate for.
+    """The theorem's witness, path "tree", for a total plan on a spanning
+    tree that _dominance_certificate found no certificate for.
 
-    A node's tree children are its immediate refinements, and their
-    events partition its event, so every dominance violation would have
-    given a certificate: the plan is consistent. It gets construct_sceu's
+    A node's tree children are its immediate refinements, whose events
+    partition its event, so every dominance violation would have given a
+    certificate: the plan is consistent. It gets construct_sceu's
     witness from the integer pass it is built on (rationalize._avoidance,
     which keeps the pass on the structure's canonical space, where
     construct_sceu on any tree spanning it reads the pass again), summed

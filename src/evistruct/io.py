@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .plans import Plan, PlanError
+from .plans import Plan
 from .structure import EStructure, StructureError
 
 
@@ -170,10 +170,7 @@ def parse_workspace(text: str) -> Workspace:
     if alts is not None:
         if not choices:
             raise ParseError("alts declared but no choices made")
-        try:
-            plan = Plan(alts, choices)
-        except PlanError as exc:
-            raise ParseError(str(exc)) from exc
+        plan = Plan(alts, choices)
     return Workspace(structure, tuple(trees), plan)
 
 

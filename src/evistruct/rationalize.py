@@ -326,8 +326,9 @@ def verify_rationalization(
     and choices at the tree's nodes: anything else raises PlanError. An
     explicit atom-level witness is checked by verify_weighting; against
     a tree target, on the tree's own structure and the plan restricted
-    to its nodes, as a constructed one is. A malformed tree target
-    fails, as does a target whose own structure fails the axioms.
+    to its nodes, as a constructed one is; a plan that decides none of
+    them raises PlanError. A malformed tree target fails, as does a
+    target whose own structure fails the axioms.
     """
     if isinstance(witness, ExplicitRepresentation):
         if not isinstance(target, ExperimentationTree):
@@ -335,6 +336,8 @@ def verify_rationalization(
                 return WitnessReport(False, failures=("malformed structure",))
         elif not _tree_fits(target) or _own_space(target) is None:
             return WitnessReport(False, failures=("malformed tree",))
+        elif plan.choice.keys().isdisjoint(target.nodes):
+            raise PlanError("plan decides no node of the tree")
         else:
             target = target.as_estructure
             plan = plan.restricted_to(target.states)

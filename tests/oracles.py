@@ -912,7 +912,8 @@ def construct_sceu_by_walks(nodes, root, parent, choice, alternatives,
 
 def decide_on_tree_by_construction(atoms, alternatives, choice, children,
                                    violations, points, utilities):
-    """The tree route's verdict and witness, as read off construct_sceu.
+    """The verdict and witness of a total plan on a tree-shaped
+    structure, as read off construct_sceu.
 
     violations are check_isd_plan's; children maps each state to its
     immediate refinements. At the first violation (z, c) the certificate
@@ -924,13 +925,14 @@ def decide_on_tree_by_construction(atoms, alternatives, choice, children,
     utility of b at an atom is natoms times g[b][atom].
 
     Returns (feasible, weights, utilities, certificate, path) as the
-    fields of the result.
+    fields of the result: path is "dominance" for a certificate and
+    "tree" for a witness.
     """
     if violations:
         z, c = violations[0]
         certificate = ((z, c, Fraction(1)),) + tuple(
             (k, choice[z], Fraction(1)) for k in children[z])
-        return False, None, None, certificate, "tree"
+        return False, None, None, certificate, "dominance"
     n, natoms = len(points), len(atoms)
     g = {b: [0] * natoms for b in alternatives}
     for i, (atom, _) in enumerate(points):

@@ -474,7 +474,7 @@ class TestTreePlans:
             t = splitting_tree(rng, max_nodes=16)
             plan = inconsistent_plan(rng, t)
             result = decide_rationalizable(t.as_estructure, plan)
-            assert not result.feasible and result.path == "tree"
+            assert not result.feasible and result.path == "dominance"
             assert verify_certificate(result.system, result).valid
 
 
@@ -487,8 +487,8 @@ class TestTreeTheorem:
     def agree(s, plan):
         fast = decide_rationalizable(s, plan)
         simplex = decide_system(build_system(s, plan))
-        assert (fast.path, simplex.path) == ("tree",
-                                             side_of(simplex.system))
+        assert (fast.path, simplex.path) == (
+            "tree" if fast.feasible else "dominance", side_of(simplex.system))
         assert fast.feasible == simplex.feasible
         assert fast.feasible == check_isd_plan(s, plan).consistent
         assert verify_certificate(fast.system, fast).valid
@@ -557,7 +557,7 @@ class TestTreeTheorem:
         result = decide_rationalizable(s, plan)
         assert result.certificate == (("u", "a", 1), ("u1", "b", 1),
                                       ("u2", "b", 1))
-        assert result.path == "tree"
+        assert result.path == "dominance"
 
     def test_consistent_witness_has_uniform_positive_weights(self):
         rng = random.Random(5)
@@ -594,7 +594,7 @@ class TestTreeTheorem:
         verdicts = {True: 0, False: 0}
         for s, plan in cases:
             result = decide_rationalizable(s, plan)
-            assert result.path == "tree"
+            assert result.path == ("tree" if result.feasible else "dominance")
             violations = check_isd_plan(s, plan).violations
             points = utilities = None
             if not violations:
@@ -640,7 +640,7 @@ class TestDominanceCertificates:
             if certificate is None:
                 assert result.path != "dominance"
                 continue
-            assert result.path in ("dominance", "tree")
+            assert result.path == "dominance"
             assert result.certificate == certificate
             assert verify_certificate(result.system, result).valid
             kinds["twin" if len(certificate) == 2 else "violation"] += 1
@@ -657,25 +657,35 @@ class TestDominanceCertificates:
         assert (result.path, result.certificate) == (
             "dominance", (("s0", "b", 1), ("s0q", "a", 1)))
 
-    def test_twin_certificates_do_not_read_the_structure_as_a_tree(
-            self, monkeypatch):
-        """A structure with twins is never a tree, so a total plan with
-        disagreeing twins gets its certificate without as_tree; with the
-        twins agreeing, as_tree is still asked and refuses."""
-        s = EStructure.from_generators(
-            ["root", "s0", "s1", "s0q"], "root",
-            [("s0", "root"), ("s1", "root"), ("s0q", "s0"), ("s0", "s0q")])
+    def test_only_the_theorem_witness_asks_as_tree(self, monkeypatch):
+        """A certificate is read off the plan's choices without as_tree,
+        for twins and for a violation on a tree alike; as_tree is asked
+        once, for a consistent total plan, to build the theorem's
+        witness."""
         calls = []
         monkeypatch.setattr(feasibility, "as_tree",
                             lambda *args: calls.append(1) or as_tree(*args))
+        twins = EStructure.from_generators(
+            ["root", "s0", "s1", "s0q"], "root",
+            [("s0", "root"), ("s1", "root"), ("s0q", "s0"), ("s0", "s0q")])
         plan = Plan(("a", "b"), {"root": "a", "s0": "a", "s1": "b",
                                  "s0q": "b"})
-        result = decide_rationalizable(s, plan)
+        result = decide_rationalizable(twins, plan)
         assert (result.path, result.certificate) == (
             "dominance", (("s0", "b", 1), ("s0q", "a", 1)))
         assert calls == []
-        agreeing = Plan(("a", "b"), {**plan.choice, "s0q": "a"})
-        assert decide_rationalizable(s, agreeing).path != "tree"
+        tree = EStructure.from_generators(
+            ["r", "u", "v", "u1", "u2"], "r",
+            [("u", "r"), ("v", "r"), ("u1", "u"), ("u2", "u")])
+        bad = Plan(("a", "b"),
+                   {"r": "a", "u": "b", "v": "a", "u1": "a", "u2": "a"})
+        result = decide_rationalizable(tree, bad)
+        assert (result.path, result.certificate) == (
+            "dominance", (("u", "a", 1), ("u1", "b", 1), ("u2", "b", 1)))
+        assert calls == []
+        good = Plan(("a", "b"), {**bad.choice, "u": "a"})
+        result = decide_rationalizable(tree, good)
+        assert (result.path, result.feasible) == ("tree", True)
         assert calls == [1]
 
     def test_first_partitioning_violation_on_a_structure_that_is_no_tree(

@@ -276,6 +276,15 @@ class TestTreeCommands:
         assert code == 0
         assert data["checks"][0]["tree"] == "command line"
 
+    def test_check_inline_edges_skip_empty_items(self, capsys, est):
+        """An empty item, as a trailing comma leaves, is no edge."""
+        code, data = run_json(capsys, [
+            "trees", "check", est("example_d"),
+            "--nodes", "nothing,As,Sb,Ge",
+            "--edges", "As=nothing,,Sb=nothing, ,Ge=nothing,"])
+        assert code == 0
+        assert data["checks"][0]["passed"] is True
+
     def test_check_inline_subtree_fails_conditions(self, capsys, tmp_path):
         path = tmp_path / "fork.est"
         path.write_text(FORK, encoding="utf-8")

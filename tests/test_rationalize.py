@@ -504,6 +504,18 @@ class TestVerification:
         assert not report.verified
         assert report.failures == ("malformed structure",)
 
+    def test_explicit_witness_with_a_plan_that_decides_no_tree_node(
+            self, t1):
+        """AsO5 is no node of block 0, so the plan restricted to the tree
+        would be empty: the error names that cause."""
+        tree, _ = t1
+        assert "AsO5" not in tree.nodes
+        plan = Plan(("a", "b", "c"), {"AsO5": "a"})
+        with pytest.raises(PlanError, match="^plan decides no node of the "
+                                            "tree$"):
+            verify_rationalization(
+                tree, plan, ExplicitRepresentation({"As": Fraction(1)}, {}))
+
     def test_explicit_witness_on_a_contained_tree_target(self, t1):
         """Checked against the tree's own structure: its three leaves are
         the atoms, and each node's rows are the margins."""

@@ -1,7 +1,9 @@
 """Source hygiene of the package, checked with the standard library's ast:
 every module parses under the oldest Python the package declares, no
 module imports a name it never uses, every private top-level name is
-read somewhere in the package, and no line is wider than 79 columns."""
+read somewhere in the package, every cache stored in an instance's
+__dict__ is declared here and named in the README, and no line is wider
+than 79 columns."""
 from __future__ import annotations
 
 import ast
@@ -98,6 +100,27 @@ def _private_reads(trees: dict[str, ast.Module]) -> dict[str, set[str]]:
     return reads
 
 
+def _dict_stores(tree: ast.Module) -> list[str]:
+    """The key of each store to <expr>.__dict__[<key>]; a key that is not
+    a string literal is given as its source text."""
+    keys = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "__dict__"):
+            key = node.slice
+            keys.append(key.value if isinstance(key, ast.Constant)
+                        and isinstance(key.value, str) else ast.unparse(key))
+    return keys
+
+
+# the caches kept in an instance's __dict__ rather than in a field: a
+# tree's top-down order, a canonical space's rows and avoidance pass, and
+# a structure's weak reference to its spanning tree
+HIDDEN_CACHES = ("_top_down", "_rows", "_avoidance", "_spanning_tree")
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_parses_on_the_oldest_declared_python(path):
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
@@ -123,6 +146,18 @@ def test_every_private_name_is_read_in_the_package():
                     for name, line in _private_definitions(tree).items()
                     if name not in reads[module])
     assert unread == [], "private names the package never reads"
+
+
+def test_instance_dict_stores_are_declared():
+    """A cache stored in an instance's __dict__ is not a field, so
+    equality, repr and pickles leave it out; each one is declared above
+    and named in the README, so a new one is added on purpose."""
+    stores = [key for path in MODULES
+              for key in _dict_stores(ast.parse(path.read_text(
+                  encoding="utf-8")))]
+    assert sorted(stores) == sorted(HIDDEN_CACHES)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert [k for k in HIDDEN_CACHES if f"`{k}`" not in readme] == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -151,3 +186,10 @@ def test_the_private_name_check_sees_an_unread_name():
                                                 "_C": 4}
     assert sorted(set(_private_definitions(trees["a"])) - reads["a"]) == [
         "_B", "_C"]
+
+
+def test_the_dict_store_check_sees_every_store():
+    tree = ast.parse('a.__dict__["_x"] = 1\nb = c.__dict__["_y"] = 2\n'
+                     'd.__dict__[k] = 3\ne = f.__dict__["_z"]\n'
+                     'g.h.__dict__["_w"] += 4\n')
+    assert sorted(_dict_stores(tree)) == ["_w", "_x", "_y", "k"]

@@ -178,9 +178,12 @@ class TestT2AsItsOwnStructure:
             (("nothing", "??", "Ge"), 3),
             (("nothing", "??", "As?"), 4),
         ]
+        assert [b.leaf for b in t2.branches] == [
+            "AsO5", "SbO5", "Sb?", "Ge", "As?"]
 
     def test_partition_sequence(self, t2):
         seq = partitions(t2)
+        assert seq.stages == 3
         stages = [set(map(frozenset, stage)) for stage in seq.blocks]
         assert stages[0] == {frozenset({0, 1, 2, 3, 4})}
         assert stages[1] == {frozenset({0, 1}), frozenset({2, 3, 4})}

@@ -20,9 +20,10 @@ import oracles
 from conftest import (arbitrary_plan, consistent_by_rank, consistent_plan,
                       dense_rows, inconsistent_plan, point_margins,
                       splitting_tree, subset_family_structure)
-from evistruct import (WitnessReport, build_system, build_tree,
-                       construct_sceu, decide_rationalizable, find_trees,
-                       verify_certificate, verify_rationalization)
+from evistruct import (FeasibilityRow, FeasibilitySystem, WitnessReport,
+                       build_system, build_tree, construct_sceu,
+                       decide_rationalizable, find_trees, verify_certificate,
+                       verify_rationalization)
 from evistruct.feasibility import _certificate_failure, verify_weighting
 from evistruct.rationalize import _verify_constructed
 
@@ -224,6 +225,16 @@ def test_point_margins_are_rows_of_the_atom_level_system():
     assert checked > 90 and contained > 20 and failing > 50
 
 
+def test_margins_print_as_a_dict():
+    """The kernel's margins are a read-only view over integer numerators;
+    it prints as the dict of Fractions it stands for."""
+    system = FeasibilitySystem(("a", "b"), ("w",),
+                               (FeasibilityRow("x", "b", ((0, 1), (1, -1))),))
+    report = verify_weighting(system, {"w": 1}, {"a": {"w": Fraction(1, 2)}})
+    assert report.verified
+    assert repr(report.margins) == "{('x', 'b'): Fraction(1, 2)}"
+
+
 def test_large_denominators_on_a_160_node_tree():
     """Weights with denominators of hundreds of bits: both verdicts, both
     witnesses, and the margins equal the Fraction references."""
@@ -247,7 +258,7 @@ def test_large_denominators_on_a_160_node_tree():
     assert fields(report) == constructed_by_fractions(r)
 
     result = decide_rationalizable(s, bad)
-    assert not result.feasible and result.path == "tree"
+    assert not result.feasible and result.path == "dominance"
     assert verify_certificate(result.system, result).verified
     assert certificate_by_fractions(result.system, result.certificate) is None
     assert time.process_time() - start < 2
