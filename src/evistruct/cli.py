@@ -10,6 +10,12 @@ run() alone turns a command's outcome into output and an exit code.
 Each handler returns (code, payload, lines); a helper that ends a
 command early raises _Outcome carrying that triple, and _UsageError is
 the one path to exit 2.
+
+A process starts on io, plans and structure, which every subcommand
+reads; each handler imports the rest of what it runs (canonical, trees,
+feasibility, rationalize) when it runs, so check, rank and plan isd
+never load the simplex or the SCEU construction. Names used only in
+annotations are imported under TYPE_CHECKING.
 """
 from __future__ import annotations
 
@@ -18,19 +24,17 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .canonical import build_canonical
-from .feasibility import (_margin_report, _over_lcm, _rows,
-                          decide_rationalizable, verify_certificate)
 from .io import (ParseError, Workspace, emit_fixtures, format_rational,
                  parse_rational, parse_workspace)
 from .plans import Plan, PlanError, check_isd_plan
-from .rationalize import (ExplicitRepresentation, RationalizationError,
-                          construct_sceu, verify_rationalization)
 from .structure import (EStructure, StructureError, WitnessReport,
                         check_axioms, rank)
-from .trees import (ExperimentationTree, TreeError, as_tree, build_tree,
-                    check_tree, find_trees)
+
+if TYPE_CHECKING:
+    from .rationalize import ExplicitRepresentation
+    from .trees import ExperimentationTree
 
 
 class _UsageError(Exception):
@@ -87,6 +91,7 @@ def _target_tree(w: Workspace) -> ExperimentationTree:
     The first tree block when the file has one; otherwise the whole
     structure read as a tree through its immediate-refinement pairs.
     """
+    from .trees import TreeError, as_tree, build_tree
     s = w.structure
     try:
         if w.trees:
@@ -160,6 +165,7 @@ def _cmd_rank(args) -> _Result:
 
 
 def _cmd_canonical(args) -> _Result:
+    from .canonical import build_canonical
     s = _load(args.file).structure
     _guard_axioms(s)
     space = build_canonical(s)
@@ -175,6 +181,7 @@ def _cmd_canonical(args) -> _Result:
 
 
 def _cmd_trees_find(args) -> _Result:
+    from .trees import find_trees
     s = _load(args.file).structure
     try:
         trees = find_trees(s, max_count=args.max)
@@ -214,6 +221,7 @@ def _parse_edge_list(raw: str) -> list[tuple[str, str]]:
 
 
 def _cmd_trees_check(args) -> _Result:
+    from .trees import TreeError, check_tree
     if args.nodes is None and args.edges is not None:
         raise _UsageError("--edges needs --nodes")
     if args.nodes is not None and args.block is not None:
@@ -283,6 +291,7 @@ def _cmd_plan_isd(args) -> _Result:
 
 
 def _cmd_plan_decide(args) -> _Result:
+    from .feasibility import decide_rationalizable, verify_certificate
     w, plan, _ = _plan_input(args)
     result = decide_rationalizable(w.structure, plan)
     verified = verify_certificate(result.system, result).valid
@@ -318,6 +327,8 @@ def _cmd_plan_decide(args) -> _Result:
 
 
 def _cmd_plan_rationalize(args) -> _Result:
+    from .rationalize import (RationalizationError, construct_sceu,
+                              verify_rationalization)
     w, plan, _ = _plan_input(args)
     tree = _target_tree(w)
     try:
@@ -356,6 +367,7 @@ def _read_witness(path: str) -> dict | ExplicitRepresentation:
     """verify's witness file: an ExplicitRepresentation for the
     atom-level form, the JSON object itself for the product form, whose
     points _verify_product reads against the target tree."""
+    from .rationalize import ExplicitRepresentation
     try:
         data = json.loads(_read(path))
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -379,6 +391,7 @@ def _read_witness(path: str) -> dict | ExplicitRepresentation:
 
 def _verify_product(tree: ExperimentationTree, plan,
                     data) -> WitnessReport:
+    from .feasibility import _margin_report, _over_lcm, _rows
     space = tree.canonical
     atom_index = {cls: i for i, cls in enumerate(space.atoms)}
     node_set = set(tree.nodes)
@@ -427,6 +440,7 @@ def _verify_product(tree: ExperimentationTree, plan,
 
 
 def _cmd_verify(args) -> _Result:
+    from .rationalize import ExplicitRepresentation, verify_rationalization
     w, plan, witness = _plan_input(args)
     if isinstance(witness, ExplicitRepresentation):
         report = verify_rationalization(w.structure, plan, witness)

@@ -103,6 +103,17 @@ class ExperimentationTree:
             object.__setattr__(self, "parent",
                                MappingProxyType(dict(self.parent)))
 
+    @classmethod
+    def _adopt(cls, ambient: EStructure, nodes: tuple[str, ...],
+               parent: dict[str, str]) -> ExperimentationTree:
+        """The tree on a parent dict its caller has just built and hands
+        over: wrapped read-only as the constructor wraps its copy, but
+        not copied, since no one else holds the dict."""
+        tree = cls.__new__(cls)
+        tree.__dict__.update(ambient=ambient, nodes=nodes,
+                             parent=MappingProxyType(parent))
+        return tree
+
     def __reduce__(self):
         # a mappingproxy does not pickle; loading makes the copy again
         parent = self.parent
@@ -364,7 +375,7 @@ def _check_tree(s: EStructure, nodes: tuple[str, ...],
         return report, None
     if not top_down:  # closed: t-parent passed, so one predecessor each
         parent = {x: parents[x][0] for x in nodes if x != root}
-    tree = ExperimentationTree(s, nodes, parent)
+    tree = ExperimentationTree._adopt(s, nodes, parent)  # a fresh dict
     if top_down:  # on the instance, not a field: see build_tree
         tree.__dict__["_top_down"] = top_down
     return report, tree

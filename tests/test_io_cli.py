@@ -907,3 +907,145 @@ def test_cli_output_matches_the_golden_table(capsys, tmp_path, monkeypatch):
         if (code, digest) != (want["exit"], want["stdout_sha256"]):
             mismatches.append(command)
     assert mismatches == []
+
+
+# ------------------------------------------------- modules per process
+
+MODULES = ("canonical", "feasibility", "io", "plans", "rationalize",
+           "structure", "trees")
+START = ("io", "plans", "structure")
+
+
+def _fresh(code: str, *args: str, cwd=None) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter that imports the package from src/
+    (and the benchmark's modules from perfbench/)."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), str(PERFBENCH)])}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          cwd=cwd, capture_output=True, text=True,
+                          timeout=60)
+
+
+_LOADED = ("sorted(m.split('.', 1)[1] for m in sys.modules "
+           "if m.startswith('evistruct.'))")
+
+_RUN_CLI = f"""
+import runpy, sys
+sys.argv[0] = "evistruct"
+try:
+    runpy.run_module("evistruct.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(" ".join({_LOADED}), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv, added", [
+    pytest.param("check example_t.est", (), id="check"),
+    pytest.param("rank example_j.est", (), id="rank"),
+    pytest.param("plan isd example_t.est", (), id="plan-isd"),
+    pytest.param("fixtures written", (), id="fixtures"),
+    pytest.param("canonical example_c.est", ("canonical",), id="canonical"),
+    pytest.param("trees find example_t.est", ("canonical", "trees"),
+                 id="trees-find"),
+    pytest.param("trees check example_d.est", ("canonical", "trees"),
+                 id="trees-check"),
+    pytest.param("plan decide example_t.est",
+                 ("canonical", "feasibility", "trees"), id="plan-decide"),
+    pytest.param("plan rationalize example_d.est", MODULES,
+                 id="plan-rationalize"),
+    pytest.param("verify example_d.est example_d_product.json", MODULES,
+                 id="verify-product"),
+    pytest.param("verify example_r.est example_r_atoms.json", MODULES,
+                 id="verify-atoms"),
+])
+def test_each_subcommand_loads_only_the_modules_it_runs(
+        capsys, tmp_path, monkeypatch, argv, added):
+    """A CLI process starts on io, plans and structure; a subcommand adds
+    the modules its handler runs, and gives the exit code and output of
+    the same command run in-process."""
+    emit_fixtures(tmp_path)
+    for witness in (PERFBENCH / "witnesses").glob("*.json"):
+        shutil.copyfile(witness, tmp_path / witness.name)
+    run = _fresh(_RUN_CLI, *argv.split(), cwd=tmp_path)
+    *_, loaded = run.stderr.splitlines()
+    assert loaded.split() == sorted({*START, *added})
+    monkeypatch.chdir(tmp_path)
+    assert cli.run(argv.split()) == run.returncode
+    assert capsys.readouterr().out == run.stdout
+
+
+def test_a_bare_import_loads_no_module():
+    run = _fresh(f"import sys, evistruct\nprint({_LOADED})\n"
+                 "print(evistruct.__version__)")
+    assert run.stdout.split("\n")[:2] == ["[]", "0.1.0"]
+
+
+@pytest.mark.parametrize("first", ["FeasibilityResult", "Plan", *MODULES])
+def test_first_use_of_a_name_loads_the_whole_namespace(first):
+    """Whichever exported name or module name comes first, all seven
+    modules load and every name of __all__ is the object its module
+    defines."""
+    run = _fresh(f"""
+import sys, evistruct
+getattr(evistruct, {first!r})
+print({_LOADED})
+mismatched = [(stem, name) for stem, names in evistruct._EXPORTS.items()
+              for name in names
+              if getattr(evistruct, name) is not getattr(
+                  getattr(evistruct, stem), name)]
+print(mismatched, len(evistruct.__all__))
+""")
+    assert run.stdout.splitlines() == [repr(list(MODULES)), "[] 66"]
+
+
+def test_star_import_and_dir_give_all_of_all():
+    run = _fresh(f"""
+import sys, evistruct
+listed = dir(evistruct)
+print({_LOADED})
+print(sorted(set(evistruct.__all__) - set(listed)))
+namespace = {{}}
+exec("from evistruct import *", namespace)
+print(sorted(set(namespace) - {{"__builtins__"}})
+      == sorted(evistruct.__all__))
+""")
+    assert run.stdout.splitlines() == ["[]", "[]", "True"]
+
+
+def test_an_unknown_name_is_missing_and_loads_nothing():
+    run = _fresh(f"""
+import sys, evistruct
+for name in ("no_such_name", "cli", "__wrapped__"):
+    try:
+        getattr(evistruct, name)
+    except AttributeError as exc:
+        print(exc)
+print({_LOADED})
+""")
+    assert run.stdout.splitlines() == [
+        "module 'evistruct' has no attribute 'no_such_name'",
+        "module 'evistruct' has no attribute 'cli'",
+        "module 'evistruct' has no attribute '__wrapped__'",
+        "[]"]
+
+
+def test_the_benchmark_tracer_installs_on_the_lazy_namespace():
+    """The tracer reads every layer's module from sys.modules after the
+    worker's one package import and its own import of the CLI: loading
+    the whole namespace on first use is what keeps them all there."""
+    run = _fresh("""
+import evistruct
+from evistruct import FeasibilityResult
+from spans import Tracer
+original = evistruct.find_trees
+tracer = Tracer()
+tracer.install()
+wrapped = evistruct.find_trees is not original
+tracer.uninstall()
+print(wrapped, evistruct.find_trees is original)
+""")
+    assert run.stderr == ""
+    assert run.stdout.splitlines() == ["True True"]

@@ -2,8 +2,10 @@
 every module parses under the oldest Python the package declares, no
 module imports a name it never uses, every private top-level name is
 read somewhere in the package, every cache stored in an instance's
-__dict__ is declared here and named in the README, and no line is wider
-than 79 columns."""
+__dict__ is declared here and named in the README, no line is wider
+than 79 columns, the package namespace imports no module when it loads
+and exports each name of __all__ from the module defining it, and the
+CLI imports only io, plans and structure when it loads."""
 from __future__ import annotations
 
 import ast
@@ -193,3 +195,84 @@ def test_the_dict_store_check_sees_every_store():
                      'd.__dict__[k] = 3\ne = f.__dict__["_z"]\n'
                      'g.h.__dict__["_w"] += 4\n')
     assert sorted(_dict_stores(tree)) == ["_w", "_x", "_y", "k"]
+
+
+def _module_tree(stem: str) -> ast.Module:
+    path = ROOT / "src" / "evistruct" / f"{stem}.py"
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _top_level_package_imports(tree: ast.Module) -> list[str]:
+    """The package modules a module imports when it loads: relative
+    imports outside functions, classes and `if TYPE_CHECKING:` blocks."""
+    found, todo = [], list(tree.body)
+    while todo:
+        node = todo.pop(0)
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.append(node.module or ".")
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names
+                      if a.name.split(".")[0] == "evistruct"]
+        elif isinstance(node, ast.If) and ast.unparse(
+                node.test) == "TYPE_CHECKING":
+            todo += node.orelse
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.ClassDef)):
+            todo += ast.iter_child_nodes(node)
+    return found
+
+
+def _literal(tree: ast.Module, name: str):
+    """The literal value a module assigns to a top-level name."""
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign) else
+                   [node.target] if isinstance(node, ast.AnnAssign) else [])
+        if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no top-level {name}")
+
+
+def _top_level_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets
+                         if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign):
+            names.add(node.target.id)
+    return names
+
+
+def test_the_package_namespace_imports_no_module_when_it_loads():
+    assert _top_level_package_imports(_module_tree("__init__")) == []
+
+
+def test_the_export_table_maps_all_of_all_to_its_modules():
+    """__all__ stays a literal list, and the table the namespace loads
+    from names each of its entries once, under the module defining it."""
+    tree = _module_tree("__init__")
+    exports = _literal(tree, "_EXPORTS")
+    listed = [name for names in exports.values() for name in names]
+    assert sorted(listed) == sorted(_literal(tree, "__all__"))
+    assert len(set(listed)) == len(listed) == 66
+    misplaced = [(stem, name) for stem, names in exports.items()
+                 for name in names
+                 if name not in _top_level_names(_module_tree(stem))]
+    assert misplaced == []
+
+
+def test_the_cli_starts_on_io_plans_and_structure():
+    assert sorted(_top_level_package_imports(_module_tree("cli"))) == [
+        "io", "plans", "structure"]
+
+
+def test_the_top_level_import_scan_skips_deferred_imports():
+    tree = ast.parse("from . import a\nfrom .b import c\nimport evistruct.d\n"
+                     "import json\nif TYPE_CHECKING:\n    from .e import f\n"
+                     "def g():\n    from .h import i\n"
+                     "try:\n    from .j import k\nexcept ImportError:\n"
+                     "    from .m import n\n")
+    assert _top_level_package_imports(tree) == [".", "b", "evistruct.d",
+                                               "j", "m"]

@@ -399,6 +399,39 @@ class TestAsTree:
             assert as_tree(copied.ambient) == copied
             with pytest.raises(TypeError):
                 copied.parent[t.nodes[1]] = t.root
+            with pytest.raises(TypeError):
+                del copied.parent[t.nodes[1]]
+
+    def test_checked_trees_wrap_their_fresh_parent_map(self, corpus,
+                                                       monkeypatch):
+        """A tree a check accepts (build_tree, as_tree, find_trees) wraps
+        the parent map the check built, with no second copy: it equals,
+        reprs and pickles as the tree the public constructor makes from a
+        copy of that map, and its map is as read-only. The constructor,
+        a pickle's load and dataclasses.replace still copy."""
+        copies = []
+        post_init = ExperimentationTree.__post_init__
+        monkeypatch.setattr(ExperimentationTree, "__post_init__",
+                            lambda self: copies.append(1) or post_init(self))
+        ws = corpus["example_d"]
+        s = splitting_tree(random.Random(9), min_nodes=8).ambient
+        s = EStructure(s.states, s.root, s.relation)
+        checked = [build_tree(ws.structure, *_block(ws, 0)), as_tree(s),
+                   *find_trees(ws.structure)]
+        assert copies == [] and len(checked) > 2
+        for t in checked:
+            made = ExperimentationTree(t.ambient, t.nodes, dict(t.parent))
+            assert type(t.parent) is type(made.parent)
+            assert t == made and repr(t) == repr(made)
+            assert pickle.loads(pickle.dumps(t)) == made
+            with pytest.raises(TypeError):
+                t.parent[t.nodes[-1]] = t.root
+            with pytest.raises(TypeError):
+                del t.parent[t.nodes[-1]]
+            edited = dataclasses.replace(t, parent=dict(t.parent))
+            assert edited == t and edited.parent is not t.parent
+        # per tree: the constructor, the pickle's load and the replace
+        assert len(copies) == 3 * len(checked)
 
     def test_contained_tree_seeds_nothing(self, corpus):
         ws = corpus["example_d"]
