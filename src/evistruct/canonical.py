@@ -231,16 +231,15 @@ def verify_embedding(
     specificity order with inclusion; ``disjoint`` covers incompatibility
     implying empty intersection; ``saturation`` covers each state's event
     being exactly the union of its immediate refinements' events. A
-    mapping that is not a mapping, or sends something to a value that is
-    not a set, fails every condition; one that misses a state raises
-    StructureError.
+    mapping that is not a mapping, misses a state, or sends something to
+    a value that is not a set, fails every condition.
     """
     ids = EMBEDDING_CONDITION_IDS
     if not isinstance(mapping, Mapping):
         return _condition_report(ids, [("not a mapping",)] * len(ids))
     for x in s.states:
         if x not in mapping:
-            raise StructureError(f"mapping is not total: missing {x!r}")
+            return _condition_report(ids, [(x, "no event")] * len(ids))
     for x, event in mapping.items():
         if not isinstance(event, (set, frozenset)):
             return _condition_report(ids, [(x, "not a set")] * len(ids))

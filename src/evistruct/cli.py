@@ -112,7 +112,7 @@ def _guard_axioms(s: EStructure) -> None:
 
 
 def _plan_input(args) -> tuple[Workspace, Plan,
-                              dict | ExplicitRepresentation | None]:
+                              dict | ExplicitRepresentation | tuple | None]:
     """The preamble of the plan commands and verify: the workspace, its
     plan and verify's witness (None for the others), then the axiom
     guard: usage errors that need nothing from the structure come first."""
@@ -363,10 +363,11 @@ def _cmd_plan_rationalize(args) -> _Result:
     return 0 if report.verified else 1, payload, lines
 
 
-def _read_witness(path: str) -> dict | ExplicitRepresentation:
+def _read_witness(path: str) -> dict | ExplicitRepresentation | tuple:
     """verify's witness file: an ExplicitRepresentation for the
     atom-level form, the JSON object itself for the product form, whose
-    points _verify_product reads against the target tree."""
+    points _verify_product reads against the target tree, and the
+    (state, alternative, Fraction) rows of the certificate form."""
     from .rationalize import ExplicitRepresentation
     try:
         data = json.loads(_read(path))
@@ -376,6 +377,18 @@ def _read_witness(path: str) -> dict | ExplicitRepresentation:
         raise _UsageError("witness file must hold a JSON object")
     if "points" in data:
         return data
+    if "certificate" in data:  # as plan decide --format json prints it
+        rows = data["certificate"]
+        if not (isinstance(rows, list) and all(
+                isinstance(row, list) and len(row) == 3
+                and all(isinstance(label, str) for label in row[:2])
+                for row in rows)):
+            raise _UsageError("witness 'certificate' must list "
+                              "[state, alternative, rational] entries")
+        try:
+            return tuple([(x, a, parse_rational(m)) for x, a, m in rows])
+        except ParseError as exc:
+            raise _UsageError(f"malformed certificate: {exc}") from exc
     try:
         weights = {atom: parse_rational(v)
                    for atom, v in data.get("weights", {}).items()}
@@ -385,7 +398,8 @@ def _read_witness(path: str) -> dict | ExplicitRepresentation:
     except (ParseError, AttributeError) as exc:
         raise _UsageError(f"malformed witness: {exc}") from exc
     if not weights:
-        raise _UsageError("witness has neither 'points' nor 'weights'")
+        raise _UsageError("witness has neither 'points', 'weights' "
+                          "nor 'certificate'")
     return ExplicitRepresentation(weights, utilities)
 
 
@@ -444,6 +458,12 @@ def _cmd_verify(args) -> _Result:
     w, plan, witness = _plan_input(args)
     if isinstance(witness, ExplicitRepresentation):
         report = verify_rationalization(w.structure, plan, witness)
+    elif isinstance(witness, tuple):
+        from .feasibility import (FeasibilityResult, build_system,
+                                  verify_certificate)
+        system = build_system(w.structure, plan)
+        report = verify_certificate(system, FeasibilityResult(
+            False, system, certificate=witness))
     else:
         report = _verify_product(_target_tree(w), plan, witness)
     payload = {

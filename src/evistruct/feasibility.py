@@ -566,11 +566,13 @@ def _decide_on_tree(system: FeasibilitySystem, tree: ExperimentationTree,
     partition its event, so every dominance violation would have given a
     certificate: the plan is consistent. It gets construct_sceu's
     witness from the integer pass it is built on (rationalize._avoidance,
-    which keeps the pass on the structure's canonical space, where
-    construct_sceu on any tree spanning it reads the pass again), summed
-    per atom into g = weight x utility: margins are linear in g, so they
-    keep their signs. Point i weighs 3^(n-1-i), its raw weight times 3^n/2,
-    an integer scaling the homogeneous system allows.
+    which keeps the pass on the structure's canonical space: as_tree
+    returns a new tree on each call, but its canonical space is the
+    structure's, so construct_sceu on any tree spanning it reads the pass
+    again), summed per atom into g = weight x utility: margins are
+    linear in g, so they keep their signs. Point i weighs 3^(n-1-i), its
+    raw weight times 3^n/2, an integer scaling the homogeneous system
+    allows.
     """
     from .rationalize import _avoidance  # rationalize imports this module
     points, chosen, _ = _avoidance(tree, plan)

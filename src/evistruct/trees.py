@@ -25,7 +25,6 @@ itself; `as_estructure` exposes that view.
 """
 from __future__ import annotations
 
-import weakref
 from collections import Counter
 from collections.abc import Collection, Iterable, Mapping, Sequence, Set
 from dataclasses import dataclass, field
@@ -385,23 +384,11 @@ def build_tree(s: EStructure, nodes: Sequence[str],
                edges: Iterable[tuple[str, str]]) -> ExperimentationTree:
     """Check the seven conditions and return the checked tree, with the
     top-down order the check read cached on the instance, not in a
-    field, so a dataclasses.replace copy reads its own shape.
-
-    A tree that is all of s, its nodes s.states and its order s's own
-    (as_estructure is s; EStructure does not close what it is given), is
-    the one as_tree(s) reads, as a structure has at most one spanning tree
-    (see find_trees). So s keeps a weak reference to it, and as_tree
-    returns it unchecked while it lives.
-    """
-    nodes = tuple(nodes)
-    report, tree = _check_tree(s, nodes, tuple(edges))
+    field, so a dataclasses.replace copy reads its own shape."""
+    report, tree = _check_tree(s, tuple(nodes), tuple(edges))
     if tree is None:
         raise TreeError("tree conditions failed: "
                         + ", ".join(report.failed_ids))
-    if nodes == s.states and tree.as_estructure is s:
-        # weak, because the tree holds s: a strong reference would make
-        # each pair a cycle, garbage only the cycle collector frees
-        s.__dict__["_spanning_tree"] = weakref.ref(tree)
     return tree
 
 
@@ -410,15 +397,11 @@ def as_tree(s: EStructure) -> ExperimentationTree:
     pairs: each non-root state hangs from its one immediate predecessor.
 
     Raises TreeError when a state has no or several immediate
-    predecessors, or when the seven conditions fail on the result. While
-    any caller holds the tree, from this call or from a build_tree of the
-    same tree, s keeps a weak reference to it, and as_tree returns that
-    object without checking it again.
+    predecessors, or when the seven conditions fail on the result. Each
+    call builds and checks a new tree. When the tree's order is s's own,
+    as on any closed relation, its as_estructure is s, so every such tree
+    shares s's canonical space and the passes kept there.
     """
-    kept = s.__dict__.get("_spanning_tree")
-    tree = kept() if kept is not None else None
-    if tree is not None:
-        return tree
     parents = s.derived.parents
     others = [x for x in s.states if x != s.root]
     for x in others:

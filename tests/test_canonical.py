@@ -10,7 +10,7 @@ from conftest import splitting_tree, subset_family_structure
 from evistruct import (AXIOM_IDS, CANONICAL_CONDITION_IDS,
                        EMBEDDING_CONDITION_IDS, TREE_CONDITION_IDS,
                        CanonicalError, CanonicalSpace, EStructure,
-                       StructureError, build_canonical, check_axioms,
+                       build_canonical, check_axioms,
                        check_tree, generated_field, product_embedding,
                        verify_canonical, verify_embedding)
 from evistruct.structure import _condition_report
@@ -235,12 +235,15 @@ class TestEmbedding:
         assert report.passed
 
     def test_partial_mapping_rejected(self, corpus):
+        """A mapping that misses a state fails every condition with the
+        witness verify_canonical gives a space with no event for it."""
         s = corpus["example_j"].structure
         space = build_canonical(s)
         mapping = dict(space.events)
         del mapping["h1t1"]
-        with pytest.raises(StructureError, match="total"):
-            verify_embedding(s, mapping)
+        ids = EMBEDDING_CONDITION_IDS
+        assert verify_embedding(s, mapping) == _condition_report(
+            ids, [("h1t1", "no event")] * len(ids))
 
     @pytest.mark.parametrize("malform, shape", [
         pytest.param(lambda events: None, ("not a mapping",), id="None"),

@@ -603,6 +603,81 @@ class TestVerifyCommand:
         assert data == {"error": "state 'z3' has 2 immediate predecessors, "
                                  "so the structure is not itself a tree"}
 
+    @pytest.mark.parametrize("stem", sorted(
+        name[:-len(".est")] for name, text in FIXTURES.items()
+        if parse_workspace(text).plan is not None))
+    def test_decide_output_verifies_for_every_fixture_with_a_plan(
+            self, capsys, est, tmp_path, stem):
+        """What plan decide --format json prints, a weighting or a
+        certificate, is a witness verify accepts as it stands."""
+        code, decided = run_json(capsys, ["plan", "decide", est(stem)])
+        assert code == (0 if decided["feasible"] else 1)
+        witness = self.witness_path(tmp_path, decided)
+        code, data = run_json(capsys, ["verify", est(stem), witness])
+        assert (code, data["verified"], data["failures"]) == (0, True, [])
+
+    def test_decide_output_verifies_on_every_route(self, capsys, tmp_path):
+        """Seeded plans on subset families reach every route label, and
+        the simplex both ways; each decision's JSON, piped into verify,
+        verifies."""
+        rng = random.Random(1313)
+        routes = set()
+        path = tmp_path / "family.est"
+        for _ in range(40):
+            s = subset_family_structure(rng, max_universe=4)
+            plan = arbitrary_plan(rng, s)
+            path.write_text(format_workspace(Workspace(s, (), plan)),
+                            encoding="utf-8")
+            result = decide_rationalizable(s, plan)
+            routes.add((result.path, result.feasible))
+            code, decided = run_json(capsys, ["plan", "decide", str(path)])
+            assert code == (0 if result.feasible else 1)
+            witness = self.witness_path(tmp_path, decided)
+            code, data = run_json(capsys, ["verify", str(path), witness])
+            assert (code, data["verified"]) == (0, True), result.path
+        assert routes >= {("dominance", False), ("tree", True),
+                          ("simplex", True), ("simplex", False),
+                          ("simplex-dual", False)}
+
+    @pytest.mark.parametrize("edit, failure", [
+        pytest.param(lambda rows: [[*rows[0][:2], "0"], *rows[1:]],
+                     "combination positive on g[b][z1]", id="zeroed"),
+        pytest.param(lambda rows: [[x, a, "0"] for x, a, _ in rows],
+                     "zero combination", id="all-zeroed"),
+        pytest.param(lambda rows: rows[1:],
+                     "combination positive on g[b][z1]", id="dropped"),
+        pytest.param(lambda rows: [*rows, ["nope", "a", "1/1"]],
+                     "unknown row (nope, a)", id="unknown"),
+        pytest.param(lambda rows: [], "missing certificate", id="empty"),
+    ])
+    def test_certificate_that_proves_nothing_fails(
+            self, capsys, est, tmp_path, edit, failure):
+        code, decided = run_json(capsys, ["plan", "decide",
+                                          est("example_t")])
+        assert code == 1
+        witness = self.witness_path(
+            tmp_path, {"certificate": edit(decided["certificate"])})
+        code, data = run_json(capsys, ["verify", est("example_t"), witness])
+        assert (code, data) == (1, {"verified": False, "margins": {},
+                                    "failures": [failure]})
+
+    @pytest.mark.parametrize("certificate, message", [
+        ({"x1": "1"}, None),
+        (["x1a1"], None),
+        ([["x1", "a"]], None),
+        ([["x1", 2, "1"]], None),
+        ([["x1", "a", "one"]], "not a rational: 'one'"),
+        ([["x1", "a", 0.5]], "not a rational: 0.5"),
+    ])
+    def test_malformed_certificate_is_a_usage_error(
+            self, capsys, est, tmp_path, certificate, message):
+        witness = self.witness_path(tmp_path, {"certificate": certificate})
+        assert cli.run(["verify", est("example_t"), witness]) == 2
+        assert capsys.readouterr().err == "error: " + (
+            f"malformed certificate: {message}" if message else
+            "witness 'certificate' must list [state, alternative, "
+            "rational] entries") + "\n"
+
     def test_witness_must_be_json_object(self, capsys, est, tmp_path):
         witness = self.witness_path(tmp_path, [1, 2])
         assert cli.run(["verify", est("example_r"), witness]) == 2
@@ -806,11 +881,12 @@ class TestTotalityCampaign:
 
     def test_mutated_witness_files(self, capsys, est, tmp_path):
         witnesses = []
-        for stem, command in (("example_d", "rationalize"),
-                              ("example_r", "decide")):
+        for stem, command, want in (("example_d", "rationalize", 0),
+                                    ("example_r", "decide", 0),
+                                    ("example_t", "decide", 1)):
             code, data = run_json(capsys, ["plan", command, est(stem)])
-            assert code == 0
-            keep = ("points", "weights", "utilities")
+            assert code == want
+            keep = ("points", "weights", "utilities", "certificate")
             witnesses.append((stem, {k: v for k, v in data.items()
                                      if k in keep}))
         rng = random.Random(2424)

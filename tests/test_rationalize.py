@@ -816,7 +816,7 @@ class TestKeptPasses:
     def test_a_copy_of_the_spanning_tree_reads_the_decisions_pass(
             self, monkeypatch):
         """A dataclasses.replace copy of the built spanning tree is a new
-        object, with no weak reference to it from the structure, but its
+        object, as is the tree as_tree read for the decision, but its
         canonical space is the structure's: constructing on it after the
         decision walks no avoidance walk again, and the witness is the
         one a fresh op builds."""

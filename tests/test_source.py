@@ -118,9 +118,8 @@ def _dict_stores(tree: ast.Module) -> list[str]:
 
 
 # the caches kept in an instance's __dict__ rather than in a field: a
-# tree's top-down order, a canonical space's rows and avoidance pass, and
-# a structure's weak reference to its spanning tree
-HIDDEN_CACHES = ("_top_down", "_rows", "_avoidance", "_spanning_tree")
+# tree's top-down order, and a canonical space's rows and avoidance pass
+HIDDEN_CACHES = ("_top_down", "_rows", "_avoidance")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -347,8 +347,8 @@ class TestAsTree:
 
     def test_built_spanning_tree_is_the_one_as_tree_reads(self):
         """build_tree on all of a structure's states gives the tree as_tree
-        reads on a fresh copy of the structure, whatever the edge order,
-        and caches it: as_tree then returns that object."""
+        reads, on the structure and on a fresh copy of it, whatever the
+        edge order, with the same top-down order."""
         rng = random.Random(1606)
         for _ in range(40):
             s = splitting_tree(rng, max_nodes=40, min_nodes=6).ambient
@@ -358,11 +358,12 @@ class TestAsTree:
             t = build_tree(s, s.states, edges)
             read = as_tree(EStructure(s.states, s.root, s.relation))
             assert t == read and t._top_down == read._top_down
-            assert as_tree(s) is t
+            assert as_tree(s) == t
 
-    def test_as_tree_is_checked_once_while_held(self, monkeypatch):
-        """The structure keeps its tree weakly: once no caller holds the
-        tree, as_tree checks a new one."""
+    def test_each_as_tree_call_checks_its_tree(self, monkeypatch):
+        """The structure keeps no tree: each as_tree call checks the
+        seven conditions once and returns a new tree, equal to the last
+        and sharing the structure's canonical space."""
         s = splitting_tree(random.Random(3), min_nodes=8).ambient
         s = EStructure(s.states, s.root, s.relation)
         calls = []
@@ -370,24 +371,28 @@ class TestAsTree:
                             lambda *args: calls.append(1)
                             or _check_tree(*args))
         t = as_tree(s)
-        assert as_tree(s) is t and len(calls) == 1
-        del t
-        gc.collect()
-        assert as_tree(s) == as_tree(EStructure(s.states, s.root,
-                                                s.relation))
+        assert len(calls) == 1
+        again = as_tree(s)
+        assert again == t and again is not t and len(calls) == 2
+        assert again.canonical is t.canonical is s.canonical
+        assert again == as_tree(EStructure(s.states, s.root, s.relation))
         assert len(calls) == 3
 
     def test_structure_and_tree_free_without_the_cycle_collector(self):
+        """A structure, a tree build_tree made on it and the tree as_tree
+        reads form no reference cycle: with the cycle collector off,
+        dropping them frees all three."""
         s = splitting_tree(random.Random(4), min_nodes=8).ambient
         s = EStructure(s.states, s.root, s.relation)
         t = build_tree(s, s.states, [(x, p) for x in s.states
                                      for p in s.derived.parents[x]])
-        assert as_tree(s) is t and t.canonical is s.canonical
-        gone = weakref.ref(s)
+        read = as_tree(s)
+        assert read == t and read.canonical is t.canonical is s.canonical
+        gone = [weakref.ref(o) for o in (s, t, read)]
         gc.disable()
         try:
-            del s, t
-            assert gone() is None
+            del s, t, read
+            assert [ref() for ref in gone] == [None] * 3
         finally:
             gc.enable()
 
@@ -440,7 +445,6 @@ class TestAsTree:
         with pytest.raises(TreeError) as expected:
             as_tree(fresh)
         build_tree(ws.structure, *_block(ws, 0))
-        assert "_spanning_tree" not in ws.structure.__dict__
         with pytest.raises(TreeError) as info:
             as_tree(ws.structure)
         assert str(info.value) == str(expected.value)
@@ -743,13 +747,14 @@ def test_tree_op_closes_and_derives_once(monkeypatch):
     """One consistent op on a 12-node tree: build the structure and the
     tree, decide, construct and verify. Every tree on the way is read off
     its parent map, so the edges are closed once and the relations
-    derived once, both for the structure itself. The tree build_tree
-    accepts spans the structure, so it is the one as_tree returns: its
-    seven conditions are checked once and its shape read once, and the
-    verifier reads the shape that tree cached. The decision walks once
-    per alternative, and the construction reads the pass it kept on the
-    tree's canonical space, which is the structure's own. build_system
-    builds the rows once, and the verifier reads them off that space."""
+    derived once, both for the structure itself. The structure keeps no
+    tree, so the seven conditions are checked and a shape read twice:
+    once for the tree build_tree accepts and once for the equal tree
+    as_tree reads for the decision. The verifier reads the shape the
+    built tree cached. The decision walks once per alternative, and the
+    construction reads the pass it kept on the canonical space both
+    trees share, which is the structure's own. build_system builds the
+    rows once, and the verifier reads them off that space."""
     rng = random.Random(12)
     tree = splitting_tree(rng, max_nodes=12, min_nodes=12)
     while len(tree.nodes) != 12:
@@ -778,8 +783,8 @@ def test_tree_op_closes_and_derives_once(monkeypatch):
     r = construct_sceu(t, plan)
     assert result.path == "tree" and result.feasible
     assert verify_rationalization(t, plan, r).verified
-    assert calls == {"_closure": 1, "derive_relations": 1, "_shape": 1,
-                     "_check_tree": 1, "_walks": len(plan.alternatives),
+    assert calls == {"_closure": 1, "derive_relations": 1, "_shape": 2,
+                     "_check_tree": 2, "_walks": len(plan.alternatives),
                      "FeasibilityRow": len(result.system.rows)}
     assert len(result.system.rows) == 12 * (len(plan.alternatives) - 1)
 
