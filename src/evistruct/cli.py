@@ -389,18 +389,28 @@ def _read_witness(path: str) -> dict | ExplicitRepresentation | tuple:
             return tuple([(x, a, parse_rational(m)) for x, a, m in rows])
         except ParseError as exc:
             raise _UsageError(f"malformed certificate: {exc}") from exc
-    try:
-        weights = {atom: parse_rational(v)
-                   for atom, v in data.get("weights", {}).items()}
-        utilities = {alt: {atom: parse_rational(v)
-                           for atom, v in table.items()}
-                     for alt, table in data.get("utilities", {}).items()}
-    except (ParseError, AttributeError) as exc:
-        raise _UsageError(f"malformed witness: {exc}") from exc
-    if not weights:
+    utilities = data.get("utilities", {})
+    if not isinstance(utilities, dict):
+        raise _UsageError("witness 'utilities' must map each alternative "
+                          "to a table")
+    for alt, table in utilities.items():
+        if not isinstance(table, dict):
+            raise _UsageError(f"witness utility table for {alt!r} must map "
+                              f"each atom to a rational")
+    if "weights" not in data:
         raise _UsageError("witness has neither 'points', 'weights' "
                           "nor 'certificate'")
-    return ExplicitRepresentation(weights, utilities)
+    weights = data["weights"]
+    if not isinstance(weights, dict):
+        raise _UsageError("witness 'weights' must map each atom to a "
+                          "rational")
+    try:
+        return ExplicitRepresentation(
+            {atom: parse_rational(v) for atom, v in weights.items()},
+            {alt: {atom: parse_rational(v) for atom, v in table.items()}
+             for alt, table in utilities.items()})
+    except ParseError as exc:
+        raise _UsageError(f"malformed witness: {exc}") from exc
 
 
 def _verify_product(tree: ExperimentationTree, plan,

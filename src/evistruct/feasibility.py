@@ -38,6 +38,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .canonical import CanonicalSpace, build_canonical
+from .io import format_rational
 from .plans import Plan, PlanError, _check_domain, check_isd_plan
 from .structure import EStructure, WitnessReport, _bits
 from .trees import ExperimentationTree, TreeError, as_tree
@@ -385,8 +386,11 @@ def _certificate_failure(system: FeasibilitySystem,
         state, alt, mult = entry
         if (state, alt) not in key:
             return f"unknown row ({state}, {alt})"
-        if not isinstance(mult, (int, Fraction)) or mult < 0:
+        if not isinstance(mult, (int, Fraction)):
             return f"multiplier {mult!r} is not a nonnegative rational"
+        if mult < 0:
+            return (f"multiplier {format_rational(mult)} is not a "
+                    f"nonnegative rational")
     # one positive scale keeps every sign, which is all that is checked
     mults, _ = _over_lcm([entry[2] for entry in certificate])
     if sum(mults) <= 0:

@@ -41,7 +41,12 @@ class DerivedRelations:
 
     The one computation of the covering relation: every parent, child
     and maximal-state lookup reads it here. Rows are int bitmasks over
-    declaration indices, bit j standing for ``states[j]``.
+    declaration indices, bit j standing for ``states[j]``. One builder,
+    ``_relations``, makes it from a relation's up and refiner rows:
+    ``from_generators`` hands it the rows it closed and a contained
+    tree's ``as_estructure`` the rows its top-down pass read, each
+    seeding the new structure's ``derived``; ``derive_relations`` hands
+    it the rows read off any other structure's relation.
 
     Attributes:
         states: the structure's states; index: each one's position.
@@ -187,23 +192,42 @@ class EStructure:
         """Build a structure from strict generator pairs.
 
         Each pair (x, y) declares "x strictly more specific than y"; the
-        stored relation is the reflexive-transitive closure.
+        stored relation is the reflexive-transitive closure. The pairs
+        are closed on bit rows, and the same rows seed ``derived``.
         """
-        state_list = list(states)
-        if len(set(state_list)) != len(state_list):
+        state_list = tuple(states)
+        index = {x: i for i, x in enumerate(state_list)}
+        if len(index) != len(state_list):
             dupes = sorted({s for s in state_list if state_list.count(s) > 1})
             raise StructureError(f"duplicate state id(s): {', '.join(dupes)}")
-        if root not in state_list:
+        if root not in index:
             raise StructureError(f"root {root!r} is not a declared state")
         if len(state_list) < 2:
             raise StructureError("at least two states required")
-        index = set(state_list)
         pair_list = list(pairs)
         for x, y in pair_list:
             if x not in index or y not in index:
                 bad = x if x not in index else y
                 raise StructureError(f"unknown state id in pair: {bad!r}")
-        return cls(tuple(state_list), root, _closure(state_list, pair_list))
+        return cls._seeded(state_list, root, _closed_rows(index, pair_list),
+                           index)
+
+    @classmethod
+    def _seeded(cls, states: tuple[str, ...], root: str, up: Sequence[int],
+                index: Mapping[str, int]) -> "EStructure":
+        """The structure on closed up rows over the states' indices (index
+        maps each state to its position), with ``derived`` read off the
+        same rows: kept in the instance's __dict__, not in a field."""
+        pairs: list[tuple[str, str]] = []
+        refiners = [0] * len(states)
+        for i, x in enumerate(states):
+            bit = 1 << i
+            for j in _bits(up[i]):
+                pairs.append((x, states[j]))
+                refiners[j] |= bit
+        s = cls(states, root, frozenset(pairs))
+        s.__dict__["derived"] = _relations(states, index, up, refiners)
+        return s
 
     def wms(self, x: str, y: str) -> bool:
         """True when x is weakly more specific than y."""
@@ -216,6 +240,8 @@ class EStructure:
 
     @cached_property
     def derived(self) -> DerivedRelations:
+        """The derived relations, built once; seeded by the constructors
+        that hold the relation's rows already."""
         return derive_relations(self)
 
     @cached_property
@@ -237,30 +263,6 @@ class EStructure:
         rel = frozenset((x, y) for (x, y) in self.relation
                         if x in kept and y in kept)
         return EStructure(tuple(keep), self.root, rel)
-
-
-def _closure(nodes: Sequence[str],
-             edges: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
-    """Reflexive-transitive closure of the edges over the nodes.
-
-    Every edge must join two of the nodes; (x, y) is in the result when y
-    is reachable from x along zero or more edges.
-    """
-    succ: dict[str, set[str]] = {x: set() for x in nodes}
-    for x, y in edges:
-        succ[x].add(y)
-    closed: set[tuple[str, str]] = set()
-    for start in nodes:
-        # depth-first reachability gives the closure rooted here
-        seen = {start}
-        stack = [start]
-        while stack:
-            for nxt in succ[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        closed.update((start, y) for y in seen)
-    return frozenset(closed)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -293,16 +295,47 @@ def _first_pair(states: Sequence[str],
                  for i, row in enumerate(rows) if row), None)
 
 
-def derive_relations(s: EStructure) -> DerivedRelations:
-    """The relation's bit rows and the covering relation read off them."""
-    states = s.states
-    index = {x: i for i, x in enumerate(states)}
-    up = [0] * len(states)
-    refiners = [0] * len(states)
-    for x, y in s.relation:
-        i, j = index[x], index[y]
-        up[i] |= 1 << j
-        refiners[j] |= 1 << i
+def _closed_rows(index: Mapping[str, int],
+                 pairs: Iterable[tuple[str, str]]) -> list[int]:
+    """The reflexive-transitive closure of the pairs as up rows over the
+    index, whose values are 0 to n - 1: row i has bit j when the j-th
+    state is reachable from the i-th along zero or more pairs.
+
+    Each pass replaces every open row, in place and in index order, by
+    the union of the rows it selects, until a pass changes none or no
+    row is open. A row that selected only itself and closed rows is
+    closed after its union. A row's reach at least doubles each pass,
+    so a path of length L closes in about log2(L) + 2 passes; when every
+    pair points to an earlier state, as a tree declared root first does,
+    one pass closes every row.
+    """
+    up = [1 << i for i in range(len(index))]
+    for x, y in pairs:
+        up[index[x]] |= 1 << index[y]
+    closed, every, changed = 0, (1 << len(up)) - 1, True
+    sweep = list(range(len(up)))
+    while changed and closed != every:
+        changed = False
+        for i in sweep:
+            bit, row = 1 << i, up[i]
+            if closed & bit:
+                continue
+            wider = _union(up, row)
+            if not row & ~(closed | bit):
+                closed |= bit
+            if wider != row:
+                up[i] = wider
+                changed = True
+        sweep.reverse()
+    return up
+
+
+def _relations(states: tuple[str, ...], index: Mapping[str, int],
+               up: Sequence[int], refiners: Sequence[int]
+               ) -> DerivedRelations:
+    """The one builder of DerivedRelations: the covering relation read
+    off a relation's up and refiner rows over the states' indices (index
+    maps each state to its position)."""
     below = [u & ~r for u, r in zip(up, refiners)]  # strictly less specific
     parents: dict[str, tuple[str, ...]] = {}
     immed: dict[str, list[str]] = {z: [] for z in states}
@@ -315,6 +348,23 @@ def derive_relations(s: EStructure) -> DerivedRelations:
     return DerivedRelations(
         states, index, tuple(up), tuple(refiners), parents,
         {z: tuple(kids) for z, kids in immed.items()})
+
+
+def derive_relations(s: EStructure) -> DerivedRelations:
+    """The relation's bit rows, read as given (not closed), and the
+    covering relation read off them by the one builder. A structure
+    from_generators makes is seeded with the same builder's result on
+    its closed rows, and a contained tree's as_estructure with the
+    result on its top-down rows, so neither calls this."""
+    states = s.states
+    index = {x: i for i, x in enumerate(states)}
+    up = [0] * len(states)
+    refiners = [0] * len(states)
+    for x, y in s.relation:
+        i, j = index[x], index[y]
+        up[i] |= 1 << j
+        refiners[j] |= 1 << i
+    return _relations(states, index, up, refiners)
 
 
 def check_axioms(s: EStructure) -> ConditionReport:

@@ -34,8 +34,8 @@ from types import MappingProxyType
 
 from .canonical import CanonicalSpace, build_canonical
 from .structure import (ConditionReport, DerivedRelations, EStructure,
-                        StructureError, _bits, _closure, _condition_report,
-                        _lowest, derive_relations)
+                        StructureError, _bits, _closed_rows,
+                        _condition_report, _lowest)
 
 TREE_CONDITION_IDS: tuple[str, ...] = (
     "t-root", "t-order", "t-parent", "t-immediate",
@@ -175,15 +175,18 @@ class ExperimentationTree:
         """The tree as a structure in its own right. Its order is read off
         the parent map by one top-down pass of bit rows over the tree's own
         node indices; when those rows are the ambient structure's, the
-        ambient structure itself is returned. TreeError as for children."""
-        nodes, s = self.nodes, self.ambient
-        up = _up_rows(self._checked_top_down(), self.parent,
-                      {x: i for i, x in enumerate(nodes)})
-        rows = tuple([up[x] for x in nodes])
-        if nodes == s.states and rows == s.derived.up:
+        ambient structure itself is returned. Otherwise the new structure's
+        ``derived`` is seeded from the same rows. TreeError as for
+        children."""
+        nodes, s, parent = self.nodes, self.ambient, self.parent
+        index = {x: i for i, x in enumerate(nodes)}
+        up: dict[str, int] = {}
+        for x in self._checked_top_down():  # each after its parent
+            up[x] = (up[parent[x]] if x in parent else 0) | 1 << index[x]
+        rows = [up[x] for x in nodes]
+        if nodes == s.states and tuple(rows) == s.derived.up:
             return s
-        return EStructure(nodes, self.root, frozenset(
-            [(x, nodes[j]) for x, r in zip(nodes, rows) for j in _bits(r)]))
+        return EStructure._seeded(nodes, self.root, rows, index)
 
     @cached_property
     def canonical(self) -> CanonicalSpace:
@@ -280,16 +283,6 @@ def _shape(nodes: Sequence[str], edges: Collection[tuple[str, str]],
     return GraphReport(True, True, True), parent, tuple(top_down)
 
 
-def _up_rows(top_down: Sequence[str], parent: Mapping[str, str],
-             index: Mapping[str, int]) -> dict[str, int]:
-    """Each node's tree up-set, the node and its ancestors, as a bit row
-    over the given indices; top_down puts each node after its parent."""
-    up: dict[str, int] = {}
-    for x in top_down:
-        up[x] = (up[parent[x]] if x in parent else 0) | 1 << index[x]
-    return up
-
-
 def check_tree(s: EStructure, nodes: Sequence[str],
                edges: Iterable[tuple[str, str]]) -> ConditionReport:
     """Evaluate the seven tree conditions, with a witness per failure.
@@ -308,30 +301,36 @@ def _check_tree(s: EStructure, nodes: tuple[str, ...],
 
     A tree-shaped edge list (check_graph_tree) is read in one top-down
     pass over bit rows of ambient indices, a node's tree up-set being its
-    parent's plus itself, then one loop over the nodes for t-order, the
-    kids and t-immediate (a node's one parent); its tree is built on the
+    parent's plus itself, which tests t-order and t-immediate (a node's
+    one parent) as it goes; the kids are then read in node order, since
+    the t-incompat witness depends on it. Its tree is built on the
     parent map _shape read, with that top-down order cached on it. Any
     other list, one with a redundant transitive edge say, orders the
-    nodes by the closure of its edges, and its tree hangs each node from
-    its one immediate predecessor there. Either way, one loop over the
-    nodes with kids checks the rest.
+    nodes by the row closure of its edges, and its tree hangs each node
+    from its one immediate predecessor there. Either way, one loop over
+    the nodes with kids checks the rest.
     """
     d, root, states = s.derived, s.root, s.states
     index, ups, incompat = d.index, d.up, d.incompat_rows
     _validate_members(index.keys(), nodes, edges)
     shape, parent, top_down = _shape(nodes, edges, root)
     if shape.is_tree:
-        up = _up_rows(top_down, parent, index)
-        kids: dict[str, list[str]] = {x: [] for x in nodes}
-        order, immediate = [], []  # the nodes failing each
-        for x in nodes:
-            if up[x] & ~ups[index[x]]:
+        ambient_parents = d.parents
+        r = index[root]  # the first node top-down, with no parent
+        up = {root: 1 << r}
+        # the nodes failing t-order and t-immediate
+        order, immediate = [root] if up[root] & ~ups[r] else [], []
+        for x in top_down[1:]:
+            i, p = index[x], parent[x]
+            row = up[x] = up[p] | 1 << i
+            if row & ~ups[i]:
                 order.append(x)
+            if p not in ambient_parents[x]:
+                immediate.append(x)
+        kids: dict[str, list[str]] = {x: [] for x in nodes}
+        for x in nodes:
             if x in parent:
-                p = parent[x]
-                kids[p].append(x)
-                if p not in d.parents[x]:
-                    immediate.append(x)
+                kids[parent[x]].append(x)
         # least pairs, as on the closure route; t-parent holds by _shape
         x, y = min(order, default=None), min(immediate, default=None)
         t_order = None if x is None else (x, min(
@@ -339,10 +338,11 @@ def _check_tree(s: EStructure, nodes: tuple[str, ...],
         t_parent = None
         t_immediate = None if y is None else (y, parent[y])
     else:
-        closed = _closure(nodes, edges)
-        t = derive_relations(EStructure(nodes, root, closed))
-        parents, kids = t.parents, t.immed_sets
-        t_order = min(closed - s.relation, default=None)
+        local = {x: i for i, x in enumerate(nodes)}
+        t = EStructure._seeded(nodes, root, _closed_rows(local, edges),
+                               local)
+        parents, kids = t.derived.parents, t.derived.immed_sets
+        t_order = min(t.relation - s.relation, default=None)
         t_parent = next(((x, len(parents[x])) for x in nodes
                          if x != root and len(parents[x]) != 1), None)
         t_immediate = min([(x, z) for x in nodes for z in parents[x]
@@ -350,21 +350,24 @@ def _check_tree(s: EStructure, nodes: tuple[str, ...],
     t_root = (("root missing",) if root not in nodes else
               ("fewer than two nodes",) if len(nodes) < 2 else None)
     branching = clash = unbiased = None
-    for x in nodes:
-        if not kids[x]:  # a maximal node
+    refiners = d.refiners
+    for x, ks in kids.items():  # in node order
+        if not ks:  # a maximal node
             continue
-        if len(kids[x]) == 1 and branching is None:
+        if len(ks) == 1 and branching is None:
             branching = (x, 1)
         # the strict refiners of x incompatible with every kid so far
-        bad, seen = d.refiners[index[x]] & ~ups[index[x]], 0
-        for w in kids[x]:
-            row = incompat[index[w]]
+        i = index[x]
+        bad, seen = refiners[i] & ~ups[i], 0
+        for w in ks:
+            j = index[w]
+            row = incompat[j]
             if seen & ~row and clash is None:  # the first pair, in order
-                clash = next((a, b, x) for n, a in enumerate(kids[x])
-                             for b in kids[x][n + 1:]
+                clash = next((a, b, x) for n, a in enumerate(ks)
+                             for b in ks[n + 1:]
                              if not incompat[index[a]] >> index[b] & 1)
             bad &= row
-            seen |= 1 << index[w]
+            seen |= 1 << j
         if bad and unbiased is None:
             unbiased = (states[_lowest(bad)], x)
     witnesses = [t_root, t_order, t_parent, t_immediate, branching, clash,
@@ -421,10 +424,14 @@ def find_trees(s: EStructure, max_count: int | None = None
     admissible child sets are computed once: two or more of its immediate
     refinements, pairwise incompatible, such that every ambient state
     strictly refining it is compatible with one of them (t-unbiased).
-    Growth is depth first: each open node either stays a leaf or takes one
-    admissible child set with no member already in the tree. Every grown
-    tree then passes check_tree before it is returned; the structure's
-    relation must be a closed preorder, as every constructor makes it.
+    That search stops early where no set can be admissible: at a state
+    with fewer than two immediate refinements, at a refiner compatible
+    with none of them, and past a kid that alone is compatible with some
+    refiner. Growth is depth first: each open node either stays a leaf
+    or takes one admissible child set with no member already in the
+    tree. Every grown tree then passes check_tree before it is returned;
+    the structure's relation must be a closed preorder, as every
+    constructor makes it.
 
     Deterministic order, by node count, then the declaration indices of
     the non-root nodes. A node set carries at most one tree: two
@@ -459,14 +466,25 @@ def find_trees(s: EStructure, max_count: int | None = None
 
 
 def _child_sets(d: DerivedRelations, z: str) -> list[tuple[str, ...]]:
-    """The sets of tree children z may take, each in declaration order."""
+    """The sets of tree children z may take, each in declaration order:
+    two or more of Y(z), pairwise incompatible, meeting every need (the
+    kids compatible with one strict refiner of z).
+
+    A depth-first search extends each set in kid order. It returns []
+    at once when z has fewer than two kids or some need is empty. A kid
+    that alone meets some need is forced: every admissible set holds
+    it, so a branch never extends past a forced kid it did not take.
+    """
     kids, incompat = d.immed_sets[z], d.incompat_rows
+    if len(kids) < 2:
+        return []
     rows = [incompat[d.index[k]] for k in kids]
     bits = [1 << d.index[k] for k in kids]
-    i = d.index[z]
-    # every strict refiner of z must be compatible with a chosen child
-    needs = [sum(bits) & ~incompat[y]
-             for y in _bits(d.refiners[i] & ~d.up[i])]
+    i, every = d.index[z], sum(bits)
+    needs = {every & ~incompat[y] for y in _bits(d.refiners[i] & ~d.up[i])}
+    if 0 in needs:
+        return []
+    forced = [b in needs for b in bits]
     out: list[tuple[str, ...]] = []
     stack: list[tuple[tuple[str, ...], int, int]] = [((), 0, 0)]
     while stack:  # pairwise incompatible subsets, extended in kid order
@@ -476,6 +494,8 @@ def _child_sets(d: DerivedRelations, z: str) -> list[tuple[str, ...]]:
         for k in range(start, len(kids)):
             if not mask & ~rows[k]:
                 stack.append((chosen + (kids[k],), mask | bits[k], k + 1))
+            if forced[k]:  # a later kid would pass it by
+                break
     return out
 
 
@@ -494,9 +514,9 @@ def _grow(root: str, child_sets: Mapping[str, list[tuple[str, ...]]],
         stack.append((parent, rest))  # z stays a leaf
         for kids in child_sets[z]:
             if (len(parent) + len(kids) <= budget
-                    and all(k not in parent for k in kids)):
+                    and parent.keys().isdisjoint(kids)):
                 grown = dict(parent)
-                grown.update((k, z) for k in kids)
+                grown.update(dict.fromkeys(kids, z))
                 stack.append((grown, rest + kids))
     return out
 

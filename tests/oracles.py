@@ -1068,8 +1068,12 @@ def certificate_failure_by_fractions(rows, atoms, alternatives, certificate):
         state, alt, mult = entry
         if (state, alt) not in key:
             return f"unknown row ({state}, {alt})"
-        if not isinstance(mult, (int, Fraction)) or mult < 0:
+        if not isinstance(mult, (int, Fraction)):
             return f"multiplier {mult!r} is not a nonnegative rational"
+        if mult < 0:
+            q = Fraction(mult)
+            return (f"multiplier {q.numerator}/{q.denominator} is not a "
+                    f"nonnegative rational")
         total += mult
         for j, c in enumerate(key[state, alt]):
             combined[j] += mult * c

@@ -234,6 +234,20 @@ def test_malformed_certificate_entry_rejected(corpus, entry):
     assert not verify_certificate(system, result).valid
 
 
+@pytest.mark.parametrize("mult, shown", [
+    (-2, "-2/1"), (Fraction(-3, 6), "-1/2"), ("-1", "'-1'"), (0.5, "0.5"),
+])
+def test_bad_multiplier_is_named(corpus, mult, shown):
+    """A negative int or Fraction is named as n/d, as the CLI prints
+    every rational; any other value by its repr."""
+    ws = corpus["example_t"]
+    system = build_system(ws.structure, ws.plan)
+    result = FeasibilityResult(False, system,
+                               certificate=(("x1", "c", mult),))
+    assert verify_certificate(system, result).failures == (
+        f"multiplier {shown} is not a nonnegative rational",)
+
+
 @pytest.mark.parametrize("fields", [
     {"certificate": 5},
     {"weights": 5},

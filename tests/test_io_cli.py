@@ -649,6 +649,12 @@ class TestVerifyCommand:
         pytest.param(lambda rows: [*rows, ["nope", "a", "1/1"]],
                      "unknown row (nope, a)", id="unknown"),
         pytest.param(lambda rows: [], "missing certificate", id="empty"),
+        pytest.param(lambda rows: [[x, a, "-1"] for x, a, _ in rows],
+                     "multiplier -1/1 is not a nonnegative rational",
+                     id="negated"),
+        pytest.param(lambda rows: [*rows[:-1], [*rows[-1][:2], "-3/6"]],
+                     "multiplier -1/2 is not a nonnegative rational",
+                     id="last-negative"),
     ])
     def test_certificate_that_proves_nothing_fails(
             self, capsys, est, tmp_path, edit, failure):
@@ -660,6 +666,19 @@ class TestVerifyCommand:
         code, data = run_json(capsys, ["verify", est("example_t"), witness])
         assert (code, data) == (1, {"verified": False, "margins": {},
                                     "failures": [failure]})
+
+    def test_negative_multiplier_prints_as_a_rational(self, capsys, est,
+                                                       tmp_path):
+        """The text output names a bad multiplier in the n/d form every
+        other number takes, not as Python's repr."""
+        code, decided = run_json(capsys, ["plan", "decide",
+                                          est("example_t")])
+        witness = self.witness_path(tmp_path, {"certificate": [
+            [x, a, "-1"] for x, a, _ in decided["certificate"]]})
+        assert cli.run(["verify", est("example_t"), witness]) == 1
+        assert capsys.readouterr().out == (
+            "multiplier -1/1 is not a nonnegative rational\n"
+            "not verified\n")
 
     @pytest.mark.parametrize("certificate, message", [
         ({"x1": "1"}, None),
@@ -696,6 +715,42 @@ class TestVerifyCommand:
         witness = self.witness_path(tmp_path, {})
         assert cli.run(["verify", est("example_r"), witness]) == 2
         assert "neither" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_empty_weights_are_an_atom_level_witness(self, capsys, est,
+                                                     tmp_path, fmt):
+        """A 'weights' key makes an atom-level witness even when its
+        table is empty: it is verified, and fails, rather than being
+        taken for a file with no witness at all."""
+        witness = self.witness_path(tmp_path, {"weights": {},
+                                               "utilities": {}})
+        code = cli.run(["verify", est("example_r"), witness,
+                        "--format", fmt])
+        out = capsys.readouterr().out
+        assert code == 1
+        if fmt == "json":
+            assert json.loads(out)["failures"][0] == (
+                "weights sum to 0, not 1")
+        else:
+            assert "weights sum to 0, not 1\n" in out
+            assert out.endswith("not verified\n")
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"utilities": {"b": []}},
+         "witness utility table for 'b' must map each atom to a rational"),
+        ({"weights": {"z1": "1"}, "utilities": {"a": {}, "b": "1"}},
+         "witness utility table for 'b' must map each atom to a rational"),
+        ({"weights": {}, "utilities": ["a"]},
+         "witness 'utilities' must map each alternative to a table"),
+        ({"weights": ["1"]},
+         "witness 'weights' must map each atom to a rational"),
+        ({"weights": {"z1": "x"}}, "malformed witness: not a rational: 'x'"),
+    ])
+    def test_malformed_atom_level_tables_are_named(
+            self, capsys, est, tmp_path, payload, message):
+        witness = self.witness_path(tmp_path, payload)
+        assert cli.run(["verify", est("example_r"), witness]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestInvocation:

@@ -11,7 +11,7 @@ import pytest
 
 import evistruct
 import oracles
-from conftest import subset_family_structure
+from conftest import splitting_tree, subset_family_structure
 from evistruct import (AXIOM_IDS, CANONICAL_CONDITION_IDS, CanonicalSpace,
                        ConditionReport, ConditionVerdict, EStructure,
                        StructureError, build_canonical, check_axioms,
@@ -63,6 +63,97 @@ class TestConstruction:
         sub = s.restrict(x for x in ["r", "a", "b"])
         assert sub.states == ("r", "a", "b")
         assert sub == s.restrict(["r", "a", "b"])
+
+
+def _seeded_against_referees(states, root, pairs):
+    """from_generators on the pairs, checked against the referees: the
+    relation against oracles.closure, and the derived relations it was
+    seeded with against derive_relations on a structure that holds the
+    closed relation and nothing else."""
+    s = EStructure.from_generators(states, root, pairs)
+    closed = oracles.closure(states, pairs)
+    assert s.relation == closed
+    assert "derived" in s.__dict__  # seeded, not derived on first read
+    got = s.derived
+    want = derive_relations(EStructure(s.states, root, frozenset(closed)))
+    assert got == want
+    assert list(got.parents) == list(got.immed_sets) == list(s.states)
+    assert got.incompat_rows == want.incompat_rows
+    return s
+
+
+class TestRowClosureAgainstReferees:
+    """The generator pairs are closed on bit rows, in a few sweeps that
+    alternate direction; declaration orders that point every pair
+    forward, backward or anywhere take different numbers of sweeps."""
+
+    @staticmethod
+    def orders(rng, states, root):
+        others = [x for x in states if x != root]
+        shuffled = rng.sample(others, len(others))
+        return [list(states), [root, *reversed(others)], [root, *shuffled]]
+
+    def test_splitting_trees_in_every_declaration_order(self):
+        rng = random.Random(2701)
+        for _ in range(40):
+            t = splitting_tree(rng, max_nodes=30)
+            edges = tuple(t.parent.items())
+            for states in self.orders(rng, t.nodes, t.root):
+                _seeded_against_referees(states, t.root, edges)
+
+    def test_subset_families_with_and_without_twins(self):
+        rng = random.Random(2702)
+        for dup_prob in (0.0, 0.2, 1.0):
+            for _ in range(25):
+                s = subset_family_structure(rng, max_universe=4,
+                                            dup_prob=dup_prob)
+                pairs = sorted(s.relation - {(x, x) for x in s.states})
+                for states in self.orders(rng, s.states, s.root):
+                    _seeded_against_referees(states, s.root, pairs)
+
+    def test_generator_cycles(self):
+        """A cycle closes to one equivalence class, reached through a
+        chain declared backwards, with a second cycle hanging off it."""
+        states = ["r", *[f"c{i}" for i in range(6)],
+                  *[f"t{i}" for i in range(8)], "d0", "d1"]
+        pairs = [(f"c{i}", f"c{(i + 1) % 6}") for i in range(6)]
+        pairs += [(f"t{i}", f"t{i + 1}") for i in range(7)]
+        pairs += [("t7", "c3"), ("c0", "r"), ("d0", "d1"), ("d1", "d0"),
+                  ("d0", "t2")]
+        rng = random.Random(2703)
+        for states in self.orders(rng, states, "r"):
+            s = _seeded_against_referees(states, "r", pairs)
+        assert {("c0", "c5"), ("c5", "c0"), ("d1", "r")} <= s.relation
+
+    def test_duplicate_and_reflexive_pairs(self):
+        states = ["r", "a", "b", "c", "d"]
+        pairs = [("a", "r"), ("a", "r"), ("b", "a"), ("b", "b"),
+                 ("r", "r"), ("c", "b"), ("c", "b"), ("d", "d")]
+        s = _seeded_against_referees(states, "r", pairs)
+        plain = _seeded_against_referees(
+            states, "r", [("a", "r"), ("b", "a"), ("c", "b")])
+        assert (plain, plain.derived) == (s, s.derived)
+        assert s.derived.parents == {"r": (), "a": ("r",), "b": ("a",),
+                                     "c": ("b",), "d": ()}
+
+    def test_random_digraphs(self):
+        """Any pairs at all, cycles and long paths included: the closure
+        is the reachability relation whatever its shape."""
+        rng = random.Random(2704)
+        for _ in range(60):
+            n = rng.randint(2, 18)
+            states = [f"v{i}" for i in range(n)]
+            pairs = [(rng.choice(states), rng.choice(states))
+                     for _ in range(rng.randint(0, 2 * n))]
+            _seeded_against_referees(states, states[0], pairs)
+
+    def test_a_long_chain_declared_every_way(self):
+        states = [f"k{i}" for i in range(60)]
+        pairs = [(f"k{i + 1}", f"k{i}") for i in range(59)]
+        rng = random.Random(2705)
+        for order in self.orders(rng, states, "k0"):
+            s = _seeded_against_referees(order, "k0", pairs)
+            assert len(s.relation) == 60 * 61 // 2
 
 
 class TestExampleC:

@@ -7,15 +7,17 @@ import gc
 import pickle
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
 import oracles
 from conftest import consistent_plan, splitting_tree, subset_family_structure
 from evistruct import (FIXTURES, TREE_CONDITION_IDS, EStructure,
-                       ExperimentationTree, TreeError, as_tree, build_tree, build_canonical, check_axioms,
-                       check_graph_tree, check_tree, construct_sceu,
-                       decide_rationalizable, decompose_field_element,
+                       ExperimentationTree, TreeError, as_tree, build_tree,
+                       build_canonical, check_axioms, check_graph_tree,
+                       check_tree, construct_sceu, decide_rationalizable,
+                       decompose_field_element, derive_relations,
                        find_trees, parse_workspace, partitions,
                        verify_rationalization)
 from evistruct import feasibility, rationalize, structure, trees
@@ -138,6 +140,49 @@ def test_find_trees_matches_the_subset_search():
         several += len(found) > 2
     # the draws reach trees among equivalence twins and several trees
     assert twins_with_trees > 0 and several > 5
+
+
+def _oracle_passes(s):
+    return lambda nodes, edges: not oracles.check_tree_oracle(
+        s.states, s.root, s.relation, nodes, edges)
+
+
+@pytest.mark.parametrize("kind", ["splitting", "families", "twins"])
+def test_find_trees_against_the_subset_search_at_size(kind):
+    """The child sets stop early (a state with fewer than two immediate
+    refinements, an empty need, a branch past a forced kid), so growth
+    is refereed by the brute-force subset search with the oracle's
+    check, on 10-, 12- and 14-node splitting trees and on subset
+    families with and without twins. Order and trees match, and each
+    tree keeps the top-down order its check read: every node after its
+    parent, as a fresh read of the shape gives it."""
+    rng = random.Random(2710)
+    if kind == "splitting":
+        structures = []
+        for size in (10, 12, 14):
+            for _ in range(2):
+                t = splitting_tree(rng, max_nodes=size, min_nodes=size)
+                while len(t.nodes) != size:
+                    t = splitting_tree(rng, max_nodes=size, min_nodes=size)
+                structures.append(t.ambient)
+    else:
+        dup_prob = 0.0 if kind == "families" else 0.6
+        structures = [s for s in (subset_family_structure(
+            rng, max_universe=4, dup_prob=dup_prob) for _ in range(60))
+            if len(s.states) <= 10]
+    grown = 0
+    for s in structures:
+        found = find_trees(s)
+        assert _node_edge_lists(s, found) == oracles.find_trees_by_subsets(
+            s.states, s.root, s.relation, _oracle_passes(s))
+        for t in found:
+            top_down = t.__dict__["_top_down"]
+            assert top_down == dataclasses.replace(t)._top_down
+            place = {x: i for i, x in enumerate(top_down)}
+            assert sorted(top_down) == sorted(t.nodes)
+            assert all(place[t.parent[x]] < place[x] for x in t.parent)
+        grown += len(found)
+    assert grown > 20
 
 
 def test_example_j_has_no_tree(corpus):
@@ -455,6 +500,25 @@ class TestAsTree:
         assert t.as_estructure is not ws.structure
         assert t.as_estructure.states == t.nodes
 
+    def test_contained_trees_seed_their_relations(self, corpus):
+        """A contained tree's structure holds the relations read off the
+        rows its top-down pass built, equal to what derive_relations
+        reads off its relation, and its order is the closure of its
+        edges."""
+        rng = random.Random(2712)
+        ws = corpus["example_d"]
+        contained = [build_tree(ws.structure, *_block(ws, 0))]
+        for _ in range(30):
+            s = subset_family_structure(rng, max_universe=4)
+            contained += [t for t in find_trees(s) if t.nodes != s.states]
+        assert len(contained) > 20
+        for t in contained:
+            own = t.as_estructure
+            assert "derived" in own.__dict__
+            assert own.relation == oracles.closure(t.nodes, t.parent.items())
+            fresh = EStructure(own.states, own.root, own.relation)
+            assert own.derived == derive_relations(fresh)
+
 
 class TestRandomizedTrees:
     def test_splitting_trees_always_pass_all_conditions(self):
@@ -627,6 +691,47 @@ def _variants(rng, s, nodes, edges):
     yield others, tuple([(c, p) for c, p in edges if p != root])
 
 
+def _perturbed(rng, s, t):
+    """Tree-shaped edits of tree t in s, one each: a wrong parent, a
+    non-immediate parent, a sibling clash and a dropped kid."""
+    rel, d = s.relation, s.derived
+    incompat = oracles.derive_relations_by_sets(s.states, rel)["incompat"]
+    parent = dict(t.parent)
+    kids = t.children
+
+    def below(x):  # x and its tree descendants
+        out = [x]
+        for y in out:
+            out.extend(kids[y])
+        return out
+
+    def edges_of(nodes, up):
+        return tuple([(x, up[x]) for x in nodes if x in up])
+
+    others = [x for x in t.nodes if x != s.root]
+    x = rng.choice(others)
+    wrong = [y for y in t.nodes if (x, y) not in rel and y not in below(x)]
+    if wrong:
+        yield t.nodes, edges_of(t.nodes, {**parent, x: rng.choice(wrong)})
+    deep = [x for x in others if parent[x] != s.root]
+    if deep:
+        x = rng.choice(deep)
+        yield t.nodes, edges_of(t.nodes, {**parent, x: parent[parent[x]]})
+    clashes = [(w, z) for z in t.nodes if kids[z] for w in d.immed_sets[z]
+               if w not in t.nodes
+               and any((w, k) not in incompat for k in kids[z])]
+    if clashes:
+        w, z = rng.choice(clashes)
+        nodes = tuple([y for y in s.states if y in t.nodes or y == w])
+        yield nodes, edges_of(nodes, {**parent, w: z})
+    wide = [z for z in t.nodes if len(kids[z]) > 1]
+    if wide:
+        z = rng.choice(wide)
+        gone = set(below(rng.choice(kids[z])))
+        nodes = tuple([y for y in t.nodes if y not in gone])
+        yield nodes, edges_of(nodes, parent)
+
+
 class TestAgainstPairSetReference:
     """check_tree reads a tree-shaped edge list off its parent map and
     closes any other list; oracles.check_tree_by_pairs closes every list.
@@ -733,6 +838,29 @@ class TestAgainstPairSetReference:
         assert report["t-order"].passed
         assert report["t-immediate"].witness == ("w1", "p")
 
+    def test_perturbed_tree_shaped_lists(self):
+        """Tree-shaped edge lists made from found trees by one edit each,
+        all read on the top-down route: a node hung under a state it
+        does not refine, under its grandparent, a new kid compatible
+        with a sibling, and a kid dropped with its subtree."""
+        rng = random.Random(2711)
+        structures = [splitting_tree(rng, max_nodes=16).ambient
+                      for _ in range(20)]
+        structures += [subset_family_structure(rng, max_universe=4)
+                       for _ in range(60)]
+        failed = Counter()
+        for s in structures:
+            found = find_trees(s)
+            if not found:
+                continue
+            t = rng.choice(found)
+            for nodes, edges in _perturbed(rng, s, t):
+                assert check_graph_tree(nodes, edges, s.root).is_tree
+                report = self.compare(s, nodes, edges)
+                failed.update(report.failed_ids)
+        assert {"t-order", "t-immediate", "t-incompat",
+                "t-unbiased"} <= {c for c, n in failed.items() if n > 5}
+
     def test_redundant_transitive_edge_takes_the_closure(self):
         s = EStructure.from_generators(
             ["r", "a", "b", "c", "d"], "r",
@@ -746,10 +874,11 @@ class TestAgainstPairSetReference:
 def test_tree_op_closes_and_derives_once(monkeypatch):
     """One consistent op on a 12-node tree: build the structure and the
     tree, decide, construct and verify. Every tree on the way is read off
-    its parent map, so the edges are closed once and the relations
-    derived once, both for the structure itself. The structure keeps no
-    tree, so the seven conditions are checked and a shape read twice:
-    once for the tree build_tree accepts and once for the equal tree
+    its parent map, so the edges are closed on rows once, for the
+    structure itself, and those rows seed its relations: derive_relations
+    never runs. The structure keeps no tree, so the seven conditions are
+    checked and a shape read twice: once for the tree build_tree accepts
+    and once for the equal tree
     as_tree reads for the decision. The verifier reads the shape the
     built tree cached. The decision walks once per alternative, and the
     construction reads the pass it kept on the canonical space both
@@ -761,8 +890,8 @@ def test_tree_op_closes_and_derives_once(monkeypatch):
         tree = splitting_tree(rng, max_nodes=12, min_nodes=12)
     plan = consistent_plan(rng, tree, n_alts=3)
     nodes, edges = tree.nodes, tuple(tree.parent.items())
-    homes = {"_closure": (structure, trees),
-             "derive_relations": (structure, trees),
+    homes = {"_closed_rows": (structure, trees),
+             "derive_relations": (structure,),
              "_shape": (trees,), "_check_tree": (trees,),
              "_walks": (rationalize,), "FeasibilityRow": (feasibility,)}
     calls = dict.fromkeys(homes, 0)
@@ -783,7 +912,7 @@ def test_tree_op_closes_and_derives_once(monkeypatch):
     r = construct_sceu(t, plan)
     assert result.path == "tree" and result.feasible
     assert verify_rationalization(t, plan, r).verified
-    assert calls == {"_closure": 1, "derive_relations": 1, "_shape": 2,
+    assert calls == {"_closed_rows": 1, "derive_relations": 0, "_shape": 2,
                      "_check_tree": 2, "_walks": len(plan.alternatives),
                      "FeasibilityRow": len(result.system.rows)}
     assert len(result.system.rows) == 12 * (len(plan.alternatives) - 1)
@@ -828,15 +957,16 @@ def test_every_view_of_a_malformed_tree_raises_tree_error():
 def test_contained_tree_closes_nothing(monkeypatch):
     """A tree inside a larger structure (example_d, block 0) is read off
     its parent map too. Once the structure's relations are derived,
-    building the tree, constructing on it and verifying close no edges
-    and call no from_generators; the one derive_relations is the tree's
-    own structure's. A parent map with a cycle, one naming a non-node,
+    building the tree, constructing on it and verifying close no edges,
+    call no from_generators and run no derive_relations: the tree's own
+    structure is seeded from the rows its top-down pass read. A parent
+    map with a cycle, one naming a non-node,
     no map at all and a repeated node are no tree, and both views say
     so."""
     ws = parse_workspace(FIXTURES["example_d.est"])
     s = ws.structure
     s.derived  # the ambient relations, derived before counting
-    calls = dict.fromkeys(["_closure", "derive_relations",
+    calls = dict.fromkeys(["_closed_rows", "derive_relations",
                            "from_generators"], 0)
 
     def counted(name, original):
@@ -845,9 +975,10 @@ def test_contained_tree_closes_nothing(monkeypatch):
             return original(*args)
         return count
 
-    for name in ("_closure", "derive_relations"):
+    for name, modules in (("_closed_rows", (structure, trees)),
+                          ("derive_relations", (structure,))):
         wrapper = counted(name, getattr(structure, name))
-        for module in (structure, trees):
+        for module in modules:
             monkeypatch.setattr(module, name, wrapper)
     monkeypatch.setattr(EStructure, "from_generators", classmethod(
         counted("from_generators", EStructure.from_generators.__func__)))
@@ -855,7 +986,7 @@ def test_contained_tree_closes_nothing(monkeypatch):
     r = construct_sceu(t, ws.plan)
     assert verify_rationalization(t, ws.plan, r).verified
     assert t.as_estructure is not s
-    assert calls == {"_closure": 0, "derive_relations": 1,
+    assert calls == {"_closed_rows": 0, "derive_relations": 0,
                      "from_generators": 0}
 
     for edit in ({"parent": {**t.parent, "As": "Sb", "Sb": "As"}},
