@@ -7,46 +7,21 @@ decides, with exact rational arithmetic, whether a contingent plan can
 be explained by a single probability-and-utility pair.
 
 The namespace loads on demand (PEP 562): ``import evistruct`` imports
-no module of the package, and the first use of any name in __all__, or
-of one of the seven module names below, imports all seven and binds
-every exported name, so that from then on the namespace is the one an
-eager import block would give. Importing one module, evistruct.io say,
-loads only that module and what it imports; the command-line front end
-(evistruct.cli) relies on this to start on the modules its subcommand
-runs.
+no module of the package, and the first use of any name in __all__ (the
+one export list), or of a module name in _MODULES, imports all seven and
+binds each name of __all__ from the module namespace holding it, so that
+from then on the namespace is the one an eager import block would give.
+Importing one module, evistruct.io say, loads only that module and what
+it imports; the command-line front end (evistruct.cli) relies on this to
+start on the modules its subcommand runs.
 """
 from __future__ import annotations
 
 import importlib
 
-# the exported names of each module, in the order the modules load
-_EXPORTS: dict[str, tuple[str, ...]] = {
-    "canonical": ("CANONICAL_CONDITION_IDS", "EMBEDDING_CONDITION_IDS",
-                  "CanonicalError", "CanonicalSpace", "build_canonical",
-                  "generated_field", "product_embedding", "verify_canonical",
-                  "verify_embedding"),
-    "feasibility": ("FeasibilityResult", "FeasibilityRow",
-                    "FeasibilitySystem", "build_system",
-                    "decide_rationalizable", "decide_system",
-                    "verify_certificate", "verify_weighting"),
-    "io": ("FIXTURES", "ParseError", "TreeBlock", "Workspace",
-           "emit_fixtures", "format_rational", "format_workspace",
-           "load_structure", "parse_rational", "parse_workspace"),
-    "plans": ("ConditionalPreferenceRelation", "IsdReport", "Plan",
-              "PlanError", "check_isd_plan", "check_isd_relation",
-              "induced_relation"),
-    "rationalize": ("ExplicitRepresentation", "Rationalization",
-                    "RationalizationError", "SamplePoint", "avoiding_branch",
-                    "construct_sceu", "verify_rationalization"),
-    "structure": ("AXIOM_IDS", "ConditionReport", "ConditionVerdict",
-                  "DerivedRelations", "EStructure", "RankTable",
-                  "StructureError", "WitnessReport", "check_axioms",
-                  "derive_relations", "rank", "rank_level_sets"),
-    "trees": ("TREE_CONDITION_IDS", "Branch", "ExperimentationTree",
-              "GraphReport", "PartitionSequence", "TreeError", "as_tree",
-              "build_tree", "check_graph_tree", "check_tree",
-              "decompose_field_element", "find_trees", "partitions"),
-}
+# the modules the namespace loads on first use, in this order
+_MODULES = ("canonical", "feasibility", "io", "plans", "rationalize",
+            "structure", "trees")
 
 __all__ = [
     "AXIOM_IDS",
@@ -121,17 +96,18 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    """Import every module and bind every exported name, on the first use
-    of one of them or of a module's name; any other name is missing."""
-    if name not in _EXPORTS and name not in __all__:
+    """Import every module and bind each name of __all__ from the module
+    namespace holding it, on the first use of one of them or of a
+    module's name; any other name is missing."""
+    if name not in _MODULES and name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute "
                              f"{name!r}")
-    namespace = globals()
-    for stem, names in _EXPORTS.items():
-        module = importlib.import_module(f"{__name__}.{stem}")
-        namespace.update({n: getattr(module, n) for n in names})
-    return namespace[name]
+    found: dict[str, object] = {}  # a name two modules hold is one object
+    for stem in _MODULES:
+        found.update(vars(importlib.import_module(f"{__name__}.{stem}")))
+    globals().update({n: found[n] for n in __all__})
+    return globals()[name]
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__, *_EXPORTS})
+    return sorted({*globals(), *__all__, *_MODULES})

@@ -457,6 +457,9 @@ def _verify_product(tree: ExperimentationTree, plan,
             raise _UsageError(f"utilities missing alternative {alt!r}")
         if len(utilities[alt]) != len(points):
             raise _UsageError(f"utility table for {alt!r} has wrong length")
+    for alt in utilities:
+        if alt not in plan.alternatives:
+            raise _UsageError(f"utilities name unknown alternative {alt!r}")
 
     return _margin_report(_rows(space, plan), len(space.atoms), points,
                           *_over_lcm(weights),

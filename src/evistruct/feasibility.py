@@ -330,17 +330,24 @@ def verify_weighting(system: FeasibilitySystem,
     """Exactly check an atom-level weighting and utilities against a system.
 
     A label missing from a table reads as zero. Every value must be an int
-    or a Fraction, every weight label an atom, the weights nonnegative with
-    sum 1, and every row's margin, keyed (state, rival), strictly positive:
-    _margin_report with one point per atom.
+    or a Fraction, every weight label and every label of an alternative's
+    utility table an atom, every utility table an alternative's, the
+    weights nonnegative with sum 1, and every row's margin, keyed
+    (state, rival), strictly positive: _margin_report with one point per
+    atom.
     """
     if not (isinstance(weights, Mapping) and isinstance(utilities, Mapping)
             and all(isinstance(utilities.get(a, {}), Mapping)
                     for a in system.alternatives)):
         return WitnessReport(
             False, failures=("weights or utilities are not a table",))
-    unknown = sorted(set(weights) - set(system.atoms), key=str)
+    labels = set(weights).union(*[utilities.get(a, {})
+                                  for a in system.alternatives])
+    unknown = sorted(labels - set(system.atoms), key=str)
     failures = [f"unknown sample points {unknown}"] if unknown else []
+    extra = sorted(set(utilities) - set(system.alternatives), key=str)
+    if extra:
+        failures.append(f"unknown alternatives {extra}")
     w = [weights.get(atom, 0) for atom in system.atoms]
     u = [[utilities.get(alt, {}).get(atom, 0) for atom in system.atoms]
          for alt in system.alternatives]

@@ -31,11 +31,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
+from typing import TYPE_CHECKING
 
-from .canonical import CanonicalSpace, build_canonical
 from .structure import (ConditionReport, DerivedRelations, EStructure,
                         StructureError, _bits, _closed_rows,
                         _condition_report, _lowest)
+
+if TYPE_CHECKING:
+    from .canonical import CanonicalSpace
 
 TREE_CONDITION_IDS: tuple[str, ...] = (
     "t-root", "t-order", "t-parent", "t-immediate",
@@ -124,23 +127,19 @@ class ExperimentationTree:
     def root(self) -> str:
         return self.ambient.root
 
-    @cached_property
+    @property
     def children(self) -> Mapping[str, tuple[str, ...]]:
-        """Each node's children in node order, read off the parent map;
-        TreeError when that map is not a tree of two or more nodes."""
-        self._checked_top_down()
-        kids: dict[str, list[str]] = {x: [] for x in self.nodes}
-        for x in self.nodes:
-            if x in self.parent:
-                kids[self.parent[x]].append(x)
-        return {x: tuple(k) for x, k in kids.items()}
+        """Each node's children in node order, read-only: its own
+        structure's immed_sets (s.derived.immed_sets for a tree spanning
+        s); TreeError as for as_estructure."""
+        return self.as_estructure.derived.immed_sets
 
     @cached_property
     def rank_in_tree(self) -> dict[str, int]:
-        rho: dict[str, int] = {}
-        for x in self._checked_top_down():
-            rho[x] = rho[self.parent[x]] + 1 if x in self.parent else 0
-        return rho
+        """Each node's depth, in node order: the size of its up-row in
+        the tree's own structure, less itself."""
+        rows = self.as_estructure.derived.up
+        return {x: row.bit_count() - 1 for x, row in zip(self.nodes, rows)}
 
     @cached_property
     def _top_down(self) -> tuple[str, ...]:
@@ -151,11 +150,6 @@ class ExperimentationTree:
                 and {*p, *p.values()} <= nodes):
             return _shape(self.nodes, p.items(), self.root)[2]
         return ()
-
-    def _checked_top_down(self) -> tuple[str, ...]:
-        if len(self._top_down) < 2:  # not a tree, or the root alone
-            raise TreeError("parent map is not a tree of two or more nodes")
-        return self._top_down
 
     @property
     def depth(self) -> int:
@@ -176,21 +170,25 @@ class ExperimentationTree:
         the parent map by one top-down pass of bit rows over the tree's own
         node indices; when those rows are the ambient structure's, the
         ambient structure itself is returned. Otherwise the new structure's
-        ``derived`` is seeded from the same rows. TreeError as for
-        children."""
+        ``derived`` is seeded from the same rows. TreeError when the parent
+        map is not a tree of two or more nodes."""
+        top_down = self._top_down
+        if len(top_down) < 2:  # not a tree, or the root alone
+            raise TreeError("parent map is not a tree of two or more nodes")
         nodes, s, parent = self.nodes, self.ambient, self.parent
         index = {x: i for i, x in enumerate(nodes)}
         up: dict[str, int] = {}
-        for x in self._checked_top_down():  # each after its parent
+        for x in top_down:  # each after its parent
             up[x] = (up[parent[x]] if x in parent else 0) | 1 << index[x]
         rows = [up[x] for x in nodes]
         if nodes == s.states and tuple(rows) == s.derived.up:
             return s
         return EStructure._seeded(nodes, self.root, rows, index)
 
-    @cached_property
+    @property
     def canonical(self) -> CanonicalSpace:
-        return build_canonical(self.as_estructure)
+        """The canonical space kept on the tree's own structure."""
+        return self.as_estructure.canonical
 
     @cached_property
     def branches(self) -> tuple[Branch, ...]:
@@ -234,12 +232,46 @@ def _validate_members(known: Set[str], nodes: Sequence[str],
             raise TreeError(f"edge ({c!r}, {p!r}) mentions a non-node")
 
 
+def _given(nodes: Iterable[str], edges: Iterable[tuple[str, str]]
+           ) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
+    """The public wrappers' nodes and edges as tuples. TreeError names,
+    as given, the first node that is not hashable and the first edge
+    that is not a (child, parent) pair, a tuple or list of two hashable
+    ends."""
+    nodes, edges = tuple(nodes), tuple(edges)
+    try:
+        hash((nodes, edges))  # hashes every node, and every end of a tuple
+    except TypeError:
+        pairs = False
+    else:
+        pairs = (set(map(type, edges)) <= {tuple}
+                 and set(map(len, edges)) <= {2})
+    if not pairs:
+        for x in nodes:
+            if not _hashable(x):
+                raise TreeError(f"tree node {x!r} is not a state")
+        for e in edges:
+            if not (isinstance(e, (tuple, list)) and len(e) == 2
+                    and all(map(_hashable, e))):
+                raise TreeError(f"edge {e!r} is not a (child, parent) pair")
+    return nodes, edges
+
+
+def _hashable(x: object) -> bool:
+    try:
+        hash(x)
+    except TypeError:
+        return False
+    return True
+
+
 def check_graph_tree(nodes: Sequence[str], edges: Iterable[tuple[str, str]],
                      root: str) -> GraphReport:
     """Shape check only: one parent each, no cycles, all reach the root.
-    A repeated node, or an edge that mentions a non-node, raises
+    A repeated node, an edge that mentions a non-node, or input that is
+    not a list of nodes and a list of (child, parent) pairs raises
     TreeError."""
-    edges = tuple(edges)
+    nodes, edges = _given(nodes, edges)
     _validate_members(set(nodes), nodes, edges)
     return _shape(nodes, edges, root)[0]
 
@@ -289,9 +321,12 @@ def check_tree(s: EStructure, nodes: Sequence[str],
 
     The tree order is the reachability closure of the given edges; nothing
     about the edge list itself is assumed beyond membership in the node
-    set. Condition failures land in the report, never in an exception.
+    set. Condition failures land in the report, never in an exception;
+    malformed input (a repeated node or one that is not a state, an edge
+    to a non-node or one that is not a (child, parent) pair) raises
+    TreeError.
     """
-    return _check_tree(s, tuple(nodes), tuple(edges))[0]
+    return _check_tree(s, *_given(nodes, edges))[0]
 
 
 def _check_tree(s: EStructure, nodes: tuple[str, ...],
@@ -388,7 +423,7 @@ def build_tree(s: EStructure, nodes: Sequence[str],
     """Check the seven conditions and return the checked tree, with the
     top-down order the check read cached on the instance, not in a
     field, so a dataclasses.replace copy reads its own shape."""
-    report, tree = _check_tree(s, tuple(nodes), tuple(edges))
+    report, tree = _check_tree(s, *_given(nodes, edges))
     if tree is None:
         raise TreeError("tree conditions failed: "
                         + ", ".join(report.failed_ids))
@@ -549,7 +584,7 @@ class PartitionSequence:
 def partitions(t: ExperimentationTree) -> PartitionSequence:
     """The tree's refinement filtration; TreeError on a malformed tree."""
     _validate_members(t.ambient.derived.index.keys(), t.nodes, ())
-    space, rho, leaves = build_canonical(t.ambient), t.rank_in_tree, t.leaves
+    space, rho, leaves = t.ambient.canonical, t.rank_in_tree, t.leaves
     members = tuple([tuple([x for x in t.nodes if rho[x] == n
                             or (rho[x] < n and x in leaves)])
                      for n in range(t.depth + 1)])

@@ -1028,9 +1028,17 @@ def verify_constructed_by_fractions(events, nodes, root, parent, choice,
 def verify_weighting_by_fractions(rows, atoms, alternatives, weights,
                                   utilities):
     """An atom-level weighting against rows (state, rival, coeffs), the
-    columns running over alternatives, then atoms."""
-    unknown = sorted(set(weights) - set(atoms), key=str)
+    columns running over alternatives, then atoms. A weight label or a
+    label in an alternative's utility table that is no atom, and a table
+    for no alternative, fail."""
+    labels = set(weights)
+    for alt in alternatives:
+        labels |= set(utilities.get(alt, {}))
+    unknown = sorted(labels - set(atoms), key=str)
     failures = [f"unknown sample points {unknown}"] if unknown else []
+    extra = sorted(set(utilities) - set(alternatives), key=str)
+    if extra:
+        failures.append(f"unknown alternatives {extra}")
     w = [weights.get(atom, 0) for atom in atoms]
     u = [utilities.get(alt, {}).get(atom, 0)
          for alt in alternatives for atom in atoms]

@@ -4,8 +4,9 @@ module imports a name it never uses, every private top-level name is
 read somewhere in the package, every cache stored in an instance's
 __dict__ is declared here and named in the README, no line is wider
 than 79 columns, the package namespace imports no module when it loads
-and exports each name of __all__ from the module defining it, and the
-CLI imports only io, plans and structure when it loads."""
+and exports each name of __all__ from the one module defining it, the
+CLI imports only io, plans and structure when it loads, and every
+import of another module's private name is declared here."""
 from __future__ import annotations
 
 import ast
@@ -245,22 +246,87 @@ def _top_level_names(tree: ast.Module) -> set[str]:
     return names
 
 
+# every import of another module's private name, deferred imports
+# included: importer -> {module: names}. A new coupling fails
+# test_private_couplings_are_declared until it is declared here.
+PRIVATE_COUPLINGS = {
+    "canonical": {"structure": {"_bits", "_condition_report", "_first_pair",
+                                "_lowest", "_union"}},
+    "cli": {"feasibility": {"_margin_report", "_over_lcm", "_rows"}},
+    "feasibility": {"plans": {"_check_domain"}, "structure": {"_bits"},
+                    "rationalize": {"_avoidance"}},
+    "rationalize": {"feasibility": {"_margin_report", "_over_lcm",
+                                    "_plan_key", "_rows"}},
+    "structure": {"canonical": {"_verified_space"}},
+    "trees": {"structure": {"_bits", "_closed_rows", "_condition_report",
+                            "_lowest"}},
+}
+
+
+def _private_imports(tree: ast.Module) -> dict[str, set[str]]:
+    """The private names (one leading underscore, not a dunder) a module
+    imports from each package module, at any depth: in functions, in
+    `if TYPE_CHECKING:` blocks, relative or absolute, aliased or not."""
+    found: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or node.module is None:
+            continue
+        if node.level:
+            module = node.module
+        elif node.module.startswith("evistruct."):
+            module = node.module[len("evistruct."):]
+        else:
+            continue
+        names = {a.name for a in node.names
+                 if a.name.startswith("_") and not a.name.endswith("__")}
+        if names:
+            found.setdefault(module, set()).update(names)
+    return found
+
+
+def test_private_couplings_are_declared():
+    """A module reading another's private name is coupled to its insides;
+    each such import is declared above, so a new one is added on
+    purpose."""
+    found = {path.stem: _private_imports(ast.parse(path.read_text(
+        encoding="utf-8"))) for path in MODULES}
+    assert {stem: names for stem, names in found.items()
+            if names} == PRIVATE_COUPLINGS
+
+
+def test_the_private_import_scan_sees_every_depth_and_form():
+    tree = ast.parse("from .a import _x, y, __version__\n"
+                     "from .b import _z as w\nimport evistruct\n"
+                     "from evistruct.c import _v\nfrom json import _p\n"
+                     "if TYPE_CHECKING:\n    from .d import _t\n"
+                     "def f():\n    from .a import _u\n"
+                     "class K:\n    def g(self):\n"
+                     "        from .e import _s, r\n")
+    assert _private_imports(tree) == {"a": {"_x", "_u"}, "b": {"_z"},
+                                      "c": {"_v"}, "d": {"_t"},
+                                      "e": {"_s"}}
+
+
 def test_the_package_namespace_imports_no_module_when_it_loads():
     assert _top_level_package_imports(_module_tree("__init__")) == []
 
 
 def test_the_export_table_maps_all_of_all_to_its_modules():
-    """__all__ stays a literal list, and the table the namespace loads
-    from names each of its entries once, under the module defining it."""
+    """__all__ is the one export list: a literal list of distinct names,
+    each defined at the top level of exactly one module the namespace
+    loads, which __getattr__ reads from the tuple of module names."""
     tree = _module_tree("__init__")
-    exports = _literal(tree, "_EXPORTS")
-    listed = [name for names in exports.values() for name in names]
-    assert sorted(listed) == sorted(_literal(tree, "__all__"))
-    assert len(set(listed)) == len(listed) == 66
-    misplaced = [(stem, name) for stem, names in exports.items()
-                 for name in names
-                 if name not in _top_level_names(_module_tree(stem))]
-    assert misplaced == []
+    names = _literal(tree, "__all__")
+    modules = _literal(tree, "_MODULES")
+    assert sorted(modules) == sorted(p.stem for p in MODULES
+                                     if p.stem not in ("__init__", "cli"))
+    assert len(set(names)) == len(names) == 66
+    defined = {stem: _top_level_names(_module_tree(stem))
+               for stem in modules}
+    owners = {name: [stem for stem in modules if name in defined[stem]]
+              for name in names}
+    assert {name: stems for name, stems in owners.items()
+            if len(stems) != 1} == {}
 
 
 def test_the_cli_starts_on_io_plans_and_structure():

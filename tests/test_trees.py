@@ -326,6 +326,49 @@ class TestGraphChecks:
             check_graph_tree(["r", "a", "a"], [("a", "r")], "r")
 
 
+@pytest.mark.parametrize("nodes, edges, message", [
+    pytest.param(["nothing", "As"], [("As",)],
+                 r"^edge \('As',\) is not a \(child, parent\) pair$",
+                 id="one-tuple-edge"),
+    pytest.param(["nothing", "As"], [("As", "nothing", "Sb")],
+                 r"^edge \('As', 'nothing', 'Sb'\) is not a \(child, parent\)",
+                 id="three-tuple-edge"),
+    pytest.param(["nothing", "As"], ["As"],
+                 r"^edge 'As' is not a \(child, parent\) pair$",
+                 id="bare-string-edge"),
+    pytest.param(["nothing", ["As"]], [],
+                 r"^tree node \['As'\] is not a state$", id="list-node"),
+])
+def test_malformed_tree_input_is_named_as_given(corpus, nodes, edges,
+                                                message):
+    """Input that is not a list of nodes and a list of (child, parent)
+    pairs raises TreeError in each public wrapper, naming the edge or
+    node as it was given, not a Python error about unpacking or
+    hashing."""
+    s = corpus["example_d"].structure
+    for call in (lambda: check_tree(s, nodes, edges),
+                 lambda: build_tree(s, nodes, edges),
+                 lambda: check_graph_tree(nodes, edges, s.root)):
+        with pytest.raises(TreeError, match=message):
+            call()
+
+
+def test_list_pairs_read_as_tuples_and_the_search_skips_the_input_check(
+        corpus, monkeypatch):
+    """A (child, parent) pair may be a list; find_trees hands its own
+    tuples to the check and never reads its input through the wrappers'
+    check."""
+    ws = corpus["example_d"]
+    s, (nodes, edges) = ws.structure, _block(ws, 0)
+    assert check_tree(s, nodes, [list(e) for e in edges]) == check_tree(
+        s, nodes, edges)
+    calls = []
+    given = trees._given
+    monkeypatch.setattr(trees, "_given",
+                        lambda *args: calls.append(1) or given(*args))
+    assert len(find_trees(s)) == 8 and calls == []
+
+
 def test_lopsided_subtree_fails_branching_and_unbiased():
     """Keeping only one of two incompatible outcomes is exactly what the
     unbiasedness condition forbids."""
@@ -357,6 +400,58 @@ def test_tree_helpers(corpus):
     assert t.children["nothing"] == ("As", "Sb", "Ge")
     assert set(t.leaves) == {"As", "Sb", "Ge"}
     assert ("Ge", "nothing") in t.order
+
+
+def _views_by_parent_map(t):
+    """children, leaves, rank_in_tree, depth, each path_to_root and the
+    branches' node lists, read off the parent map alone."""
+    kids = {x: [] for x in t.nodes}
+    for x in t.nodes:
+        if x in t.parent:
+            kids[t.parent[x]].append(x)
+    paths = {}
+    for x in t.nodes:
+        path = [x]
+        while path[-1] != t.root:
+            path.append(t.parent[path[-1]])
+        paths[x] = tuple(reversed(path))
+    rank = {x: len(paths[x]) - 1 for x in t.nodes}
+    return ({x: tuple(k) for x, k in kids.items()},
+            tuple([x for x in t.nodes if not kids[x]]), rank,
+            max(rank.values()), paths,
+            sorted(oracles.branches_oracle(t.nodes, t.parent, t.root)))
+
+
+def _views(t):
+    return (dict(t.children), t.leaves, t.rank_in_tree, t.depth,
+            {x: t.path_to_root(x) for x in t.nodes},
+            sorted([b.nodes for b in t.branches]))
+
+
+def test_tree_views_equal_parent_map_references(corpus):
+    """Every view a tree reads off its own structure equals the one read
+    off its parent map: on spanning splitting trees, whose children are
+    their structure's immediate refinements themselves, on trees that
+    find_trees finds inside subset families, and on example_d's block 0
+    with its nodes declared root last. Ranks are keyed in node order,
+    and each branch's atom is its leaf's."""
+    rng = random.Random(2828)
+    spanning = [splitting_tree(rng, max_nodes=30) for _ in range(20)]
+    contained = [t for _ in range(40) for t in find_trees(
+        subset_family_structure(rng, max_universe=4), max_count=3)]
+    ws = corpus["example_d"]
+    nodes, edges = _block(ws, 0)
+    reversed_root_last = build_tree(ws.structure, nodes[::-1], edges)
+    assert reversed_root_last.nodes[-1] == ws.structure.root
+    for t in spanning:
+        assert t.children is t.ambient.derived.immed_sets
+    assert sum(t.as_estructure is not t.ambient for t in contained) > 10
+    for t in [*spanning, *contained, reversed_root_last]:
+        assert _views(t) == _views_by_parent_map(t)
+        assert list(t.rank_in_tree) == list(t.nodes)
+        assert all(t.canonical.atoms[b.atom] == (b.leaf,)
+                   for b in t.branches)
+    assert reversed_root_last.children["nothing"] == ("Ge", "Sb", "As")
 
 
 class TestAsTree:

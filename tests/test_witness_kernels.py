@@ -235,6 +235,31 @@ def test_margins_print_as_a_dict():
     assert repr(report.margins) == "{('x', 'b'): Fraction(1, 2)}"
 
 
+@pytest.mark.parametrize("weights, utilities, failures", [
+    ({"w": 1, "v": 0}, {"a": {"w": 1}}, ("unknown sample points ['v']",)),
+    ({"w": 1}, {"a": {"w": 1, "typo": 0}},
+     ("unknown sample points ['typo']",)),
+    ({"w": 1}, {"a": {"w": 1}, "zz": {"nope": 9}},
+     ("unknown alternatives ['zz']",)),
+    ({"w": 1}, {"a": {"w": 1}, "zz": [7]}, ("unknown alternatives ['zz']",)),
+    ({"w": 1, "v": 1}, {"a": {"w": 1}, "b": {"u": 1}, "zz": {}},
+     ("unknown sample points ['u', 'v']", "unknown alternatives ['zz']")),
+])
+def test_unknown_labels_and_tables_fail(weights, utilities, failures):
+    """A weight label or a label in an alternative's utility table that is
+    no atom fails, as does a table for an alternative the system lacks;
+    the margins are still read off the known labels, and the Fraction
+    reference agrees."""
+    system = FeasibilitySystem(("a", "b"), ("w",),
+                               (FeasibilityRow("x", "b", ((0, 1), (1, -1))),))
+    report = verify_weighting(system, weights, utilities)
+    assert (report.verified, report.failures) == (False, failures)
+    assert report.margins == {("x", "b"): weights["w"] * (
+        utilities["a"]["w"] - utilities.get("b", {}).get("w", 0))}
+    assert fields(report) == weighting_by_fractions(system, weights,
+                                                    utilities)
+
+
 def test_large_denominators_on_a_160_node_tree():
     """Weights with denominators of hundreds of bits: both verdicts, both
     witnesses, and the margins equal the Fraction references."""
