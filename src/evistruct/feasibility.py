@@ -34,6 +34,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import NamedTuple
 
@@ -262,7 +263,12 @@ def _row_values(rows: Sequence[FeasibilityRow],
 def _mass(ncols: int, columns: Sequence[int], weights: Sequence[int],
           pays: Sequence[Sequence[int]]) -> list[int]:
     """g[j * ncols + c]: weight times payoff under alternative j, summed
-    over the points i with columns[i] == c; pays[j][i] is that payoff."""
+    over the points i with columns[i] == c; pays[j][i] is that payoff.
+    With one point per column in order, as verify_weighting's atoms
+    are, there is nothing to sum, and one comprehension builds g."""
+    if columns == range(ncols):
+        return [w * u for w, u
+                in zip(weights * len(pays), chain.from_iterable(pays))]
     g = [0] * (len(pays) * ncols)
     for j, row in enumerate(pays):
         base = j * ncols

@@ -221,10 +221,13 @@ class EStructure:
         pairs: list[tuple[str, str]] = []
         refiners = [0] * len(states)
         for i, x in enumerate(states):
-            bit = 1 << i
-            for j in _bits(up[i]):
+            bit, row = 1 << i, up[i]
+            while row:  # _bits, inlined
+                low = row & -row
+                j = low.bit_length() - 1
                 pairs.append((x, states[j]))
                 refiners[j] |= bit
+                row ^= low
         s = cls(states, root, frozenset(pairs))
         s.__dict__["derived"] = _relations(states, index, up, refiners)
         return s
@@ -335,14 +338,28 @@ def _relations(states: tuple[str, ...], index: Mapping[str, int],
                ) -> DerivedRelations:
     """The one builder of DerivedRelations: the covering relation read
     off a relation's up and refiner rows over the states' indices (index
-    maps each state to its position)."""
+    maps each state to its position).
+
+    A state's immediate predecessors are the states strictly below it
+    that lie strictly below none of the others; the loop clears each
+    one's strict down row from the state's in place, bit by bit, and
+    reads a lone remaining bit, as every state of a tree but the root
+    has, without a bit loop.
+    """
     below = [u & ~r for u, r in zip(up, refiners)]  # strictly less specific
     parents: dict[str, tuple[str, ...]] = {}
     immed: dict[str, list[str]] = {z: [] for z in states}
     for i, x in enumerate(states):
         # immediate: strictly below x with no state strictly between
-        near = below[i] & ~_union(below, below[i])
-        parents[x] = tuple([states[j] for j in _bits(near)])
+        near = rest = below[i]
+        while rest:  # _union and _bits, inlined
+            low = rest & -rest
+            near &= ~below[low.bit_length() - 1]
+            rest ^= low
+        if near & (near - 1):  # two or more
+            parents[x] = tuple([states[j] for j in _bits(near)])
+        else:
+            parents[x] = (states[near.bit_length() - 1],) if near else ()
         for z in parents[x]:
             immed[z].append(x)
     return DerivedRelations(

@@ -26,7 +26,8 @@ itself; `as_estructure` exposes that view.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Collection, Iterable, Mapping, Sequence, Set
+from collections.abc import (Collection, Hashable, Iterable, Mapping,
+                             Sequence, Set)
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -144,10 +145,14 @@ class ExperimentationTree:
     @cached_property
     def _top_down(self) -> tuple[str, ...]:
         """The nodes, each after its parent; empty unless the nodes are
-        distinct and the parent map is a tree-shaped mapping among them."""
-        p, nodes = self.parent, set(self.nodes)
-        if (isinstance(p, Mapping) and len(nodes) == len(self.nodes)
-                and {*p, *p.values()} <= nodes):
+        distinct and hashable and the parent map is a tree-shaped mapping
+        among them."""
+        p = self.parent
+        if not (isinstance(p, Mapping)
+                and _hashable((*self.nodes, *p.values()))):
+            return ()
+        nodes = set(self.nodes)
+        if len(nodes) == len(self.nodes) and {*p, *p.values()} <= nodes:
             return _shape(self.nodes, p.items(), self.root)[2]
         return ()
 
@@ -214,15 +219,20 @@ class ExperimentationTree:
 
 def _validate_members(known: Set[str], nodes: Sequence[str],
                       edges: Iterable[tuple[str, str]]) -> None:
-    """The one node-list check: nodes are distinct members of known, and
-    every edge joins two of them. A scan names the first fault."""
-    seen = set(nodes)
-    if (len(seen) == len(nodes) and seen <= known
-            and seen.issuperset(chain.from_iterable(edges))):
-        return
-    seen.clear()
+    """The one node-list check: nodes are distinct, hashable members of
+    known, and every edge joins two of them. A scan names the first
+    fault."""
+    try:
+        seen = set(nodes)
+    except TypeError:  # a node that is not hashable: the scan names it
+        seen = set()
+    else:
+        if (len(seen) == len(nodes) and seen <= known
+                and seen.issuperset(chain.from_iterable(edges))):
+            return
+        seen.clear()
     for x in nodes:
-        if x not in known:
+        if not _hashable(x) or x not in known:
             raise TreeError(f"tree node {x!r} is not a state")
         if x in seen:
             raise TreeError(f"duplicate tree node {x!r}")
@@ -276,10 +286,14 @@ def check_graph_tree(nodes: Sequence[str], edges: Iterable[tuple[str, str]],
     return _shape(nodes, edges, root)[0]
 
 
-def _shape(nodes: Sequence[str], edges: Collection[tuple[str, str]],
-           root: str) -> tuple[GraphReport, dict[str, str], tuple[str, ...]]:
+def _shape(nodes: Sequence[Hashable],
+           edges: Collection[tuple[Hashable, Hashable]], root: Hashable
+           ) -> tuple[GraphReport, dict, tuple]:
     """check_graph_tree's report and, when the edges form a tree, the
-    child -> parent map and the nodes top-down, each after its parent.
+    child -> parent map and the nodes top-down, each after its parent:
+    the one shape reader. Nodes are any distinct labels: names for
+    check_graph_tree and a tree's own _top_down, ambient indices for
+    the seven-condition checks, so their kernel reads no name.
 
     Callers have checked that the nodes are distinct and that edges join
     them, so edges giving each node but the root one parent are the
@@ -303,7 +317,7 @@ def _shape(nodes: Sequence[str], edges: Collection[tuple[str, str]],
             placed.add(x)
             top_down.append(x)
             continue
-        trail: list[str] = []
+        trail: list[Hashable] = []
         while x not in placed:
             if x in trail:
                 cycle = trail[trail.index(x):] + [x]
@@ -334,95 +348,170 @@ def _check_tree(s: EStructure, nodes: tuple[str, ...],
                 ) -> tuple[ConditionReport, ExperimentationTree | None]:
     """check_tree's report and, when it passes, the checked tree.
 
-    A tree-shaped edge list (check_graph_tree) is read in one top-down
-    pass over bit rows of ambient indices, a node's tree up-set being its
-    parent's plus itself, which tests t-order and t-immediate (a node's
-    one parent) as it goes; the kids are then read in node order, since
-    the t-incompat witness depends on it. Its tree is built on the
-    parent map _shape read, with that top-down order cached on it. Any
-    other list, one with a redundant transitive edge say, orders the
-    nodes by the row closure of its edges, and its tree hangs each node
-    from its one immediate predecessor there. Either way, one loop over
-    the nodes with kids checks the rest.
+    The nodes and edges are read as ambient indices. A tree-shaped edge
+    list on one or more nodes (check_graph_tree) goes to the kernel,
+    _tree_verdict, with the parent map and top-down order _shape read,
+    and a tree that passes is built on the edges (_passed). Any other
+    list, one with a redundant transitive edge say, orders the nodes by
+    the row closure of its edges, and its tree hangs each node from its
+    one immediate predecessor there. Both routes judge each node with
+    kids through _judge_nodes.
     """
-    d, root, states = s.derived, s.root, s.states
-    index, ups, incompat = d.index, d.up, d.incompat_rows
+    d, root = s.derived, s.root
+    index = d.index
     _validate_members(index.keys(), nodes, edges)
-    shape, parent, top_down = _shape(nodes, edges, root)
-    if shape.is_tree:
-        ambient_parents = d.parents
-        r = index[root]  # the first node top-down, with no parent
-        up = {root: 1 << r}
-        # the nodes failing t-order and t-immediate
-        order, immediate = [root] if up[root] & ~ups[r] else [], []
-        for x in top_down[1:]:
-            i, p = index[x], parent[x]
-            row = up[x] = up[p] | 1 << i
-            if row & ~ups[i]:
-                order.append(x)
-            if p not in ambient_parents[x]:
-                immediate.append(x)
-        kids: dict[str, list[str]] = {x: [] for x in nodes}
-        for x in nodes:
-            if x in parent:
-                kids[parent[x]].append(x)
-        # least pairs, as on the closure route; t-parent holds by _shape
-        x, y = min(order, default=None), min(immediate, default=None)
-        t_order = None if x is None else (x, min(
-            [states[j] for j in _bits(up[x] & ~ups[index[x]])]))
-        t_parent = None
-        t_immediate = None if y is None else (y, parent[y])
-    else:
-        local = {x: i for i, x in enumerate(nodes)}
-        t = EStructure._seeded(nodes, root, _closed_rows(local, edges),
-                               local)
-        parents, kids = t.derived.parents, t.derived.immed_sets
-        t_order = min(t.relation - s.relation, default=None)
-        t_parent = next(((x, len(parents[x])) for x in nodes
-                         if x != root and len(parents[x]) != 1), None)
-        t_immediate = min([(x, z) for x in nodes for z in parents[x]
-                           if z not in d.parents[x]], default=None)
-    t_root = (("root missing",) if root not in nodes else
+    order = [index[x] for x in nodes]
+    shape, parent, top_down = _shape(
+        order, [(index[c], index[p]) for c, p in edges], index.get(root))
+    if shape.is_tree and top_down:
+        report, up = _tree_verdict(d, order, parent, top_down, {})
+        if up is None:
+            return report, None
+        return report, _passed(s, nodes, dict(edges), top_down, up)
+    local = {x: i for i, x in enumerate(nodes)}
+    t = EStructure._seeded(nodes, root, _closed_rows(local, edges), local)
+    parents, immed = t.derived.parents, t.derived.immed_sets
+    t_root = (("root missing",) if root not in local else
               ("fewer than two nodes",) if len(nodes) < 2 else None)
-    branching = clash = unbiased = None
-    refiners = d.refiners
-    for x, ks in kids.items():  # in node order
-        if not ks:  # a maximal node
-            continue
-        if len(ks) == 1 and branching is None:
-            branching = (x, 1)
-        # the strict refiners of x incompatible with every kid so far
-        i = index[x]
-        bad, seen = refiners[i] & ~ups[i], 0
-        for w in ks:
-            j = index[w]
-            row = incompat[j]
-            if seen & ~row and clash is None:  # the first pair, in order
-                clash = next((a, b, x) for n, a in enumerate(ks)
-                             for b in ks[n + 1:]
-                             if not incompat[index[a]] >> index[b] & 1)
-            bad &= row
-            seen |= 1 << j
-        if bad and unbiased is None:
-            unbiased = (states[_lowest(bad)], x)
-    witnesses = [t_root, t_order, t_parent, t_immediate, branching, clash,
-                 unbiased]
+    t_order = min(t.relation - s.relation, default=None)
+    t_parent = next(((x, len(parents[x])) for x in nodes
+                     if x != root and len(parents[x]) != 1), None)
+    t_immediate = min([(x, z) for x in nodes for z in parents[x]
+                       if z not in d.parents[x]], default=None)
+    kids = {index[x]: sum([1 << index[k] for k in immed[x]])
+            for x in nodes}
+    witnesses = [t_root, t_order, t_parent, t_immediate,
+                 *_judge_nodes(d, order, kids, {})]
     report = _condition_report(TREE_CONDITION_IDS, witnesses)
     if any(witnesses):
         return report, None
-    if not top_down:  # closed: t-parent passed, so one predecessor each
-        parent = {x: parents[x][0] for x in nodes if x != root}
-    tree = ExperimentationTree._adopt(s, nodes, parent)  # a fresh dict
-    if top_down:  # on the instance, not a field: see build_tree
-        tree.__dict__["_top_down"] = top_down
-    return report, tree
+    # t-parent passed, so one predecessor each
+    return report, ExperimentationTree._adopt(
+        s, nodes, {x: parents[x][0] for x in nodes if x != root})
+
+
+def _tree_verdict(d: DerivedRelations, order: Sequence[int],
+                  parent: Mapping[int, int], top_down: Sequence[int],
+                  judged: dict[tuple[int, int], tuple]
+                  ) -> tuple[ConditionReport, list[int] | None]:
+    """The seven conditions on a tree-shaped parent map, and the tree up
+    rows when all hold: the kernel every tree check runs (check_tree,
+    build_tree, as_tree and find_trees).
+
+    Everything is on ambient indices: order is the nodes in node order,
+    parent maps each node but the root to its parent, and top_down has
+    the root first and each node after its parent, as _shape reads a
+    tree. One pass down builds each node's tree up row, its parent's
+    plus itself, and each node's kid mask, and tests t-order (the row
+    inside the ambient up row) and t-immediate (the parent among the
+    node's ambient parents); t-parent holds by the shape. _judge_nodes
+    then judges each node with kids through judged, the memo find_trees
+    keeps across the trees it checks (check_tree hands in an empty
+    one). The rows are indexed by state, 0 where a state is no node.
+    """
+    states, ups, parents = d.states, d.up, d.parents
+    root = top_down[0]
+    up = [0] * len(ups)
+    up[root] = 1 << root
+    kids = dict.fromkeys(order, 0)  # in node order
+    # the nodes failing t-order and t-immediate
+    late = [] if ups[root] >> root & 1 else [root]
+    skips = []
+    for i in top_down[1:]:
+        p, bit = parent[i], 1 << i
+        row = up[i] = up[p] | bit
+        kids[p] |= bit
+        if row & ~ups[i]:
+            late.append(i)
+        if states[p] not in parents[states[i]]:
+            skips.append(i)
+    # least pairs by name, as on the closure route
+    t_order = t_immediate = None
+    if late:
+        i = min(late, key=states.__getitem__)
+        t_order = (states[i], min([states[j]
+                                   for j in _bits(up[i] & ~ups[i])]))
+    if skips:
+        i = min(skips, key=states.__getitem__)
+        t_immediate = (states[i], states[parent[i]])
+    t_root = ("fewer than two nodes",) if len(order) < 2 else None
+    witnesses = [t_root, t_order, None, t_immediate,
+                 *_judge_nodes(d, order, kids, judged)]
+    return (_condition_report(TREE_CONDITION_IDS, witnesses),
+            None if any(witnesses) else up)
+
+
+def _passed(s: EStructure, nodes: tuple[str, ...], parent: dict[str, str],
+            top_down: Sequence[int], up: list[int]) -> ExperimentationTree:
+    """The tree the kernel passed, on names: it wraps the parent dict
+    its caller built (_adopt) and keeps the top-down order the check
+    read on the instance, not in a field, so a dataclasses.replace copy
+    reads its own shape. A tree on all of s in declaration order whose
+    up rows are s's own has s as its own structure, kept the same way
+    as as_estructure, which would read the same rows again."""
+    d = s.derived
+    tree = ExperimentationTree._adopt(s, nodes, parent)
+    tree.__dict__["_top_down"] = tuple([d.states[i] for i in top_down])
+    if nodes == d.states and tuple(up) == d.up:
+        tree.__dict__["as_estructure"] = s
+    return tree
+
+
+def _judge_nodes(d: DerivedRelations, order: Sequence[int],
+                 kids: Mapping[int, int], judged: dict[tuple[int, int], tuple]
+                 ) -> list[tuple | None]:
+    """The t-branching, t-incompat and t-unbiased witnesses: for each,
+    the first one _node_conditions gives over kids, which maps the
+    nodes, in node order, to their kid masks. judged memoizes it by
+    (node, kid mask); the one other thing it reads, the kids' node
+    order, is declaration order for every tree one search checks."""
+    branching = clash = unbiased = None
+    for i, mask in kids.items():
+        if mask:
+            found = judged.get((i, mask))
+            if found is None:
+                found = judged[i, mask] = _node_conditions(d, i, mask,
+                                                           order)
+            b, c, u = found
+            branching, clash = branching or b, clash or c
+            unbiased = unbiased or u
+    return [branching, clash, unbiased]
+
+
+def _node_conditions(d: DerivedRelations, i: int, kids: int,
+                     order: Sequence[int]
+                     ) -> tuple[tuple | None, tuple | None, tuple | None]:
+    """The one per-node judgement: the t-branching, t-incompat and
+    t-unbiased witnesses at state i with the tree children in the kid
+    mask kids, each None when its condition holds there. t-incompat
+    names the first compatible pair with the kids in node order (order
+    lists the nodes), t-unbiased the lowest strict refiner of i
+    incompatible with every kid."""
+    incompat = d.incompat_rows
+    bad, met, rest = d.refiners[i] & ~d.up[i], 0, kids
+    while rest:  # _bits, inlined
+        low = rest & -rest
+        row = incompat[low.bit_length() - 1]
+        met |= kids & ~row & ~low  # the other kids this one meets
+        bad &= row
+        rest ^= low
+    states, clash = d.states, None
+    if met:  # the first pair, in node order
+        listed = [j for j in order if kids >> j & 1]
+        clash = next((states[a], states[b], states[i])
+                     for n, a in enumerate(listed) for b in listed[n + 1:]
+                     if not incompat[a] >> b & 1)
+    return ((states[i], 1) if not kids & (kids - 1) else None, clash,
+            (states[_lowest(bad)], states[i]) if bad else None)
 
 
 def build_tree(s: EStructure, nodes: Sequence[str],
                edges: Iterable[tuple[str, str]]) -> ExperimentationTree:
     """Check the seven conditions and return the checked tree, with the
     top-down order the check read cached on the instance, not in a
-    field, so a dataclasses.replace copy reads its own shape."""
+    field, so a dataclasses.replace copy reads its own shape; a tree on
+    a tree-shaped list that is all of s with s's own rows keeps s as its
+    as_estructure the same way (see _passed)."""
     report, tree = _check_tree(s, *_given(nodes, edges))
     if tree is None:
         raise TreeError("tree conditions failed: "
@@ -454,19 +543,23 @@ def find_trees(s: EStructure, max_count: int | None = None
                ) -> tuple[ExperimentationTree, ...]:
     """Enumerate every experimentation tree of the structure.
 
-    Trees are grown top-down from the root. Every condition but t-root
-    concerns one node and its set of tree children, so each state's
-    admissible child sets are computed once: two or more of its immediate
-    refinements, pairwise incompatible, such that every ambient state
-    strictly refining it is compatible with one of them (t-unbiased).
-    That search stops early where no set can be admissible: at a state
-    with fewer than two immediate refinements, at a refiner compatible
-    with none of them, and past a kid that alone is compatible with some
-    refiner. Growth is depth first: each open node either stays a leaf
-    or takes one admissible child set with no member already in the
-    tree. Every grown tree then passes check_tree before it is returned;
-    the structure's relation must be a closed preorder, as every
-    constructor makes it.
+    Trees are grown top-down from the root, on ambient indices. Every
+    condition but t-root concerns one node and its set of tree children,
+    so each state's admissible child sets are computed once: two or more
+    of its immediate refinements, pairwise incompatible, such that every
+    ambient state strictly refining it is compatible with one of them
+    (t-unbiased). That search stops early where no set can be
+    admissible: at a state with fewer than two immediate refinements, at
+    a refiner compatible with none of them, and past a kid that alone is
+    compatible with some refiner. Growth is depth first: each open node
+    either stays a leaf or takes one admissible child set with no member
+    already in the tree. Every grown tree is then checked on all seven
+    conditions by the kernel check_tree runs, _tree_verdict, on the
+    parent map and top-down order _shape reads off it, before it is
+    returned; a node's t-branching, t-incompat and t-unbiased are judged
+    once per distinct (node, kid mask) in the call, since they depend
+    on nothing else. The structure's relation must be a closed
+    preorder, as every constructor makes it.
 
     Deterministic order, by node count, then the declaration indices of
     the non-root nodes. A node set carries at most one tree: two
@@ -479,66 +572,77 @@ def find_trees(s: EStructure, max_count: int | None = None
     if max_count is not None and max_count < 1:
         raise ValueError(f"max_count must be at least 1, not {max_count}")
     d = s.derived
-    child_sets = {z: _child_sets(d, z) for z in s.states}
+    states, root = d.states, d.index[s.root]
+    child_sets = _child_sets(d)
     most = len(s.states) - 1
-    grown: list[dict[str, str]] = []
+    grown: list[dict[int, int]] = []
     for budget in range(1, most + 1) if max_count else (most,):
-        grown = _grow(s.root, child_sets, budget)
+        grown = _grow(root, child_sets, budget)
         if max_count and len(grown) >= max_count:
             break
-    grown.sort(key=lambda parent: (len(parent),
-                                   sorted([d.index[x] for x in parent])))
+    # the root in every node list keeps the order of the non-root nodes
+    ranked = sorted([(sorted([root, *parent]), parent) for parent in grown],
+                    key=lambda tree: (len(tree[0]), tree[0]))
+    judged: dict[tuple[int, int], tuple] = {}
     found: list[ExperimentationTree] = []
-    for parent in grown[:max_count]:
-        nodes = tuple([x for x in s.states if x == s.root or x in parent])
-        report, tree = _check_tree(s, nodes, tuple(parent.items()))
-        if tree is None:
+    for order, parent in ranked[:max_count]:
+        top_down = _shape(order, parent.items(), root)[2]
+        report, up = _tree_verdict(d, order, parent, top_down, judged)
+        if up is None:
             raise TreeError("a grown tree fails "
                             + ", ".join(report.failed_ids)
                             + "; is the relation a closed preorder?")
-        found.append(tree)
+        found.append(_passed(
+            s, tuple([states[i] for i in order]),
+            {states[c]: states[p] for c, p in parent.items()}, top_down, up))
     return tuple(found)
 
 
-def _child_sets(d: DerivedRelations, z: str) -> list[tuple[str, ...]]:
-    """The sets of tree children z may take, each in declaration order:
-    two or more of Y(z), pairwise incompatible, meeting every need (the
-    kids compatible with one strict refiner of z).
+def _child_sets(d: DerivedRelations) -> list[list[tuple[int, ...]]]:
+    """For each state i, the sets of tree children it may take, each as
+    ambient indices in declaration order: two or more of Y(i), pairwise
+    incompatible, meeting every need (the kids compatible with one
+    strict refiner of i).
 
-    A depth-first search extends each set in kid order. It returns []
-    at once when z has fewer than two kids or some need is empty. A kid
+    A depth-first search extends each set in kid order. It finds none at
+    once when i has fewer than two kids or some need is empty. A kid
     that alone meets some need is forced: every admissible set holds
     it, so a branch never extends past a forced kid it did not take.
     """
-    kids, incompat = d.immed_sets[z], d.incompat_rows
-    if len(kids) < 2:
-        return []
-    rows = [incompat[d.index[k]] for k in kids]
-    bits = [1 << d.index[k] for k in kids]
-    i, every = d.index[z], sum(bits)
-    needs = {every & ~incompat[y] for y in _bits(d.refiners[i] & ~d.up[i])}
-    if 0 in needs:
-        return []
-    forced = [b in needs for b in bits]
-    out: list[tuple[str, ...]] = []
-    stack: list[tuple[tuple[str, ...], int, int]] = [((), 0, 0)]
-    while stack:  # pairwise incompatible subsets, extended in kid order
-        chosen, mask, start = stack.pop()
-        if len(chosen) >= 2 and all(n & mask for n in needs):
-            out.append(chosen)
-        for k in range(start, len(kids)):
-            if not mask & ~rows[k]:
-                stack.append((chosen + (kids[k],), mask | bits[k], k + 1))
-            if forced[k]:  # a later kid would pass it by
-                break
+    index, incompat, ups = d.index, d.incompat_rows, d.up
+    out: list[list[tuple[int, ...]]] = []
+    for i, z in enumerate(d.states):
+        sets: list[tuple[int, ...]] = []
+        out.append(sets)
+        if len(d.immed_sets[z]) < 2:
+            continue
+        kids = [index[k] for k in d.immed_sets[z]]
+        bits = [1 << k for k in kids]
+        every = sum(bits)
+        needs = {every & ~incompat[y] for y in _bits(d.refiners[i] & ~ups[i])}
+        if 0 in needs:
+            continue
+        rows = [incompat[k] for k in kids]
+        forced = [b in needs for b in bits]
+        stack: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]
+        while stack:  # pairwise incompatible subsets, extended in kid order
+            chosen, mask, start = stack.pop()
+            if len(chosen) >= 2 and all(n & mask for n in needs):
+                sets.append(chosen)
+            for k in range(start, len(kids)):
+                if not mask & ~rows[k]:
+                    stack.append((chosen + (kids[k],), mask | bits[k], k + 1))
+                if forced[k]:  # a later kid would pass it by
+                    break
     return out
 
 
-def _grow(root: str, child_sets: Mapping[str, list[tuple[str, ...]]],
-          budget: int) -> list[dict[str, str]]:
-    """Every tree of 1 to budget non-root nodes, as child -> parent maps."""
-    out: list[dict[str, str]] = []
-    stack: list[tuple[dict[str, str], tuple[str, ...]]] = [({}, (root,))]
+def _grow(root: int, child_sets: Sequence[list[tuple[int, ...]]],
+          budget: int) -> list[dict[int, int]]:
+    """Every tree of 1 to budget non-root nodes, as child -> parent maps
+    on ambient indices."""
+    out: list[dict[int, int]] = []
+    stack: list[tuple[dict[int, int], tuple[int, ...]]] = [({}, (root,))]
     while stack:
         parent, open_nodes = stack.pop()
         if not open_nodes:

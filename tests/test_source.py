@@ -119,9 +119,11 @@ def _dict_stores(tree: ast.Module) -> list[str]:
 
 
 # the caches kept in an instance's __dict__ rather than in a field: a
-# tree's top-down order, a canonical space's rows and avoidance pass, and
+# tree's top-down order and, for a checked tree spanning its structure,
+# its own structure; a canonical space's rows and avoidance pass; and
 # the derived relations a structure is seeded with from its closed rows
-HIDDEN_CACHES = ("_top_down", "_rows", "_avoidance", "derived")
+HIDDEN_CACHES = ("_top_down", "as_estructure", "_rows", "_avoidance",
+                 "derived")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

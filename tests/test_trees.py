@@ -898,7 +898,8 @@ class TestAgainstPairSetReference:
         the least pair, not the first failing node. t-incompat names the
         first pair at the first failing node: there the third kid is the
         first to meet an earlier one, but the first and fourth kids make
-        the first pair, and a later node fails too."""
+        the first pair, and a later node fails too. Listed with k2 and k3
+        first, those two make the first pair."""
         s = EStructure.from_generators(
             ["r", "a", "b", "a1", "a2", "k1", "k2", "k3", "k4", "m14",
              "m23", "p", "q", "pq"], "r",
@@ -911,6 +912,10 @@ class TestAgainstPairSetReference:
         assert check_graph_tree(nodes, edges, s.root).is_tree
         report = self.compare(s, nodes, edges)
         assert report["t-incompat"].witness == ("k1", "k4", "b")
+        # the kids in node order, not in declaration order, name the pair
+        nodes = ("r", "a", "b", "a1", "a2", "k2", "k3", "k1", "k4", "p", "q")
+        report = self.compare(s, nodes, edges)
+        assert report["t-incompat"].witness == ("k2", "k3", "b")
 
         s = EStructure.from_generators(
             ["r", "p", "q", "s1", "s2", "t1", "t2", "w1", "w2"], "r",
@@ -1047,6 +1052,94 @@ def test_every_view_of_a_malformed_tree_raises_tree_error():
                                   {"zz": "n0", "yy": "n0"})
     with pytest.raises(TreeError, match="'zz' is not a state"):
         partitions(foreign)
+
+
+@pytest.mark.parametrize("view", [
+    "children", "leaves", "rank_in_tree", "depth", "as_estructure",
+    "branches", "order", "canonical", "partitions",
+    "decompose_field_element"])
+@pytest.mark.parametrize("nodes, parent", [
+    (("nothing", ["As"]), {}), (("nothing", "As"), {"As": ["nothing"]})],
+    ids=["list-node", "list-parent"])
+def test_every_view_of_an_unhashable_tree_raises_tree_error(
+        corpus, view, nodes, parent):
+    """A tree built directly on a node or a parent value that is not
+    hashable is no tree either: every view raises TreeError, not
+    Python's error about hashing."""
+    t = ExperimentationTree(corpus["example_d"].structure, nodes, parent)
+    read = {"partitions": partitions,
+            "decompose_field_element":
+                lambda t: decompose_field_element(t, [0])}.get(
+        view, lambda t: getattr(t, view))
+    with pytest.raises(TreeError):
+        read(t)
+
+
+def test_a_grown_tree_failing_its_check_is_named():
+    """find_trees checks every grown tree, so a relation that is not
+    transitive (b1 refines a1, a1 refines r, but b1 does not refine r)
+    fails the search with the condition named, not with a wrong tree."""
+    states = ("r", "a1", "a2", "b1", "b2")
+    s = EStructure(states, "r", frozenset(
+        [(x, x) for x in states]
+        + [("a1", "r"), ("a2", "r"), ("b1", "a1"), ("b2", "a1"),
+           ("b2", "r")]))
+    with pytest.raises(TreeError, match=r"^a grown tree fails t-order; is "
+                       r"the relation a closed preorder\?$"):
+        find_trees(s)
+
+
+def test_found_trees_share_each_node_judgement(monkeypatch):
+    """find_trees checks every tree it returns through the kernel
+    check_tree runs, and judges t-branching, t-incompat and t-unbiased
+    once per distinct (node, child set) across the trees: on a 12-node
+    tree's structure, the four trees found hold more (node, kids) pairs
+    than the per-node judgement runs, and it runs once for each. Each
+    tree got the one shared passing report check_tree gives, and keeps
+    the top-down order a dataclasses.replace copy reads again."""
+    tree = splitting_tree(random.Random(5), max_nodes=12, min_nodes=12)
+    s = EStructure.from_generators(tree.nodes, tree.root,
+                                   tuple(tree.parent.items()))
+    judged, reports = [], []
+    conditions, verdict = trees._node_conditions, trees._tree_verdict
+    monkeypatch.setattr(trees, "_node_conditions", lambda d, i, kids, order: (
+        judged.append((i, kids)) or conditions(d, i, kids, order)))
+    monkeypatch.setattr(trees, "_tree_verdict", lambda *args: (
+        lambda out: reports.append(out[0]) or out)(verdict(*args)))
+    monkeypatch.setattr(trees, "_check_tree", None)  # never called
+    found = find_trees(s)
+    index = s.derived.index
+    pairs = [(index[x], sum([1 << index[k] for k in t.children[x]]))
+             for t in found for x in t.nodes if t.children[x]]
+    assert len(tree.nodes) == 12 and len(found) == len(reports) == 4
+    assert len(pairs) > len(set(pairs))
+    assert sorted(judged) == sorted(set(pairs))
+    monkeypatch.undo()
+    for t, report in zip(found, reports):
+        edges = [(x, t.parent[x]) for x in t.nodes if x != s.root]
+        assert report is check_tree(s, t.nodes, edges)
+        assert t.__dict__["_top_down"] == dataclasses.replace(t)._top_down
+
+
+def test_every_tree_check_runs_the_kernel(corpus, monkeypatch):
+    """check_tree, build_tree and as_tree on a tree-shaped edge list, and
+    find_trees on each tree it returns, all run the one kernel; a list
+    with a redundant transitive edge takes the closure route instead."""
+    ambient = splitting_tree(random.Random(3), max_nodes=9).ambient
+    calls = []
+    verdict = trees._tree_verdict
+    monkeypatch.setattr(trees, "_tree_verdict",
+                        lambda *args: calls.append(1) or verdict(*args))
+    ws = corpus["example_d"]
+    s, (nodes, edges) = ws.structure, _block(ws, 0)
+    check_tree(s, nodes, edges)
+    build_tree(s, nodes, edges)
+    assert len(calls) == 2
+    as_tree(ambient)
+    assert len(calls) == 3
+    assert len(find_trees(s)) == 8 and len(calls) == 11
+    check_tree(s, nodes, [*edges, (nodes[-1], s.root)])
+    assert len(calls) == 11
 
 
 def test_contained_tree_closes_nothing(monkeypatch):
