@@ -144,17 +144,16 @@ class ExperimentationTree:
 
     @cached_property
     def _top_down(self) -> tuple[str, ...]:
-        """The nodes, each after its parent; empty unless the nodes are
-        distinct and hashable and the parent map is a tree-shaped mapping
-        among them."""
-        p = self.parent
-        if not (isinstance(p, Mapping)
-                and _hashable((*self.nodes, *p.values()))):
+        """The nodes, each after its parent; empty unless the parent map
+        is a mapping whose items pass the tree-input check (_given) on
+        the nodes and form a tree."""
+        if not isinstance(self.parent, Mapping):
             return ()
-        nodes = set(self.nodes)
-        if len(nodes) == len(self.nodes) and {*p, *p.values()} <= nodes:
-            return _shape(self.nodes, p.items(), self.root)[2]
-        return ()
+        try:
+            nodes, edges = _given(self.nodes, self.parent.items())
+        except TreeError:
+            return ()
+        return _shape(nodes, edges, self.root)[2]
 
     @property
     def depth(self) -> int:
@@ -210,60 +209,50 @@ class ExperimentationTree:
         return tuple(out)
 
     def path_to_root(self, x: str) -> tuple[str, ...]:
-        """Nodes from the root down to x, inclusive."""
+        """Nodes from the root down to x, inclusive; TreeError, as for
+        as_estructure, when the parent map is not a tree, and when x is
+        not a node."""
+        rank = self.rank_in_tree  # read off the checked shape
+        if x not in self.nodes:
+            raise TreeError(f"{x!r} is not a tree node")
         path = [x]
-        while path[-1] != self.root:
+        for _ in range(rank[x]):
             path.append(self.parent[path[-1]])
         return tuple(reversed(path))
 
 
-def _validate_members(known: Set[str], nodes: Sequence[str],
-                      edges: Iterable[tuple[str, str]]) -> None:
-    """The one node-list check: nodes are distinct, hashable members of
-    known, and every edge joins two of them. A scan names the first
-    fault."""
+def _given(nodes: Iterable[str], edges: Iterable[tuple[str, str]],
+           known: Set[str] | None = None
+           ) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
+    """The one tree-input check: the nodes and edges as tuples, once the
+    nodes are distinct and hashable (and members of known, when given)
+    and every edge is a (child, parent) pair, a tuple or list of two,
+    joining two of them. A scan of the nodes, then of the edges, names
+    the first fault as given."""
+    nodes, edges = tuple(nodes), tuple(edges)
     try:
         seen = set(nodes)
-    except TypeError:  # a node that is not hashable: the scan names it
-        seen = set()
-    else:
-        if (len(seen) == len(nodes) and seen <= known
+        if (len(seen) == len(nodes) and (known is None or seen <= known)
+                and set(map(type, edges)) <= {tuple}
+                and set(map(len, edges)) <= {2}
                 and seen.issuperset(chain.from_iterable(edges))):
-            return
-        seen.clear()
+            return nodes, edges
+    except TypeError:  # something not hashable: the scan names it
+        pass
+    seen = set()
     for x in nodes:
-        if not _hashable(x) or x not in known:
+        if not _hashable(x) or (known is not None and x not in known):
             raise TreeError(f"tree node {x!r} is not a state")
         if x in seen:
             raise TreeError(f"duplicate tree node {x!r}")
         seen.add(x)
-    for c, p in edges:
+    for e in edges:
+        if not (isinstance(e, (tuple, list)) and len(e) == 2
+                and all(map(_hashable, e))):
+            raise TreeError(f"edge {e!r} is not a (child, parent) pair")
+        c, p = e
         if c not in seen or p not in seen:
             raise TreeError(f"edge ({c!r}, {p!r}) mentions a non-node")
-
-
-def _given(nodes: Iterable[str], edges: Iterable[tuple[str, str]]
-           ) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
-    """The public wrappers' nodes and edges as tuples. TreeError names,
-    as given, the first node that is not hashable and the first edge
-    that is not a (child, parent) pair, a tuple or list of two hashable
-    ends."""
-    nodes, edges = tuple(nodes), tuple(edges)
-    try:
-        hash((nodes, edges))  # hashes every node, and every end of a tuple
-    except TypeError:
-        pairs = False
-    else:
-        pairs = (set(map(type, edges)) <= {tuple}
-                 and set(map(len, edges)) <= {2})
-    if not pairs:
-        for x in nodes:
-            if not _hashable(x):
-                raise TreeError(f"tree node {x!r} is not a state")
-        for e in edges:
-            if not (isinstance(e, (tuple, list)) and len(e) == 2
-                    and all(map(_hashable, e))):
-                raise TreeError(f"edge {e!r} is not a (child, parent) pair")
     return nodes, edges
 
 
@@ -278,12 +267,11 @@ def _hashable(x: object) -> bool:
 def check_graph_tree(nodes: Sequence[str], edges: Iterable[tuple[str, str]],
                      root: str) -> GraphReport:
     """Shape check only: one parent each, no cycles, all reach the root.
-    A repeated node, an edge that mentions a non-node, or input that is
-    not a list of nodes and a list of (child, parent) pairs raises
-    TreeError."""
-    nodes, edges = _given(nodes, edges)
-    _validate_members(set(nodes), nodes, edges)
-    return _shape(nodes, edges, root)[0]
+    The input goes through the one tree-input check (_given) with any
+    hashable node allowed: a repeated node, an edge that mentions a
+    non-node, or input that is not a list of nodes and a list of
+    (child, parent) pairs raises TreeError, node faults first."""
+    return _shape(*_given(nodes, edges), root)[0]
 
 
 def _shape(nodes: Sequence[Hashable],
@@ -336,11 +324,12 @@ def check_tree(s: EStructure, nodes: Sequence[str],
     The tree order is the reachability closure of the given edges; nothing
     about the edge list itself is assumed beyond membership in the node
     set. Condition failures land in the report, never in an exception;
-    malformed input (a repeated node or one that is not a state, an edge
-    to a non-node or one that is not a (child, parent) pair) raises
-    TreeError.
+    malformed input raises TreeError from the one tree-input check
+    (_given, with the states as known), which names the first fault as
+    given: a node that is not a state or is repeated, then an edge that
+    is not a (child, parent) pair or mentions a non-node.
     """
-    return _check_tree(s, *_given(nodes, edges))[0]
+    return _check_tree(s, *_given(nodes, edges, s.derived.index.keys()))[0]
 
 
 def _check_tree(s: EStructure, nodes: tuple[str, ...],
@@ -348,10 +337,11 @@ def _check_tree(s: EStructure, nodes: tuple[str, ...],
                 ) -> tuple[ConditionReport, ExperimentationTree | None]:
     """check_tree's report and, when it passes, the checked tree.
 
-    The nodes and edges are read as ambient indices. A tree-shaped edge
-    list on one or more nodes (check_graph_tree) goes to the kernel,
-    _tree_verdict, with the parent map and top-down order _shape read,
-    and a tree that passes is built on the edges (_passed). Any other
+    The nodes and edges come checked, as _given returns them, and are
+    read as ambient indices. A tree-shaped edge list on one or more
+    nodes (check_graph_tree) goes to the kernel, _tree_verdict, with the
+    parent map and top-down order _shape read, and a tree that passes
+    is built on the edges (_passed). Any other
     list, one with a redundant transitive edge say, orders the nodes by
     the row closure of its edges, and its tree hangs each node from its
     one immediate predecessor there. Both routes judge each node with
@@ -359,7 +349,6 @@ def _check_tree(s: EStructure, nodes: tuple[str, ...],
     """
     d, root = s.derived, s.root
     index = d.index
-    _validate_members(index.keys(), nodes, edges)
     order = [index[x] for x in nodes]
     shape, parent, top_down = _shape(
         order, [(index[c], index[p]) for c, p in edges], index.get(root))
@@ -512,7 +501,8 @@ def build_tree(s: EStructure, nodes: Sequence[str],
     field, so a dataclasses.replace copy reads its own shape; a tree on
     a tree-shaped list that is all of s with s's own rows keeps s as its
     as_estructure the same way (see _passed)."""
-    report, tree = _check_tree(s, *_given(nodes, edges))
+    report, tree = _check_tree(s, *_given(nodes, edges,
+                                          s.derived.index.keys()))
     if tree is None:
         raise TreeError("tree conditions failed: "
                         + ", ".join(report.failed_ids))
@@ -569,6 +559,8 @@ def find_trees(s: EStructure, max_count: int | None = None
     set (at least 1), trees are grown size by size under a node budget,
     and growth stops at the first budget that yields max_count trees.
     """
+    if max_count is not None and not isinstance(max_count, int):
+        raise ValueError(f"max_count must be an int, not {max_count!r}")
     if max_count is not None and max_count < 1:
         raise ValueError(f"max_count must be at least 1, not {max_count}")
     d = s.derived
@@ -686,8 +678,10 @@ class PartitionSequence:
 
 
 def partitions(t: ExperimentationTree) -> PartitionSequence:
-    """The tree's refinement filtration; TreeError on a malformed tree."""
-    _validate_members(t.ambient.derived.index.keys(), t.nodes, ())
+    """The tree's refinement filtration. TreeError on a malformed tree:
+    its nodes go through the one tree-input check (_given) with the
+    ambient states as known, and its parent map through the views."""
+    _given(t.nodes, (), t.ambient.derived.index.keys())
     space, rho, leaves = t.ambient.canonical, t.rank_in_tree, t.leaves
     members = tuple([tuple([x for x in t.nodes if rho[x] == n
                             or (rho[x] < n and x in leaves)])
@@ -706,8 +700,11 @@ def decompose_field_element(t: ExperimentationTree,
     decomposition.
     """
     universe = frozenset(range(len(t.canonical.atoms)))
-    remaining = set(element)
-    if not remaining <= universe:
+    try:
+        remaining = set(element)
+    except TypeError:  # a member that is no hashable sample point
+        remaining = None
+    if remaining is None or not remaining <= universe:
         raise TreeError("element mentions unknown sample points")
     picked: list[str] = []
     for x in sorted(t.nodes, key=t.rank_in_tree.__getitem__):  # stable

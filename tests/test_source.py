@@ -5,8 +5,9 @@ read somewhere in the package, every cache stored in an instance's
 __dict__ is declared here and named in the README, no line is wider
 than 79 columns, the package namespace imports no module when it loads
 and exports each name of __all__ from the one module defining it, the
-CLI imports only io, plans and structure when it loads, and every
-import of another module's private name is declared here."""
+CLI imports only io, plans and structure when it loads, every
+import of another module's private name is declared here, and only
+trees._given writes the tree-input messages."""
 from __future__ import annotations
 
 import ast
@@ -344,3 +345,70 @@ def test_the_top_level_import_scan_skips_deferred_imports():
                      "    from .m import n\n")
     assert _top_level_package_imports(tree) == [".", "b", "evistruct.d",
                                                "j", "m"]
+
+
+# the four tree-input messages, with each formatted value as {}: the one
+# tree-input check, trees._given, is the only function writing them
+TREE_INPUT_MESSAGES = ("tree node {} is not a state",
+                       "duplicate tree node {}",
+                       "edge {} is not a (child, parent) pair",
+                       "edge ({}, {}) mentions a non-node")
+
+
+def _message_writers(tree: ast.Module, messages: tuple[str, ...]
+                     ) -> list[tuple[str, str]]:
+    """Each (function, message) where a function's own code holds one of
+    messages in a string or f-string, each formatted value read as {};
+    a method is named Class.method, and code outside any function
+    <module>."""
+    found: list[tuple[str, str]] = []
+
+    def visit(node: ast.AST, owner: str, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                name = scope + child.name
+                visit(child, owner if isinstance(child, ast.ClassDef)
+                      else name, name + ".")
+            elif isinstance(child, ast.JoinedStr):
+                text = "".join(v.value if isinstance(v, ast.Constant)
+                               else "{}" for v in child.values)
+                found.extend((owner, m) for m in messages if m in text)
+            elif (isinstance(child, ast.Constant)
+                  and isinstance(child.value, str)):
+                found.extend((owner, m) for m in messages
+                             if m in child.value)
+            else:
+                visit(child, owner, scope)
+
+    visit(tree, "<module>", "")
+    return found
+
+
+def test_only_the_tree_input_check_writes_its_messages():
+    """Malformed tree input is judged in one place: a second function
+    raising one of its messages is a second copy of the check."""
+    found = sorted((path.stem, owner, message) for path in MODULES
+                   for owner, message in _message_writers(
+                       ast.parse(path.read_text(encoding="utf-8")),
+                       TREE_INPUT_MESSAGES))
+    assert found == sorted(("trees", "_given", m)
+                           for m in TREE_INPUT_MESSAGES)
+
+
+def test_the_message_scan_sees_a_second_raiser():
+    tree = ast.parse(
+        'def _given(x):\n    raise E(f"tree node {x!r} is not a state")\n'
+        'class T:\n    def view(self, e):\n'
+        '        msg = "edge {} is not a (child, parent) pair"\n'
+        '        raise E(msg.format(e))\n'
+        'def other(x, c, p):\n'
+        '    def inner():\n'
+        '        raise E(f"duplicate tree node {x}")\n'
+        '    raise E(f"edge ({c!r}, {p!r}) mentions a non-node")\n'
+        'def plan(x):\n    raise E(f"plan state {x!r} is not a state")\n')
+    assert _message_writers(tree, TREE_INPUT_MESSAGES) == [
+        ("_given", TREE_INPUT_MESSAGES[0]),
+        ("T.view", TREE_INPUT_MESSAGES[2]),
+        ("other.inner", TREE_INPUT_MESSAGES[1]),
+        ("other", TREE_INPUT_MESSAGES[3])]

@@ -104,6 +104,13 @@ class TestExampleD:
         with pytest.raises(ValueError, match="max_count"):
             find_trees(corpus["example_d"].structure, max_count=bound)
 
+    @pytest.mark.parametrize("bound, named", [
+        (2.5, "2.5"), ("3", "'3'")], ids=["float", "str"])
+    def test_max_count_that_is_no_int_rejected(self, corpus, bound, named):
+        with pytest.raises(ValueError,
+                           match=f"^max_count must be an int, not {named}$"):
+            find_trees(corpus["example_d"].structure, max_count=bound)
+
 
 def _node_edge_lists(s, trees):
     return [(t.nodes, tuple([(x, t.parent[x]) for x in t.nodes
@@ -258,6 +265,11 @@ class TestT2AsItsOwnStructure:
         with pytest.raises(TreeError):
             decompose_field_element(t2, frozenset({0, 99}))
 
+    def test_decompose_rejects_unhashable_points(self, t2):
+        with pytest.raises(TreeError,
+                           match="^element mentions unknown sample points$"):
+            decompose_field_element(t2, [[0]])
+
 
 def seq_blocks(tree):
     return partitions(tree).blocks
@@ -326,47 +338,83 @@ class TestGraphChecks:
             check_graph_tree(["r", "a", "a"], [("a", "r")], "r")
 
 
-@pytest.mark.parametrize("nodes, edges, message", [
+@pytest.mark.parametrize("nodes, edges, message, graph_message", [
     pytest.param(["nothing", "As"], [("As",)],
-                 r"^edge \('As',\) is not a \(child, parent\) pair$",
+                 r"^edge \('As',\) is not a \(child, parent\) pair$", None,
                  id="one-tuple-edge"),
     pytest.param(["nothing", "As"], [("As", "nothing", "Sb")],
                  r"^edge \('As', 'nothing', 'Sb'\) is not a \(child, parent\)",
-                 id="three-tuple-edge"),
+                 None, id="three-tuple-edge"),
     pytest.param(["nothing", "As"], ["As"],
-                 r"^edge 'As' is not a \(child, parent\) pair$",
+                 r"^edge 'As' is not a \(child, parent\) pair$", None,
                  id="bare-string-edge"),
     pytest.param(["nothing", ["As"]], [],
-                 r"^tree node \['As'\] is not a state$", id="list-node"),
+                 r"^tree node \['As'\] is not a state$", None, id="list-node"),
+    pytest.param(["nothing", "zz"], [("As",)],
+                 r"^tree node 'zz' is not a state$",
+                 r"^edge \('As',\) is not a \(child, parent\) pair$",
+                 id="non-state-then-malformed-edge"),
+    pytest.param(["nothing", "As", "As"], [("zz", "nothing")],
+                 r"^duplicate tree node 'As'$", None,
+                 id="duplicate-then-edge-to-non-node"),
+    pytest.param(["nothing", ["As"], "zz"], [("As",)],
+                 r"^tree node \['As'\] is not a state$", None,
+                 id="unhashable-then-non-state"),
+    pytest.param(["nothing", "As"], [("zz", "nothing"), ("As",)],
+                 r"^edge \('zz', 'nothing'\) mentions a non-node$", None,
+                 id="edge-to-non-node-then-malformed-edge"),
 ])
 def test_malformed_tree_input_is_named_as_given(corpus, nodes, edges,
-                                                message):
+                                                message, graph_message):
     """Input that is not a list of nodes and a list of (child, parent)
     pairs raises TreeError in each public wrapper, naming the edge or
     node as it was given, not a Python error about unpacking or
-    hashing."""
+    hashing. The one tree-input check scans the nodes, then the edges,
+    and names the first fault it meets, whatever its kind: check_tree
+    and build_tree with the states as known nodes, check_graph_tree
+    (graph_message, when it differs) with any hashable node allowed."""
     s = corpus["example_d"].structure
-    for call in (lambda: check_tree(s, nodes, edges),
-                 lambda: build_tree(s, nodes, edges),
-                 lambda: check_graph_tree(nodes, edges, s.root)):
-        with pytest.raises(TreeError, match=message):
+    for call, expected in (
+            (lambda: check_tree(s, nodes, edges), message),
+            (lambda: build_tree(s, nodes, edges), message),
+            (lambda: check_graph_tree(nodes, edges, s.root),
+             graph_message or message)):
+        with pytest.raises(TreeError, match=expected):
             call()
 
 
 def test_list_pairs_read_as_tuples_and_the_search_skips_the_input_check(
         corpus, monkeypatch):
-    """A (child, parent) pair may be a list; find_trees hands its own
-    tuples to the check and never reads its input through the wrappers'
-    check."""
+    """A (child, parent) pair may be a list. Every tree entry and view
+    reads its input through the one check once: check_tree, build_tree,
+    check_graph_tree, as_tree, partitions and the first view of a
+    dataclasses.replace copy; find_trees hands its own tuples to the
+    kernel and never calls it."""
     ws = corpus["example_d"]
     s, (nodes, edges) = ws.structure, _block(ws, 0)
     assert check_tree(s, nodes, [list(e) for e in edges]) == check_tree(
         s, nodes, edges)
+    spanning = splitting_tree(random.Random(3), max_nodes=9).ambient
+    t = build_tree(s, nodes, edges)
     calls = []
     given = trees._given
     monkeypatch.setattr(trees, "_given",
                         lambda *args: calls.append(1) or given(*args))
-    assert len(find_trees(s)) == 8 and calls == []
+
+    def count(call):
+        calls.clear()
+        call()
+        return len(calls)
+
+    assert [count(call) for call in (
+        lambda: check_tree(s, nodes, edges),
+        lambda: build_tree(s, nodes, edges),
+        lambda: check_graph_tree(nodes, edges, s.root),
+        lambda: as_tree(spanning),
+        lambda: partitions(t),
+        lambda: dataclasses.replace(t).children,
+    )] == [1, 1, 1, 1, 1, 1]
+    assert count(lambda: find_trees(s)) == 0 and len(find_trees(s)) == 8
 
 
 def test_lopsided_subtree_fails_branching_and_unbiased():
@@ -1039,15 +1087,22 @@ def test_found_trees_carry_their_order(monkeypatch):
 
 def test_every_view_of_a_malformed_tree_raises_tree_error():
     """Each view reads the parent map through its one checked walk, so a
-    cyclic map fails every view alike; partitions names a node that is
-    not an ambient state."""
+    cyclic map fails every view alike, path_to_root included, which also
+    names a node that is not in the tree; partitions names a node that
+    is not an ambient state."""
     tree = splitting_tree(random.Random(1), 7, 7)
     assert len(tree.nodes) == 7
-    broken = dataclasses.replace(tree, parent={"n1": "n2", "n2": "n1"})
-    for view in ("children", "leaves", "as_estructure", "branches",
-                 "rank_in_tree", "depth"):
+    for cycle in ({"n1": "n2", "n2": "n1"},
+                  {**tree.parent, "n1": "n2", "n2": "n1"}):
+        broken = dataclasses.replace(tree, parent=cycle)
+        for view in ("children", "leaves", "as_estructure", "branches",
+                     "rank_in_tree", "depth"):
+            with pytest.raises(TreeError, match="not a tree"):
+                getattr(broken, view)
         with pytest.raises(TreeError, match="not a tree"):
-            getattr(broken, view)
+            broken.path_to_root("n1")
+    with pytest.raises(TreeError, match="^'zz' is not a tree node$"):
+        tree.path_to_root("zz")
     foreign = ExperimentationTree(tree.ambient, ("n0", "zz", "yy"),
                                   {"zz": "n0", "yy": "n0"})
     with pytest.raises(TreeError, match="'zz' is not a state"):
