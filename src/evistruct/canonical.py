@@ -16,8 +16,7 @@ from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from .structure import (ConditionReport, EStructure, StructureError,
-                        _bits, _condition_report, _first_pair, _lowest,
-                        _union)
+                        _bits, _condition_report, _lowest)
 
 # field enumeration is exponential in the atom count; anything needing more
 # than this many atoms has no business calling the exhaustive verifier
@@ -73,16 +72,19 @@ def build_canonical(s: EStructure) -> CanonicalSpace:
 
 
 def _verified_space(s: EStructure) -> CanonicalSpace:
-    space = _event_space(s)
-    report = verify_canonical(space, s)
+    space, masks, signature = _event_space(s)
+    report = _canonical_report(space, s, masks, signature)
     if not report.passed:
         raise CanonicalError(
             "canonical conditions violated: " + ", ".join(report.failed_ids))
     return space
 
 
-def _event_space(s: EStructure) -> CanonicalSpace:
-    """Atoms and event map, with no verification."""
+def _event_space(s: EStructure
+                 ) -> tuple[CanonicalSpace, list[int], list[int]]:
+    """Atoms and event map, unverified, with the events as masks over atom
+    indices and each atom's signature, as _point_rows gives them: the up
+    row of its class's first member."""
     d = s.derived
     maximal = sum([1 << i for i, x in enumerate(s.states)
                    if not d.immed_sets[x]])
@@ -92,24 +94,26 @@ def _event_space(s: EStructure) -> CanonicalSpace:
         if not assigned >> m & 1:
             classes.append(maximal & d.up[m] & d.refiners[m] | 1 << m)
             assigned |= classes[-1]
-    members: list[list[int]] = [[] for _ in s.states]
-    for i, cls in enumerate(classes):
-        for x in _bits(d.up[_lowest(cls)]):
-            members[x].append(i)
+    signature = [d.up[_lowest(cls)] for cls in classes]
+    masks = [0] * len(s.states)
+    for i, sig in enumerate(signature):
+        for x in _bits(sig):
+            masks[x] |= 1 << i
     return CanonicalSpace(
         tuple([tuple([s.states[x] for x in _bits(cls)]) for cls in classes]),
-        {x: frozenset(members[k]) for k, x in enumerate(s.states)})
+        {x: frozenset(_bits(mask)) for x, mask in zip(s.states, masks)}
+    ), masks, signature
 
 
 def verify_canonical(space: CanonicalSpace,
                      s: EStructure) -> ConditionReport:
     """Exhaustively confirm the finite canonical-space conditions.
 
-    Re-checks the space on every call, comparing events as bitmasks over
-    atom indices with the relation's bit rows. A space of the wrong
-    shape, or one that gives some state of s no event (built for another
-    structure, say) or an event holding anything but atom indices, fails
-    every condition.
+    Re-checks the space on every call: its events become bitmasks over
+    atom indices once, for the kernel the build's own check runs. A space
+    of the wrong shape, or one that gives some state of s no event
+    (built for another structure, say) or an event holding anything but
+    atom indices, fails every condition.
     """
     ids = CANONICAL_CONDITION_IDS
     if not (isinstance(space, CanonicalSpace)
@@ -125,40 +129,67 @@ def verify_canonical(space: CanonicalSpace,
             return _condition_report(ids, [(x, "no event")] * len(ids))
         if not all(isinstance(i, int) and 0 <= i < natoms for i in ev[x]):
             return _condition_report(ids, [(x, "not atom indices")] * len(ids))
-    d, states = s.derived, s.states
-    everything = (1 << len(states)) - 1
-    events, signature = _point_rows([ev[x] for x in states], natoms)
-    top = None if len(ev[s.root]) == natoms else (
-        s.root, tuple(sorted(ev[s.root])))
-    monotone = _order_mismatch(states, d.up, events, signature)
-    # x incompatible with y iff no atom of e(x) is in e(y)
-    disjoint = _first_pair(states, [
-        row ^ (everything & ~_union(signature, e))
-        for row, e in zip(d.incompat_rows, events)])
+    return _canonical_report(space, s, *_point_rows(
+        [ev[x] for x in s.states], natoms))
 
-    # The minimal nonempty elements of the generated field are the classes
-    # of sample points with identical membership signature across all
-    # events; every field element is a disjoint union of them. That makes
-    # the two field conditions checkable without enumerating the field,
-    # which has 2^atoms elements in the passing case.
+
+def _canonical_report(space: CanonicalSpace, s: EStructure,
+                      masks: list[int], signature: list[int]
+                      ) -> ConditionReport:
+    """The six conditions on the events as masks over atom indices."""
+    root = masks[s.derived.index[s.root]]
+    top = None if root == (1 << len(signature)) - 1 else (
+        s.root, tuple(_bits(root)))
+    monotone, disjoint, nonempty, fitted = _event_pass(s, masks, signature)
+    # the cells (points of one signature) are the generated field's atoms:
+    # no need to enumerate its 2^atoms elements
     cells: dict[int, int] = {}  # signature -> its atoms, by first atom
     for i, sig in enumerate(signature):
         cells[sig] = cells.get(sig, 0) | 1 << i
-
-    # base: a nonempty field element includes some state's event iff every
-    # minimal one does
-    base = next(((tuple([*_bits(cell)]),) for cell in cells.values()
-                 if all(e & ~cell for e in events)), None)
-
-    # each ultrafilter of a finite field is the up-set of one of its minimal
-    # nonempty elements; they are principal at singletons exactly when every
-    # singleton is in the field, i.e. when no two points share a signature
+    # base: every nonempty field element includes an event iff every cell does
+    base = None if fitted is None else next(
+        ((tuple(_bits(cell)),) for sig, cell in cells.items()
+         if sig not in fitted), None)
+    # every ultrafilter is the up-set of a cell: principal at singletons
+    # exactly when no two points share a signature
     principal = next(((space.atom_label(i),) for i, sig in
                       enumerate(signature) if cells[sig] != 1 << i), None)
+    return _condition_report(CANONICAL_CONDITION_IDS, [
+        top, monotone, disjoint, base, principal, nonempty])
 
-    nonempty = next(((x,) for x in states if not ev[x]), None)
-    return _condition_report(
-        ids, [top, monotone, disjoint, base, principal, nonempty])
+
+def _event_pass(s: EStructure, masks: list[int], signature: list[int],
+                one_way: bool = False) -> tuple:
+    """The one kernel of the order and disjointness conditions: one pass
+    over each event's points ANDs and ORs their signatures, the states
+    whose events include it and those whose events meet it. Returns the
+    first (x, y) on which x wms y and e(x) <= e(y) disagree; the first on
+    which incompatible and disjoint disagree (one_way: incompatible yet
+    meeting); the first (x,) with e(x) empty; the signatures of the cells
+    each holding some event whole, or None when an event is empty."""
+    d, states = s.derived, s.states
+    everything = (1 << len(states)) - 1
+    order = disjoint = empty = None
+    fitted: set[int] | None = set()
+    for x, (mask, up, incompat) in enumerate(zip(masks, d.up,
+                                                 d.incompat_rows)):
+        inside, meets, rest = everything, 0, mask
+        while rest:  # _bits, inlined: this is the innermost loop
+            low = rest & -rest
+            row = signature[low.bit_length() - 1]
+            inside &= row
+            meets |= row
+            rest ^= low
+        if order is None and up != inside:
+            order = (states[x], states[_lowest(up ^ inside)])
+        clash = incompat & meets if one_way else incompat ^ everything ^ meets
+        if disjoint is None and clash:
+            disjoint = (states[x], states[_lowest(clash)])
+        if not mask:
+            empty, fitted = empty or (states[x],), None
+        elif fitted is not None and inside == meets:
+            fitted.add(inside)
+    return order, disjoint, empty, fitted
 
 
 def _point_rows(events: Sequence[Iterable[int]], npoints: int
@@ -176,53 +207,30 @@ def _point_rows(events: Sequence[Iterable[int]], npoints: int
     return masks, signature
 
 
-def _order_mismatch(states: Sequence[str], up: Sequence[int],
-                    masks: Sequence[int], signature: Sequence[int]
-                    ) -> tuple[str, str] | None:
-    """The first pair (x, y) in declaration order on which x wms y (the
-    up rows) and the inclusion of x's event in y's (the point rows of
-    _point_rows) disagree."""
-    everything = (1 << len(states)) - 1
-    missing = [everything & ~sig for sig in signature]
-    # x wms y iff no point of e(x) is missing from e(y)
-    return _first_pair(states, [u ^ (everything & ~_union(missing, e))
-                                for u, e in zip(up, masks)])
-
-
 def generated_field(events, atom_count: int) -> set[frozenset[int]]:
     """Field of atom-index sets generated by the given events.
 
-    Enumerates the whole field, so the universe is capped: use the
-    signature argument inside verify_canonical for anything larger.
+    Enumerates the whole field, so the universe is capped: the canonical
+    check reads the field's cells off the point signatures instead
+    (_canonical_report, after the kernel _event_pass), for any size.
     """
     if atom_count > MAX_FIELD_ATOMS:
         raise CanonicalError(
             f"field enumeration capped at {MAX_FIELD_ATOMS} atoms; "
             f"got {atom_count}")
     full = frozenset(range(atom_count))
-    field: set[frozenset[int]] = {frozenset(), full}
-    field.update(frozenset(e) for e in events)
-    changed = True
-    while changed:
-        changed = False
-        current = list(field)
-        for a in current:
-            comp = full - a
-            if comp not in field:
-                field.add(comp)
-                changed = True
-            for b in current:
-                for c in (a | b, a & b):
-                    if c not in field:
-                        field.add(c)
-                        changed = True
+    field: set[frozenset[int]] = {frozenset(), full, *map(frozenset, events)}
+    size = 0
+    while size < len(field):  # close under complement, union, intersection
+        size, current = len(field), list(field)
+        field.update([full - a for a in current])
+        field.update([c for a in current for b in current
+                      for c in (a | b, a & b)])
     return field
 
 
-def verify_embedding(
-    s: EStructure,
-    mapping: Mapping[str, frozenset[Hashable]],
-) -> ConditionReport:
+def verify_embedding(s: EStructure, mapping: Mapping[str, frozenset[Hashable]]
+                     ) -> ConditionReport:
     """Check an arbitrary event assignment against the embedding conditions.
 
     mapping may send states to sets over any finite point universe; the
@@ -246,17 +254,19 @@ def verify_embedding(
     d, states = s.derived, s.states
     universe: frozenset[Hashable] = frozenset().union(*mapping.values())
     point = {p: i for i, p in enumerate(universe)}
-    events, signature = _point_rows(
+    masks, signature = _point_rows(
         [[point[p] for p in mapping[x]] for x in states], len(point))
-    order = (s.root,) if mapping[s.root] != universe else (
-        _order_mismatch(states, d.up, events, signature))
-    disjoint = next(((x, states[y]) for k, x in enumerate(states)
-                     for y in _bits(d.incompat_rows[k])
-                     if events[k] & events[y]), None)
-    kids = d.immed_sets
-    saturation = next(((z,) for z in states if kids[z] and mapping[z]
-                       != frozenset().union(*[mapping[x] for x in kids[z]])),
-                      None)
+    order, disjoint, _, _ = _event_pass(s, masks, signature, one_way=True)
+    if mapping[s.root] != universe:
+        order = (s.root,)
+    index, kids, saturation = d.index, d.immed_sets, None
+    for z, mask in zip(states, masks):
+        union = 0
+        for x in kids[z]:
+            union |= masks[index[x]]
+        if kids[z] and union != mask:
+            saturation = (z,)
+            break
     return _condition_report(ids, [order, disjoint, saturation])
 
 

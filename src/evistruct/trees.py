@@ -224,12 +224,20 @@ class ExperimentationTree:
 def _given(nodes: Iterable[str], edges: Iterable[tuple[str, str]],
            known: Set[str] | None = None
            ) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
-    """The one tree-input check: the nodes and edges as tuples, once the
-    nodes are distinct and hashable (and members of known, when given)
-    and every edge is a (child, parent) pair, a tuple or list of two,
-    joining two of them. A scan of the nodes, then of the edges, names
-    the first fault as given."""
-    nodes, edges = tuple(nodes), tuple(edges)
+    """The one tree-input check: the nodes and edges as tuples, once both
+    are collections, the nodes are distinct and hashable (and members of
+    known, when given) and every edge is a (child, parent) pair, a tuple
+    or list of two, joining two of them. A scan of the nodes, then of
+    the edges, names the first fault as given."""
+    given = []
+    for name, items in (("nodes", nodes), ("edges", edges)):
+        try:
+            read = iter(items)
+        except TypeError:
+            raise TreeError(f"tree {name} {items!r} are not a collection"
+                            ) from None
+        given.append(tuple(read))
+    nodes, edges = given
     try:
         seen = set(nodes)
         if (len(seen) == len(nodes) and (known is None or seen <= known)

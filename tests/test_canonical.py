@@ -291,7 +291,7 @@ class TestEmbedding:
                    "b": frozenset({1}), "c": frozenset({2, 3})}
         # c's extra point 3 is missing from the root's set
         report = verify_embedding(s, mapping)
-        assert "order" in report.failed_ids or report.passed is False
+        assert report.failures == {"order": ("r",), "saturation": ("r",)}
         mapping = {"r": frozenset({0, 1, 2, 3}), "a": frozenset({0}),
                    "b": frozenset({1}), "c": frozenset({2})}
         report = verify_embedding(s, mapping)

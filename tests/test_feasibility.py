@@ -759,15 +759,17 @@ def test_witness_values_are_fractions_on_every_route(corpus, path):
 def test_canonical_space_is_built_once_per_structure(monkeypatch):
     """decide_rationalizable and construct_sceu on a tree-shaped structure
     share one build and one verification of its canonical space, while
-    the public verify_canonical re-checks on every call."""
+    the public verify_canonical re-checks on every call. A verification
+    is a run of the one kernel, _event_pass, which the build's own check
+    and verify_canonical both reach."""
     built, verified = [], []
     event_space = canonical._event_space
-    verify = canonical.verify_canonical
+    event_pass = canonical._event_pass
     monkeypatch.setattr(canonical, "_event_space",
                         lambda s: built.append(s) or event_space(s))
-    monkeypatch.setattr(canonical, "verify_canonical",
-                        lambda space, s: verified.append(s)
-                        or verify(space, s))
+    monkeypatch.setattr(canonical, "_event_pass",
+                        lambda s, *rows, **kw: verified.append(s)
+                        or event_pass(s, *rows, **kw))
     s = EStructure.from_generators(
         ["r", "u", "v", "u1", "u2"], "r",
         [("u", "r"), ("v", "r"), ("u1", "u"), ("u2", "u")])

@@ -6,8 +6,10 @@ __dict__ is declared here and named in the README, no line is wider
 than 79 columns, the package namespace imports no module when it loads
 and exports each name of __all__ from the one module defining it, the
 CLI imports only io, plans and structure when it loads, every
-import of another module's private name is declared here, and only
-trees._given writes the tree-input messages."""
+import of another module's private name is declared here, only
+trees._given writes the tree-input messages, and the canonical and
+embedding verifiers all reach the one kernel that reads the relation's
+rows."""
 from __future__ import annotations
 
 import ast
@@ -253,8 +255,7 @@ def _top_level_names(tree: ast.Module) -> set[str]:
 # included: importer -> {module: names}. A new coupling fails
 # test_private_couplings_are_declared until it is declared here.
 PRIVATE_COUPLINGS = {
-    "canonical": {"structure": {"_bits", "_condition_report", "_first_pair",
-                                "_lowest", "_union"}},
+    "canonical": {"structure": {"_bits", "_condition_report", "_lowest"}},
     "cli": {"feasibility": {"_margin_report", "_over_lcm", "_rows"}},
     "feasibility": {"plans": {"_check_domain"}, "structure": {"_bits"},
                     "rationalize": {"_avoidance"}},
@@ -347,12 +348,13 @@ def test_the_top_level_import_scan_skips_deferred_imports():
                                                "j", "m"]
 
 
-# the four tree-input messages, with each formatted value as {}: the one
+# the five tree-input messages, with each formatted value as {}: the one
 # tree-input check, trees._given, is the only function writing them
 TREE_INPUT_MESSAGES = ("tree node {} is not a state",
                        "duplicate tree node {}",
                        "edge {} is not a (child, parent) pair",
-                       "edge ({}, {}) mentions a non-node")
+                       "edge ({}, {}) mentions a non-node",
+                       "tree {} {} are not a collection")
 
 
 def _message_writers(tree: ast.Module, messages: tuple[str, ...]
@@ -412,3 +414,59 @@ def test_the_message_scan_sees_a_second_raiser():
         ("T.view", TREE_INPUT_MESSAGES[2]),
         ("other.inner", TREE_INPUT_MESSAGES[1]),
         ("other", TREE_INPUT_MESSAGES[3])]
+
+
+def _calls(tree: ast.Module) -> dict[str, set[str]]:
+    """For each top-level function, the names it calls directly."""
+    return {node.name: {call.func.id for call in ast.walk(node)
+                        if isinstance(call, ast.Call)
+                        and isinstance(call.func, ast.Name)}
+            for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def _reach(calls: dict[str, set[str]], start: str) -> set[str]:
+    """The top-level functions start calls, directly or through others."""
+    seen, todo = set(), [start]
+    while todo:
+        for name in calls.get(todo.pop(), ()):
+            if name in calls and name not in seen:
+                seen.add(name)
+                todo.append(name)
+    return seen
+
+
+def _attribute_readers(tree: ast.Module, attrs: set[str]) -> set[str]:
+    """The top-level functions whose code reads one of attrs off
+    anything."""
+    return {node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and any(isinstance(a, ast.Attribute) and a.attr in attrs
+                    for a in ast.walk(node))}
+
+
+def test_the_canonical_checks_share_one_kernel():
+    """The build's own check (_verified_space), verify_canonical and
+    verify_embedding all run the one mask kernel, _event_pass, and
+    besides the build only the kernel reads the relation's up and
+    incompatibility rows: a second scan of the order or disjointness
+    conditions, such as an _order_mismatch helper, fails here."""
+    tree = _module_tree("canonical")
+    calls = _calls(tree)
+    assert "_order_mismatch" not in _top_level_names(tree)
+    assert [f for f in ("_verified_space", "verify_canonical",
+                        "verify_embedding")
+            if "_event_pass" not in _reach(calls, f)] == []
+    assert _attribute_readers(tree, {"up", "incompat_rows"}) == {
+        "_event_space", "_event_pass"}
+
+
+def test_the_call_scan_follows_calls_through_helpers():
+    tree = ast.parse("def a(s):\n    return b(s.up) + len(s)\n"
+                     "def b(x):\n    return c(x)\n"
+                     "def c(x):\n    return x.incompat_rows\n"
+                     "def d(x):\n    return a(x)\n")
+    calls = _calls(tree)
+    assert _reach(calls, "a") == {"b", "c"}
+    assert _reach(calls, "c") == set()
+    assert _reach(calls, "d") == {"a", "b", "c"}
+    assert _attribute_readers(tree, {"up", "incompat_rows"}) == {"a", "c"}

@@ -19,7 +19,7 @@ from evistruct import (AXIOM_IDS, CANONICAL_CONDITION_IDS, CanonicalSpace,
                        rank, rank_level_sets, verify_canonical,
                        verify_embedding)
 from evistruct import structure
-from evistruct.canonical import _event_space
+from evistruct.canonical import _canonical_report, _event_space
 
 
 def test_axiom_ids_are_stable():
@@ -364,6 +364,37 @@ def _degraded(rng):
     return EStructure(s.states, s.root, frozenset(pairs))
 
 
+def _twinned(rng, s):
+    """s with an equivalence twin, x + "q", added for about a third of its
+    non-root states; the twin of a leaf shares its atom."""
+    twins = [x for x in s.states[1:] if rng.random() < 0.3]
+    pairs = [p for p in s.relation if p[0] != p[1]] + [
+        pair for x in twins for pair in ((x + "q", x), (x, x + "q"))]
+    return EStructure.from_generators(
+        s.states + tuple([x + "q" for x in twins]), s.root, pairs)
+
+
+def _perturbed(rng, space):
+    """Copies of a space with one atom taken out of every event, two atoms
+    merged (an event holding either holds both), an extra atom that only
+    the root's event holds, and some atoms moved in or out of events."""
+    natoms, events = len(space.atoms), space.events
+    drop = rng.randrange(natoms)
+    pair = set(rng.sample(range(natoms), 2))
+    root = next(x for x, e in events.items() if len(e) == natoms)
+    return [
+        CanonicalSpace(space.atoms, {x: e - {drop}
+                                     for x, e in events.items()}),
+        CanonicalSpace(space.atoms, {x: e | pair if e & pair else e
+                                     for x, e in events.items()}),
+        CanonicalSpace(space.atoms + (("pad",),), {
+            **events, root: events[root] | {natoms}}),
+        CanonicalSpace(space.atoms, {
+            x: e ^ frozenset(i for i in range(natoms) if rng.random() < 0.1)
+            for x, e in events.items()}),
+    ]
+
+
 class TestSetBasedReference:
     """The bit-row core against the tuple-lookup loops it replaced
     (oracles.*_by_sets), whole reports at a time, witnesses included."""
@@ -422,7 +453,7 @@ class TestSetBasedReference:
             if not all(s.wms(x, x) for x in s.states):
                 s = EStructure(s.states, s.root, s.relation | {
                     (x, x) for x in s.states})
-            space = _event_space(s)
+            space = _event_space(s)[0]
             if rng.random() < 0.5:  # move some atoms in or out of events
                 natoms = len(space.atoms)
                 space = CanonicalSpace(space.atoms, {
@@ -433,6 +464,36 @@ class TestSetBasedReference:
                 s.states, s.root, s.relation, space.atoms, space.events)
             assert _verdicts(verify_canonical(space, s)) == expected
             failed.update(c for c, passed, _ in expected if not passed)
+        assert failed == set(CANONICAL_CONDITION_IDS)
+
+    def test_canonical_verdicts_match_on_trees_with_and_without_twins(self):
+        """Splitting trees of up to 80 nodes, some with equivalence twins
+        added, so that atoms stand for two states. The build's own check
+        on its masks, and verify_canonical on its space and on perturbed
+        copies, match the reference witness for witness: an atom taken
+        out of every event holding it, two atoms merged into one
+        membership, and an atom that only the root holds. The last two
+        break base and principal, where the kernel reads each event's
+        cell off its lowest point instead of scanning every cell."""
+        rng = random.Random(929)
+        failed = set()
+        for i in range(16):
+            s = splitting_tree(rng, max_nodes=80, min_nodes=20).ambient
+            if i % 2:
+                s = _twinned(rng, s)
+            space, masks, signature = _event_space(s)
+            expected = oracles.verify_canonical_by_sets(
+                s.states, s.root, s.relation, space.atoms, space.events)
+            assert _verdicts(_canonical_report(space, s, masks,
+                                               signature)) == expected
+            assert _verdicts(verify_canonical(space, s)) == expected
+            assert all(passed for _, passed, _ in expected)
+            for perturbed in _perturbed(rng, space):
+                expected = oracles.verify_canonical_by_sets(
+                    s.states, s.root, s.relation, perturbed.atoms,
+                    perturbed.events)
+                assert _verdicts(verify_canonical(perturbed, s)) == expected
+                failed.update(c for c, passed, _ in expected if not passed)
         assert failed == set(CANONICAL_CONDITION_IDS)
 
 

@@ -383,6 +383,34 @@ def test_malformed_tree_input_is_named_as_given(corpus, nodes, edges,
             call()
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda s: check_tree(s, 5, []),
+                 r"^tree nodes 5 are not a collection$",
+                 id="check_tree-nodes"),
+    pytest.param(lambda s: check_tree(s, ["r", "a"], 7),
+                 r"^tree edges 7 are not a collection$",
+                 id="check_tree-edges"),
+    pytest.param(lambda s: check_graph_tree(["r"], 7, "r"),
+                 r"^tree edges 7 are not a collection$",
+                 id="check_graph_tree-edges"),
+    pytest.param(lambda s: build_tree(s, None, []),
+                 r"^tree nodes None are not a collection$",
+                 id="build_tree-nodes"),
+    pytest.param(lambda s: ExperimentationTree(s, None, {}).children,
+                 r"^parent map is not a tree of two or more nodes$",
+                 id="view-nodes"),
+])
+def test_tree_input_that_is_no_collection_raises_tree_error(call, message):
+    """Nodes or edges that are not collections at all raise TreeError
+    naming the argument, not Python's error about iteration; a tree's
+    views, which read their input through the same check, raise their
+    one message for a parent map that is not a tree."""
+    s = EStructure.from_generators(["r", "a", "b"], "r",
+                                   [("a", "r"), ("b", "r")])
+    with pytest.raises(TreeError, match=message):
+        call(s)
+
+
 def test_list_pairs_read_as_tuples_and_the_search_skips_the_input_check(
         corpus, monkeypatch):
     """A (child, parent) pair may be a list. Every tree entry and view
