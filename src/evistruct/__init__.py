@@ -76,13 +76,10 @@ __all__ = [
     "find_trees",
     "format_rational",
     "format_workspace",
-    "generated_field",
     "induced_relation",
-    "load_structure",
     "parse_rational",
     "parse_workspace",
     "partitions",
-    "product_embedding",
     "rank",
     "rank_level_sets",
     "verify_canonical",

@@ -18,10 +18,6 @@ from dataclasses import dataclass
 from .structure import (ConditionReport, EStructure, StructureError,
                         _bits, _condition_report, _lowest)
 
-# field enumeration is exponential in the atom count; anything needing more
-# than this many atoms has no business calling the exhaustive verifier
-MAX_FIELD_ATOMS = 16
-
 CANONICAL_CONDITION_IDS: tuple[str, ...] = (
     "top", "monotone", "disjoint", "base", "principal", "nonempty",
 )
@@ -61,7 +57,8 @@ class CanonicalSpace:
 
 
 def build_canonical(s: EStructure) -> CanonicalSpace:
-    """Construct the canonical space and verify it, raising on violation.
+    """Construct the canonical space and verify it, raising
+    CanonicalError on violation (a root that is not a state included).
 
     The space is built and verified once per structure and cached on it
     (``EStructure.canonical``), so build_system, a tree's ``canonical``
@@ -113,7 +110,8 @@ def verify_canonical(space: CanonicalSpace,
     atom indices once, for the kernel the build's own check runs. A space
     of the wrong shape, or one that gives some state of s no event
     (built for another structure, say) or an event holding anything but
-    atom indices, fails every condition.
+    atom indices, fails every condition, as does a structure whose root
+    is not one of its states.
     """
     ids = CANONICAL_CONDITION_IDS
     if not (isinstance(space, CanonicalSpace)
@@ -136,8 +134,12 @@ def verify_canonical(space: CanonicalSpace,
 def _canonical_report(space: CanonicalSpace, s: EStructure,
                       masks: list[int], signature: list[int]
                       ) -> ConditionReport:
-    """The six conditions on the events as masks over atom indices."""
-    root = masks[s.derived.index[s.root]]
+    """The six conditions on the events as masks over atom indices; a
+    root that is not a state fails every one."""
+    ids, index = CANONICAL_CONDITION_IDS, s.derived.index
+    if s.root not in index:
+        return _condition_report(ids, [(s.root, "not a state")] * len(ids))
+    root = masks[index[s.root]]
     top = None if root == (1 << len(signature)) - 1 else (
         s.root, tuple(_bits(root)))
     monotone, disjoint, nonempty, fitted = _event_pass(s, masks, signature)
@@ -154,7 +156,7 @@ def _canonical_report(space: CanonicalSpace, s: EStructure,
     # exactly when no two points share a signature
     principal = next(((space.atom_label(i),) for i, sig in
                       enumerate(signature) if cells[sig] != 1 << i), None)
-    return _condition_report(CANONICAL_CONDITION_IDS, [
+    return _condition_report(ids, [
         top, monotone, disjoint, base, principal, nonempty])
 
 
@@ -207,28 +209,6 @@ def _point_rows(events: Sequence[Iterable[int]], npoints: int
     return masks, signature
 
 
-def generated_field(events, atom_count: int) -> set[frozenset[int]]:
-    """Field of atom-index sets generated by the given events.
-
-    Enumerates the whole field, so the universe is capped: the canonical
-    check reads the field's cells off the point signatures instead
-    (_canonical_report, after the kernel _event_pass), for any size.
-    """
-    if atom_count > MAX_FIELD_ATOMS:
-        raise CanonicalError(
-            f"field enumeration capped at {MAX_FIELD_ATOMS} atoms; "
-            f"got {atom_count}")
-    full = frozenset(range(atom_count))
-    field: set[frozenset[int]] = {frozenset(), full, *map(frozenset, events)}
-    size = 0
-    while size < len(field):  # close under complement, union, intersection
-        size, current = len(field), list(field)
-        field.update([full - a for a in current])
-        field.update([c for a in current for b in current
-                      for c in (a | b, a & b)])
-    return field
-
-
 def verify_embedding(s: EStructure, mapping: Mapping[str, frozenset[Hashable]]
                      ) -> ConditionReport:
     """Check an arbitrary event assignment against the embedding conditions.
@@ -240,7 +220,8 @@ def verify_embedding(s: EStructure, mapping: Mapping[str, frozenset[Hashable]]
     implying empty intersection; ``saturation`` covers each state's event
     being exactly the union of its immediate refinements' events. A
     mapping that is not a mapping, misses a state, or sends something to
-    a value that is not a set, fails every condition.
+    a value that is not a set, fails every condition, as does a structure
+    whose root is not one of its states.
     """
     ids = EMBEDDING_CONDITION_IDS
     if not isinstance(mapping, Mapping):
@@ -252,6 +233,8 @@ def verify_embedding(s: EStructure, mapping: Mapping[str, frozenset[Hashable]]
         if not isinstance(event, (set, frozenset)):
             return _condition_report(ids, [(x, "not a set")] * len(ids))
     d, states = s.derived, s.states
+    if s.root not in d.index:
+        return _condition_report(ids, [(s.root, "not a state")] * len(ids))
     universe: frozenset[Hashable] = frozenset().union(*mapping.values())
     point = {p: i for i, p in enumerate(universe)}
     masks, signature = _point_rows(
@@ -269,16 +252,3 @@ def verify_embedding(s: EStructure, mapping: Mapping[str, frozenset[Hashable]]
             break
     return _condition_report(ids, [order, disjoint, saturation])
 
-
-def product_embedding(
-    space: CanonicalSpace, s: EStructure
-) -> dict[str, frozenset[tuple[int, str]]]:
-    """The event map crossed with the full state set.
-
-    Sends x to events(x) x states, over the point universe atoms x states.
-    Useful as the sample-point universe of constructed representations.
-    """
-    return {
-        x: frozenset((i, y) for i in space.events[x] for y in s.states)
-        for x in s.states
-    }

@@ -54,7 +54,11 @@ class Workspace:
 
 
 def parse_workspace(text: str) -> Workspace:
-    """Parse a workspace file, reporting the first error with its line."""
+    """Parse a workspace file, reporting the first error with its line;
+    text that is not a str raises ParseError naming its type."""
+    if not isinstance(text, str):
+        raise ParseError(f"workspace text must be a str, "
+                         f"not {type(text).__name__}")
     states: list[str] = []
     declared: set[str] = set()
     root: str | None = None
@@ -172,10 +176,6 @@ def parse_workspace(text: str) -> Workspace:
             raise ParseError("alts declared but no choices made")
         plan = Plan(alts, choices)
     return Workspace(structure, tuple(trees), plan)
-
-
-def load_structure(text: str) -> EStructure:
-    return parse_workspace(text).structure
 
 
 def format_workspace(w: Workspace) -> str:

@@ -259,14 +259,6 @@ class EStructure:
         from .canonical import _verified_space  # canonical imports this
         return _verified_space(self)
 
-    def restrict(self, states: Iterable[str]) -> "EStructure":
-        """Sub-structure induced on a subset of states, relation restricted."""
-        kept = set(states)
-        keep = [s for s in self.states if s in kept]
-        rel = frozenset((x, y) for (x, y) in self.relation
-                        if x in kept and y in kept)
-        return EStructure(tuple(keep), self.root, rel)
-
 
 def _bits(mask: int) -> Iterator[int]:
     """The indices of a mask's set bits, in increasing order."""
@@ -464,6 +456,8 @@ def rank(s: EStructure) -> RankTable:
 
 
 def rank_level_sets(s: EStructure, n: int) -> frozenset[str]:
-    """All states of rank at most n."""
+    """All states of rank at most n; ValueError when n is not an int."""
+    if not isinstance(n, int):
+        raise ValueError(f"n must be an int, not {n!r}")
     table = rank(s)
     return frozenset(x for x, r in table.rho.items() if r <= n)

@@ -222,13 +222,14 @@ class ExperimentationTree:
 
 
 def _given(nodes: Iterable[str], edges: Iterable[tuple[str, str]],
-           known: Set[str] | None = None
+           known: Set[str] | None = None, root: object = None
            ) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
     """The one tree-input check: the nodes and edges as tuples, once both
     are collections, the nodes are distinct and hashable (and members of
-    known, when given) and every edge is a (child, parent) pair, a tuple
-    or list of two, joining two of them. A scan of the nodes, then of
-    the edges, names the first fault as given."""
+    known, when given), every edge is a (child, parent) pair, a tuple
+    or list of two, joining two of them, and root, when given, is
+    hashable. A scan of the nodes, then of the edges, then of the root,
+    names the first fault as given."""
     given = []
     for name, items in (("nodes", nodes), ("edges", edges)):
         try:
@@ -243,7 +244,8 @@ def _given(nodes: Iterable[str], edges: Iterable[tuple[str, str]],
         if (len(seen) == len(nodes) and (known is None or seen <= known)
                 and set(map(type, edges)) <= {tuple}
                 and set(map(len, edges)) <= {2}
-                and seen.issuperset(chain.from_iterable(edges))):
+                and seen.issuperset(chain.from_iterable(edges))
+                and _hashable(root)):
             return nodes, edges
     except TypeError:  # something not hashable: the scan names it
         pass
@@ -261,6 +263,8 @@ def _given(nodes: Iterable[str], edges: Iterable[tuple[str, str]],
         c, p = e
         if c not in seen or p not in seen:
             raise TreeError(f"edge ({c!r}, {p!r}) mentions a non-node")
+    if not _hashable(root):
+        raise TreeError(f"tree root {root!r} is not hashable")
     return nodes, edges
 
 
@@ -277,9 +281,11 @@ def check_graph_tree(nodes: Sequence[str], edges: Iterable[tuple[str, str]],
     """Shape check only: one parent each, no cycles, all reach the root.
     The input goes through the one tree-input check (_given) with any
     hashable node allowed: a repeated node, an edge that mentions a
-    non-node, or input that is not a list of nodes and a list of
-    (child, parent) pairs raises TreeError, node faults first."""
-    return _shape(*_given(nodes, edges), root)[0]
+    non-node, input that is not a list of nodes and a list of (child,
+    parent) pairs, or a root that is not hashable raises TreeError,
+    node faults first. A hashable root that is no node fails the
+    report."""
+    return _shape(*_given(nodes, edges, None, root), root)[0]
 
 
 def _shape(nodes: Sequence[Hashable],
@@ -557,7 +563,8 @@ def find_trees(s: EStructure, max_count: int | None = None
     returned; a node's t-branching, t-incompat and t-unbiased are judged
     once per distinct (node, kid mask) in the call, since they depend
     on nothing else. The structure's relation must be a closed
-    preorder, as every constructor makes it.
+    preorder, as every constructor makes it; a root that is not one of
+    its states leaves no tree to find.
 
     Deterministic order, by node count, then the declaration indices of
     the non-root nodes. A node set carries at most one tree: two
@@ -572,6 +579,8 @@ def find_trees(s: EStructure, max_count: int | None = None
     if max_count is not None and max_count < 1:
         raise ValueError(f"max_count must be at least 1, not {max_count}")
     d = s.derived
+    if s.root not in d.index:  # no tree satisfies t-root
+        return ()
     states, root = d.states, d.index[s.root]
     child_sets = _child_sets(d)
     most = len(s.states) - 1

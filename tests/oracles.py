@@ -261,6 +261,13 @@ def field_oracle(event_sets, universe):
     return field
 
 
+def product_embedding(states, events):
+    """The event map crossed with the states: x goes to events[x] x
+    states, over the point universe atoms x states. An embedding that is
+    not the canonical event map, for verify_embedding to pass."""
+    return {x: frozenset((i, y) for i in events[x] for y in states)
+            for x in states}
+
 
 CANONICAL_CONDITIONS = ("top", "monotone", "disjoint", "base", "principal",
                         "nonempty")

@@ -11,8 +11,7 @@ from evistruct import (AXIOM_IDS, CANONICAL_CONDITION_IDS,
                        EMBEDDING_CONDITION_IDS, TREE_CONDITION_IDS,
                        CanonicalError, CanonicalSpace, EStructure,
                        build_canonical, check_axioms,
-                       check_tree, generated_field, product_embedding,
-                       verify_canonical, verify_embedding)
+                       check_tree, verify_canonical, verify_embedding)
 from evistruct.structure import _condition_report
 
 
@@ -33,16 +32,9 @@ class TestExampleJ:
     def test_field_is_full_power_set(self, corpus):
         s = corpus["example_j"].structure
         space = build_canonical(s)
-        field = generated_field(space.events.values(), len(space.atoms))
+        field = oracles.field_oracle(space.events.values(),
+                                     frozenset(range(len(space.atoms))))
         assert len(field) == 8
-
-    def test_oracle_field_agrees(self, corpus):
-        s = corpus["example_j"].structure
-        space = build_canonical(s)
-        oracle_field = oracles.field_oracle(
-            space.events.values(), frozenset(range(len(space.atoms))))
-        assert generated_field(space.events.values(),
-                               len(space.atoms)) == oracle_field
 
 
 def test_example_d_atoms(corpus):
@@ -208,23 +200,44 @@ def test_build_canonical_raises_on_violation():
         build_canonical(s)
 
 
+def _rootless():
+    """A structure whose root is none of its states: check_axioms reads
+    it and fails root."""
+    return EStructure(("a", "b"), "r", frozenset({("a", "a"), ("b", "b")}))
+
+
+@pytest.mark.parametrize("check, ids", [
+    pytest.param(lambda s: verify_canonical(CanonicalSpace(
+        (("a",), ("b",)), {"a": frozenset({0}), "b": frozenset({1})}), s),
+        CANONICAL_CONDITION_IDS, id="verify_canonical"),
+    pytest.param(lambda s: verify_embedding(
+        s, {"a": frozenset({1}), "b": frozenset({2})}),
+        EMBEDDING_CONDITION_IDS, id="verify_embedding"),
+])
+def test_a_root_that_is_no_state_fails_every_condition(check, ids):
+    s = _rootless()
+    assert check_axioms(s).failed_ids == ("root",)
+    assert check(s) == _condition_report(ids, [("r", "not a state")]
+                                         * len(ids))
+
+
+def test_build_canonical_raises_on_a_root_that_is_no_state():
+    with pytest.raises(CanonicalError, match="top, monotone"):
+        build_canonical(_rootless())
+
+
 def test_generated_field_adds_complements():
     """One event on three atoms: only its complement is new, as unions
     and intersections with the empty set and the whole give nothing."""
-    assert generated_field([frozenset({0})], 3) == {
+    assert oracles.field_oracle([frozenset({0})], frozenset(range(3))) == {
         frozenset(), frozenset({0}), frozenset({1, 2}), frozenset({0, 1, 2})}
-
-
-def test_generated_field_is_capped():
-    with pytest.raises(CanonicalError, match="capped"):
-        generated_field([frozenset({0})], 17)
 
 
 class TestEmbedding:
     def test_product_embedding_passes(self, corpus):
         s = corpus["example_j"].structure
         space = build_canonical(s)
-        mapping = product_embedding(space, s)
+        mapping = oracles.product_embedding(s.states, space.events)
         report = verify_embedding(s, mapping)
         assert report.passed, report.failed_ids
 
@@ -317,7 +330,8 @@ class TestRandomized:
             space = build_canonical(s)
             assert verify_canonical(space, s).passed
             assert verify_embedding(s, dict(space.events)).passed
-            assert verify_embedding(s, product_embedding(space, s)).passed
+            assert verify_embedding(s, oracles.product_embedding(
+                s.states, space.events)).passed
 
     def test_monotone_iff_in_both_directions(self):
         rng = random.Random(333)
@@ -351,7 +365,7 @@ def test_embedding_witnesses_match_the_set_reference():
         s = subset_family_structure(rng, max_universe=4)
         space = build_canonical(s)
         mapping = (dict(space.events) if i % 2
-                   else product_embedding(space, s))
+                   else oracles.product_embedding(s.states, space.events))
         x, y = rng.sample(s.states, 2)
         points = sorted(mapping[s.root])
         if i % 5 == 1:

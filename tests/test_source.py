@@ -4,9 +4,11 @@ module imports a name it never uses, every private top-level name is
 read somewhere in the package, every cache stored in an instance's
 __dict__ is declared here and named in the README, no line is wider
 than 79 columns, the package namespace imports no module when it loads
-and exports each name of __all__ from the one module defining it, the
-CLI imports only io, plans and structure when it loads, every
-import of another module's private name is declared here, only
+and exports each name of __all__ from the one module defining it, each
+function or class of __all__ is read in the package or declared an
+entry point, the CLI imports only io, plans and structure when it
+loads, every import of another module's private name is declared here,
+only
 trees._given writes the tree-input messages, and the canonical and
 embedding verifiers all reach the one kernel that reads the relation's
 rows."""
@@ -324,13 +326,81 @@ def test_the_export_table_maps_all_of_all_to_its_modules():
     modules = _literal(tree, "_MODULES")
     assert sorted(modules) == sorted(p.stem for p in MODULES
                                      if p.stem not in ("__init__", "cli"))
-    assert len(set(names)) == len(names) == 66
+    assert len(set(names)) == len(names)
     defined = {stem: _top_level_names(_module_tree(stem))
                for stem in modules}
     owners = {name: [stem for stem in modules if name in defined[stem]]
               for name in names}
     assert {name: stems for name, stems in owners.items()
             if len(stems) != 1} == {}
+
+
+# the callables of __all__ that no module of the package reads, the CLI
+# included: each is an entry point a user of the library calls by name
+# (tests call all of them, the benchmark's workloads the two
+# verifiers), with what it gives
+ENTRY_POINTS = {
+    "avoiding_branch": "the avoidance branch the theorem's utilities "
+                       "are supported on",
+    "check_graph_tree": "the shape of a tree: one parent each, no cycle, "
+                        "every node reaching the root",
+    "check_isd_relation": "dominance consistency of a conditional "
+                          "preference relation",
+    "decompose_field_element": "an element of a tree's field as a "
+                               "disjoint union of node events",
+    "format_workspace": "the file format's writer, which parse_workspace "
+                        "reads back",
+    "induced_relation": "the conditional preference relation a plan "
+                        "stands for",
+    "partitions": "a tree's coarse-to-fine sequence of partitions",
+    "rank_level_sets": "the level sets of the rank function",
+    "verify_canonical": "the canonical space's six conditions, on any "
+                        "space",
+    "verify_embedding": "the embedding conditions, on any event map",
+}
+
+
+def _unread_definitions(trees: dict[str, ast.Module],
+                        names: set[str]) -> list[str]:
+    """Those of names bound by a top-level def or class of some module
+    that no code of the modules loads outside that def or class."""
+    defined, loaded = set(), set()
+    for tree in trees.values():
+        for stmt in tree.body:
+            own = stmt.name if isinstance(stmt, (
+                ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+            if own in names:
+                defined.add(own)
+            loaded.update(node.id for node in ast.walk(stmt)
+                          if isinstance(node, ast.Name)
+                          and isinstance(node.ctx, ast.Load)
+                          and node.id != own)
+    return sorted(defined - loaded)
+
+
+def test_every_exported_callable_is_read_or_an_entry_point():
+    """A function or class of __all__ that no module of the package
+    reads is either an entry point declared above or code only tests
+    reach: a helper exported for a test, or a second copy of something
+    the package computes, fails here."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in MODULES}
+    names = set(_literal(trees["__init__"], "__all__"))
+    assert set(ENTRY_POINTS) <= names
+    assert _unread_definitions(trees, names) == sorted(ENTRY_POINTS)
+
+
+def test_the_unread_definition_scan_skips_a_definition_s_own_reads():
+    trees = {
+        "a": ast.parse("def f(n):\n    return f(n - 1)\n"
+                       "class C:\n    def m(self): return C\n"
+                       "def g(): return h\nX = 1\n"
+                       "def k(): pass\n"),
+        "b": ast.parse("from .a import k\ndef h(x: 'C'): return k\n"
+                       "y = X\n"),
+    }
+    assert _unread_definitions(trees, {"f", "C", "g", "h", "k", "X"}) == [
+        "C", "f", "g"]
 
 
 def test_the_cli_starts_on_io_plans_and_structure():
@@ -348,13 +418,14 @@ def test_the_top_level_import_scan_skips_deferred_imports():
                                                "j", "m"]
 
 
-# the five tree-input messages, with each formatted value as {}: the one
+# the six tree-input messages, with each formatted value as {}: the one
 # tree-input check, trees._given, is the only function writing them
 TREE_INPUT_MESSAGES = ("tree node {} is not a state",
                        "duplicate tree node {}",
                        "edge {} is not a (child, parent) pair",
                        "edge ({}, {}) mentions a non-node",
-                       "tree {} {} are not a collection")
+                       "tree {} {} are not a collection",
+                       "tree root {} is not hashable")
 
 
 def _message_writers(tree: ast.Module, messages: tuple[str, ...]

@@ -57,13 +57,6 @@ class TestConstruction:
         s = EStructure.from_generators(["r", "a"], "r", [("a", "r")])
         assert s.matrix() == [[True, False], [True, True]]
 
-    def test_restrict_accepts_a_generator(self):
-        s = EStructure.from_generators(
-            ["r", "a", "b", "c"], "r", [("a", "r"), ("b", "r"), ("c", "a")])
-        sub = s.restrict(x for x in ["r", "a", "b"])
-        assert sub.states == ("r", "a", "b")
-        assert sub == s.restrict(["r", "a", "b"])
-
 
 def _seeded_against_referees(states, root, pairs):
     """from_generators on the pairs, checked against the referees: the
@@ -203,12 +196,22 @@ class TestExampleC:
         assert rank_level_sets(s, 1) == {"nothing", "q", "w"}
         assert rank_level_sets(s, 4) == set(s.states)
 
+    @pytest.mark.parametrize("level, named", [
+        ("x", "'x'"), (2.5, "2.5")], ids=["str", "float"])
+    def test_level_that_is_no_int_rejected(self, corpus, level, named):
+        with pytest.raises(ValueError,
+                           match=f"^n must be an int, not {named}$"):
+            rank_level_sets(corpus["example_c"].structure, level)
+
     def test_side_states_carry_separation(self, corpus):
         """Dropping the padding states t, u, v, s breaks exactly the
-        separation axiom."""
+        separation axiom. The relation among the kept states is closed,
+        so it generates itself."""
         s = corpus["example_c"].structure
-        trimmed = s.restrict([x for x in s.states
-                              if x not in {"t", "u", "v", "s"}])
+        kept = [x for x in s.states if x not in {"t", "u", "v", "s"}]
+        trimmed = EStructure.from_generators(
+            kept, s.root, [(x, y) for x, y in s.relation
+                           if x != y and {x, y} <= set(kept)])
         report = check_axioms(trimmed)
         assert report.failed_ids == ("separation",)
 

@@ -199,6 +199,13 @@ def test_example_j_has_no_tree(corpus):
                                           s.relation) == []
 
 
+@pytest.mark.parametrize("bound", [None, 1])
+def test_a_root_that_is_no_state_has_no_tree(bound):
+    """No tree satisfies t-root when the root is none of the states."""
+    s = EStructure(("a", "b"), "r", frozenset({("a", "a"), ("b", "b")}))
+    assert find_trees(s, max_count=bound) == ()
+
+
 class TestT2AsItsOwnStructure:
     """The T2 node set is a tree in itself even though it is not one in
     the bundled ambient."""
@@ -336,6 +343,16 @@ class TestGraphChecks:
     def test_duplicate_node(self):
         with pytest.raises(TreeError, match="duplicate tree node 'a'"):
             check_graph_tree(["r", "a", "a"], [("a", "r")], "r")
+
+    def test_unhashable_root(self):
+        """A root that is not hashable is named after any node fault; a
+        hashable root that is no node fails the report."""
+        with pytest.raises(TreeError,
+                           match=r"^tree root \['r'\] is not hashable$"):
+            check_graph_tree(["r"], [], ["r"])
+        with pytest.raises(TreeError, match="duplicate tree node 'r'"):
+            check_graph_tree(["r", "r"], [], ["r"])
+        assert not check_graph_tree(["r", "a"], [("a", "r")], "x").is_tree
 
 
 @pytest.mark.parametrize("nodes, edges, message, graph_message", [
