@@ -81,9 +81,11 @@ def _event_space(s: EStructure
                  ) -> tuple[CanonicalSpace, list[int], list[int]]:
     """Atoms and event map, unverified, with the events as masks over atom
     indices and each atom's signature, as _point_rows gives them: the up
-    row of its class's first member."""
-    d = s.derived
-    maximal = sum([1 << i for i, x in enumerate(s.states)
+    row of its class's first member. One pass over the (atom, state)
+    incidences fills the masks and each event's atom list, in atom order,
+    so no mask is decoded again; a class of one state is named undecoded."""
+    d, states = s.derived, s.states
+    maximal = sum([1 << i for i, x in enumerate(states)
                    if not d.immed_sets[x]])
     classes: list[int] = []
     assigned = 0
@@ -92,13 +94,20 @@ def _event_space(s: EStructure
             classes.append(maximal & d.up[m] & d.refiners[m] | 1 << m)
             assigned |= classes[-1]
     signature = [d.up[_lowest(cls)] for cls in classes]
-    masks = [0] * len(s.states)
+    masks = [0] * len(states)
+    members: list[list[int]] = [[] for _ in states]
     for i, sig in enumerate(signature):
-        for x in _bits(sig):
-            masks[x] |= 1 << i
+        bit = 1 << i
+        while sig:  # _bits, inlined
+            low = sig & -sig
+            x = low.bit_length() - 1
+            masks[x] |= bit
+            members[x].append(i)
+            sig ^= low
     return CanonicalSpace(
-        tuple([tuple([s.states[x] for x in _bits(cls)]) for cls in classes]),
-        {x: frozenset(_bits(mask)) for x, mask in zip(s.states, masks)}
+        tuple([(states[_lowest(cls)],) if not cls & (cls - 1) else
+               tuple([states[x] for x in _bits(cls)]) for cls in classes]),
+        dict(zip(states, map(frozenset, members)))
     ), masks, signature
 
 

@@ -31,10 +31,10 @@ or a nonnegative row combination proving emptiness.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import lcm
 from typing import NamedTuple
 
@@ -248,16 +248,24 @@ def _eliminate(row: list[int], prow: list[int], f: int, p: int,
     return [p * v // det for v in row]
 
 
-def _over_lcm(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of values over their least common denominator."""
-    den = lcm(*[v.denominator for v in values])
-    return [v.numerator * (den // v.denominator) for v in values], den
+def _over_lcm(values: Iterable[int | Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of values over their least common denominator,
+    each value's ratio read once."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
 
 
 def _row_values(rows: Sequence[FeasibilityRow],
                 g: Sequence[int]) -> list[int]:
     """Each row's value at integer g."""
-    return [sum([c * g[j] for j, c in r.terms]) for r in rows]
+    values = []
+    for r in rows:
+        value = 0
+        for j, c in r.terms:
+            value += c * g[j]
+        values.append(value)
+    return values
 
 
 def _mass(ncols: int, columns: Sequence[int], weights: Sequence[int],
@@ -318,7 +326,7 @@ def _margin_report(rows: Sequence[FeasibilityRow], natoms: int,
     if any(w < 0 for w in weights):
         failures.append("negative weight")
     k = len(atoms)
-    flat, uden = _over_lcm([v for row in pays for v in row])
+    flat, uden = _over_lcm(chain.from_iterable(pays))
     g = _mass(natoms, atoms, weights,
               [flat[j * k:(j + 1) * k] for j in range(len(pays))])
     values = list(zip(rows, _row_values(rows, g)))
@@ -354,11 +362,11 @@ def verify_weighting(system: FeasibilitySystem,
     extra = sorted(set(utilities) - set(system.alternatives), key=str)
     if extra:
         failures.append(f"unknown alternatives {extra}")
-    w = [weights.get(atom, 0) for atom in system.atoms]
-    u = [[utilities.get(alt, {}).get(atom, 0) for atom in system.atoms]
+    atoms, zeros = system.atoms, repeat(0)
+    w = list(map(weights.get, atoms, zeros))
+    u = [list(map(utilities.get(alt, {}).get, atoms, zeros))
          for alt in system.alternatives]
-    if not all(isinstance(v, (int, Fraction)) for row in (w, *u)
-               for v in row):
+    if not all(map(isinstance, chain(w, *u), repeat((int, Fraction)))):
         failures.append("witness value is not rational")
         return WitnessReport(False, failures=tuple(failures))
     return _margin_report(system.rows, len(w), range(len(w)),
@@ -583,13 +591,13 @@ def _decide_on_tree(system: FeasibilitySystem, tree: ExperimentationTree,
     partition its event, so every dominance violation would have given a
     certificate: the plan is consistent. It gets construct_sceu's
     witness from the integer pass it is built on (rationalize._avoidance,
-    which keeps the pass on the structure's canonical space: as_tree
-    returns a new tree on each call, but its canonical space is the
-    structure's, so construct_sceu on any tree spanning it reads the pass
-    again), summed per atom into g = weight x utility: margins are
-    linear in g, so they keep their signs. Point i weighs 3^(n-1-i), its
-    raw weight times 3^n/2, an integer scaling the homogeneous system
-    allows.
+    one walk pass for every rival, kept on the structure's canonical
+    space: as_tree checks a new tree on indices at each call, but its
+    canonical space is the structure's, so construct_sceu on any tree
+    spanning it reads the pass again), summed per atom into g = weight x
+    utility: margins are linear in g, so they keep their signs. Point i
+    weighs 3^(n-1-i), its raw weight times 3^n/2, an integer scaling the
+    homogeneous system allows.
     """
     from .rationalize import _avoidance  # rationalize imports this module
     points, chosen, _ = _avoidance(tree, plan)

@@ -197,8 +197,12 @@ def format_workspace(w: Workspace) -> str:
 
 
 def format_rational(q: Fraction | int) -> str:
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
+    """'num/den' for an int or a Fraction; ValueError for anything else,
+    a bool included, as parse_rational rejects one."""
+    if isinstance(q, bool) or not isinstance(q, (int, Fraction)):
+        raise ValueError(f"not a rational: {q!r}")
+    num, den = q.as_integer_ratio()
+    return f"{num}/{den}"
 
 
 def parse_rational(value) -> Fraction:
@@ -385,8 +389,13 @@ choose z3 a
 
 
 def emit_fixtures(directory) -> list[Path]:
-    """Write the bundled corpus into a directory, creating it if needed."""
-    out = Path(directory)
+    """Write the bundled corpus into a directory, creating it if needed;
+    ValueError when directory is not a path (a str or os.PathLike)."""
+    try:
+        out = Path(directory)
+    except TypeError:
+        raise ValueError(f"fixture directory {directory!r} is not a path"
+                         ) from None
     out.mkdir(parents=True, exist_ok=True)
     written = []
     for name in sorted(FIXTURES):

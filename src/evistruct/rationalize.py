@@ -29,6 +29,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from types import MappingProxyType
 
 from .canonical import CanonicalSpace
@@ -106,7 +107,7 @@ def avoiding_branch(tree: ExperimentationTree, plan: Plan,
     """
     if x not in tree.nodes:
         raise RationalizationError(f"{x!r} is not a tree node")
-    walks = _walks(tree, plan, a)
+    walks = _walks(tree, plan, (a,))[a]
     step, end, chosen = walks[x]
     if chosen is None:
         raise _stuck(end, a)
@@ -117,32 +118,36 @@ def avoiding_branch(tree: ExperimentationTree, plan: Plan,
     return tuple(path)
 
 
-def _walks(tree: ExperimentationTree, plan: Plan, a: str
-           ) -> dict[str, tuple[str | None, str, int | None]]:
-    """The avoidance walk rejecting a from every tree node x, as
-    (step, end, chosen).
+def _walks(tree: ExperimentationTree, plan: Plan, rivals: Sequence[str]
+           ) -> dict[str, dict[str, tuple[str | None, str, int | None]]]:
+    """For each rival a, the avoidance walk rejecting a from every tree
+    node x, as (step, end, chosen).
 
     step is the first child of x whose choice is not a, None at a leaf or
     where every child chooses a. end is the leaf the walk reaches, or the
     node where it stops because every child there chooses a. chosen holds
     bit j for each alternatives[j] chosen from x down to that leaf, and is
-    None when the walk stops short. Entries are built children first, in
-    the tree's top-down order reversed, each from the entry of its step.
+    None when the walk stops short. One pass builds every rival's entries,
+    children first, in the tree's top-down order reversed, each from the
+    entry of its step: the first child, or, for the rival the first child
+    chooses, the first child choosing otherwise.
     """
     choice, children = plan.choice, tree.children
     bit = {b: 1 << j for j, b in enumerate(plan.alternatives)}
-    walks: dict[str, tuple[str | None, str, int | None]] = {}
+    walks: dict[str, dict[str, tuple[str | None, str, int | None]]] = {
+        a: {} for a in rivals}
     for x in reversed(tree._top_down):
-        mine = bit.get(choice.get(x), 0)
-        kids = children[x]
-        step = next((k for k in kids if choice.get(k) != a), None)
-        if not kids:
-            walks[x] = (None, x, mine)
-        elif step is None:
-            walks[x] = (None, x, None)
-        else:
-            _, end, below = walks[step]
-            walks[x] = (step, end, None if below is None else mine | below)
+        mine, kids = bit.get(choice.get(x), 0), children[x]
+        if kids:
+            first = choice.get(kids[0])
+            other = next((k for k in kids if choice.get(k) != first), None)
+        for a, walk in walks.items():
+            step = None if not kids else kids[0] if first != a else other
+            if step is None:
+                walk[x] = (None, x, None if kids else mine)
+            else:
+                _, end, below = walk[step]
+                walk[x] = (step, end, None if below is None else mine | below)
     return walks
 
 
@@ -158,7 +163,7 @@ def _avoidance(tree: ExperimentationTree, plan: Plan
     the distinct avoidance points as (atom, state) pairs in weight order,
     each point's choice bits (bit j for each alternatives[j] chosen on its
     walk), and a read-only map (state, rejected alternative) -> index of
-    its point.
+    its point, read off one _walks pass for every rival.
 
     The pass is kept on the tree's canonical space, one entry keyed by
     _plan_key at each call, as _rows keeps its rows. That space is the
@@ -172,7 +177,7 @@ def _avoidance(tree: ExperimentationTree, plan: Plan
     if kept is not None and kept[0] == key:
         return kept[1]
     atom_of = {cls[0]: i for i, cls in enumerate(space.atoms)}
-    walks = {a: _walks(tree, plan, a) for a in plan.alternatives}
+    walks = _walks(tree, plan, plan.alternatives)
     seen: dict[tuple[str, str], int] = {}  # (leaf, state) -> choice bits
     avoid_points: dict[tuple[str, str], tuple[str, str]] = {}
     for x in tree.nodes:
@@ -256,17 +261,22 @@ def _fits(r: object) -> bool:
             and isinstance(r.utilities, Mapping)
             and isinstance(r.avoid, Mapping)):
         return False
-    n, nodes = len(r.points), set(r.tree.nodes)
+    points, n = r.points, len(r.points)
     tables = [r.weights, *[r.utilities.get(b) for b in r.plan.alternatives]]
-    return (all(isinstance(p, SamplePoint) and isinstance(p.atom, int)
-                and isinstance(p.state, str) and p.state in nodes
-                for p in r.points)
+    if not all(map(isinstance, points, repeat(SamplePoint))):
+        return False
+    states = [p.state for p in points]
+    if not (all(map(isinstance, [p.atom for p in points], repeat(int)))
+            and all(map(isinstance, states, repeat(str)))
+            and set(r.tree.nodes).issuperset(states)
             and all(isinstance(t, Sequence) and len(t) == n
-                    and all(isinstance(v, (int, Fraction)) for v in t)
-                    for t in tables)
-            and all(isinstance(r.avoid.get((x, a)), int)
-                    and r.avoid[x, a] in range(n) for x in r.tree.nodes
-                    for a in r.plan.alternatives if a != r.plan.choice.get(x)))
+                    and all(map(isinstance, t, repeat((int, Fraction))))
+                    for t in tables)):
+        return False
+    avoided = [r.avoid.get((x, a)) for x in r.tree.nodes
+               for a in r.plan.alternatives if a != r.plan.choice.get(x)]
+    return (all(map(isinstance, avoided, repeat(int)))
+            and all(map(range(n).__contains__, avoided)))
 
 
 def _verify_constructed(r: Rationalization) -> WitnessReport:

@@ -349,30 +349,40 @@ def check_tree(s: EStructure, nodes: Sequence[str],
 def _check_tree(s: EStructure, nodes: tuple[str, ...],
                 edges: tuple[tuple[str, str], ...]
                 ) -> tuple[ConditionReport, ExperimentationTree | None]:
-    """check_tree's report and, when it passes, the checked tree.
+    """check_tree's report and, when it passes, the checked tree. The
+    nodes and edges come checked, as _given returns them, and are mapped
+    to ambient indices once, for the index entry, _tree_at."""
+    index = s.derived.index
+    return _tree_at(s, [index[x] for x in nodes],
+                    [(index[c], index[p]) for c, p in edges])
 
-    The nodes and edges come checked, as _given returns them, and are
-    read as ambient indices. A tree-shaped edge list on one or more
-    nodes (check_graph_tree) goes to the kernel, _tree_verdict, with the
-    parent map and top-down order _shape read, and a tree that passes
-    is built on the edges (_passed). Any other
-    list, one with a redundant transitive edge say, orders the nodes by
-    the row closure of its edges, and its tree hangs each node from its
-    one immediate predecessor there. Both routes judge each node with
-    kids through _judge_nodes.
+
+def _tree_at(s: EStructure, order: Sequence[int],
+             edges: Collection[tuple[int, int]]
+             ) -> tuple[ConditionReport, ExperimentationTree | None]:
+    """The seven conditions' report and, when it passes, the tree, on
+    ambient indices: order lists the nodes, distinct, and edges are
+    (child, parent) pairs of them. A tree-shaped edge list on one or
+    more nodes (check_graph_tree) goes to the kernel, _tree_verdict,
+    with the parent map and top-down order _shape read, and a tree that
+    passes is built on the edges (_passed). Any other list, one with a
+    redundant transitive edge say, orders the nodes by the row closure
+    of its edges, and its tree hangs each node from its one immediate
+    predecessor there. Both routes judge each node with kids through
+    _judge_nodes.
     """
     d, root = s.derived, s.root
-    index = d.index
-    order = [index[x] for x in nodes]
-    shape, parent, top_down = _shape(
-        order, [(index[c], index[p]) for c, p in edges], index.get(root))
+    shape, parent, top_down = _shape(order, edges, d.index.get(root))
     if shape.is_tree and top_down:
         report, up = _tree_verdict(d, order, parent, top_down, {})
         if up is None:
             return report, None
-        return report, _passed(s, nodes, dict(edges), top_down, up)
+        return report, _passed(s, order, parent, top_down, up)
+    states = d.states
+    nodes = tuple([states[i] for i in order])
     local = {x: i for i, x in enumerate(nodes)}
-    t = EStructure._seeded(nodes, root, _closed_rows(local, edges), local)
+    t = EStructure._seeded(nodes, root, _closed_rows(
+        local, [(states[c], states[p]) for c, p in edges]), local)
     parents, immed = t.derived.parents, t.derived.immed_sets
     t_root = (("root missing",) if root not in local else
               ("fewer than two nodes",) if len(nodes) < 2 else None)
@@ -381,8 +391,8 @@ def _check_tree(s: EStructure, nodes: tuple[str, ...],
                      if x != root and len(parents[x]) != 1), None)
     t_immediate = min([(x, z) for x in nodes for z in parents[x]
                        if z not in d.parents[x]], default=None)
-    kids = {index[x]: sum([1 << index[k] for k in immed[x]])
-            for x in nodes}
+    kids = {i: sum([1 << d.index[k] for k in immed[x]])
+            for i, x in zip(order, nodes)}
     witnesses = [t_root, t_order, t_parent, t_immediate,
                  *_judge_nodes(d, order, kids, {})]
     report = _condition_report(TREE_CONDITION_IDS, witnesses)
@@ -444,18 +454,21 @@ def _tree_verdict(d: DerivedRelations, order: Sequence[int],
             None if any(witnesses) else up)
 
 
-def _passed(s: EStructure, nodes: tuple[str, ...], parent: dict[str, str],
+def _passed(s: EStructure, order: Sequence[int], parent: Mapping[int, int],
             top_down: Sequence[int], up: list[int]) -> ExperimentationTree:
-    """The tree the kernel passed, on names: it wraps the parent dict
-    its caller built (_adopt) and keeps the top-down order the check
-    read on the instance, not in a field, so a dataclasses.replace copy
-    reads its own shape. A tree on all of s in declaration order whose
-    up rows are s's own has s as its own structure, kept the same way
-    as as_estructure, which would read the same rows again."""
+    """The tree the kernel passed, named: it wraps the parent dict it
+    names (_adopt) and keeps the top-down order the check read on the
+    instance, not in a field, so a dataclasses.replace copy reads its
+    own shape. A tree on all of s in declaration order whose up rows
+    are s's own has s as its own structure, kept the same way as
+    as_estructure, which would read the same rows again."""
     d = s.derived
-    tree = ExperimentationTree._adopt(s, nodes, parent)
-    tree.__dict__["_top_down"] = tuple([d.states[i] for i in top_down])
-    if nodes == d.states and tuple(up) == d.up:
+    states = d.states
+    nodes = tuple([states[i] for i in order])
+    tree = ExperimentationTree._adopt(
+        s, nodes, {states[c]: states[p] for c, p in parent.items()})
+    tree.__dict__["_top_down"] = tuple([states[i] for i in top_down])
+    if nodes == states and tuple(up) == d.up:
         tree.__dict__["as_estructure"] = s
     return tree
 
@@ -515,8 +528,13 @@ def build_tree(s: EStructure, nodes: Sequence[str],
     field, so a dataclasses.replace copy reads its own shape; a tree on
     a tree-shaped list that is all of s with s's own rows keeps s as its
     as_estructure the same way (see _passed)."""
-    report, tree = _check_tree(s, *_given(nodes, edges,
-                                          s.derived.index.keys()))
+    return _built(*_check_tree(s, *_given(nodes, edges,
+                                          s.derived.index.keys())))
+
+
+def _built(report: ConditionReport, tree: ExperimentationTree | None
+           ) -> ExperimentationTree:
+    """The tree that passed, or TreeError naming the failed conditions."""
     if tree is None:
         raise TreeError("tree conditions failed: "
                         + ", ".join(report.failed_ids))
@@ -528,19 +546,27 @@ def as_tree(s: EStructure) -> ExperimentationTree:
     pairs: each non-root state hangs from its one immediate predecessor.
 
     Raises TreeError when a state has no or several immediate
-    predecessors, or when the seven conditions fail on the result. Each
-    call builds and checks a new tree. When the tree's order is s's own,
-    as on any closed relation, its as_estructure is s, so every such tree
+    predecessors, or is repeated, or when the seven conditions fail on
+    the result. Each call checks a new tree, handing each state's parent
+    index (``derived.parents``) to the index entry, _tree_at, with no
+    input check or name mapping. When the tree's order is s's own, as on
+    any closed relation, its as_estructure is s, so every such tree
     shares s's canonical space and the passes kept there.
     """
-    parents = s.derived.parents
-    others = [x for x in s.states if x != s.root]
-    for x in others:
-        if len(parents[x]) != 1:
-            raise TreeError(
-                f"state {x!r} has {len(parents[x])} immediate predecessors, "
-                f"so the structure is not itself a tree")
-    return build_tree(s, s.states, [(x, parents[x][0]) for x in others])
+    d = s.derived
+    states, index, parents = d.states, d.index, d.parents
+    root, parent = s.root, {}
+    for i, x in enumerate(states):
+        if x != root:
+            above = parents[x]
+            if len(above) != 1:
+                raise TreeError(
+                    f"state {x!r} has {len(above)} immediate predecessors, "
+                    f"so the structure is not itself a tree")
+            parent[i] = index[above[0]]
+    if len(index) < len(states):  # the input check names a repeated state
+        _given(states, ())
+    return _built(*_tree_at(s, range(len(states)), parent.items()))
 
 
 def find_trees(s: EStructure, max_count: int | None = None
@@ -581,7 +607,7 @@ def find_trees(s: EStructure, max_count: int | None = None
     d = s.derived
     if s.root not in d.index:  # no tree satisfies t-root
         return ()
-    states, root = d.states, d.index[s.root]
+    root = d.index[s.root]
     child_sets = _child_sets(d)
     most = len(s.states) - 1
     grown: list[dict[int, int]] = []
@@ -601,9 +627,7 @@ def find_trees(s: EStructure, max_count: int | None = None
             raise TreeError("a grown tree fails "
                             + ", ".join(report.failed_ids)
                             + "; is the relation a closed preorder?")
-        found.append(_passed(
-            s, tuple([states[i] for i in order]),
-            {states[c]: states[p] for c, p in parent.items()}, top_down, up))
+        found.append(_passed(s, order, parent, top_down, up))
     return tuple(found)
 
 

@@ -241,6 +241,33 @@ def event_oracle(states, rel, atoms, x):
         i for i, cls in enumerate(atoms) if (cls[0], x) in rel)
 
 
+def event_space_two_pass(states, up, refiners, immed_sets):
+    """The canonical atoms, events, event masks and atom signatures as the
+    package built them before one pass over the (atom, state) incidences
+    filled the masks and the events together: first every state's mask
+    over the atoms' signatures (the up row of the class's first member),
+    then each mask decoded, low bit first, into its frozenset. up and
+    refiners are the bit rows by declaration index, immed_sets each
+    state's immediate refinements."""
+    def bits(mask):
+        return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+    maximal = sum([1 << i for i, x in enumerate(states) if not immed_sets[x]])
+    classes, assigned = [], 0
+    for m in bits(maximal):
+        if not assigned >> m & 1:
+            classes.append(maximal & up[m] & refiners[m] | 1 << m)
+            assigned |= classes[-1]
+    signature = [up[bits(cls)[0]] for cls in classes]
+    masks = [0] * len(states)
+    for i, sig in enumerate(signature):
+        for x in bits(sig):
+            masks[x] |= 1 << i
+    atoms = tuple([tuple([states[x] for x in bits(cls)]) for cls in classes])
+    events = {x: frozenset(bits(mask)) for x, mask in zip(states, masks)}
+    return atoms, events, masks, signature
+
+
 def field_oracle(event_sets, universe):
     """Field of sets generated by `event_sets` over frozenset `universe`."""
     field = {frozenset(), frozenset(universe)}
@@ -915,6 +942,78 @@ def construct_sceu_by_walks(nodes, root, parent, choice, alternatives,
                  for b in alternatives}
     avoid = {key: points.index(p) for key, p in avoid_points.items()}
     return points, raw, weights, utilities, avoid
+
+
+def walks_by_rival(top_down, children, choice, alternatives, a):
+    """The avoidance walk rejecting a from every tree node, one rival per
+    call, as the package built it before its one pass for every rival:
+    node -> (step, end, chosen). step is the first child whose choice is
+    not a (None at a leaf or where every child chooses a), end the leaf
+    reached or the node where the walk stops, chosen the bits (bit j for
+    alternatives[j]) chosen from the node down to the leaf, None when the
+    walk stops short. top_down lists each node after its parent."""
+    bit = {b: 1 << j for j, b in enumerate(alternatives)}
+    walks = {}
+    for x in reversed(top_down):
+        mine = bit.get(choice.get(x), 0)
+        kids = children[x]
+        step = next((k for k in kids if choice.get(k) != a), None)
+        if not kids:
+            walks[x] = (None, x, mine)
+        elif step is None:
+            walks[x] = (None, x, None)
+        else:
+            _, end, below = walks[step]
+            walks[x] = (step, end, None if below is None else mine | below)
+    return walks
+
+
+def _stuck_text(x, a):
+    return (f"every child of {x!r} chooses {a!r}; the plan is "
+            f"dominance-inconsistent there")
+
+
+def avoidance_by_rival(nodes, top_down, children, rank, choice,
+                       alternatives, leaf_atom):
+    """The integer construction from one walks_by_rival call per
+    alternative: the points as (atom, state) in weight order, each
+    point's choice bits, and (state, rival) -> point index. Raises
+    ValueError with the package's text at the first stuck walk, in node
+    order, then alternative order."""
+    walks = {a: walks_by_rival(top_down, children, choice, alternatives, a)
+             for a in alternatives}
+    seen, avoid_points = {}, {}
+    for x in nodes:
+        for a in alternatives:
+            if a == choice[x]:
+                continue
+            _, end, chosen = walks[a][x]
+            if chosen is None:
+                raise ValueError(_stuck_text(end, a))
+            seen.setdefault((end, x), chosen)
+            avoid_points[x, a] = (end, x)
+    position = {x: i for i, x in enumerate(nodes)}
+    order = sorted(seen, key=lambda p: (rank[p[1]], position[p[1]],
+                                        position[p[0]]))
+    return (tuple((leaf_atom[leaf], x) for leaf, x in order),
+            tuple(seen[p] for p in order),
+            {key: order.index(p) for key, p in avoid_points.items()})
+
+
+def avoiding_branch_by_rival(top_down, children, choice, alternatives,
+                             path_to_x, x, a):
+    """The root-to-leaf path through x (path_to_x runs from the root to
+    x) whose steps below x follow walks_by_rival's walk rejecting a;
+    ValueError with the package's text where that walk stops."""
+    walks = walks_by_rival(top_down, children, choice, alternatives, a)
+    step, end, chosen = walks[x]
+    if chosen is None:
+        raise ValueError(_stuck_text(end, a))
+    path = list(path_to_x)
+    while step is not None:
+        path.append(step)
+        step = walks[step][0]
+    return tuple(path)
 
 
 def decide_on_tree_by_construction(atoms, alternatives, choice, children,

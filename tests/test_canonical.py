@@ -12,6 +12,7 @@ from evistruct import (AXIOM_IDS, CANONICAL_CONDITION_IDS,
                        CanonicalError, CanonicalSpace, EStructure,
                        build_canonical, check_axioms,
                        check_tree, verify_canonical, verify_embedding)
+from evistruct.canonical import _event_space
 from evistruct.structure import _condition_report
 
 
@@ -352,6 +353,39 @@ class TestRandomized:
             maximal = [x for i, x in enumerate(s.states)
                        if not d.refiners[i] & ~d.up[i]]
             assert sum(len(cls) for cls in space.atoms) == len(maximal)
+
+
+def test_one_incidence_pass_matches_the_two_pass_build():
+    """_event_space fills each state's event mask and its event's atom
+    list in one pass over the (atom, state) incidences; the reference,
+    oracles.event_space_two_pass, fills the masks and then decodes each
+    one. Atoms, masks, signatures and every event agree, the events
+    iterating in the same order (it sets the order of a row's terms), on
+    subset families drawn as family-decide draws them and on splitting
+    trees of up to 160 nodes with and without twins added."""
+    rng = random.Random(3344)
+    pool = [subset_family_structure(rng, max_universe=2 + i % 3,
+                                    dup_prob=0.3) for i in range(300)]
+    for i in range(40):
+        tree = splitting_tree(rng, max_nodes=160 if i % 4 == 0 else 30)
+        s = tree.ambient
+        twins = [x for x in s.states if rng.random() < 0.2]
+        pool += [s, EStructure.from_generators(
+            s.states + tuple([x + "q" for x in twins]), s.root,
+            [*tree.parent.items(),
+             *[p for x in twins for p in ((x + "q", x), (x, x + "q"))]])]
+    long_events = twinned = 0
+    for s in pool:
+        d = s.derived
+        space, masks, signature = _event_space(s)
+        atoms, events, *rest = oracles.event_space_two_pass(
+            s.states, d.up, d.refiners, d.immed_sets)
+        assert (space.atoms, masks, signature) == (atoms, *rest)
+        assert [list(space.events[x]) for x in s.states] == [
+            list(events[x]) for x in s.states]
+        long_events += max(map(len, events.values())) > 40
+        twinned += any(len(cls) > 1 for cls in atoms)
+    assert long_events >= 5 and twinned > 100
 
 
 def test_embedding_witnesses_match_the_set_reference():

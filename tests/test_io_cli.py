@@ -59,6 +59,11 @@ class TestParsing:
         for path in written:
             assert path.read_text(encoding="utf-8") == FIXTURES[path.name]
 
+    @pytest.mark.parametrize("bad", [None, 5, ["fx"]])
+    def test_fixtures_need_a_path(self, bad):
+        with pytest.raises(ValueError, match="is not a path"):
+            emit_fixtures(bad)
+
     def test_corpus_round_trips(self, corpus):
         for ws in corpus.values():
             again = parse_workspace(format_workspace(ws))
@@ -147,6 +152,13 @@ class TestRationals:
         assert format_rational(5) == "5/1"
         assert parse_rational(format_rational(Fraction(-3, 7))) \
             == Fraction(-3, 7)
+
+    @pytest.mark.parametrize("bad", [None, "1/2", 2.5, True, False, [1]])
+    def test_format_rejects_non_rationals(self, bad):
+        """Only an int or a Fraction prints; a bool is rejected, as
+        parse_rational rejects one, and a string or float is not read."""
+        with pytest.raises(ValueError, match="not a rational"):
+            format_rational(bad)
 
 
 class TestStructureCommands:

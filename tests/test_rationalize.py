@@ -640,6 +640,52 @@ class TestVerification:
                 construct_sceu(tree, plan)
 
 
+def test_one_walk_pass_matches_the_per_rival_walks():
+    """_walks builds every rival's avoidance walk in one pass; the
+    reference, oracles.walks_by_rival, walks once per rival. _avoidance,
+    avoiding_branch at every node against every alternative and one
+    rival no node chooses, and every RationalizationError text agree,
+    on consistent and inconsistent plans with 2 to 4 alternatives on
+    trees of up to 80 nodes."""
+    rng = random.Random(3311)
+    kinds = {"built": 0, "stuck": 0, "branch": 0, "branch stuck": 0}
+    for i in range(80):
+        tree = splitting_tree(rng, max_nodes=80 if i % 4 == 0 else 24)
+        make = consistent_plan if i % 2 else inconsistent_plan
+        plan = make(rng, tree, n_alts=rng.randint(2, 4))
+        alts, choice = plan.alternatives, plan.choice
+        data = (tree._top_down, dict(tree.children), choice, alts)
+        leaf_atom = {cls[0]: k for k, cls in enumerate(tree.canonical.atoms)}
+        try:
+            want = oracles.avoidance_by_rival(
+                tree.nodes, tree._top_down, dict(tree.children),
+                tree.rank_in_tree, choice, alts, leaf_atom)
+        except ValueError as error:
+            with pytest.raises(RationalizationError) as info:
+                rationalize._avoidance(tree, plan)
+            assert str(info.value) == str(error)
+            kinds["stuck"] += 1
+        else:
+            points, chosen, avoid = rationalize._avoidance(tree, plan)
+            assert (points, chosen, dict(avoid)) == want
+            kinds["built"] += 1
+        for x in tree.nodes:
+            for a in (*alts, "zz"):
+                try:
+                    path = oracles.avoiding_branch_by_rival(
+                        *data, tree.path_to_root(x), x, a)
+                except ValueError as error:
+                    with pytest.raises(RationalizationError) as info:
+                        avoiding_branch(tree, plan, x, a)
+                    assert str(info.value) == str(error)
+                    kinds["branch stuck"] += 1
+                else:
+                    assert avoiding_branch(tree, plan, x, a) == path
+                    kinds["branch"] += 1
+    assert kinds["built"] == kinds["stuck"] == 40
+    assert kinds["branch stuck"] > 100
+
+
 def test_walk_tables_match_the_walk_reference():
     """construct_sceu reads its avoidance walks off one table per
     alternative; oracles.construct_sceu_by_walks walks once per (node,

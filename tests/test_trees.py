@@ -431,10 +431,10 @@ def test_tree_input_that_is_no_collection_raises_tree_error(call, message):
 def test_list_pairs_read_as_tuples_and_the_search_skips_the_input_check(
         corpus, monkeypatch):
     """A (child, parent) pair may be a list. Every tree entry and view
-    reads its input through the one check once: check_tree, build_tree,
-    check_graph_tree, as_tree, partitions and the first view of a
-    dataclasses.replace copy; find_trees hands its own tuples to the
-    kernel and never calls it."""
+    that reads caller input reads it through the one check once:
+    check_tree, build_tree, check_graph_tree, partitions and the first
+    view of a dataclasses.replace copy. as_tree and find_trees hand the
+    structure's own indices to the kernel and never call it."""
     ws = corpus["example_d"]
     s, (nodes, edges) = ws.structure, _block(ws, 0)
     assert check_tree(s, nodes, [list(e) for e in edges]) == check_tree(
@@ -458,7 +458,7 @@ def test_list_pairs_read_as_tuples_and_the_search_skips_the_input_check(
         lambda: as_tree(spanning),
         lambda: partitions(t),
         lambda: dataclasses.replace(t).children,
-    )] == [1, 1, 1, 1, 1, 1]
+    )] == [1, 1, 1, 0, 1, 1]
     assert count(lambda: find_trees(s)) == 0 and len(find_trees(s)) == 8
 
 
@@ -593,16 +593,95 @@ class TestAsTree:
             assert t == read and t._top_down == read._top_down
             assert as_tree(s) == t
 
+    @staticmethod
+    def named(s):
+        """as_tree by names, the reference: the same predecessor check,
+        then build_tree on the named (state, parent) edges."""
+        parents = s.derived.parents
+        others = [x for x in s.states if x != s.root]
+        for x in others:
+            if len(parents[x]) != 1:
+                raise TreeError(
+                    f"state {x!r} has {len(parents[x])} immediate "
+                    f"predecessors, so the structure is not itself a tree")
+        return build_tree(s, s.states, [(x, parents[x][0]) for x in others])
+
+    @staticmethod
+    def outcome(read, s):
+        """A tree with its top-down order and whether its own structure
+        is s, or the TreeError text."""
+        try:
+            t = read(s)
+        except TreeError as exc:
+            return str(exc)
+        return t, t.nodes, dict(t.parent), t._top_down, t.as_estructure is s
+
+    def test_index_route_matches_the_named_route(self):
+        """as_tree hands the structure's own indices to the kernel; on
+        seeded inputs it gives the tree or the TreeError text that
+        build_tree gives on the named parent edges: splitting trees of up
+        to 160 nodes, declared in order and shuffled, with twins added (a
+        state with no or several immediate predecessors), subset
+        families, chains, and hand-built relations that are not closed,
+        whose t-order fails."""
+        rng = random.Random(3303)
+        pool = []
+        for i in range(60):
+            tree = splitting_tree(rng, max_nodes=160 if i % 4 == 0 else 30)
+            s = tree.ambient
+            tail = list(s.states[1:])
+            rng.shuffle(tail)
+            shuffled = EStructure.from_generators(
+                [s.root, *tail], s.root, tuple(tree.parent.items()))
+            twins = [x for x in s.states[1:] if rng.random() < 0.2]
+            twinned = EStructure.from_generators(
+                s.states + tuple([x + "q" for x in twins]), s.root,
+                [*tree.parent.items(),
+                 *[p for x in twins for p in ((x + "q", x), (x, x + "q"))]])
+            open_relation = EStructure(s.states, s.root, frozenset(
+                [(x, x) for x in s.states] + list(tree.parent.items())))
+            pool += [s, shuffled, twinned, open_relation,
+                     subset_family_structure(rng, max_universe=4)]
+        pool.append(EStructure.from_generators(
+            ["r", "a", "b"], "r", [("a", "r"), ("b", "a")]))
+        # hand-built: a cycle of single predecessors that misses the
+        # root (the closure route), a state below nothing, a root that
+        # is no state, a twin of the root, a repeated state
+        pool += [EStructure(states, root, frozenset(
+            [(x, x) for x in states] + pairs)) for states, root, pairs in [
+                (("r", "a", "b", "c"), "r",
+                 [("a", "b"), ("b", "c"), ("c", "a")]),
+                (("r", "a", "b", "lone"), "r", [("a", "r"), ("b", "r")]),
+                (("r", "a", "b"), "zz", [("a", "r"), ("b", "r")]),
+                (("r", "rq", "a", "b"), "r",
+                 [("rq", "r"), ("r", "rq"), ("a", "r"), ("b", "r"),
+                  ("a", "rq"), ("b", "rq")]),
+                (("r", "a", "a", "b"), "r", [("a", "r"), ("b", "r")])]]
+        texts = Counter()
+        for s in pool:
+            want = self.outcome(self.named, s)
+            assert self.outcome(as_tree, s) == want
+            if isinstance(want, str):
+                texts[want.split(" ")[0]] += 1
+                texts["t-order"] += "t-order" in want
+            else:
+                texts["passed"] += 1
+                assert want[-1]  # a spanning tree's own structure is s
+        assert texts["state"] > 20 and texts["tree"] >= 60
+        assert texts["t-order"] >= 50 and texts["passed"] >= 120
+        assert texts["duplicate"] == 1
+
     def test_each_as_tree_call_checks_its_tree(self, monkeypatch):
         """The structure keeps no tree: each as_tree call checks the
-        seven conditions once and returns a new tree, equal to the last
-        and sharing the structure's canonical space."""
+        seven conditions once, in the kernel, and returns a new tree,
+        equal to the last and sharing the structure's canonical space."""
         s = splitting_tree(random.Random(3), min_nodes=8).ambient
         s = EStructure(s.states, s.root, s.relation)
         calls = []
-        monkeypatch.setattr(trees, "_check_tree",
+        verdict = trees._tree_verdict
+        monkeypatch.setattr(trees, "_tree_verdict",
                             lambda *args: calls.append(1)
-                            or _check_tree(*args))
+                            or verdict(*args))
         t = as_tree(s)
         assert len(calls) == 1
         again = as_tree(s)
@@ -1069,14 +1148,15 @@ def test_tree_op_closes_and_derives_once(monkeypatch):
     tree, decide, construct and verify. Every tree on the way is read off
     its parent map, so the edges are closed on rows once, for the
     structure itself, and those rows seed its relations: derive_relations
-    never runs. The structure keeps no tree, so the seven conditions are
-    checked and a shape read twice: once for the tree build_tree accepts
-    and once for the equal tree
-    as_tree reads for the decision. The verifier reads the shape the
-    built tree cached. The decision walks once per alternative, and the
-    construction reads the pass it kept on the canonical space both
-    trees share, which is the structure's own. build_system builds the
-    rows once, and the verifier reads them off that space."""
+    never runs. The structure keeps no tree, so the kernel checks the
+    seven conditions and a shape is read twice: once for the tree
+    build_tree accepts, through _check_tree, and once for the equal tree
+    as_tree reads for the decision, on indices with no _check_tree. The
+    verifier reads the shape the built tree cached. The decision runs
+    one walk pass for every alternative, and the construction reads the
+    pass it kept on the canonical space both trees share, which is the
+    structure's own. build_system builds the rows once, and the verifier
+    reads them off that space."""
     rng = random.Random(12)
     tree = splitting_tree(rng, max_nodes=12, min_nodes=12)
     while len(tree.nodes) != 12:
@@ -1086,6 +1166,7 @@ def test_tree_op_closes_and_derives_once(monkeypatch):
     homes = {"_closed_rows": (structure, trees),
              "derive_relations": (structure,),
              "_shape": (trees,), "_check_tree": (trees,),
+             "_tree_verdict": (trees,),
              "_walks": (rationalize,), "FeasibilityRow": (feasibility,)}
     calls = dict.fromkeys(homes, 0)
 
@@ -1106,7 +1187,7 @@ def test_tree_op_closes_and_derives_once(monkeypatch):
     assert result.path == "tree" and result.feasible
     assert verify_rationalization(t, plan, r).verified
     assert calls == {"_closed_rows": 1, "derive_relations": 0, "_shape": 2,
-                     "_check_tree": 2, "_walks": len(plan.alternatives),
+                     "_check_tree": 1, "_tree_verdict": 2, "_walks": 1,
                      "FeasibilityRow": len(result.system.rows)}
     assert len(result.system.rows) == 12 * (len(plan.alternatives) - 1)
 

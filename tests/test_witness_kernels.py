@@ -174,6 +174,73 @@ class TestAgainstFractionReferences:
             checked += 1
         assert {None, "zero", "combination"} <= reasons
 
+    def test_tables_mixing_ints_bools_and_fractions(self):
+        """The kernels read each value's integer ratio once and type-check
+        a table in one pass: tables mixing ints, bools and Fractions over
+        different denominators read as the values they stand for, in
+        constructed witnesses (weights and utilities), atom-level
+        weightings (a float among them fails as not rational) and
+        certificates with bool and int multipliers, as the Fraction
+        references read them."""
+        rng = random.Random(4040)
+
+        def recast(v):
+            """v as a bool or an int where it is one, or rescaled over
+            another denominator."""
+            kind = rng.randrange(4)
+            if kind == 0 and v in (0, 1):
+                return bool(v)
+            if kind == 1 and Fraction(v).denominator == 1:
+                return int(v)
+            return mixed(rng, v) if kind == 2 else v
+
+        verdicts = set()
+        for i in range(60):
+            tree = splitting_tree(rng, max_nodes=24)
+            plan = consistent_plan(rng, tree, n_alts=rng.randint(2, 4))
+            r = construct_sceu(tree, plan)
+            for weights in (r.weights, [recast(w) for w in r.weights]):
+                edited = dataclasses.replace(r, weights=tuple(weights),
+                                             utilities={
+                    b: tuple(map(recast, u)) for b, u in r.utilities.items()})
+                want = constructed_by_fractions(edited)
+                assert fields(_verify_constructed(edited)) == want
+                assert fields(verify_rationalization(tree, plan,
+                                                     edited)) == want
+                verdicts.add(("constructed", want[0]))
+
+            result = decide_rationalizable(tree.as_estructure, plan)
+            weights = {z: recast(w) for z, w in result.weights.items()}
+            if i % 4 == 0:
+                weights[rng.choice(result.system.atoms)] = rng.choice(
+                    [True, False, 1])
+            utilities = {a: {z: recast(u) for z, u in t.items()}
+                         for a, t in result.utilities.items()}
+            if i % 10 == 0:
+                utilities[plan.alternatives[0]][result.system.atoms[0]] = 0.5
+            want = weighting_by_fractions(result.system, weights, utilities)
+            got = verify_weighting(result.system, weights, utilities)
+            if i % 10 == 0:
+                assert got.failures[-1:] == ("witness value is not rational",)
+            else:
+                assert fields(got) == want
+            verdicts.add(("weighting", want[0]))
+
+            bad = inconsistent_plan(rng, tree)
+            result = decide_rationalizable(tree.as_estructure, bad)
+            certificate = [(x, a, rng.choice([True, 1, 2, m, mixed(rng, m)]))
+                           for x, a, m in result.certificate]
+            if i % 3 == 0:
+                row = rng.choice(result.system.rows)
+                certificate.append((row.state, row.alternative,
+                                    rng.choice([False, True, 0, 3])))
+            want = certificate_by_fractions(result.system, certificate)
+            assert _certificate_failure(result.system, certificate) == want
+            verdicts.add(("certificate", want is None))
+        assert verdicts == {(kind, ok) for kind in
+                            ("constructed", "weighting", "certificate")
+                            for ok in (True, False)}
+
 
 def atom_level(tree, atoms, weights, utilities):
     """Each atom weighs its points' total weight and pays their weighted
