@@ -115,12 +115,14 @@ def verify_canonical(space: CanonicalSpace,
                      s: EStructure) -> ConditionReport:
     """Exhaustively confirm the finite canonical-space conditions.
 
-    Re-checks the space on every call: its events become bitmasks over
-    atom indices once, for the kernel the build's own check runs. A space
-    of the wrong shape, or one that gives some state of s no event
-    (built for another structure, say) or an event holding anything but
-    atom indices, fails every condition, as does a structure whose root
-    is not one of its states.
+    Re-checks the space on every call: one pass over the states reads
+    each event once, checking its indices as it makes the bitmasks over
+    atom indices that the build's own check runs on. A space of the
+    wrong shape, or one that gives some state of s no event (built for
+    another structure, say) or an event holding anything but atom
+    indices (plain ints, not bools), fails every condition, with the
+    first such state as witness, as does a structure whose root is not
+    one of its states.
     """
     ids = CANONICAL_CONDITION_IDS
     if not (isinstance(space, CanonicalSpace)
@@ -131,13 +133,21 @@ def verify_canonical(space: CanonicalSpace,
                     for cls in space.atoms)):
         return _condition_report(ids, [("not a canonical space",)] * len(ids))
     ev, natoms = space.events, len(space.atoms)
-    for x in s.states:
-        if not isinstance(ev.get(x), (set, frozenset)):
+    masks: list[int] = []
+    signature = [0] * natoms
+    for k, x in enumerate(s.states):  # _point_rows, checking each index
+        event = ev.get(x)
+        if not isinstance(event, (set, frozenset)):
             return _condition_report(ids, [(x, "no event")] * len(ids))
-        if not all(isinstance(i, int) and 0 <= i < natoms for i in ev[x]):
-            return _condition_report(ids, [(x, "not atom indices")] * len(ids))
-    return _canonical_report(space, s, *_point_rows(
-        [ev[x] for x in s.states], natoms))
+        mask = 0
+        for i in event:
+            if type(i) is not int or not 0 <= i < natoms:
+                return _condition_report(
+                    ids, [(x, "not atom indices")] * len(ids))
+            mask |= 1 << i
+            signature[i] |= 1 << k
+        masks.append(mask)
+    return _canonical_report(space, s, masks, signature)
 
 
 def _canonical_report(space: CanonicalSpace, s: EStructure,

@@ -27,6 +27,9 @@ class PlanError(ValueError):
     """Malformed plan or preference relation."""
 
 
+_UNDECIDED = object()  # the choice at a state outside a plan's domain
+
+
 @dataclass(frozen=True)
 class Plan:
     """A choice of alternative at each state of a domain.
@@ -41,15 +44,26 @@ class Plan:
     choice: Mapping[str, str]
 
     def __post_init__(self) -> None:
-        if len(self.alternatives) < 2:
-            raise PlanError("need at least two alternatives")
-        if len(set(self.alternatives)) != len(self.alternatives):
-            raise PlanError("duplicate alternative labels")
-        if not self.choice:
-            raise PlanError("plan domain is empty")
-        for x, a in self.choice.items():
-            if a not in self.alternatives:
-                raise PlanError(f"choice {a!r} at {x!r} is not an alternative")
+        try:
+            if len(self.alternatives) < 2:
+                raise PlanError("need at least two alternatives")
+            if len(set(self.alternatives)) != len(self.alternatives):
+                raise PlanError("duplicate alternative labels")
+            if not self.choice:
+                raise PlanError("plan domain is empty")
+            for x, a in self.choice.items():
+                if a not in self.alternatives:
+                    raise PlanError(
+                        f"choice {a!r} at {x!r} is not an alternative")
+        except (TypeError, AttributeError):
+            try:
+                len(self.alternatives), set(self.alternatives)
+            except TypeError:
+                raise PlanError("alternatives must be a collection of "
+                                "hashable labels, not "
+                                f"{self.alternatives!r}") from None
+            raise PlanError("choice must be a mapping of states to "
+                            f"alternatives, not {self.choice!r}") from None
 
     @property
     def domain(self) -> tuple[str, ...]:
@@ -78,9 +92,11 @@ class IsdReport:
 
 def _check_domain(s: EStructure, plan: Plan) -> None:
     """Raise PlanError unless every state the plan decides is a state of s."""
-    for x in plan.choice:
-        if x not in s.derived.index:
-            raise PlanError(f"plan state {x!r} is not a state")
+    index = s.derived.index
+    if not plan.choice.keys() <= index.keys():
+        for x in plan.choice:
+            if x not in index:
+                raise PlanError(f"plan state {x!r} is not a state")
 
 
 def check_isd_plan(s: EStructure, plan: Plan) -> IsdReport:
@@ -90,21 +106,29 @@ def check_isd_plan(s: EStructure, plan: Plan) -> IsdReport:
     are nonempty, all lie in the domain, all choose one alternative a, and
     the plan picks something else at z. States whose refinements are only
     partly covered by the domain impose no constraint.
+
+    One pass over the states reads each refinement's choice once: the
+    first refinement's pick a settles a state that picks a itself or
+    whose first refinement is undecided, and otherwise the rest must
+    all pick a too.
     """
     _check_domain(s, plan)
     refinements = s.derived.immed_sets
+    get = plan.choice.get
     violations: list[tuple] = []
     for z in s.states:
-        if z not in plan.choice:
-            continue
         kids = refinements[z]
-        if not kids or not all(y in plan.choice for y in kids):
+        c = get(z, _UNDECIDED)
+        if not kids or c is _UNDECIDED:
             continue
-        picks = {plan.choice[y] for y in kids}
-        if len(picks) == 1:
-            a = picks.pop()
-            if plan.choice[z] != a:
-                violations.append((z, a))
+        a = get(kids[0], _UNDECIDED)
+        if a is _UNDECIDED or a == c:
+            continue
+        for y in kids[1:]:
+            if get(y, _UNDECIDED) != a:
+                break
+        else:
+            violations.append((z, a))
     return IsdReport(tuple(violations))
 
 

@@ -195,22 +195,27 @@ class EStructure:
         stored relation is the reflexive-transitive closure. The pairs
         are closed on bit rows, and the same rows seed ``derived``.
         """
-        state_list = tuple(states)
-        index = {x: i for i, x in enumerate(state_list)}
+        try:
+            state_list = tuple(states)
+            index = {x: i for i, x in enumerate(state_list)}
+        except TypeError:  # not iterable, or an unhashable id
+            raise StructureError("states must be an iterable of hashable "
+                                 f"state ids, not {states!r}") from None
         if len(index) != len(state_list):
-            dupes = sorted({s for s in state_list if state_list.count(s) > 1})
-            raise StructureError(f"duplicate state id(s): {', '.join(dupes)}")
-        if root not in index:
+            raise _repeated(state_list)
+        try:
+            declared = root in index
+        except TypeError:  # unhashable
+            declared = False
+        if not declared:
             raise StructureError(f"root {root!r} is not a declared state")
         if len(state_list) < 2:
             raise StructureError("at least two states required")
-        pair_list = list(pairs)
-        for x, y in pair_list:
-            if x not in index or y not in index:
-                bad = x if x not in index else y
-                raise StructureError(f"unknown state id in pair: {bad!r}")
-        return cls._seeded(state_list, root, _closed_rows(index, pair_list),
-                           index)
+        try:  # pairs is the list on a bad pair, as given when not iterable
+            up = _closed_rows(index, pairs := list(pairs))
+        except (TypeError, ValueError, KeyError):
+            raise _pair_fault(index, pairs, "pairs") from None
+        return cls._seeded(state_list, root, up, index)
 
     @classmethod
     def _seeded(cls, states: tuple[str, ...], root: str, up: Sequence[int],
@@ -282,12 +287,31 @@ def _union(rows: Sequence[int], mask: int) -> int:
     return out
 
 
-def _first_pair(states: Sequence[str],
-                rows: Iterable[int]) -> tuple[str, str] | None:
-    """(x, y) for the first nonzero row x and its lowest bit y: the pair
-    earliest in declaration order (not hash order)."""
-    return next(((states[i], states[_lowest(row)])
-                 for i, row in enumerate(rows) if row), None)
+def _repeated(states: Sequence) -> StructureError:
+    """The error for states that repeat an id."""
+    dupes = sorted({str(x) for x in states if states.count(x) > 1})
+    return StructureError(f"duplicate state id(s): {', '.join(dupes)}")
+
+
+def _pair_fault(index: Mapping, pairs, name: str) -> StructureError:
+    """The error for the pairs (the argument called name) that reading
+    them over the index failed on: not an iterable, or the first item
+    that is not an (x, y) pair of hashable ids or names an unknown id."""
+    try:
+        items = list(pairs)
+    except TypeError:
+        return StructureError(f"{name} must be an iterable of (x, y) pairs, "
+                              f"not {pairs!r}")
+    for pair in items:
+        try:
+            x, y = pair
+            unknown = x if x not in index else y if y not in index else None
+        except (TypeError, ValueError):
+            return StructureError(f"{name} holds {pair!r}, which is not an "
+                                  "(x, y) pair of state ids")
+        if unknown is not None:
+            return StructureError(f"unknown state id in pair: {unknown!r}")
+    return StructureError(f"{name} could not be read as (x, y) pairs")
 
 
 def _closed_rows(index: Mapping[str, int],
@@ -364,15 +388,31 @@ def derive_relations(s: EStructure) -> DerivedRelations:
     covering relation read off them by the one builder. A structure
     from_generators makes is seeded with the same builder's result on
     its closed rows, and a contained tree's as_estructure with the
-    result on its top-down rows, so neither calls this."""
+    result on its top-down rows, so neither calls this.
+
+    Raises StructureError, with from_generators' texts, when the states
+    are not a tuple or list of distinct hashable ids or the relation is
+    not an iterable of (x, y) pairs of them.
+    """
     states = s.states
-    index = {x: i for i, x in enumerate(states)}
+    try:
+        index = {x: i for i, x in enumerate(states)}
+    except TypeError:  # not iterable, or an unhashable id
+        index = None
+    if index is None or not isinstance(states, (tuple, list)):
+        raise StructureError("states must be a tuple of hashable state "
+                             f"ids, not {states!r}")
+    if len(index) != len(states):
+        raise _repeated(states)
     up = [0] * len(states)
     refiners = [0] * len(states)
-    for x, y in s.relation:
-        i, j = index[x], index[y]
-        up[i] |= 1 << j
-        refiners[j] |= 1 << i
+    try:
+        for x, y in s.relation:
+            i, j = index[x], index[y]
+            up[i] |= 1 << j
+            refiners[j] |= 1 << i
+    except (TypeError, ValueError, KeyError):
+        raise _pair_fault(index, s.relation, "relation") from None
     return _relations(states, index, up, refiners)
 
 
@@ -388,38 +428,46 @@ def check_axioms(s: EStructure) -> ConditionReport:
 
 
 def _evaluate_axioms(s: EStructure) -> ConditionReport:
+    """The five axioms in one pass over the states' rows, each taking the
+    first witness in declaration order as it goes."""
     d = s.derived
-    states, up = s.states, d.up
-    preorder: tuple | None = next((
-        ("not reflexive", x) for i, x in enumerate(states)
-        if not up[i] >> i & 1), None)
-    # a wms b wms c without a wms c: c is in up[b] but not in up[a]
-    preorder = preorder or next((
-        ("not transitive", states[a], states[b],
-         states[_lowest(up[b] & ~up[a])])
-        for a in range(len(states)) for b in _bits(up[a])
-        if up[b] & ~up[a]), None)
-    # no strict-cycle check: sms excludes every pair whose reverse is in rel
-
-    below = [u & ~r for u, r in zip(up, d.refiners)]
-    root = 1 << d.index[s.root] if s.root in d.index else 0
-    rooted = ("fewer than two states",) if len(states) < 2 else next(
-        ((x,) for i, x in enumerate(states)
-         if x != s.root and not below[i] & root), None)
-
-    # each z strictly below x lies above one of x's parents
-    intermediacy = _first_pair(states, [
-        below[i] & ~_union(up, sum([1 << d.index[y] for y in d.parents[x]]))
-        for i, x in enumerate(states)])
-
-    # each z not above x is incompatible with some refiner of x
+    states, up, refiners, index = s.states, d.up, d.refiners, d.index
+    parents, incompat = d.parents, d.incompat_rows
+    try:
+        root = 1 << index[s.root] if s.root in index else 0
+    except TypeError:  # an unhashable root is no state either
+        root = 0
     full = (1 << len(states)) - 1
-    separation = _first_pair(states, [
-        full & ~(u | _union(d.incompat_rows, r))
-        for u, r in zip(up, d.refiners)])
-
+    reflexive = transitive = rooted = intermediacy = separation = None
+    for i, x in enumerate(states):
+        row = up[i]
+        below = row & ~refiners[i]  # strictly less specific than x
+        if not row >> i & 1 and reflexive is None:
+            reflexive = ("not reflexive", x)
+        # x wms b wms c without x wms c: c is in up[b] but not in row
+        if _union(up, row) & ~row and transitive is None:
+            b = next(j for j in _bits(row) if up[j] & ~row)
+            transitive = ("not transitive", x, states[b],
+                          states[_lowest(up[b] & ~row)])
+        # no strict-cycle check: sms excludes every pair whose reverse
+        # is in rel
+        if not below & root and rooted is None and x != s.root:
+            rooted = (x,)
+        # each z strictly below x lies above one of x's parents
+        near = 0
+        for y in parents[x]:
+            near |= 1 << index[y]
+        gap = below & ~_union(up, near)
+        if gap and intermediacy is None:
+            intermediacy = (x, states[_lowest(gap)])
+        # each z not above x is incompatible with some refiner of x
+        gap = full & ~(row | _union(incompat, refiners[i]))
+        if gap and separation is None:
+            separation = (x, states[_lowest(gap)])
     return _condition_report(AXIOM_IDS, [
-        preorder, rooted, intermediacy,
+        reflexive or transitive,
+        ("fewer than two states",) if len(states) < 2 else rooted,
+        intermediacy,
         None,  # always holds: each Y(z) is a subset of the finite state set
         separation])
 
@@ -436,28 +484,36 @@ def rank(s: EStructure) -> RankTable:
         raise StructureError(
             "structure fails axioms: " + ", ".join(report.failed_ids))
     d = s.derived
+    immed, parents = d.immed_sets, d.parents
     rho: dict[str, int] = {s.root: 0}
+    chains: dict[str, tuple[str, ...]] = {}
     queue = [s.root]
     for z in queue:  # breadth first from the root; the queue grows as read
-        for x in d.immed_sets[z]:
+        r = rho[z]
+        if r:
+            # witness chain through the earliest-declared parent of rank
+            # r - 1, which the queue, ordered by rank, has already passed
+            for p in parents[z]:
+                if rho.get(p) == r - 1:
+                    break
+            chains[z] = (z,) + chains[p]
+        else:
+            chains[z] = (z,)
+        for x in immed[z]:
             if x not in rho:
-                rho[x] = rho[z] + 1
+                rho[x] = r + 1
                 queue.append(x)
-    missing = [x for x in s.states if x not in rho]
-    if missing:
+    if len(rho) != len(s.states):
         # unreachable under the axioms; kept as a hard error for safety
+        missing = [x for x in s.states if x not in rho]
         raise StructureError(f"states without a chain to root: {missing}")
-    chains: dict[str, tuple[str, ...]] = {s.root: (s.root,)}
-    for x in queue[1:]:  # by rank, so each parent's chain comes first
-        # witness chain through the earliest-declared minimal-rank parent
-        step = next(p for p in d.parents[x] if rho[p] == rho[x] - 1)
-        chains[x] = (x,) + chains[step]
     return RankTable(rho, chains)
 
 
 def rank_level_sets(s: EStructure, n: int) -> frozenset[str]:
-    """All states of rank at most n; ValueError when n is not an int."""
-    if not isinstance(n, int):
-        raise ValueError(f"n must be an int, not {n!r}")
+    """All states of rank at most n; StructureError when n is not an int
+    (a bool is not one)."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise StructureError(f"n must be an int, not {n!r}")
     table = rank(s)
     return frozenset(x for x, r in table.rho.items() if r <= n)

@@ -597,13 +597,15 @@ def find_trees(s: EStructure, max_count: int | None = None
     candidate parents of one node are both refined by it, so they are
     compatible and must be nested in the tree, which puts one strictly
     between the node and the other, against immediacy. With max_count
-    set (at least 1), trees are grown size by size under a node budget,
-    and growth stops at the first budget that yields max_count trees.
+    set (an int, not a bool, and at least 1; TreeError otherwise), trees
+    are grown size by size under a node budget, and growth stops at the
+    first budget that yields max_count trees.
     """
-    if max_count is not None and not isinstance(max_count, int):
-        raise ValueError(f"max_count must be an int, not {max_count!r}")
+    if max_count is not None and (not isinstance(max_count, int)
+                                  or isinstance(max_count, bool)):
+        raise TreeError(f"max_count must be an int, not {max_count!r}")
     if max_count is not None and max_count < 1:
-        raise ValueError(f"max_count must be at least 1, not {max_count}")
+        raise TreeError(f"max_count must be at least 1, not {max_count}")
     d = s.derived
     if s.root not in d.index:  # no tree satisfies t-root
         return ()

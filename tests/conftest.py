@@ -96,6 +96,19 @@ def subset_family_structure(rng: random.Random, max_universe: int = 5,
     return EStructure.from_generators([names[0]] + tail, "root", pairs)
 
 
+def degraded_structure(rng: random.Random) -> EStructure:
+    """A subset family whose relation lost some pairs, either closed again
+    (from_generators) or left as it is: not transitive, and at times not
+    reflexive or holding strict cycles."""
+    s = subset_family_structure(rng, max_universe=4)
+    pairs = [p for p in s.relation if rng.random() < 0.8]
+    if rng.random() < 0.3:
+        return EStructure.from_generators(
+            s.states, s.root, [p for p in pairs if p[0] != p[1]])
+    pairs += [(y, x) for x, y in pairs if rng.random() < 0.05]
+    return EStructure(s.states, s.root, frozenset(pairs))
+
+
 def subset_lattice(k: int) -> EStructure:
     """Every nonempty subset of k points as a state, smaller sets more
     specific; the full set is the root "s01..." and the k singletons are

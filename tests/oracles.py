@@ -120,6 +120,20 @@ def rank_oracle(states, root, rel):
     return dist
 
 
+def rank_chains_oracle(states, root, rel):
+    """Each ranked state's witness chain: the state, then the chain of
+    its earliest-declared immediate generalization one rank lower."""
+    rho = rank_oracle(states, root, rel)
+    imm = immms_pairs(states, rel)
+    chains = {root: (root,)}
+    for x in sorted(rho, key=rho.get):  # lower ranks first
+        if x != root:
+            step = next(y for y in states
+                        if (x, y) in imm and rho.get(y) == rho[x] - 1)
+            chains[x] = (x,) + chains[step]
+    return chains
+
+
 def level_set_oracle(states, root, rel, n):
     dist = rank_oracle(states, root, rel)
     return {x for x, d in dist.items() if d <= n}

@@ -158,6 +158,35 @@ def test_malformed_space_fails_every_condition(corpus, space, shape):
         CANONICAL_CONDITION_IDS)
 
 
+@pytest.mark.parametrize("index", [True, -1, 3, "0", 1.0],
+                         ids=["bool", "negative", "out-of-range", "str",
+                              "float"])
+def test_the_first_state_with_a_bad_event_is_the_witness(index):
+    """verify_canonical reads the events in state order and names the
+    first state whose event is not a set of atom indices (plain ints
+    below the atom count) or which has no event, whichever comes first."""
+    s = EStructure.from_generators(
+        ["r", "a", "b", "c"], "r", [("a", "r"), ("b", "r"), ("c", "r")])
+    space = build_canonical(s)
+    assert len(space.atoms) == 3
+    events = dict(space.events)
+
+    def witnesses(changed):
+        report = verify_canonical(
+            CanonicalSpace(space.atoms, {**events, **changed}), s)
+        assert report.failed_ids == CANONICAL_CONDITION_IDS
+        return {v.witness for v in report.verdicts}
+
+    bad = events["a"] | {index}
+    assert witnesses({"a": bad}) == {("a", "not atom indices")}
+    assert witnesses({"a": bad, "b": None}) == {("a", "not atom indices")}
+    assert witnesses({"a": list(events["a"]), "b": bad}) == {
+        ("a", "no event")}
+    assert witnesses({"c": bad, "b": frozenset({index})}) == {
+        ("b", "not atom indices")}
+    assert witnesses({"r": bad}) == {("r", "not atom indices")}
+
+
 def test_one_builder_makes_every_condition_report(corpus):
     """The four checks share one report builder: passing reports of one
     check are one object, every report lists exactly its ID tuple in

@@ -6,7 +6,8 @@ import random
 import pytest
 
 import oracles
-from conftest import (consistent_plan, inconsistent_plan, splitting_tree,
+from conftest import (consistent_plan, degraded_structure,
+                      inconsistent_plan, splitting_tree,
                       subset_family_structure)
 from evistruct import (ConditionalPreferenceRelation, EStructure, Plan,
                        PlanError, check_isd_plan, check_isd_relation,
@@ -29,6 +30,25 @@ class TestPlanValidation:
     def test_choices_must_be_alternatives(self):
         with pytest.raises(PlanError):
             Plan(("a", "b"), {"r": "c"})
+
+    @pytest.mark.parametrize("alternatives, choice, message", [
+        (("x", "y"), 5,
+         "choice must be a mapping of states to alternatives, not 5"),
+        (("x", "y"), [("r", "x")], "choice must be a mapping of states to "
+         "alternatives, not [('r', 'x')]"),
+        (5, {"r": "x"},
+         "alternatives must be a collection of hashable labels, not 5"),
+        (("x", ["y"]), {"r": "x"}, "alternatives must be a collection of "
+         "hashable labels, not ('x', ['y'])"),
+        (iter(("x", "y")), {"r": "x"}, "alternatives must be a collection "
+         "of hashable labels, not <tuple_iterator"),
+    ], ids=["choice-int", "choice-list", "alternatives-int",
+            "unhashable-alternative", "alternatives-iterator"])
+    def test_malformed_data_raises_a_plan_error(self, alternatives, choice,
+                                                message):
+        with pytest.raises(PlanError) as caught:
+            Plan(alternatives, choice)
+        assert str(caught.value).startswith(message)
 
     def test_restricted_to(self):
         plan = Plan(("a", "b"), {"r": "a", "x": "b", "y": "a"})
@@ -76,6 +96,13 @@ class TestCorpusPlans:
         s = corpus["example_t"].structure
         with pytest.raises(PlanError):
             check_isd_plan(s, Plan(("a", "b"), {"bogus": "a"}))
+
+    def test_the_first_unknown_state_in_plan_order_is_named(self, corpus):
+        s = corpus["example_t"].structure
+        plan = Plan(("a", "b"), {s.root: "a", "zz": "b", "bogus": "a"})
+        with pytest.raises(PlanError,
+                           match="^plan state 'zz' is not a state$"):
+            check_isd_plan(s, plan)
 
 
 class TestInducedRelation:
@@ -216,3 +243,27 @@ class TestGeneratedPlans:
                 oracles.isd_plan_oracle(s.states, s.relation,
                                         list(plan.domain),
                                         dict(plan.choice))
+
+    def test_plan_check_matches_oracle_on_families_and_degraded_draws(self):
+        """Total and partial plans of two or three alternatives on subset
+        families with twins, and on the degraded structures the bit-row
+        core is tested on, relations that are not closed included: the
+        violations equal the oracle's, in declaration order."""
+        rng = random.Random(34)
+        found = partial = 0
+        for i in range(400):
+            s = degraded_structure(rng) if i % 2 else subset_family_structure(
+                rng, max_universe=4, dup_prob=0.5)
+            alts = ("x", "y", "z")[:rng.choice((2, 3))]
+            keep = 1.0 if rng.random() < 0.4 else 0.7
+            choice = {x: rng.choice(alts) for x in s.states
+                      if rng.random() < keep}
+            if not choice:
+                continue
+            partial += len(choice) < len(s.states)
+            violations = check_isd_plan(s, Plan(alts, choice)).violations
+            assert list(violations) == oracles.isd_plan_oracle(
+                s.states, s.relation, [x for x in s.states if x in choice],
+                choice)
+            found += bool(violations)
+        assert found > 80 and partial > 100

@@ -11,7 +11,8 @@ import pytest
 
 import evistruct
 import oracles
-from conftest import splitting_tree, subset_family_structure
+from conftest import (degraded_structure, splitting_tree,
+                      subset_family_structure)
 from evistruct import (AXIOM_IDS, CANONICAL_CONDITION_IDS, CanonicalSpace,
                        ConditionReport, ConditionVerdict, EStructure,
                        StructureError, build_canonical, check_axioms,
@@ -43,6 +44,60 @@ class TestConstruction:
     def test_single_state_rejected(self):
         with pytest.raises(StructureError, match="two states"):
             EStructure.from_generators(["r"], "r", [])
+
+    @pytest.mark.parametrize("states, root, pairs, message", [
+        (5, "r", [],
+         "states must be an iterable of hashable state ids, not 5"),
+        (["r", ["a"]], "r", [], "states must be an iterable of hashable "
+         "state ids, not ['r', ['a']]"),
+        (["r", "a"], ["r"], [], "root ['r'] is not a declared state"),
+        (["r", "a"], "r", 5,
+         "pairs must be an iterable of (x, y) pairs, not 5"),
+        (["r", "a"], "r", [("a", "r"), None],
+         "pairs holds None, which is not an (x, y) pair of state ids"),
+        (["r", "a"], "r", iter([("a",)]),
+         "pairs holds ('a',), which is not an (x, y) pair of state ids"),
+        (["r", "a"], "r", [(["a"], "r")], "pairs holds (['a'], 'r'), "
+         "which is not an (x, y) pair of state ids"),
+    ], ids=["states-not-iterable", "unhashable-state", "unhashable-root",
+            "pairs-not-iterable", "pair-none", "one-item-pair",
+            "unhashable-pair-item"])
+    def test_malformed_input_raises_a_named_error(self, states, root, pairs,
+                                                  message):
+        with pytest.raises(StructureError) as caught:
+            EStructure.from_generators(states, root, pairs)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("states, relation, message", [
+        (("r", "a"), {("a", "zz"), ("a", "a"), ("r", "r")},
+         "unknown state id in pair: 'zz'"),
+        (("r", "a"), {("a",), ("a", "r")},
+         "relation holds ('a',), which is not an (x, y) pair of state ids"),
+        (("r", "a", "a"), {("a", "r")}, "duplicate state id(s): a"),
+        (("r", "a"), 5, "relation must be an iterable of (x, y) pairs, "
+         "not 5"),
+        (("r", ["a"]), set(), "states must be a tuple of hashable state "
+         "ids, not ('r', ['a'])"),
+        ({"r": 0, "a": 1}, set(), "states must be a tuple of hashable "
+         "state ids, not {'r': 0, 'a': 1}"),
+    ], ids=["unknown-id", "one-item-pair", "repeated-state",
+            "relation-not-iterable", "unhashable-state", "states-dict"])
+    def test_hand_built_malformed_input_raises_a_named_error(
+            self, states, relation, message):
+        """Reading a hand-built relation raises from_generators' texts,
+        so check_axioms gives no misleading report on a repeated state."""
+        s = EStructure(states, "r", relation)
+        for read in (derive_relations, check_axioms):
+            with pytest.raises(StructureError) as caught:
+                read(s)
+            assert str(caught.value) == message
+
+    def test_an_unhashable_root_fails_the_root_axiom(self):
+        relation = frozenset({("r", "r"), ("a", "a"), ("a", "r")})
+        report = check_axioms(EStructure(("r", "a"), ["r"], relation))
+        assert "root" in report.failed_ids
+        assert _verdicts(report) == _verdicts(
+            check_axioms(EStructure(("r", "a"), "zz", relation)))
 
     def test_closure_is_reflexive_and_transitive(self):
         s = EStructure.from_generators(
@@ -197,7 +252,8 @@ class TestExampleC:
         assert rank_level_sets(s, 4) == set(s.states)
 
     @pytest.mark.parametrize("level, named", [
-        ("x", "'x'"), (2.5, "2.5")], ids=["str", "float"])
+        ("x", "'x'"), (2.5, "2.5"), (True, "True")],
+        ids=["str", "float", "bool"])
     def test_level_that_is_no_int_rejected(self, corpus, level, named):
         with pytest.raises(ValueError,
                            match=f"^n must be an int, not {named}$"):
@@ -354,19 +410,6 @@ def _immediate_pairs(d):
     return {(x, z) for x in d.states for z in d.parents[x]}
 
 
-def _degraded(rng):
-    """A subset family whose relation lost some pairs, either closed again
-    (from_generators) or left as it is: not transitive, and at times not
-    reflexive or holding strict cycles."""
-    s = subset_family_structure(rng, max_universe=4)
-    pairs = [p for p in s.relation if rng.random() < 0.8]
-    if rng.random() < 0.3:
-        return EStructure.from_generators(
-            s.states, s.root, [p for p in pairs if p[0] != p[1]])
-    pairs += [(y, x) for x, y in pairs if rng.random() < 0.05]
-    return EStructure(s.states, s.root, frozenset(pairs))
-
-
 def _twinned(rng, s):
     """s with an equivalence twin, x + "q", added for about a third of its
     non-root states; the twin of a leaf shares its atom."""
@@ -406,7 +449,7 @@ class TestSetBasedReference:
         rng = random.Random(909)
         failed = set()
         for _ in range(300):
-            s = _degraded(rng)
+            s = degraded_structure(rng)
             expected = oracles.check_axioms_by_sets(s.states, s.root,
                                                     s.relation)
             assert _verdicts(check_axioms(s)) == expected
@@ -421,6 +464,29 @@ class TestSetBasedReference:
                                                  reference["parents"])
         # the draws fail every axiom that can fail
         assert failed == set(AXIOM_IDS) - {"finite_branching"}
+
+    def test_rank_tables_match_the_oracle(self):
+        """rank's rho and chains against the breadth-first oracle on
+        subset families with twins and on the degraded draws above; a
+        draw that fails the axioms has no rank."""
+        rng = random.Random(939)
+        ranked = unranked = 0
+        for i in range(300):
+            s = degraded_structure(rng) if i % 2 else subset_family_structure(
+                rng, max_universe=4, dup_prob=0.5)
+            if not all(passed for _, passed, _ in oracles.check_axioms_by_sets(
+                    s.states, s.root, s.relation)):
+                with pytest.raises(StructureError, match="fails axioms"):
+                    rank(s)
+                unranked += 1
+                continue
+            table = rank(s)
+            assert table.rho == oracles.rank_oracle(s.states, s.root,
+                                                    s.relation)
+            assert table.chains == oracles.rank_chains_oracle(
+                s.states, s.root, s.relation)
+            ranked += 1
+        assert ranked > 150 and unranked > 50
 
     @pytest.mark.parametrize("pairs, witness", [
         ([("a", "r")], ("not reflexive", "r")),
@@ -452,7 +518,7 @@ class TestSetBasedReference:
         rng = random.Random(919)
         failed = set()
         for _ in range(300):
-            s = _degraded(rng)
+            s = degraded_structure(rng)
             if not all(s.wms(x, x) for x in s.states):
                 s = EStructure(s.states, s.root, s.relation | {
                     (x, x) for x in s.states})

@@ -105,7 +105,8 @@ class TestExampleD:
             find_trees(corpus["example_d"].structure, max_count=bound)
 
     @pytest.mark.parametrize("bound, named", [
-        (2.5, "2.5"), ("3", "'3'")], ids=["float", "str"])
+        (2.5, "2.5"), ("3", "'3'"), (True, "True")],
+        ids=["float", "str", "bool"])
     def test_max_count_that_is_no_int_rejected(self, corpus, bound, named):
         with pytest.raises(ValueError,
                            match=f"^max_count must be an int, not {named}$"):
@@ -609,10 +610,11 @@ class TestAsTree:
     @staticmethod
     def outcome(read, s):
         """A tree with its top-down order and whether its own structure
-        is s, or the TreeError text."""
+        is s, or the TreeError text (a StructureError's, for a repeated
+        state that reading the relation rejects)."""
         try:
             t = read(s)
-        except TreeError as exc:
+        except structure.StructureError as exc:
             return str(exc)
         return t, t.nodes, dict(t.parent), t._top_down, t.as_estructure is s
 
