@@ -16,7 +16,7 @@ from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from .structure import (ConditionReport, EStructure, StructureError,
-                        _bits, _condition_report, _lowest)
+                        _bits, _condition_report, _lowest, _root_index)
 
 CANONICAL_CONDITION_IDS: tuple[str, ...] = (
     "top", "monotone", "disjoint", "base", "principal", "nonempty",
@@ -122,7 +122,7 @@ def verify_canonical(space: CanonicalSpace,
     another structure, say) or an event holding anything but atom
     indices (plain ints, not bools), fails every condition, with the
     first such state as witness, as does a structure whose root is not
-    one of its states.
+    one of its states, an unhashable root included.
     """
     ids = CANONICAL_CONDITION_IDS
     if not (isinstance(space, CanonicalSpace)
@@ -155,10 +155,10 @@ def _canonical_report(space: CanonicalSpace, s: EStructure,
                       ) -> ConditionReport:
     """The six conditions on the events as masks over atom indices; a
     root that is not a state fails every one."""
-    ids, index = CANONICAL_CONDITION_IDS, s.derived.index
-    if s.root not in index:
+    ids, r = CANONICAL_CONDITION_IDS, _root_index(s)
+    if r is None:
         return _condition_report(ids, [(s.root, "not a state")] * len(ids))
-    root = masks[index[s.root]]
+    root = masks[r]
     top = None if root == (1 << len(signature)) - 1 else (
         s.root, tuple(_bits(root)))
     monotone, disjoint, nonempty, fitted = _event_pass(s, masks, signature)
@@ -240,7 +240,7 @@ def verify_embedding(s: EStructure, mapping: Mapping[str, frozenset[Hashable]]
     being exactly the union of its immediate refinements' events. A
     mapping that is not a mapping, misses a state, or sends something to
     a value that is not a set, fails every condition, as does a structure
-    whose root is not one of its states.
+    whose root is not one of its states, an unhashable root included.
     """
     ids = EMBEDDING_CONDITION_IDS
     if not isinstance(mapping, Mapping):
@@ -252,7 +252,7 @@ def verify_embedding(s: EStructure, mapping: Mapping[str, frozenset[Hashable]]
         if not isinstance(event, (set, frozenset)):
             return _condition_report(ids, [(x, "not a set")] * len(ids))
     d, states = s.derived, s.states
-    if s.root not in d.index:
+    if _root_index(s) is None:
         return _condition_report(ids, [(s.root, "not a state")] * len(ids))
     universe: frozenset[Hashable] = frozenset().union(*mapping.values())
     point = {p: i for i, p in enumerate(universe)}

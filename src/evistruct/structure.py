@@ -277,6 +277,15 @@ def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def _root_index(s: EStructure) -> int | None:
+    """The root's index among the states, None when the root is no
+    state; an unhashable root is no state either."""
+    try:
+        return s.derived.index.get(s.root)
+    except TypeError:
+        return None
+
+
 def _union(rows: Sequence[int], mask: int) -> int:
     """The union of the rows a mask selects."""
     out = 0
@@ -433,10 +442,8 @@ def _evaluate_axioms(s: EStructure) -> ConditionReport:
     d = s.derived
     states, up, refiners, index = s.states, d.up, d.refiners, d.index
     parents, incompat = d.parents, d.incompat_rows
-    try:
-        root = 1 << index[s.root] if s.root in index else 0
-    except TypeError:  # an unhashable root is no state either
-        root = 0
+    r = _root_index(s)
+    root = 0 if r is None else 1 << r
     full = (1 << len(states)) - 1
     reflexive = transitive = rooted = intermediacy = separation = None
     for i, x in enumerate(states):

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 
 from .structure import (ConditionReport, DerivedRelations, EStructure,
                         StructureError, _bits, _closed_rows,
-                        _condition_report, _lowest)
+                        _condition_report, _lowest, _root_index)
 
 if TYPE_CHECKING:
     from .canonical import CanonicalSpace
@@ -289,22 +289,26 @@ def check_graph_tree(nodes: Sequence[str], edges: Iterable[tuple[str, str]],
 
 
 def _shape(nodes: Sequence[Hashable],
-           edges: Collection[tuple[Hashable, Hashable]], root: Hashable
-           ) -> tuple[GraphReport, dict, tuple]:
+           edges: Collection[tuple[Hashable, Hashable]], root: Hashable,
+           parent: dict | None = None) -> tuple[GraphReport, dict, tuple]:
     """check_graph_tree's report and, when the edges form a tree, the
     child -> parent map and the nodes top-down, each after its parent:
     the one shape reader. Nodes are any distinct labels: names for
     check_graph_tree and a tree's own _top_down, ambient indices for
-    the seven-condition checks, so their kernel reads no name.
+    the seven-condition checks, whose kernel reads no name and calls
+    this only for an order that is not top-down. parent, when given, is
+    dict(edges), as its caller has read it already.
 
     Callers have checked that the nodes are distinct and that edges join
     them, so edges giving each node but the root one parent are the
     parent map; otherwise a scan finds the first node that has not one
     parent (none, for the root). A walk up from any node then meets the
     root or runs into a cycle; it stops at the first node already
-    placed, so on a tree each node is walked over once.
+    placed, so on a tree each node is walked over once, and nodes
+    already top-down come back in their order.
     """
-    parent = dict(edges)
+    if parent is None:
+        parent = dict(edges)
     if not (len(parent) == len(edges) == len(nodes) - 1
             and root not in parent and root in nodes):
         ups = Counter([c for c, _ in edges])
@@ -364,27 +368,34 @@ def _tree_at(s: EStructure, order: Sequence[int],
     ambient indices: order lists the nodes, distinct, and edges are
     (child, parent) pairs of them. A tree-shaped edge list on one or
     more nodes (check_graph_tree) goes to the kernel, _tree_verdict,
-    with the parent map and top-down order _shape read, and a tree that
-    passes is built on the edges (_passed). Any other list, one with a
-    redundant transitive edge say, orders the nodes by the row closure
-    of its edges, and its tree hangs each node from its one immediate
-    predecessor there. Both routes judge each node with kids through
-    _judge_nodes.
+    with its parent map, read once. When the edges give each node but
+    the root one parent, the kernel first checks the nodes in the order
+    given, and only an order it finds not top-down is read by _shape
+    and checked again; a tree that passes is built on the edges
+    (_passed). Any other list, one with a redundant transitive edge
+    say, orders the nodes by the row closure of its edges, and its tree
+    hangs each node from its one immediate predecessor there. Both
+    routes judge each node with kids through _judge_nodes. A root that
+    is no state, an unhashable one included, is missing.
     """
-    d, root = s.derived, s.root
-    shape, parent, top_down = _shape(order, edges, d.index.get(root))
-    if shape.is_tree and top_down:
-        report, up = _tree_verdict(d, order, parent, top_down, {})
-        if up is None:
-            return report, None
-        return report, _passed(s, order, parent, top_down, up)
+    d, root, r = s.derived, s.root, _root_index(s)
+    parent, top_down, report = dict(edges), order, None
+    if len(parent) == len(edges) == len(order) - 1 and r not in parent:
+        report, up = _tree_verdict(d, r, order, parent, order, {})
+    if report is None:  # not one parent each, or the order not top-down
+        shape, parent, top_down = _shape(order, edges, r, parent)
+        if shape.is_tree and top_down:
+            report, up = _tree_verdict(d, r, order, parent, top_down, {})
+    if report is not None:
+        return report, None if up is None else _passed(s, order, parent,
+                                                       top_down, up)
     states = d.states
     nodes = tuple([states[i] for i in order])
     local = {x: i for i, x in enumerate(nodes)}
     t = EStructure._seeded(nodes, root, _closed_rows(
         local, [(states[c], states[p]) for c, p in edges]), local)
     parents, immed = t.derived.parents, t.derived.immed_sets
-    t_root = (("root missing",) if root not in local else
+    t_root = (("root missing",) if r is None or root not in local else
               ("fewer than two nodes",) if len(nodes) < 2 else None)
     t_order = min(t.relation - s.relation, default=None)
     t_parent = next(((x, len(parents[x])) for x in nodes
@@ -403,27 +414,33 @@ def _tree_at(s: EStructure, order: Sequence[int],
         s, nodes, {x: parents[x][0] for x in nodes if x != root})
 
 
-def _tree_verdict(d: DerivedRelations, order: Sequence[int],
+def _tree_verdict(d: DerivedRelations, root: int, order: Sequence[int],
                   parent: Mapping[int, int], top_down: Sequence[int],
                   judged: dict[tuple[int, int], tuple]
-                  ) -> tuple[ConditionReport, list[int] | None]:
-    """The seven conditions on a tree-shaped parent map, and the tree up
-    rows when all hold: the kernel every tree check runs (check_tree,
-    build_tree, as_tree and find_trees).
+                  ) -> tuple[ConditionReport | None, list[int] | None]:
+    """The seven conditions on a parent map, and the tree up rows when
+    all hold: the kernel every tree check runs (check_tree, build_tree,
+    as_tree and find_trees).
 
     Everything is on ambient indices: order is the nodes in node order,
-    parent maps each node but the root to its parent, and top_down has
-    the root first and each node after its parent, as _shape reads a
-    tree. One pass down builds each node's tree up row, its parent's
-    plus itself, and each node's kid mask, and tests t-order (the row
-    inside the ambient up row) and t-immediate (the parent among the
-    node's ambient parents); t-parent holds by the shape. _judge_nodes
-    then judges each node with kids through judged, the memo find_trees
-    keeps across the trees it checks (check_tree hands in an empty
-    one). The rows are indexed by state, 0 where a state is no node.
+    root one of them, parent maps each other node to a node, and
+    top_down lists the nodes in the order to walk. One pass down checks
+    that order is top-down: the root first, then each node once, after
+    its parent, until every node of order is placed. When it is not,
+    the kernel returns (None, None), which is no condition failure: its
+    caller reads the order with _shape and calls again, so t-parent is
+    checked on every tree, here or there. The same pass builds each
+    node's tree up row, its parent's plus itself, and each node's kid
+    mask, and tests t-order (the row inside the ambient up row) and
+    t-immediate (the parent among the node's ambient parents).
+    _judge_nodes then judges each node with kids through judged, the
+    memo find_trees keeps across the trees it checks (check_tree hands
+    in an empty one). The rows are indexed by state, 0 where a state is
+    no node.
     """
+    if not top_down or top_down[0] != root or len(top_down) != len(order):
+        return None, None
     states, ups, parents = d.states, d.up, d.parents
-    root = top_down[0]
     up = [0] * len(ups)
     up[root] = 1 << root
     kids = dict.fromkeys(order, 0)  # in node order
@@ -431,8 +448,13 @@ def _tree_verdict(d: DerivedRelations, order: Sequence[int],
     late = [] if ups[root] >> root & 1 else [root]
     skips = []
     for i in top_down[1:]:
+        if up[i]:  # placed already
+            return None, None
         p, bit = parent[i], 1 << i
-        row = up[i] = up[p] | bit
+        above = up[p]
+        if not above:  # its parent is not placed yet
+            return None, None
+        row = up[i] = above | bit
         kids[p] |= bit
         if row & ~ups[i]:
             late.append(i)
@@ -459,15 +481,17 @@ def _passed(s: EStructure, order: Sequence[int], parent: Mapping[int, int],
     """The tree the kernel passed, named: it wraps the parent dict it
     names (_adopt) and keeps the top-down order the check read on the
     instance, not in a field, so a dataclasses.replace copy reads its
-    own shape. A tree on all of s in declaration order whose up rows
-    are s's own has s as its own structure, kept the same way as
-    as_estructure, which would read the same rows again."""
+    own shape; when that order is order itself, the node tuple is it.
+    A tree on all of s in declaration order whose up rows are s's own
+    has s as its own structure, kept the same way as as_estructure,
+    which would read the same rows again."""
     d = s.derived
     states = d.states
     nodes = tuple([states[i] for i in order])
     tree = ExperimentationTree._adopt(
         s, nodes, {states[c]: states[p] for c, p in parent.items()})
-    tree.__dict__["_top_down"] = tuple([states[i] for i in top_down])
+    tree.__dict__["_top_down"] = (nodes if top_down is order else
+                                  tuple([states[i] for i in top_down]))
     if nodes == states and tuple(up) == d.up:
         tree.__dict__["as_estructure"] = s
     return tree
@@ -584,13 +608,15 @@ def find_trees(s: EStructure, max_count: int | None = None
     compatible with some refiner. Growth is depth first: each open node
     either stays a leaf or takes one admissible child set with no member
     already in the tree. Every grown tree is then checked on all seven
-    conditions by the kernel check_tree runs, _tree_verdict, on the
-    parent map and top-down order _shape reads off it, before it is
-    returned; a node's t-branching, t-incompat and t-unbiased are judged
-    once per distinct (node, kid mask) in the call, since they depend
-    on nothing else. The structure's relation must be a closed
-    preorder, as every constructor makes it; a root that is not one of
-    its states leaves no tree to find.
+    conditions by the kernel check_tree runs, _tree_verdict, on its
+    parent map and its nodes in declaration order, which the kernel
+    checks are top-down; only an order that is not, as in a structure
+    declared children first, is read by _shape and checked again. A
+    node's t-branching, t-incompat and t-unbiased are judged once per
+    distinct (node, kid mask) in the call, since they depend on nothing
+    else. The structure's relation must be a closed preorder, as every
+    constructor makes it; a root that is not one of its states, an
+    unhashable one included, leaves no tree to find.
 
     Deterministic order, by node count, then the declaration indices of
     the non-root nodes. A node set carries at most one tree: two
@@ -606,10 +632,9 @@ def find_trees(s: EStructure, max_count: int | None = None
         raise TreeError(f"max_count must be an int, not {max_count!r}")
     if max_count is not None and max_count < 1:
         raise TreeError(f"max_count must be at least 1, not {max_count}")
-    d = s.derived
-    if s.root not in d.index:  # no tree satisfies t-root
+    d, root = s.derived, _root_index(s)
+    if root is None:  # no tree satisfies t-root
         return ()
-    root = d.index[s.root]
     child_sets = _child_sets(d)
     most = len(s.states) - 1
     grown: list[dict[int, int]] = []
@@ -623,8 +648,12 @@ def find_trees(s: EStructure, max_count: int | None = None
     judged: dict[tuple[int, int], tuple] = {}
     found: list[ExperimentationTree] = []
     for order, parent in ranked[:max_count]:
-        top_down = _shape(order, parent.items(), root)[2]
-        report, up = _tree_verdict(d, order, parent, top_down, judged)
+        top_down = order
+        report, up = _tree_verdict(d, root, order, parent, order, judged)
+        if report is None:  # not top-down: read the shape
+            top_down = _shape(order, parent.items(), root, parent)[2]
+            report, up = _tree_verdict(d, root, order, parent, top_down,
+                                       judged)
         if up is None:
             raise TreeError("a grown tree fails "
                             + ", ".join(report.failed_ids)

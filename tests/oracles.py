@@ -549,6 +549,73 @@ def find_trees_by_subsets(states, root, rel, passes):
     return found
 
 
+def tree_at_by_shape(trees, s, order, edges, judged=None):
+    """The seven-condition entry on ambient indices (trees._tree_at) as
+    it ran when every tree-shaped edge list had its shape read before
+    the kernel ran: _shape gives the parent map and top-down order, and
+    the kernel checks the conditions on that order. Any other list
+    takes the row closure of its edges. Returns the report and the
+    passed tree, or None.
+
+    trees is the package's tree module, handed in, so that this module
+    imports nothing of the package; judged is the kernel's memo, a new
+    one when not given.
+    """
+    d, root = s.derived, s.root
+    r = trees._root_index(s)
+    shape, parent, top_down = trees._shape(order, edges, r)
+    if shape.is_tree and top_down:
+        report, up = trees._tree_verdict(d, r, order, parent, top_down,
+                                         {} if judged is None else judged)
+        if up is None:
+            return report, None
+        return report, trees._passed(s, order, parent, top_down, up)
+    states = d.states
+    nodes = tuple([states[i] for i in order])
+    local = {x: i for i, x in enumerate(nodes)}
+    t = trees.EStructure._seeded(nodes, root, trees._closed_rows(
+        local, [(states[c], states[p]) for c, p in edges]), local)
+    parents, immed = t.derived.parents, t.derived.immed_sets
+    t_root = (("root missing",) if r is None or root not in local else
+              ("fewer than two nodes",) if len(nodes) < 2 else None)
+    t_order = min(t.relation - s.relation, default=None)
+    t_parent = next(((x, len(parents[x])) for x in nodes
+                     if x != root and len(parents[x]) != 1), None)
+    t_immediate = min([(x, z) for x in nodes for z in parents[x]
+                       if z not in d.parents[x]], default=None)
+    kids = {i: sum([1 << d.index[k] for k in immed[x]])
+            for i, x in zip(order, nodes)}
+    witnesses = [t_root, t_order, t_parent, t_immediate,
+                 *trees._judge_nodes(d, order, kids, {})]
+    report = trees._condition_report(trees.TREE_CONDITION_IDS, witnesses)
+    if any(witnesses):
+        return report, None
+    return report, trees.ExperimentationTree._adopt(
+        s, nodes, {x: parents[x][0] for x in nodes if x != root})
+
+
+def find_trees_by_shape(trees, s):
+    """find_trees as it ran when each grown tree had its shape read
+    before the kernel ran: the same growth, then every grown tree,
+    ranked by node count and node indices, checked by tree_at_by_shape
+    with one memo for the search. trees is the package's tree module."""
+    d, root = s.derived, trees._root_index(s)
+    if root is None:
+        return ()
+    grown = trees._grow(root, trees._child_sets(d), len(s.states) - 1)
+    ranked = sorted([(sorted([root, *parent]), parent) for parent in grown],
+                    key=lambda tree: (len(tree[0]), tree[0]))
+    judged, found = {}, []
+    for order, parent in ranked:
+        report, tree = tree_at_by_shape(trees, s, order, parent.items(),
+                                        judged)
+        if tree is None:
+            raise trees.TreeError("a grown tree fails "
+                                  + ", ".join(report.failed_ids))
+        found.append(tree)
+    return tuple(found)
+
+
 def pruning_count(states, root, rel):
     """Subtrees that keep the root and, at every kept node, either none
     or all of its immediate refinements: P(x) = 1 at a maximal state,

@@ -251,6 +251,23 @@ def test_a_root_that_is_no_state_fails_every_condition(check, ids):
                                          * len(ids))
 
 
+@pytest.mark.parametrize("check, ids", [
+    pytest.param(lambda s: verify_canonical(CanonicalSpace(
+        (("a",), ("b",)), {"a": frozenset({0}), "b": frozenset({1})}), s),
+        CANONICAL_CONDITION_IDS, id="verify_canonical"),
+    pytest.param(lambda s: verify_embedding(
+        s, {"a": frozenset({1}), "b": frozenset({2})}),
+        EMBEDDING_CONDITION_IDS, id="verify_embedding"),
+])
+def test_an_unhashable_root_is_no_state_either(check, ids):
+    """A root that cannot be hashed is read as any root that is no
+    state: every condition fails on it, with no TypeError."""
+    s = EStructure(("a", "b"), ["r"], _rootless().relation)
+    assert check_axioms(s).failed_ids == ("root",)
+    assert check(s) == _condition_report(ids, [(["r"], "not a state")]
+                                         * len(ids))
+
+
 def test_build_canonical_raises_on_a_root_that_is_no_state():
     with pytest.raises(CanonicalError, match="top, monotone"):
         build_canonical(_rootless())

@@ -1,12 +1,15 @@
-"""The failure contract of the structure and plans entry points.
+"""The failure contract of the structure, plans, tree and canonical
+entry points.
 
 Each row of CONTRACT is one data parameter of an entry point: a call
 with every other argument well formed, and the module's named error.
 Given any of the malformed values below, the call returns a result or
 raises that error, within a second; a Python error such as TypeError,
 or a hang, breaks the contract. Arguments that are the package's own
-objects (the structure rank_level_sets and find_trees take) are typed
-inputs the caller supplies, not data, and have no row.
+objects (the structure rank_level_sets takes, the space
+verify_canonical checks) are typed inputs the caller supplies, not
+data, and have no row; the fields of a structure built by hand are
+data, and its root has a row for each entry point that reads it.
 """
 from __future__ import annotations
 
@@ -15,8 +18,10 @@ import signal
 
 import pytest
 
-from evistruct import (EStructure, Plan, PlanError, StructureError,
-                       TreeError, check_axioms, find_trees, rank_level_sets)
+from evistruct import (CanonicalError, EStructure, Plan, PlanError,
+                       StructureError, TreeError, build_tree, check_axioms,
+                       check_tree, find_trees, rank_level_sets,
+                       verify_canonical, verify_embedding)
 
 MALFORMED = (None, 5, 2.5, True, "zz", [["x"]], {"a": []}, (1, 2, 3),
              [None], [("a",)], {})
@@ -35,6 +40,7 @@ VALUES = MALFORMED + tuple(_drawn())
 
 STATES, ROOT, PAIRS = ("r", "a", "b"), "r", (("a", "r"), ("b", "r"))
 RELATION = frozenset([(x, x) for x in STATES] + list(PAIRS))
+EVENTS = {"r": frozenset({0, 1}), "a": frozenset({0}), "b": frozenset({1})}
 
 
 def _structure() -> EStructure:
@@ -63,6 +69,21 @@ CONTRACT = {
                           StructureError),
     "find_trees-max_count": (
         lambda v: find_trees(_structure(), max_count=v), TreeError),
+    "find_trees-root": (
+        lambda v: find_trees(EStructure(STATES, v, RELATION)), TreeError),
+    "check_tree-root": (
+        lambda v: check_tree(EStructure(STATES, v, RELATION), STATES, PAIRS),
+        TreeError),
+    "build_tree-root": (
+        lambda v: build_tree(EStructure(STATES, v, RELATION), STATES, PAIRS),
+        TreeError),
+    "verify_canonical-root": (
+        lambda v: verify_canonical(_structure().canonical,
+                                   EStructure(STATES, v, RELATION)),
+        CanonicalError),
+    "verify_embedding-root": (
+        lambda v: verify_embedding(EStructure(STATES, v, RELATION), EVENTS),
+        CanonicalError),
 }
 
 

@@ -257,7 +257,8 @@ def _top_level_names(tree: ast.Module) -> set[str]:
 # included: importer -> {module: names}. A new coupling fails
 # test_private_couplings_are_declared until it is declared here.
 PRIVATE_COUPLINGS = {
-    "canonical": {"structure": {"_bits", "_condition_report", "_lowest"}},
+    "canonical": {"structure": {"_bits", "_condition_report", "_lowest",
+                                "_root_index"}},
     "cli": {"feasibility": {"_margin_report", "_over_lcm", "_rows"}},
     "feasibility": {"plans": {"_check_domain"}, "structure": {"_bits"},
                     "rationalize": {"_avoidance"}},
@@ -265,7 +266,7 @@ PRIVATE_COUPLINGS = {
                                     "_plan_key", "_rows"}},
     "structure": {"canonical": {"_verified_space"}},
     "trees": {"structure": {"_bits", "_closed_rows", "_condition_report",
-                            "_lowest"}},
+                            "_lowest", "_root_index"}},
 }
 
 

@@ -155,17 +155,21 @@ def _oracle_passes(s):
         s.states, s.root, s.relation, nodes, edges)
 
 
-@pytest.mark.parametrize("kind", ["splitting", "families", "twins"])
+@pytest.mark.parametrize("kind", ["splitting", "families", "twins",
+                                  "children-first"])
 def test_find_trees_against_the_subset_search_at_size(kind):
     """The child sets stop early (a state with fewer than two immediate
     refinements, an empty need, a branch past a forced kid), so growth
     is refereed by the brute-force subset search with the oracle's
-    check, on 10-, 12- and 14-node splitting trees and on subset
+    check, on 10-, 12- and 14-node splitting trees, declared root first
+    or with the states shuffled and the root not first, and on subset
     families with and without twins. Order and trees match, and each
     tree keeps the top-down order its check read: every node after its
-    parent, as a fresh read of the shape gives it."""
+    parent, as a fresh read of the shape gives it. Declared children
+    first, some trees' node order is not top-down, so their shape is
+    read."""
     rng = random.Random(2710)
-    if kind == "splitting":
+    if kind in ("splitting", "children-first"):
         structures = []
         for size in (10, 12, 14):
             for _ in range(2):
@@ -173,12 +177,14 @@ def test_find_trees_against_the_subset_search_at_size(kind):
                 while len(t.nodes) != size:
                     t = splitting_tree(rng, max_nodes=size, min_nodes=size)
                 structures.append(t.ambient)
+                if kind == "children-first":
+                    structures[-1] = _children_first(rng, t)
     else:
         dup_prob = 0.0 if kind == "families" else 0.6
         structures = [s for s in (subset_family_structure(
             rng, max_universe=4, dup_prob=dup_prob) for _ in range(60))
             if len(s.states) <= 10]
-    grown = 0
+    grown = reordered = 0
     for s in structures:
         found = find_trees(s)
         assert _node_edge_lists(s, found) == oracles.find_trees_by_subsets(
@@ -189,8 +195,23 @@ def test_find_trees_against_the_subset_search_at_size(kind):
             place = {x: i for i, x in enumerate(top_down)}
             assert sorted(top_down) == sorted(t.nodes)
             assert all(place[t.parent[x]] < place[x] for x in t.parent)
+            reordered += top_down != t.nodes
         grown += len(found)
     assert grown > 20
+    # declared root first, a splitting tree's node orders are top-down
+    assert reordered > 10 if kind == "children-first" else (
+        kind != "splitting" or reordered == 0)
+
+
+def _children_first(rng, tree):
+    """The tree's structure with its states shuffled and the root not
+    declared first."""
+    states = list(tree.nodes)
+    rng.shuffle(states)
+    if states[0] == tree.root:
+        states.append(states.pop(0))
+    return EStructure.from_generators(states, tree.root,
+                                      tuple(tree.parent.items()))
 
 
 def test_example_j_has_no_tree(corpus):
@@ -205,6 +226,23 @@ def test_a_root_that_is_no_state_has_no_tree(bound):
     """No tree satisfies t-root when the root is none of the states."""
     s = EStructure(("a", "b"), "r", frozenset({("a", "a"), ("b", "b")}))
     assert find_trees(s, max_count=bound) == ()
+
+
+@pytest.mark.parametrize("root", ["zz", ["r"]],
+                         ids=["hashable", "unhashable"])
+def test_a_root_that_is_no_state_fails_t_root(root):
+    """A root that is no state, one that cannot be hashed included,
+    leaves no tree to find, and a tree check fails t-root and t-parent
+    on it (the declared root hangs from nothing)."""
+    states, edges = ("r", "a", "b"), [("a", "r"), ("b", "r")]
+    s = EStructure(states, root, frozenset(
+        [(x, x) for x in states] + edges))
+    assert find_trees(s) == () and find_trees(s, max_count=1) == ()
+    assert check_tree(s, states, edges).failures == {
+        "t-root": ("root missing",), "t-parent": ("r", 0)}
+    with pytest.raises(TreeError, match="^tree conditions failed: t-root, "
+                       "t-parent$"):
+        build_tree(s, states, edges)
 
 
 class TestT2AsItsOwnStructure:
@@ -625,8 +663,9 @@ class TestAsTree:
         to 160 nodes, declared in order and shuffled, with twins added (a
         state with no or several immediate predecessors), subset
         families, chains, and hand-built relations that are not closed,
-        whose t-order fails."""
-        rng = random.Random(3303)
+        whose t-order fails. The shuffled declarations come root first
+        and with the root not first."""
+        rng, turn = random.Random(3303), random.Random(3535)
         pool = []
         for i in range(60):
             tree = splitting_tree(rng, max_nodes=160 if i % 4 == 0 else 30)
@@ -643,7 +682,8 @@ class TestAsTree:
             open_relation = EStructure(s.states, s.root, frozenset(
                 [(x, x) for x in s.states] + list(tree.parent.items())))
             pool += [s, shuffled, twinned, open_relation,
-                     subset_family_structure(rng, max_universe=4)]
+                     subset_family_structure(rng, max_universe=4),
+                     _children_first(turn, tree)]
         pool.append(EStructure.from_generators(
             ["r", "a", "b"], "r", [("a", "r"), ("b", "a")]))
         # hand-built: a cycle of single predecessors that misses the
@@ -1151,14 +1191,15 @@ def test_tree_op_closes_and_derives_once(monkeypatch):
     its parent map, so the edges are closed on rows once, for the
     structure itself, and those rows seed its relations: derive_relations
     never runs. The structure keeps no tree, so the kernel checks the
-    seven conditions and a shape is read twice: once for the tree
-    build_tree accepts, through _check_tree, and once for the equal tree
-    as_tree reads for the decision, on indices with no _check_tree. The
-    verifier reads the shape the built tree cached. The decision runs
-    one walk pass for every alternative, and the construction reads the
-    pass it kept on the canonical space both trees share, which is the
-    structure's own. build_system builds the rows once, and the verifier
-    reads them off that space."""
+    seven conditions twice: once for the tree build_tree accepts,
+    through _check_tree, and once for the equal tree as_tree reads for
+    the decision, on indices with no _check_tree. Both hand the kernel
+    the nodes root first, in an order it finds top-down, so no shape is
+    read. The verifier reads the order the built tree cached. The
+    decision runs one walk pass for every alternative, and the
+    construction reads the pass it kept on the canonical space both
+    trees share, which is the structure's own. build_system builds the
+    rows once, and the verifier reads them off that space."""
     rng = random.Random(12)
     tree = splitting_tree(rng, max_nodes=12, min_nodes=12)
     while len(tree.nodes) != 12:
@@ -1188,7 +1229,7 @@ def test_tree_op_closes_and_derives_once(monkeypatch):
     r = construct_sceu(t, plan)
     assert result.path == "tree" and result.feasible
     assert verify_rationalization(t, plan, r).verified
-    assert calls == {"_closed_rows": 1, "derive_relations": 0, "_shape": 2,
+    assert calls == {"_closed_rows": 1, "derive_relations": 0, "_shape": 0,
                      "_check_tree": 1, "_tree_verdict": 2, "_walks": 1,
                      "FeasibilityRow": len(result.system.rows)}
     assert len(result.system.rows) == 12 * (len(plan.alternatives) - 1)
@@ -1196,12 +1237,16 @@ def test_tree_op_closes_and_derives_once(monkeypatch):
 
 def test_found_trees_carry_their_order(monkeypatch):
     """find_trees returns the trees its checks built, each with the
-    top-down order its check read: on a 12-node tree's structure, each
-    of the four trees found has its shape read once, and reading its
-    children reads no shape again."""
+    top-down order its check read: on a 12-node tree's structure
+    declared root first, the kernel finds each of the four trees' node
+    order top-down and no shape is read; declared children first, each
+    tree's shape is read once. Reading a tree's children reads no shape
+    again, and both declarations give the same trees by name."""
     tree = splitting_tree(random.Random(5), max_nodes=12, min_nodes=12)
-    s = EStructure.from_generators(tree.nodes, tree.root,
-                                   tuple(tree.parent.items()))
+    edges = tuple(tree.parent.items())
+    s = EStructure.from_generators(tree.nodes, tree.root, edges)
+    backwards = EStructure.from_generators(tree.nodes[::-1], tree.root,
+                                           edges)
     calls = []
     shape = trees._shape
     monkeypatch.setattr(trees, "_shape",
@@ -1210,7 +1255,111 @@ def test_found_trees_carry_their_order(monkeypatch):
     for t in found:
         t.children
     assert len(tree.nodes) == 12 and len(found) == 4
+    assert len(calls) == 0
+    turned = find_trees(backwards)
+    for t in turned:
+        t.children
     assert len(calls) == 4
+    assert ({(frozenset(t.nodes), tuple(sorted(t.parent.items())))
+             for t in turned}
+            == {(frozenset(t.nodes), tuple(sorted(t.parent.items())))
+                for t in found})
+    for t in turned:
+        assert t.__dict__["_top_down"] == dataclasses.replace(t)._top_down
+
+
+def _index_tree(s, t):
+    """A found tree on its structure's indices: node order, parent map."""
+    index = s.derived.index
+    return ([index[x] for x in t.nodes],
+            {index[c]: index[p] for c, p in t.parent.items()})
+
+
+def _entry_outcome(checked):
+    """An index entry's report and its tree, with the tree's nodes,
+    parent map, cached top-down order and cached own structure."""
+    report, t = checked
+    if t is None:
+        return report, None
+    return (report, t, t.nodes, dict(t.parent), t.__dict__.get("_top_down"),
+            t.__dict__.get("as_estructure"))
+
+
+def test_the_kernel_checks_the_order_it_is_handed():
+    """The kernel judges an order only when it is top-down: the root
+    first, then each node once, after its parent, until every node is
+    placed. An order with a child before its parent, a repeated node, a
+    missing node or the root later is handed back as (None, None), not
+    judged; the entry then reads the shape, and its report is the one
+    the route reading every shape first gives."""
+    rng = random.Random(3536)
+    checked = 0
+    for _ in range(30):
+        s = splitting_tree(rng, max_nodes=14, min_nodes=6).ambient
+        d, root = s.derived, s.derived.index[s.root]
+        found = find_trees(s)
+        for t in rng.sample(found, min(3, len(found))):
+            order, parent = _index_tree(s, t)
+            top_down = trees._shape(order, parent.items(), root)[2]
+            want = oracles.tree_at_by_shape(trees, s, order, parent.items())
+            assert (trees._tree_verdict(d, root, order, parent, top_down, {})
+                    [0] == want[0])
+            k = rng.randrange(1, len(top_down))
+            child, rest = top_down[k], top_down[:k] + top_down[k + 1:]
+            early = list(rest)
+            early.insert(rest.index(parent[child]), child)
+            repeated = list(top_down)
+            repeated[k] = top_down[rng.randrange(k)]
+            for bad in (early, repeated, rest, top_down[1:] + top_down[:1]):
+                assert trees._tree_verdict(d, root, order, parent, bad,
+                                           {}) == (None, None)
+            backwards = sorted(order, key=top_down.index, reverse=True)
+            assert (_entry_outcome(trees._tree_at(s, backwards,
+                                                  parent.items()))
+                    == _entry_outcome(oracles.tree_at_by_shape(
+                        trees, s, backwards, parent.items())))
+            checked += 1
+    assert checked > 40
+
+
+def test_tree_entry_matches_the_shape_route():
+    """The index entry, whose kernel checks the order it is handed, gives
+    the report, the tree, its top-down order and its own structure that
+    the route reading every shape first gives (oracles.tree_at_by_shape):
+    on found trees listed root first, children first and shuffled, and
+    on edits of each (an edge dropped, added or reversed). find_trees
+    gives the trees, with their orders, that the same route's search
+    gives, on structures declared root first and children first."""
+    rng = random.Random(3537)
+    routes = Counter()
+    for _ in range(25):
+        tree = splitting_tree(rng, max_nodes=14)
+        for s in (tree.ambient, _children_first(rng, tree),
+                  subset_family_structure(rng, max_universe=4)):
+            found = find_trees(s)
+            assert ([_entry_outcome((None, t)) for t in found]
+                    == [_entry_outcome((None, t)) for t
+                        in oracles.find_trees_by_shape(trees, s)])
+            for t in found[:3]:
+                order, parent = _index_tree(s, t)
+                edges = list(parent.items())
+                mixed, mixed_edges = list(order), list(edges)
+                rng.shuffle(mixed)
+                rng.shuffle(mixed_edges)
+                c, p = rng.sample(order, 2)
+                k = rng.randrange(len(edges))
+                lists = [(order, edges), (order[::-1], edges),
+                         (mixed, mixed_edges), (order, edges[:k]
+                                                + edges[k + 1:]),
+                         (order, [*edges, (c, p)]),
+                         (order, [*edges[:k], edges[k][::-1],
+                                  *edges[k + 1:]])]
+                for nodes, listed in lists:
+                    got = _entry_outcome(trees._tree_at(s, nodes, listed))
+                    assert got == _entry_outcome(oracles.tree_at_by_shape(
+                        trees, s, nodes, listed))
+                    routes[got[1] is not None] += 1
+    assert routes[True] > 100 and routes[False] > 100
 
 
 def test_every_view_of_a_malformed_tree_raises_tree_error():
