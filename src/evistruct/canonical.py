@@ -50,7 +50,7 @@ class CanonicalSpace:
         return tuple([self.atom_label(i) for i in range(len(self.atoms))])
 
     def __getstate__(self) -> dict:
-        # the fields alone: feasibility._rows and rationalize._avoidance
+        # the fields alone: feasibility._rows and feasibility._avoidance
         # keep their last passes on the space, which a pickle or a copy
         # leaves out
         return {"atoms": self.atoms, "events": self.events}

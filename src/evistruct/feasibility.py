@@ -23,11 +23,14 @@ instead, by the same loop, whose basis then has one row per column and
 one more. On any structure, two twins that choose differently, or a
 dominance violation whose state's immediate refinements partition its
 event, already give a certificate, read off before the simplex runs. A
-total plan that none settles, on a structure that is itself an
-experimentation tree, needs no simplex either: by the paper's theorem it
-is rationalizable, and the witness is built directly. Every returned
-verdict carries an exactly verified witness: a weighting with utilities,
-or a nonnegative row combination proving emptiness.
+plan that none settles, partial or total, on a structure whose states
+are pairwise comparable or incompatible (a tree up to twins), needs no
+simplex either: by the paper's theorem it is rationalizable exactly
+when no decided state is cut off by the choices forced below it, and
+the cut certificate or the theorem's witness is read off the
+structure's rows directly, with no tree object. Every returned verdict
+carries an exactly verified witness: a weighting with utilities, or a
+nonnegative row combination proving emptiness.
 """
 from __future__ import annotations
 
@@ -41,8 +44,7 @@ from typing import NamedTuple
 from .canonical import CanonicalSpace, build_canonical
 from .io import format_rational
 from .plans import Plan, PlanError, _check_domain, check_isd_plan
-from .structure import EStructure, WitnessReport, _bits
-from .trees import ExperimentationTree, TreeError, as_tree
+from .structure import DerivedRelations, EStructure, WitnessReport, _bits
 
 
 class FeasibilityRow(NamedTuple):
@@ -93,9 +95,13 @@ class FeasibilityResult:
     "simplex-dual" (the same simplex on the system's Farkas alternative,
     which decide_system picks for a system with at least four more rows
     than columns), "dominance" (a certificate read off the plan's
-    choices, on any structure) or "tree" (the theorem's witness for a
-    consistent total plan on a structure that is itself an
-    experimentation tree).
+    choices, on any structure) or "tree" (the theorem's cut certificate
+    or witness for any plan, partial or total, on a structure whose
+    states are pairwise comparable or incompatible, a tree up to twins:
+    a structure that is itself an experimentation tree, with twins
+    added or not). Infeasible plans on such a structure that no
+    "dominance" certificate settles, total plans with twins among
+    them, get a "tree" certificate, no longer a simplex one.
     """
 
     feasible: bool
@@ -520,15 +526,16 @@ def decide_rationalizable(s: EStructure, plan: Plan) -> FeasibilityResult:
     """Decide whether any weighting and utilities rationalize the plan.
 
     The plan's choices alone may prove it infeasible, on any structure
-    (_dominance_certificate); the result's path is "dominance". On an
-    experimentation tree, a plan defined at every node is rationalizable
-    (its choice the strict conditional-expected-utility maximizer at
-    every node) if and only if it is dominance-consistent, and every
-    violation gives such a certificate. So a total plan that no
-    certificate settles, on a structure that is itself a tree (as_tree),
-    is rationalizable, and gets the theorem's witness with path "tree".
-    Every other input goes to the simplex of decide_system. Each witness
-    passes verify_certificate, in exact arithmetic, before it is returned.
+    (_dominance_certificate); the result's path is "dominance". On a
+    structure whose states are pairwise comparable or incompatible, a
+    tree up to twins, a plan, partial or total, is rationalizable
+    exactly when no decided state is cut off: the paper's theorem for
+    experimentation trees, with an undecided state free unless its
+    children force its choice. Such a plan gets either a cut
+    certificate or the theorem's witness, with path "tree"
+    (_decide_up_to_twins), and no simplex runs. Every other input goes
+    to the simplex of decide_system. Each witness passes
+    verify_certificate, in exact arithmetic, before it is returned.
     """
     system = build_system(s, plan)
     certificate = _dominance_certificate(s, plan)
@@ -536,14 +543,10 @@ def decide_rationalizable(s: EStructure, plan: Plan) -> FeasibilityResult:
         return _verified(FeasibilityResult(False, system,
                                            certificate=certificate,
                                            path="dominance"))
-    if len(plan.choice) == len(s.states):  # build_system checked the keys
-        try:
-            tree = as_tree(s)
-        except TreeError:
-            pass
-        else:
-            return _verified(_decide_on_tree(system, tree, plan))
-    return decide_system(system)
+    shape = _twin_tree(s.derived)
+    if shape is None:
+        return decide_system(system)
+    return _verified(_decide_up_to_twins(system, s, plan, shape))
 
 
 def _dominance_certificate(s: EStructure, plan: Plan
@@ -582,29 +585,236 @@ def _dominance_certificate(s: EStructure, plan: Plan
     return None
 
 
-def _decide_on_tree(system: FeasibilitySystem, tree: ExperimentationTree,
-                    plan: Plan) -> FeasibilityResult:
-    """The theorem's witness, path "tree", for a total plan on a spanning
-    tree that _dominance_certificate found no certificate for.
+class _TwinTree(NamedTuple):
+    """A structure whose states are pairwise comparable or incompatible,
+    read as a tree of twin classes on declaration indices. A class is
+    named by its first state; lists indexed by state hold a value at
+    each class's name."""
 
-    A node's tree children are its immediate refinements, whose events
-    partition its event, so every dominance violation would have given a
-    certificate: the plan is consistent. It gets construct_sceu's
-    witness from the integer pass it is built on (rationalize._avoidance,
-    one walk pass for every rival, kept on the structure's canonical
-    space: as_tree checks a new tree on indices at each call, but its
-    canonical space is the structure's, so construct_sceu on any tree
-    spanning it reads the pass again), summed per atom into g = weight x
-    utility: margins are linear in g, so they keep their signs. Point i
-    weighs 3^(n-1-i), its raw weight times 3^n/2, an integer scaling the
-    homogeneous system allows.
+    rep: list[int]  # each state's class
+    kids: list[list[int]]  # each class's child classes, in order
+    top_down: list[int]  # the classes, each after its parent
+    depth: list[int]  # each class's number of ancestor classes
+
+
+def _twin_tree(d: DerivedRelations) -> _TwinTree | None:
+    """The tree of twin classes, or None unless every two states are
+    comparable or incompatible: up | refiners | incompat_rows is every
+    state, for each one. Then the states a state refines form a chain of
+    classes, so its immediate predecessors (parents) are one class,
+    whose first state is parents[0], and the classes form a tree under
+    the class with no parents. The structure's canonical space is
+    verified, so that class is the root's."""
+    up, refiners = d.up, d.refiners
+    full = (1 << len(up)) - 1
+    rep = []
+    for u, r, c in zip(up, refiners, d.incompat_rows):
+        if u | r | c != full:
+            return None
+        twins = u & r
+        rep.append((twins & -twins).bit_length() - 1)  # _lowest, inlined
+    index, parents = d.index, d.parents
+    kids: list[list[int]] = [[] for _ in up]
+    top_down: list[int] = []
+    for i, x in enumerate(d.states):
+        if rep[i] == i:
+            above = parents[x]
+            if above:
+                kids[index[above[0]]].append(i)
+            else:
+                top_down.append(i)
+    depth = [0] * len(up)
+    for r in top_down:  # grows as it is read: each class's kids go last
+        below = depth[r] + 1
+        for k in kids[r]:
+            depth[k] = below
+        top_down += kids[r]
+    return _TwinTree(rep, kids, top_down, depth)
+
+
+def _decide_up_to_twins(system: FeasibilitySystem, s: EStructure,
+                        plan: Plan, shape: _TwinTree) -> FeasibilityResult:
+    """The verdict and witness, path "tree", for a plan on a tree of
+    twin classes that _dominance_certificate found no certificate for,
+    so twins that both decide agree and each class has one choice.
+
+    One pass, children first, marks each undecided class forced to c
+    when all its child classes are forced to c, and free otherwise (a
+    class with no children is free); a decided class is forced to its
+    own choice. A decided class whose child classes are all forced to
+    one c other than its choice b is cut: the maximal decided classes
+    below it choose c and their events partition its event. So for the
+    cut with the first deciding state x in declaration order, row
+    (x, c) plus row (k, b) for the first deciding state k of each of
+    those classes, each with multiplier 1 and the k in declaration
+    order, sums to zero in every column: the certificate.
+
+    Otherwise the plan extends top down, each forced class taking its
+    forced choice and each free one its parent's (a free root the first
+    alternative), to a total plan with no dominance violation, whose
+    avoidance construction (_avoidance) rationalizes it. Its points are
+    summed per atom into g = weight x utility: margins are linear in g,
+    so they keep their signs. Point i weighs 3^(n-1-i), its raw weight
+    times 3^n/2, an integer scaling the homogeneous system allows.
     """
-    from .rationalize import _avoidance  # rationalize imports this module
-    points, chosen, _ = _avoidance(tree, plan)
-    n = len(points)
-    # as_estructure is s, so the tree's atom k is the system's atom k
-    g = _mass(len(system.atoms), [atom for atom, _ in points],
+    states, alts, get = s.states, tuple(plan.alternatives), plan.choice.get
+    position = {a: j for j, a in enumerate(alts)}
+    rep, kids, top_down, _ = shape
+    picks = [-1] * len(rep)  # each class's choice, -1 when undecided
+    decider = [-1] * len(rep)  # each class's first deciding state
+    for i, x in enumerate(states):
+        j = position.get(get(x, _UNDECIDED), -1)
+        if j >= 0 and decider[rep[i]] < 0:
+            picks[rep[i]], decider[rep[i]] = j, i
+    forced = picks.copy()  # -1 for a free class
+    cut = []
+    for r in reversed(top_down):
+        below = kids[r]
+        if not below:
+            continue
+        c = forced[below[0]]
+        for k in below:
+            if forced[k] != c:
+                c = -1
+                break
+        if picks[r] < 0:
+            forced[r] = c
+        elif 0 <= c != picks[r]:
+            cut.append(r)
+    if cut:
+        r = min(cut, key=decider.__getitem__)
+        c, b, one = forced[kids[r][0]], alts[picks[r]], Fraction(1)
+        found, todo = [], kids[r].copy()
+        while todo:  # down through forced undecided classes
+            k = todo.pop()
+            if picks[k] < 0:
+                todo += kids[k]
+            else:
+                found.append(decider[k])
+        return FeasibilityResult(False, system, certificate=(
+            (states[decider[r]], alts[c], one),
+            *[(states[k], b, one) for k in sorted(found)]), path="tree")
+    if forced[top_down[0]] < 0:
+        forced[top_down[0]] = 0
+    for r in top_down:
+        for k in kids[r]:
+            if forced[k] < 0:
+                forced[k] = forced[r]
+    total = [forced[r] for r in rep]
+    walks = _avoidance(s, (alts, tuple([alts[c] for c in total])), shape,
+                       total)
+    chosen = walks.chosen
+    n = len(chosen)
+    g = _mass(len(system.atoms), walks.atoms,
               [3 ** (n - 1 - i) for i in range(n)],
-              [[c >> j & 1 for c in chosen]
-               for j in range(len(plan.alternatives))])
+              [[c >> j & 1 for c in chosen] for j in range(len(alts))])
     return _result_from_point(system, g, 1, "tree")
+
+
+class _Avoidance(NamedTuple):
+    """The avoidance construction in integers for one plan on a tree of
+    twin classes, as _avoidance keeps it.
+
+    ends[r][j] is the leaf class the walk rejecting alternatives[j]
+    reaches from class r, or the class where it stops because every
+    child there chooses it; walked[r][j] holds bit i for each
+    alternatives[i] chosen from r down to that leaf, and is -1 when the
+    walk stops short. For each state x the plan decides and each rival
+    a of its choice, the walk from x's class gives the avoidance point
+    (its leaf's atom, x's class). The distinct points are in weight
+    order: by the depth of the class, then by declaration of the class
+    and of the leaf; atoms and classes list them, chosen their walks'
+    bits, and avoid the index of each (x, a)'s point, x in declaration
+    order, then a in alternative order. stuck, when some such walk
+    stops short, is the first one's (state where it stops, a), and then
+    the points and avoid are empty.
+    """
+
+    atoms: tuple[int, ...]
+    classes: tuple[int, ...]
+    chosen: tuple[int, ...]
+    avoid: tuple[int, ...]
+    stuck: tuple[str, str] | None
+    ends: list[list[int]]
+    walked: list[list[int]]
+
+
+def _avoidance(s: EStructure, key: tuple, shape: _TwinTree | None = None,
+               picks: list[int] | None = None) -> _Avoidance:
+    """The one avoidance pass: the walks and points for the plan that
+    key gives in _plan_key's form, on s, a tree of twin classes. Its
+    caller may hand in what it has read already: shape, and picks, the
+    index of each state's choice in key's alternatives (-1 when
+    undecided). Every walk rejecting a steps into the first child class
+    in declaration order that does not choose a; one pass, children
+    first, builds each class's walks for every rival from its first
+    child's and, for the rival that child chooses, from the first child
+    choosing otherwise. An undecided state chooses no rival.
+
+    The pass is kept on s's canonical space, one entry keyed by the
+    key, read at each call, as _rows keeps its rows: the decision on a
+    structure and construct_sceu and avoiding_branch on any tree object
+    spanning it, whose own structure is the structure, run it once.
+    """
+    space = s.canonical
+    kept = space.__dict__.get("_avoidance")
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    d = s.derived
+    rep, kids, top_down, depth = shape or _twin_tree(d)
+    alts = key[0]
+    if picks is None:
+        position = {a: j for j, a in enumerate(alts)}
+        picks = [position.get(a, -1) for a in key[1]]
+    rivals = range(len(alts))
+    ends: list[list[int]] = [[]] * len(rep)
+    walked: list[list[int]] = [[]] * len(rep)
+    for r in reversed(top_down):
+        mine = 1 << picks[r] if picks[r] >= 0 else 0
+        below = kids[r]
+        if not below:
+            ends[r], walked[r] = [r] * len(alts), [mine] * len(alts)
+            continue
+        first = below[0]
+        end, bits = ends[first], [mine | b for b in walked[first]]
+        a = picks[first]
+        if a >= 0:  # the walk rejecting a steps past the first child
+            end = end.copy()
+            other = next((k for k in below if picks[k] != a), None)
+            if other is None:
+                end[a], bits[a] = r, -1
+            else:
+                end[a], bits[a] = ends[other][a], mine | walked[other][a]
+        ends[r], walked[r] = end, bits
+    n = len(rep)
+    seen: dict[int, int] = {}  # (depth, class, leaf) as one int -> bits
+    at: list[int] = []
+    stuck = None
+    for x, c in enumerate(picks):
+        if c < 0:
+            continue
+        r = rep[x]
+        end, bits, base = ends[r], walked[r], (depth[r] * n + r) * n
+        for j in rivals:
+            if j == c:
+                continue
+            if bits[j] < 0:
+                stuck = d.states[end[j]], alts[j]
+                break
+            p = base + end[j]
+            seen[p] = bits[j]
+            at.append(p)
+        if stuck:
+            break
+    if stuck:
+        walks = _Avoidance((), (), (), (), stuck, ends, walked)
+    else:
+        order = sorted(seen)
+        place = {p: i for i, p in enumerate(order)}
+        atom = {d.index[cls[0]]: k for k, cls in enumerate(space.atoms)}
+        walks = _Avoidance(tuple([atom[p % n] for p in order]),
+                           tuple([p // n % n for p in order]),
+                           tuple([seen[p] for p in order]),
+                           tuple([place[p] for p in at]), None, ends, walked)
+    space.__dict__["_avoidance"] = key, walks
+    return walks

@@ -30,11 +30,10 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from types import MappingProxyType
 
 from .canonical import CanonicalSpace
-from .feasibility import (_margin_report, _over_lcm, _plan_key, _rows,
-                          build_system, verify_weighting)
+from .feasibility import (_avoidance, _margin_report, _over_lcm,
+                          _plan_key, _rows, build_system, verify_weighting)
 from .plans import Plan, PlanError
 from .structure import EStructure, StructureError, WitnessReport
 from .trees import ExperimentationTree
@@ -103,52 +102,30 @@ def avoiding_branch(tree: ExperimentationTree, plan: Plan,
     """Root-to-leaf path through x whose choices below x all differ from a.
 
     Raises RationalizationError at a dominance violation: a descendant of
-    x (or x's own position) where every child picks a.
+    x (or x's own position) where every child picks a. The walk is the
+    one the avoidance pass (_avoidance) keeps on the tree's canonical
+    space for the plan's choices at the tree's nodes; it ends at a leaf,
+    and the branch is that leaf's path from the root. The pass lists its
+    walks by twin class, and a tree's own structure, the closure of its
+    parent map, has no twins, so each node is its own class and its
+    declaration index reads its walks. The pass has walks for the plan's
+    alternatives only; a rival chosen nowhere steps into the first child
+    at each node, which is the walk read directly.
     """
     if x not in tree.nodes:
         raise RationalizationError(f"{x!r} is not a tree node")
-    walks = _walks(tree, plan, (a,))[a]
-    step, end, chosen = walks[x]
-    if chosen is None:
+    if a not in plan.alternatives:
+        path, children = tree.path_to_root(x), tree.children
+        while children[path[-1]]:
+            path += (children[path[-1]][0],)
+        return path
+    s = tree.as_estructure
+    walks = _avoidance(s, _plan_key(s.canonical, plan))
+    i, j = s.derived.index[x], tuple(plan.alternatives).index(a)
+    end = s.states[walks.ends[i][j]]
+    if walks.walked[i][j] < 0:
         raise _stuck(end, a)
-    path = list(tree.path_to_root(x))
-    while step is not None:
-        path.append(step)
-        step = walks[step][0]
-    return tuple(path)
-
-
-def _walks(tree: ExperimentationTree, plan: Plan, rivals: Sequence[str]
-           ) -> dict[str, dict[str, tuple[str | None, str, int | None]]]:
-    """For each rival a, the avoidance walk rejecting a from every tree
-    node x, as (step, end, chosen).
-
-    step is the first child of x whose choice is not a, None at a leaf or
-    where every child chooses a. end is the leaf the walk reaches, or the
-    node where it stops because every child there chooses a. chosen holds
-    bit j for each alternatives[j] chosen from x down to that leaf, and is
-    None when the walk stops short. One pass builds every rival's entries,
-    children first, in the tree's top-down order reversed, each from the
-    entry of its step: the first child, or, for the rival the first child
-    chooses, the first child choosing otherwise.
-    """
-    choice, children = plan.choice, tree.children
-    bit = {b: 1 << j for j, b in enumerate(plan.alternatives)}
-    walks: dict[str, dict[str, tuple[str | None, str, int | None]]] = {
-        a: {} for a in rivals}
-    for x in reversed(tree._top_down):
-        mine, kids = bit.get(choice.get(x), 0), children[x]
-        if kids:
-            first = choice.get(kids[0])
-            other = next((k for k in kids if choice.get(k) != first), None)
-        for a, walk in walks.items():
-            step = None if not kids else kids[0] if first != a else other
-            if step is None:
-                walk[x] = (None, x, None if kids else mine)
-            else:
-                _, end, below = walk[step]
-                walk[x] = (step, end, None if below is None else mine | below)
-    return walks
+    return tree.path_to_root(end)
 
 
 def _stuck(x: str, a: str) -> RationalizationError:
@@ -156,61 +133,19 @@ def _stuck(x: str, a: str) -> RationalizationError:
                                 f"plan is dominance-inconsistent there")
 
 
-def _avoidance(tree: ExperimentationTree, plan: Plan
-               ) -> tuple[tuple[tuple[int, str], ...], tuple[int, ...],
-                          Mapping[tuple[str, str], int]]:
-    """The construction in integers, for a plan deciding every tree node:
-    the distinct avoidance points as (atom, state) pairs in weight order,
-    each point's choice bits (bit j for each alternatives[j] chosen on its
-    walk), and a read-only map (state, rejected alternative) -> index of
-    its point, read off one _walks pass for every rival.
-
-    The pass is kept on the tree's canonical space, one entry keyed by
-    _plan_key at each call, as _rows keeps its rows. That space is the
-    tree's own structure's, whose order fixes the parent map, so the
-    decision on a structure and construct_sceu on any tree object
-    spanning it run the pass once.
-    """
-    choice, space = plan.choice, tree.canonical
-    key = _plan_key(space, plan)
-    kept = space.__dict__.get("_avoidance")
-    if kept is not None and kept[0] == key:
-        return kept[1]
-    atom_of = {cls[0]: i for i, cls in enumerate(space.atoms)}
-    walks = _walks(tree, plan, plan.alternatives)
-    seen: dict[tuple[str, str], int] = {}  # (leaf, state) -> choice bits
-    avoid_points: dict[tuple[str, str], tuple[str, str]] = {}
-    for x in tree.nodes:
-        for a in plan.alternatives:
-            if a == choice[x]:
-                continue
-            _, end, chosen = walks[a][x]
-            if chosen is None:
-                raise _stuck(end, a)
-            point = (end, x)
-            seen.setdefault(point, chosen)
-            avoid_points[x, a] = point
-
-    rank, decl = tree.rank_in_tree, {x: i for i, x in enumerate(tree.nodes)}
-    order = sorted(seen, key=lambda p: (rank[p[1]], decl[p[1]], decl[p[0]]))
-    index = {p: i for i, p in enumerate(order)}
-    kept = space.__dict__["_avoidance"] = key, (
-        tuple([(atom_of[leaf], x) for leaf, x in order]),
-        tuple([seen[p] for p in order]),
-        MappingProxyType({k: index[p] for k, p in avoid_points.items()}))
-    return kept[1]
-
-
 def construct_sceu(tree: ExperimentationTree, plan: Plan) -> Rationalization:
     """Build the weighting and utilities rationalizing a consistent plan.
 
     The plan must cover every tree node; choices at non-tree states are
     ignored. Dominance violations surface as RationalizationError from
-    the avoidance walks. The walks are the integer pass _avoidance keeps
-    on the tree's canonical space, so after decide_rationalizable on the
-    structure this tree spans, with the same choices, they are that
-    decision's, whichever tree object spans it; the witness gets its own
-    copy of the pass's index map.
+    the avoidance walks, the first stuck one in node then alternative
+    order. The walks and points are the one integer pass, _avoidance,
+    kept on the tree's canonical space, its own structure's: after
+    decide_rationalizable on the structure a tree spans, with the same
+    choices, they are that decision's, whichever tree object spans it,
+    since the decision's route on a tree runs the same pass. The
+    witness names the pass's points and its map of each (node,
+    rejected alternative) to its point, in a dict of its own.
     """
     for x in tree.nodes:
         if x not in plan.choice:
@@ -218,16 +153,22 @@ def construct_sceu(tree: ExperimentationTree, plan: Plan) -> Rationalization:
     if set(plan.choice) != set(tree.nodes):
         plan = plan.restricted_to(tree.nodes)
 
-    points, chosen, avoid = _avoidance(tree, plan)
-    n = len(points)
+    s = tree.as_estructure
+    walks = _avoidance(s, _plan_key(s.canonical, plan))
+    if walks.stuck:
+        raise _stuck(*walks.stuck)
+    chosen, n, states = walks.chosen, len(walks.chosen), s.states
     raw = tuple([Fraction(2, 3 ** (i + 1)) for i in range(n)])
     weights = tuple([Fraction(2 * 3 ** (n - 1 - i), 3 ** n - 1)
                      for i in range(n)])  # raw / (1 - 3^-n)
+    alts, choice = plan.alternatives, plan.choice
     utilities = {b: tuple([c >> j & 1 for c in chosen])
-                 for j, b in enumerate(plan.alternatives)}
-    points = tuple([SamplePoint(*p) for p in points])
+                 for j, b in enumerate(alts)}
+    points = tuple([SamplePoint(atom, states[r])
+                    for atom, r in zip(walks.atoms, walks.classes)])
+    rejected = [(x, b) for x in states for b in alts if b != choice[x]]
     return Rationalization(tree, plan, points, raw, weights, utilities,
-                           dict(avoid))
+                           dict(zip(rejected, walks.avoid)))
 
 
 def _tree_fits(t: object) -> bool:
@@ -301,7 +242,7 @@ def _verify_constructed(r: Rationalization) -> WitnessReport:
     for p, w in zip(r.points, weights):
         own[p.state] += w
     deeper = dict.fromkeys(tree.nodes, 0)  # weight strictly below x
-    for x in reversed(tree._top_down[1:]):  # children first, as _walks
+    for x in reversed(tree._top_down[1:]):  # children first
         deeper[tree.parent[x]] += own[x] + deeper[x]
     for (x, a), m in margins.numerators.items():  # over margins.den
         bound = weights[r.avoid[x, a]] - deeper[x]

@@ -610,11 +610,12 @@ def find_trees(s: EStructure, max_count: int | None = None
     already in the tree. Every grown tree is then checked on all seven
     conditions by the kernel check_tree runs, _tree_verdict, on its
     parent map and its nodes in declaration order, which the kernel
-    checks are top-down; only an order that is not, as in a structure
-    declared children first, is read by _shape and checked again. A
-    node's t-branching, t-incompat and t-unbiased are judged once per
-    distinct (node, kid mask) in the call, since they depend on nothing
-    else. The structure's relation must be a closed preorder, as every
+    checks are top-down; when it is not, as in a structure declared
+    children first, the order _grow placed the nodes in is, the root
+    and then the keys of the parent map. A node's t-branching,
+    t-incompat and t-unbiased are judged once per distinct (node, kid
+    mask) in the call, since they depend on nothing else. The
+    structure's relation must be a closed preorder, as every
     constructor makes it; a root that is not one of its states, an
     unhashable one included, leaves no tree to find.
 
@@ -650,8 +651,8 @@ def find_trees(s: EStructure, max_count: int | None = None
     for order, parent in ranked[:max_count]:
         top_down = order
         report, up = _tree_verdict(d, root, order, parent, order, judged)
-        if report is None:  # not top-down: read the shape
-            top_down = _shape(order, parent.items(), root, parent)[2]
+        if report is None:  # not top-down: the order of placement is
+            top_down = [root, *parent]
             report, up = _tree_verdict(d, root, order, parent, top_down,
                                        judged)
         if up is None:
@@ -704,7 +705,9 @@ def _child_sets(d: DerivedRelations) -> list[list[tuple[int, ...]]]:
 def _grow(root: int, child_sets: Sequence[list[tuple[int, ...]]],
           budget: int) -> list[dict[int, int]]:
     """Every tree of 1 to budget non-root nodes, as child -> parent maps
-    on ambient indices."""
+    on ambient indices. A map's keys are in the order the nodes were
+    placed, each node's kids after it, so the root and then the keys
+    are a top-down order."""
     out: list[dict[int, int]] = []
     stack: list[tuple[dict[int, int], tuple[int, ...]]] = [({}, (root,))]
     while stack:

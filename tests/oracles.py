@@ -1131,6 +1131,143 @@ def decide_on_tree_by_construction(atoms, alternatives, choice, children,
     return True, weights, pays, None, "tree"
 
 
+def walks_named(tree, plan, rivals):
+    """The avoidance walks on a tree object's names, one pass for every
+    rival, as the package built them before the pass went onto indices:
+    for each rival a, node -> (step, end, chosen). step is the first
+    child whose choice is not a (None at a leaf or where every child
+    chooses a), end the leaf reached or the node where the walk stops,
+    chosen the bits (bit j for alternatives[j]) chosen from the node
+    down to the leaf, None when the walk stops short. The pass runs
+    children first, each node's entry from its step's: the first child,
+    or, for the rival the first child chooses, the first child choosing
+    otherwise."""
+    choice, children = plan.choice, tree.children
+    bit = {b: 1 << j for j, b in enumerate(plan.alternatives)}
+    walks = {a: {} for a in rivals}
+    for x in reversed(tree._top_down):
+        mine, kids = bit.get(choice.get(x), 0), children[x]
+        if kids:
+            first = choice.get(kids[0])
+            other = next((k for k in kids if choice.get(k) != first), None)
+        for a, walk in walks.items():
+            step = None if not kids else kids[0] if first != a else other
+            if step is None:
+                walk[x] = (None, x, None if kids else mine)
+            else:
+                _, end, below = walk[step]
+                walk[x] = (step, end, None if below is None else mine | below)
+    return walks
+
+
+def avoidance_named(tree, plan):
+    """The integer construction on a tree object's names, as the package
+    built it from walks_named for a plan deciding every tree node: the
+    distinct points as (atom, state) in weight order (the state's tree
+    rank, then the state's and the leaf's node order), each point's
+    choice bits, and (state, rival) -> point index. Raises ValueError
+    with the package's text at the first stuck walk, in node order, then
+    alternative order."""
+    choice, alternatives = plan.choice, plan.alternatives
+    atom_of = {cls[0]: i for i, cls in enumerate(tree.canonical.atoms)}
+    walks = walks_named(tree, plan, alternatives)
+    seen, avoid_points = {}, {}
+    for x in tree.nodes:
+        for a in alternatives:
+            if a == choice[x]:
+                continue
+            _, end, chosen = walks[a][x]
+            if chosen is None:
+                raise ValueError(_stuck_text(end, a))
+            seen.setdefault((end, x), chosen)
+            avoid_points[x, a] = (end, x)
+    rank, decl = tree.rank_in_tree, {x: i for i, x in enumerate(tree.nodes)}
+    order = sorted(seen, key=lambda p: (rank[p[1]], decl[p[1]], decl[p[0]]))
+    index = {p: i for i, p in enumerate(order)}
+    return (tuple((atom_of[leaf], x) for leaf, x in order),
+            tuple(seen[p] for p in order),
+            {k: index[p] for k, p in avoid_points.items()})
+
+
+def decide_on_tree_named(atoms, tree, plan):
+    """The theorem's witness for a consistent total plan on a tree that
+    spans its structure, as the package built it on the tree as_tree
+    reads, before the decision went onto indices: avoidance_named's
+    points, point i weighing 3^(n-1-i), summed per atom (see
+    decide_on_tree_by_construction). Returns (feasible, weights,
+    utilities, certificate, path)."""
+    points, chosen, _ = avoidance_named(tree, plan)
+    utilities = {b: [c >> j & 1 for c in chosen]
+                 for j, b in enumerate(plan.alternatives)}
+    return decide_on_tree_by_construction(atoms, plan.alternatives,
+                                          plan.choice, None, (), points,
+                                          utilities)
+
+
+def twin_tree_cut(states, rel, choice, alternatives):
+    """The verdict on a plan over a structure whose states are pairwise
+    comparable or incompatible, on plain sets, or None when they are
+    not: the first cut certificate as (state, alternative, 1) rows, or
+    () when no decided state is cut.
+
+    Twins (each refining the other) form a class; a class's children
+    are the classes immediately more specific. A class is forced to c
+    when it decides c, or is undecided with children that are all
+    forced to c; a decided class is cut when its children are all
+    forced to one c other than its choice b. The first cut, by its
+    first deciding state x, gives (x, c, 1) and (k, b, 1) for the first
+    deciding state k of each decided class reached below x through
+    undecided ones, in declaration order. Twins that decide differently
+    are not handled (the package's twin certificate comes first)."""
+    def comparable(x, y):
+        return (x, y) in rel or (y, x) in rel
+    for x, y in combinations(states, 2):
+        if not (comparable(x, y) or incompatible(states, rel, x, y)):
+            return None
+    position = {x: i for i, x in enumerate(states)}
+    cls = {x: frozenset(y for y in states if (x, y) in rel
+                        and (y, x) in rel) for x in states}
+    classes = sorted(set(cls.values()),
+                     key=lambda c: min(position[y] for y in c))
+    strictly = {c: {d for d in classes if d != c
+                    and (next(iter(d)), next(iter(c))) in rel}
+                for c in classes}  # the classes strictly refining c
+    kids = {c: [d for d in strictly[c]
+                if not any(e in strictly[c] and d in strictly[e]
+                           for e in classes)] for c in classes}
+    kids = {c: sorted(ds, key=lambda d: min(position[y] for y in d))
+            for c, ds in kids.items()}
+    decided = {c: sorted([y for y in c if y in choice], key=position.get)
+               for c in classes}
+
+    def forced(c):
+        if decided[c]:
+            return choice[decided[c][0]]
+        values = {forced(d) for d in kids[c]}
+        return values.pop() if len(values) == 1 and kids[c] else None
+
+    cuts = []
+    for c in classes:
+        if decided[c] and kids[c]:
+            values = {forced(d) for d in kids[c]}
+            b = choice[decided[c][0]]
+            if len(values) == 1 and None not in values and b not in values:
+                cuts.append((decided[c][0], values.pop(), b, c))
+    if not cuts:
+        return ()
+    x, c_alt, b, c = min(cuts, key=lambda cut: position[cut[0]])
+    below, todo = [], list(kids[c])
+    while todo:
+        d = todo.pop()
+        if decided[d]:
+            below.append(decided[d][0])
+        else:
+            todo += kids[d]
+    one = Fraction(1)
+    return ((x, c_alt, one),
+            *[(k, b, one) for k in sorted(below, key=position.get)])
+
+
 # ---------------------------------------------------------------------------
 # witness checks in Fractions: the references for the integer kernels
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,8 @@ from evistruct import (CanonicalSpace, EStructure, ExplicitRepresentation,
                        build_canonical, build_system, canonical,
                        check_axioms, check_isd_plan, construct_sceu,
                        decide_rationalizable, decide_system, feasibility,
-                       find_trees, verify_canonical, verify_certificate,
-                       verify_rationalization)
+                       find_trees, trees, verify_canonical,
+                       verify_certificate, verify_rationalization)
 
 
 def fm_decide(system):
@@ -495,7 +496,9 @@ class TestTreePlans:
 class TestTreeTheorem:
     """A total plan on a structure that is itself an experimentation tree
     is decided by dominance consistency, not by the simplex; the simplex,
-    run on the same system, must reach the same verdict."""
+    run on the same system, must reach the same verdict. So is any plan
+    on a structure whose states are pairwise comparable or incompatible,
+    a tree up to twins (TestTwinTreeRoute)."""
 
     @staticmethod
     def agree(s, plan):
@@ -538,14 +541,18 @@ class TestTreeTheorem:
                 if certificate:
                     assert (result.path, result.certificate) == (
                         "dominance", certificate)
-                else:
+                elif oracles.twin_tree_cut(s.states, s.relation,
+                                           plan.choice,
+                                           plan.alternatives) is None:
                     assert result.path == side_of(result.system)
+                else:  # a tree up to twins
+                    assert result.path == "tree"
                 continue
             self.agree(s, plan)
             trees += 1
         assert 10 < trees < 140
 
-    def test_partial_plans_on_trees_take_the_simplex(self):
+    def test_partial_plans_on_trees_take_the_tree_route(self):
         rng = random.Random(12)
         for _ in range(20):
             tree = splitting_tree(rng, max_nodes=14)
@@ -554,7 +561,8 @@ class TestTreeTheorem:
             plan = full.restricted_to(
                 [x for x in tree.nodes if x != dropped])
             result = decide_rationalizable(tree.ambient, plan)
-            assert result.path == side_of(result.system)
+            assert (result.path, result.feasible) == ("tree", True)
+            assert decide_system(result.system).feasible
             assert verify_certificate(result.system, result).valid
 
     @pytest.mark.parametrize("stem", ["example_d", "example_r", "example_t"])
@@ -588,7 +596,9 @@ class TestTreeTheorem:
         it shares with construct_sceu; oracles.decide_on_tree_by_
         construction reads it off construct_sceu's witness, as the route
         did before. The results must agree field for field, and
-        construct_sceu must agree with the walk reference."""
+        construct_sceu must agree with the walk reference. Both agree
+        exactly with the route as it was on names, through as_tree
+        (oracles.decide_on_tree_named and avoidance_named)."""
         rng = random.Random(1515)
         cases = []
         for i in range(60):  # splitting trees, 2 to 4 alternatives
@@ -622,6 +632,13 @@ class TestTreeTheorem:
                         dict(r.avoid)) == oracles.construct_sceu_by_walks(
                     s.states, s.root, dict(r.tree.parent), plan.choice,
                     plan.alternatives, leaf_atom)
+                named = oracles.avoidance_named(r.tree, plan)
+                assert ([(p.atom, p.state) for p in r.points],
+                        dict(r.avoid)) == (list(named[0]), named[2])
+                assert (result.feasible, result.weights, result.utilities,
+                        result.certificate, result.path) == (
+                    oracles.decide_on_tree_named(result.system.atoms,
+                                                 r.tree, plan))
             want = oracles.decide_on_tree_by_construction(
                 result.system.atoms, plan.alternatives, plan.choice,
                 s.derived.immed_sets, violations, points, utilities)
@@ -671,14 +688,17 @@ class TestDominanceCertificates:
         assert (result.path, result.certificate) == (
             "dominance", (("s0", "b", 1), ("s0q", "a", 1)))
 
-    def test_only_the_theorem_witness_asks_as_tree(self, monkeypatch):
-        """A certificate is read off the plan's choices without as_tree,
-        for twins and for a violation on a tree alike; as_tree is asked
-        once, for a consistent total plan, to build the theorem's
-        witness."""
-        calls = []
-        monkeypatch.setattr(feasibility, "as_tree",
-                            lambda *args: calls.append(1) or as_tree(*args))
+    def test_the_decision_checks_no_tree(self, monkeypatch):
+        """A certificate is read off the plan's choices before the tree of
+        twin classes is read, for twins and for a violation on a tree
+        alike; that tree is read once, for a consistent plan, to build
+        the theorem's witness, and no tree condition is checked."""
+        calls, checks = [], []
+        twin_tree, verdict = feasibility._twin_tree, trees._tree_verdict
+        monkeypatch.setattr(feasibility, "_twin_tree",
+                            lambda *args: calls.append(1) or twin_tree(*args))
+        monkeypatch.setattr(trees, "_tree_verdict",
+                            lambda *args: checks.append(1) or verdict(*args))
         twins = EStructure.from_generators(
             ["root", "s0", "s1", "s0q"], "root",
             [("s0", "root"), ("s1", "root"), ("s0q", "s0"), ("s0", "s0q")])
@@ -700,7 +720,7 @@ class TestDominanceCertificates:
         good = Plan(("a", "b"), {**bad.choice, "u": "a"})
         result = decide_rationalizable(tree, good)
         assert (result.path, result.feasible) == ("tree", True)
-        assert calls == [1]
+        assert calls == [1] and checks == []
 
     def test_first_partitioning_violation_on_a_structure_that_is_no_tree(
             self):
@@ -729,9 +749,162 @@ class TestDominanceCertificates:
         result = decide_rationalizable(s, plan)
         assert (result.path, result.certificate) == (
             "dominance", (("u", "a", 1), ("u1", "b", 1), ("u2", "b", 1)))
-        # with u2 undecided, u is no violation and the simplex decides
+        # with u2 undecided, u is no violation: u2 is free, and the tree
+        # route decides
         result = decide_rationalizable(s, plan.restricted_to(["u", "u1"]))
-        assert (result.path, result.feasible) == ("simplex", True)
+        assert (result.path, result.feasible) == ("tree", True)
+
+
+def _twinned(rng, tree, share):
+    """The structure of a splitting tree with a twin x + "q" added for
+    each of a share of its non-root states, and those states."""
+    s = tree.ambient
+    twins = [x for x in s.states[1:] if rng.random() < share]
+    return EStructure.from_generators(
+        s.states + tuple([x + "q" for x in twins]), s.root,
+        [*tree.parent.items(),
+         *[p for x in twins for p in ((x + "q", x), (x, x + "q"))]]), twins
+
+
+class TestTwinTreeRoute:
+    """On a structure whose states are pairwise comparable or
+    incompatible, a tree up to twins, every plan, partial or total, is
+    decided by the tree route, unless a dominance certificate comes
+    first: its verdict is the simplex's (decide_system, the referee),
+    its cut certificate the set oracle's (oracles.twin_tree_cut), and
+    every result passes verify_certificate."""
+
+    @staticmethod
+    def check(s, plan, routes, oracle=True):
+        result = decide_rationalizable(s, plan)
+        assert verify_certificate(result.system, result).valid
+        assert result.feasible == decide_system(result.system).feasible
+        if oracle:
+            cut = oracles.twin_tree_cut(s.states, s.relation, plan.choice,
+                                        plan.alternatives)
+            if result.path == "dominance":
+                assert result.certificate == oracle_certificate(s, plan)
+            elif cut is None:
+                assert result.path == side_of(result.system)
+            else:
+                assert result.path == "tree"
+                assert (result.certificate or ()) == cut
+        routes[result.path, result.feasible,
+               len(plan.choice) == len(s.states)] += 1
+        return result
+
+    def test_family_pools_in_every_cell(self):
+        """Subset families over exactly 2, 3 or 4 points, twins included,
+        a third of them sparse, with 2 or 3 alternatives, plans on every
+        state and on a random part of them: every cell has plans the
+        tree route finds rationalizable."""
+        cells = Counter()
+        for points, n_alts in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2),
+                               (4, 3)]:
+            rng = random.Random(3600 + 10 * points + n_alts)
+            alts = ("a", "b", "c")[:n_alts]
+            routes = Counter()
+            for i in range(60):
+                keep = 0.45 if i % 3 else 0.1
+                s = subset_family_structure(rng, points, keep)
+                while len(s.canonical.atoms) != points:
+                    s = subset_family_structure(rng, points, keep)
+                domain = [x for x in s.states if i % 2 == 0
+                          or rng.random() < 0.6] or [s.root]
+                self.check(s, Plan(alts, {x: rng.choice(alts)
+                                          for x in domain}), routes)
+            assert sum(n for (path, feasible, _), n in routes.items()
+                       if path == "tree" and feasible) > 0
+            cells.update(routes)
+        assert sum(n for (path, feasible, _), n in cells.items()
+                   if path == "tree" and not feasible) > 2
+
+    def test_splitting_trees_partial_and_total_with_twins(self):
+        """Consistent and inconsistent plans on splitting trees of up to
+        160 nodes, total or with a random part of the states decided,
+        on the tree's structure or, for half of them, with twins added
+        that choose as their states do. The set oracle referees the
+        trees of up to 40 nodes; the simplex every verdict."""
+        rng = random.Random(3601)
+        routes = Counter()
+        for i in range(64):
+            big = i % 16 < 2
+            tree = splitting_tree(rng, max_nodes=160 if big else 40,
+                                  min_nodes=120 if big else 3)
+            make = consistent_plan if i % 3 else inconsistent_plan
+            plan = make(rng, tree, n_alts=2 if big else 2 + i % 3)
+            s, twins = tree.ambient, []
+            if i % 2:
+                s, twins = _twinned(rng, tree, 0.3)
+            choice = {**plan.choice,
+                      **{x + "q": plan.choice[x] for x in twins}}
+            if i % 4 >= 2:
+                choice = {x: a for x, a in choice.items()
+                          if rng.random() < 0.7} or {s.root: "a"}
+            self.check(s, Plan(plan.alternatives, choice), routes,
+                       oracle=not big)
+        assert routes["tree", True, False] > 5
+        assert routes["tree", True, True] > 5
+        assert routes["tree", False, False] + routes["tree", False, True] > 2
+        assert routes["dominance", False, True] > 2
+
+    def test_cut_two_levels_down(self):
+        """x chooses a; its children x1 and x2 are undecided, each forced
+        to b by its own children: the cut rows are those four."""
+        s = EStructure.from_generators(
+            ["r", "x", "y", "x1", "x2", "x11", "x12", "x21", "x22"], "r",
+            [("x", "r"), ("y", "r"), ("x1", "x"), ("x2", "x"),
+             ("x11", "x1"), ("x12", "x1"), ("x21", "x2"), ("x22", "x2")])
+        plan = Plan(("a", "b"), {"x": "a", "y": "a", "x11": "b", "x12": "b",
+                                 "x21": "b", "x22": "b"})
+        assert check_isd_plan(s, plan).consistent
+        result = decide_rationalizable(s, plan)
+        one = Fraction(1)
+        assert (result.path, result.certificate) == ("tree", (
+            ("x", "b", one), ("x11", "a", one), ("x12", "a", one),
+            ("x21", "a", one), ("x22", "a", one)))
+        assert not decide_system(result.system).feasible
+
+    def test_cut_through_an_undecided_twin_class(self):
+        """u and its twin uq are undecided and forced to b by u1 and u2;
+        v chooses b too, so the root, choosing a, is cut. With u itself
+        deciding b, its class is decided, and u is the row for it."""
+        s = EStructure.from_generators(
+            ["r", "u", "uq", "v", "u1", "u2"], "r",
+            [("u", "r"), ("v", "r"), ("uq", "u"), ("u", "uq"),
+             ("u1", "u"), ("u2", "u")])
+        plan = Plan(("a", "b"), {"r": "a", "v": "b", "u1": "b", "u2": "b"})
+        one = Fraction(1)
+        result = decide_rationalizable(s, plan)
+        assert (result.path, result.certificate) == ("tree", (
+            ("r", "b", one), ("v", "a", one), ("u1", "a", one),
+            ("u2", "a", one)))
+        decided = Plan(plan.alternatives, {**plan.choice, "uq": "b"})
+        result = decide_rationalizable(s, decided)
+        assert (result.path, result.certificate) == ("tree", (
+            ("r", "b", one), ("uq", "a", one), ("v", "a", one)))
+        assert verify_certificate(result.system, result).valid
+
+    def test_cut_below_an_undecided_root(self):
+        """The root is undecided and free (x and y end on a and b); x,
+        choosing a, is cut by x2's b and by x1, undecided and forced to b.
+        With y undecided too, the root is free and the rest of the plan
+        is rationalizable once x is left undecided."""
+        s = EStructure.from_generators(
+            ["r", "x", "y", "x1", "x2", "x11", "x12", "y1", "y2"], "r",
+            [("x", "r"), ("y", "r"), ("x1", "x"), ("x2", "x"),
+             ("x11", "x1"), ("x12", "x1"), ("y1", "y"), ("y2", "y")])
+        plan = Plan(("a", "b"), {"x": "a", "y": "b", "x2": "b", "x11": "b",
+                                 "x12": "b"})
+        one = Fraction(1)
+        result = decide_rationalizable(s, plan)
+        assert (result.path, result.certificate) == ("tree", (
+            ("x", "b", one), ("x2", "a", one), ("x11", "a", one),
+            ("x12", "a", one)))
+        free = plan.restricted_to(["y", "x2", "x11", "x12"])
+        result = decide_rationalizable(s, free)
+        assert (result.path, result.feasible) == ("tree", True)
+        assert verify_certificate(result.system, result).valid
 
 
 @pytest.mark.parametrize("path", ["tree", "simplex", "simplex-dual"])

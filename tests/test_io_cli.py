@@ -1124,7 +1124,7 @@ sys.exit(code)
     pytest.param("trees check example_d.est", ("trees",),
                  id="trees-check"),
     pytest.param("plan decide example_t.est",
-                 ("canonical", "feasibility", "trees"), id="plan-decide"),
+                 ("canonical", "feasibility"), id="plan-decide"),
     pytest.param("plan rationalize example_d.est", MODULES,
                  id="plan-rationalize"),
     pytest.param("verify example_d.est example_d_product.json", MODULES,

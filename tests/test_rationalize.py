@@ -13,7 +13,7 @@ import oracles
 from conftest import (consistent_by_rank, consistent_plan,
                       inconsistent_plan, point_margins, splitting_tree,
                       subset_family_structure)
-from evistruct import rationalize
+from evistruct import feasibility
 from evistruct import (CanonicalError, EStructure, ExperimentationTree,
                        ExplicitRepresentation, Plan, PlanError,
                        RationalizationError, SamplePoint, avoiding_branch,
@@ -640,13 +640,16 @@ class TestVerification:
                 construct_sceu(tree, plan)
 
 
-def test_one_walk_pass_matches_the_per_rival_walks():
-    """_walks builds every rival's avoidance walk in one pass; the
-    reference, oracles.walks_by_rival, walks once per rival. _avoidance,
-    avoiding_branch at every node against every alternative and one
-    rival no node chooses, and every RationalizationError text agree,
-    on consistent and inconsistent plans with 2 to 4 alternatives on
-    trees of up to 80 nodes."""
+def test_one_avoidance_pass_matches_the_per_rival_walks():
+    """feasibility._avoidance builds every rival's avoidance walk in one
+    pass on indices; the references walk once per rival
+    (oracles.avoidance_by_rival) and on names in one pass
+    (oracles.avoidance_named, the pass before it went onto indices).
+    The points, bits and avoid map, construct_sceu's RationalizationError
+    text where a walk stops short, and avoiding_branch at every node
+    against every alternative and one rival no node chooses agree, on
+    consistent and inconsistent plans with 2 to 4 alternatives on trees
+    of up to 80 nodes."""
     rng = random.Random(3311)
     kinds = {"built": 0, "stuck": 0, "branch": 0, "branch stuck": 0}
     for i in range(80):
@@ -656,18 +659,29 @@ def test_one_walk_pass_matches_the_per_rival_walks():
         alts, choice = plan.alternatives, plan.choice
         data = (tree._top_down, dict(tree.children), choice, alts)
         leaf_atom = {cls[0]: k for k, cls in enumerate(tree.canonical.atoms)}
+        walks = feasibility._avoidance(tree.as_estructure,
+                                       _plan_key(tree.canonical, plan))
         try:
             want = oracles.avoidance_by_rival(
                 tree.nodes, tree._top_down, dict(tree.children),
                 tree.rank_in_tree, choice, alts, leaf_atom)
         except ValueError as error:
+            with pytest.raises(ValueError) as named:
+                oracles.avoidance_named(tree, plan)
+            assert str(named.value) == str(error)
             with pytest.raises(RationalizationError) as info:
-                rationalize._avoidance(tree, plan)
+                construct_sceu(tree, plan)
             assert str(info.value) == str(error)
+            assert walks.atoms == walks.chosen == walks.avoid == ()
             kinds["stuck"] += 1
         else:
-            points, chosen, avoid = rationalize._avoidance(tree, plan)
-            assert (points, chosen, dict(avoid)) == want
+            assert oracles.avoidance_named(tree, plan) == want
+            nodes = tree.nodes
+            rejected = [(x, b) for x in nodes for b in alts
+                        if b != choice[x]]
+            assert (tuple(zip(walks.atoms, [nodes[r] for r in walks.classes])),
+                    walks.chosen, dict(zip(rejected, walks.avoid)),
+                    walks.stuck) == (*want, None)
             kinds["built"] += 1
         for x in tree.nodes:
             for a in (*alts, "zz"):
@@ -684,6 +698,41 @@ def test_one_walk_pass_matches_the_per_rival_walks():
                     kinds["branch"] += 1
     assert kinds["built"] == kinds["stuck"] == 40
     assert kinds["branch stuck"] > 100
+
+
+def test_partial_plans_branch_as_the_walks_did():
+    """avoiding_branch on a plan that leaves tree nodes undecided, or
+    decides states off a contained tree, walks through an undecided
+    node as through one choosing no rival, as the walks on names did."""
+    rng = random.Random(3312)
+    seen = 0
+    for i in range(40):
+        if i % 2:
+            tree = splitting_tree(rng, max_nodes=20)
+        else:
+            found = find_trees(subset_family_structure(rng, max_universe=4))
+            if not found:
+                continue
+            tree = rng.choice(found)
+        alts = ("a", "b", "c")[:2 + i % 2]
+        plan = Plan(alts, {x: rng.choice(alts) for x in tree.ambient.states
+                           if rng.random() < 0.7} or {tree.root: "a"})
+        for a in alts:
+            walks = oracles.walks_named(tree, plan, alts)[a]
+            for x in tree.nodes:
+                step, end, chosen = walks[x]
+                if chosen is None and tree.children[x]:
+                    with pytest.raises(RationalizationError) as info:
+                        avoiding_branch(tree, plan, x, a)
+                    assert f"every child of {end!r}" in str(info.value)
+                    continue
+                path = list(tree.path_to_root(x))
+                while step is not None:
+                    path.append(step)
+                    step = walks[step][0]
+                assert avoiding_branch(tree, plan, x, a) == tuple(path)
+                seen += 1
+    assert seen > 200
 
 
 def test_walk_tables_match_the_walk_reference():
@@ -862,10 +911,10 @@ class TestKeptPasses:
     def test_a_copy_of_the_spanning_tree_reads_the_decisions_pass(
             self, monkeypatch):
         """A dataclasses.replace copy of the built spanning tree is a new
-        object, as is the tree as_tree read for the decision, but its
-        canonical space is the structure's: constructing on it after the
-        decision walks no avoidance walk again, and the witness is the
-        one a fresh op builds."""
+        object, but its canonical space is the structure's, where the
+        decision, which reads no tree, kept its avoidance pass:
+        constructing on the copy after the decision builds no pass
+        again, and the witness is the one a fresh op builds."""
         rng = random.Random(2206)
         tree = splitting_tree(rng, max_nodes=12, min_nodes=12)
         plan = consistent_plan(rng, tree, n_alts=3)
@@ -875,8 +924,8 @@ class TestKeptPasses:
         copy = dataclasses.replace(built)
         assert copy is not built and copy.canonical is s.canonical
         walks = []
-        original = rationalize._walks
-        monkeypatch.setattr(rationalize, "_walks",
+        original = feasibility._Avoidance
+        monkeypatch.setattr(feasibility, "_Avoidance",
                             lambda *args: walks.append(1) or original(*args))
         r = construct_sceu(copy, plan)
         assert walks == []

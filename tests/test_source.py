@@ -260,10 +260,9 @@ PRIVATE_COUPLINGS = {
     "canonical": {"structure": {"_bits", "_condition_report", "_lowest",
                                 "_root_index"}},
     "cli": {"feasibility": {"_margin_report", "_over_lcm", "_rows"}},
-    "feasibility": {"plans": {"_check_domain"}, "structure": {"_bits"},
-                    "rationalize": {"_avoidance"}},
-    "rationalize": {"feasibility": {"_margin_report", "_over_lcm",
-                                    "_plan_key", "_rows"}},
+    "feasibility": {"plans": {"_check_domain"}, "structure": {"_bits"}},
+    "rationalize": {"feasibility": {"_avoidance", "_margin_report",
+                                    "_over_lcm", "_plan_key", "_rows"}},
     "structure": {"canonical": {"_verified_space"}},
     "trees": {"structure": {"_bits", "_closed_rows", "_condition_report",
                             "_lowest", "_root_index"}},
@@ -299,6 +298,43 @@ def test_private_couplings_are_declared():
         encoding="utf-8"))) for path in MODULES}
     assert {stem: names for stem, names in found.items()
             if names} == PRIVATE_COUPLINGS
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The package modules a module imports anywhere: at the top, in
+    functions and classes, and in `if TYPE_CHECKING:` blocks."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level and node.module:
+            found.add(node.module)
+        elif isinstance(node, ast.ImportFrom) and (
+                node.module or "").startswith("evistruct."):
+            found.add(node.module[len("evistruct."):])
+    return found
+
+
+def test_the_decision_reaches_neither_trees_nor_rationalize():
+    """The decision decides a plan on a tree up to twins on the
+    structure's own rows, with no tree object and no construction:
+    feasibility imports neither trees nor rationalize, directly or
+    through any module it imports, at any depth."""
+    graph = {path.stem: _package_imports(ast.parse(path.read_text(
+        encoding="utf-8"))) for path in MODULES}
+    reached, todo = set(), ["feasibility"]
+    while todo:
+        for stem in graph[todo.pop()] - reached:
+            reached.add(stem)
+            todo.append(stem)
+    assert reached == {"canonical", "io", "plans", "structure"}
+
+
+def test_the_package_import_scan_sees_every_depth():
+    tree = ast.parse("from .a import x\nimport json\n"
+                     "if TYPE_CHECKING:\n    from .b import y\n"
+                     "def f():\n    from .c import z\n"
+                     "    from evistruct.d import w\n"
+                     "from . import e\n")
+    assert _package_imports(tree) == {"a", "b", "c", "d"}
 
 
 def test_the_private_import_scan_sees_every_depth_and_form():

@@ -20,7 +20,7 @@ from evistruct import (FIXTURES, TREE_CONDITION_IDS, EStructure,
                        decompose_field_element, derive_relations,
                        find_trees, parse_workspace, partitions,
                        verify_rationalization)
-from evistruct import feasibility, rationalize, structure, trees
+from evistruct import feasibility, structure, trees
 from evistruct.trees import _check_tree
 
 
@@ -155,6 +155,15 @@ def _oracle_passes(s):
         s.states, s.root, s.relation, nodes, edges)
 
 
+def _kept_top_down(t):
+    """Whether the order a tree keeps lists its nodes once each, the
+    root first and every other node after its parent."""
+    order = t.__dict__["_top_down"]
+    place = {x: i for i, x in enumerate(order)}
+    return (sorted(order) == sorted(t.nodes) and order[0] == t.root
+            and all(place[t.parent[x]] < place[x] for x in t.parent))
+
+
 @pytest.mark.parametrize("kind", ["splitting", "families", "twins",
                                   "children-first"])
 def test_find_trees_against_the_subset_search_at_size(kind):
@@ -165,9 +174,9 @@ def test_find_trees_against_the_subset_search_at_size(kind):
     or with the states shuffled and the root not first, and on subset
     families with and without twins. Order and trees match, and each
     tree keeps the top-down order its check read: every node after its
-    parent, as a fresh read of the shape gives it. Declared children
-    first, some trees' node order is not top-down, so their shape is
-    read."""
+    parent. Declared children first, some trees' node order is not
+    top-down, so the kernel reads the order growth placed the nodes
+    in."""
     rng = random.Random(2710)
     if kind in ("splitting", "children-first"):
         structures = []
@@ -190,12 +199,8 @@ def test_find_trees_against_the_subset_search_at_size(kind):
         assert _node_edge_lists(s, found) == oracles.find_trees_by_subsets(
             s.states, s.root, s.relation, _oracle_passes(s))
         for t in found:
-            top_down = t.__dict__["_top_down"]
-            assert top_down == dataclasses.replace(t)._top_down
-            place = {x: i for i, x in enumerate(top_down)}
-            assert sorted(top_down) == sorted(t.nodes)
-            assert all(place[t.parent[x]] < place[x] for x in t.parent)
-            reordered += top_down != t.nodes
+            assert _kept_top_down(t)
+            reordered += t.__dict__["_top_down"] != t.nodes
         grown += len(found)
     assert grown > 20
     # declared root first, a splitting tree's node orders are top-down
@@ -1190,16 +1195,16 @@ def test_tree_op_closes_and_derives_once(monkeypatch):
     tree, decide, construct and verify. Every tree on the way is read off
     its parent map, so the edges are closed on rows once, for the
     structure itself, and those rows seed its relations: derive_relations
-    never runs. The structure keeps no tree, so the kernel checks the
-    seven conditions twice: once for the tree build_tree accepts,
-    through _check_tree, and once for the equal tree as_tree reads for
-    the decision, on indices with no _check_tree. Both hand the kernel
-    the nodes root first, in an order it finds top-down, so no shape is
-    read. The verifier reads the order the built tree cached. The
-    decision runs one walk pass for every alternative, and the
-    construction reads the pass it kept on the canonical space both
-    trees share, which is the structure's own. build_system builds the
-    rows once, and the verifier reads them off that space."""
+    never runs. The kernel checks the seven conditions once, for the
+    tree build_tree accepts, through _check_tree: it is handed the nodes
+    root first, in an order it finds top-down, so no shape is read. The
+    decision checks no tree: it reads the structure's tree of twin
+    classes once (_twin_tree) and builds one avoidance pass (one
+    _Avoidance) for every alternative, and the construction reads the
+    pass it kept on the canonical space, the built tree's own
+    structure's. The verifier reads the order the built tree cached.
+    build_system builds the rows once, and the verifier reads them off
+    that space."""
     rng = random.Random(12)
     tree = splitting_tree(rng, max_nodes=12, min_nodes=12)
     while len(tree.nodes) != 12:
@@ -1209,8 +1214,8 @@ def test_tree_op_closes_and_derives_once(monkeypatch):
     homes = {"_closed_rows": (structure, trees),
              "derive_relations": (structure,),
              "_shape": (trees,), "_check_tree": (trees,),
-             "_tree_verdict": (trees,),
-             "_walks": (rationalize,), "FeasibilityRow": (feasibility,)}
+             "_tree_verdict": (trees,), "_twin_tree": (feasibility,),
+             "_Avoidance": (feasibility,), "FeasibilityRow": (feasibility,)}
     calls = dict.fromkeys(homes, 0)
 
     def counted(name, original):
@@ -1230,7 +1235,8 @@ def test_tree_op_closes_and_derives_once(monkeypatch):
     assert result.path == "tree" and result.feasible
     assert verify_rationalization(t, plan, r).verified
     assert calls == {"_closed_rows": 1, "derive_relations": 0, "_shape": 0,
-                     "_check_tree": 1, "_tree_verdict": 2, "_walks": 1,
+                     "_check_tree": 1, "_tree_verdict": 1, "_twin_tree": 1,
+                     "_Avoidance": 1,
                      "FeasibilityRow": len(result.system.rows)}
     assert len(result.system.rows) == 12 * (len(plan.alternatives) - 1)
 
@@ -1239,8 +1245,9 @@ def test_found_trees_carry_their_order(monkeypatch):
     """find_trees returns the trees its checks built, each with the
     top-down order its check read: on a 12-node tree's structure
     declared root first, the kernel finds each of the four trees' node
-    order top-down and no shape is read; declared children first, each
-    tree's shape is read once. Reading a tree's children reads no shape
+    order top-down and no shape is read; declared children first, the
+    kernel is handed the order growth placed each tree's nodes in, so
+    no shape is read either. Reading a tree's children reads no shape
     again, and both declarations give the same trees by name."""
     tree = splitting_tree(random.Random(5), max_nodes=12, min_nodes=12)
     edges = tuple(tree.parent.items())
@@ -1259,13 +1266,14 @@ def test_found_trees_carry_their_order(monkeypatch):
     turned = find_trees(backwards)
     for t in turned:
         t.children
-    assert len(calls) == 4
+    assert len(calls) == 0
     assert ({(frozenset(t.nodes), tuple(sorted(t.parent.items())))
              for t in turned}
             == {(frozenset(t.nodes), tuple(sorted(t.parent.items())))
                 for t in found})
     for t in turned:
-        assert t.__dict__["_top_down"] == dataclasses.replace(t)._top_down
+        assert _kept_top_down(t)
+        assert t.__dict__["_top_down"] != t.nodes
 
 
 def _index_tree(s, t):
@@ -1328,8 +1336,10 @@ def test_tree_entry_matches_the_shape_route():
     the route reading every shape first gives (oracles.tree_at_by_shape):
     on found trees listed root first, children first and shuffled, and
     on edits of each (an edge dropped, added or reversed). find_trees
-    gives the trees, with their orders, that the same route's search
-    gives, on structures declared root first and children first."""
+    gives the trees that the same route's search gives, on structures
+    declared root first and children first, each with a top-down order:
+    the shape route's own where the node order is top-down, and the
+    order growth placed the nodes in where it is not."""
     rng = random.Random(3537)
     routes = Counter()
     for _ in range(25):
@@ -1337,9 +1347,16 @@ def test_tree_entry_matches_the_shape_route():
         for s in (tree.ambient, _children_first(rng, tree),
                   subset_family_structure(rng, max_universe=4)):
             found = find_trees(s)
-            assert ([_entry_outcome((None, t)) for t in found]
-                    == [_entry_outcome((None, t)) for t
-                        in oracles.find_trees_by_shape(trees, s)])
+            want = oracles.find_trees_by_shape(trees, s)
+            assert [_entry_outcome((None, t))[:4] for t in found] == [
+                _entry_outcome((None, t))[:4] for t in want]
+            for t, w in zip(found, want):
+                assert _kept_top_down(t)
+                assert (t.__dict__["as_estructure"] is w.__dict__[
+                    "as_estructure"]) if "as_estructure" in w.__dict__ else (
+                    "as_estructure" not in t.__dict__)
+                if w._top_down == w.nodes:
+                    assert t._top_down == w._top_down
             for t in found[:3]:
                 order, parent = _index_tree(s, t)
                 edges = list(parent.items())
